@@ -1,4 +1,4 @@
-"""Beam-search decoding, plus an exhaustive decoder for small spaces.
+"""Beam-search decoding.
 
 A hypothesis scores the sum of per-token log-probabilities of everything it
 has emitted. The emitted length is capped at ``max_len`` counting every
@@ -8,18 +8,27 @@ are). Ties are broken everywhere by the same rule: higher logprob first,
 then lexicographically smaller id tuple, which also puts a finished prefix
 ahead of its extensions. Scores are never length-normalized unless the
 optional ranking flag asks for it.
+
+Selection is vectorized but exact. Each step stacks the live hypotheses'
+next-token log-probabilities into one [L, K] array over the K emittable
+ids and adds each parent's score, so every candidate score is the same
+float64 sum a scalar loop would form. ``np.partition`` finds the
+``width``-th largest score; every candidate scoring at least that cut is
+kept, so exact ties at the boundary all survive, and the kept candidates
+are ordered by (-score, parent's lexical rank, token id). All live
+hypotheses have the same length at a given step, so that order is the
+order of the full id tuples, and the first ``width`` are exactly the
+candidates the tie rule selects.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .model import LstmState, ModelParams, step_distribution, zero_state
 from .vocab import EOS_ID, PAD_ID
-
-EXHAUSTIVE_LIMIT = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -28,7 +37,6 @@ class BeamConfig:
 
     width: int = 5
     max_len: int = 30
-    language: str | None = None
     exclude_ids: tuple[int, ...] = (PAD_ID,)
     length_norm: bool = False
 
@@ -43,35 +51,25 @@ class BeamConfig:
 
 @dataclass
 class Hypothesis:
-    """A partial or finished decode: emitted ids and their total logprob.
+    """A live decode: emitted ids, their total logprob, and model state.
 
     ``state`` is the decoder state after consuming the feature, the start
     token, and every emitted id; ``next_logp`` caches the distribution over
-    the next id. Both are dropped once the hypothesis finishes.
+    the next id.
     """
 
     ids: tuple[int, ...]
     logprob: float
-    state: LstmState | None
-    next_logp: np.ndarray | None
-    finished: bool = False
+    state: LstmState
+    next_logp: np.ndarray
 
 
-def _sort_key(logprob: float, ids: tuple[int, ...]):
-    return (-logprob, ids)
-
-
-def _rank_key(h: Hypothesis, length_norm: bool):
-    score = h.logprob / len(h.ids) if length_norm else h.logprob
-    return (-score, h.ids)
-
-
-def _emittable_ids(vocab_size: int, exclude_ids) -> list[int]:
+def _emittable_ids(vocab_size: int, exclude_ids) -> np.ndarray:
     banned = set(int(i) for i in exclude_ids)
     if EOS_ID in banned:
         raise ValueError("the eos id cannot be excluded from emission")
-    ids = [t for t in range(vocab_size) if t not in banned]
-    if not ids:
+    ids = np.array([t for t in range(vocab_size) if t not in banned], dtype=np.int64)
+    if not ids.size:
         raise ValueError("every token id is excluded from emission")
     return ids
 
@@ -82,65 +80,52 @@ def _root(feature, start_id: int, params: ModelParams) -> Hypothesis:
     return Hypothesis(ids=(), logprob=0.0, state=state, next_logp=logp.data)
 
 
+def _select(live: list[Hypothesis], emittable: np.ndarray, width: int, step: int):
+    """The top ``width`` (logprob, parent, token) extensions of ``live``."""
+    logp = np.stack([h.next_logp for h in live])[:, emittable]
+    scores = np.array([h.logprob for h in live])[:, None] + logp
+    if not np.isfinite(scores).all():
+        raise ValueError(f"non-finite log-probabilities at decode step {step}")
+    flat = scores.ravel()
+    k = min(width, flat.size)
+    cut = np.partition(flat, flat.size - k)[flat.size - k]
+    kept = np.flatnonzero(flat >= cut)
+    parent, column = np.divmod(kept, emittable.size)
+    rank = np.empty(len(live), dtype=np.int64)
+    rank[sorted(range(len(live)), key=lambda i: live[i].ids)] = np.arange(len(live))
+    tokens = emittable[column]
+    order = np.lexsort((tokens, rank[parent], -flat[kept]))[:width]
+    return [(float(flat[kept[j]]), live[parent[j]], int(tokens[j])) for j in order]
+
+
 def beam_search(feature, start_id: int, params: ModelParams, config: BeamConfig) -> list[tuple[list[int], float]]:
     """Top ``config.width`` decodes as (ids, logprob), best first.
 
     Every live hypothesis is scored against the full vocabulary each step;
     the global top ``width`` candidates survive. Hypotheses that emit eos or
     reach ``max_len`` emitted tokens move to the finished pool, which only
-    competes at the final ranking.
+    competes at the final ranking. Raises ``ValueError`` when a live
+    hypothesis has non-finite log-probabilities.
     """
     emittable = _emittable_ids(params.dims.vocab, config.exclude_ids)
     live = [_root(feature, start_id, params)]
-    finished: list[Hypothesis] = []
+    finished: list[tuple[tuple[int, ...], float]] = []
+    step = 0
     while live:
-        candidates = []
-        for hyp in live:
-            for tok in emittable:
-                candidates.append((hyp.logprob + float(hyp.next_logp[tok]), hyp, tok))
-        candidates.sort(key=lambda c: _sort_key(c[0], c[1].ids + (c[2],)))
+        step += 1
+        survivors = _select(live, emittable, config.width, step)
         live = []
-        for logprob, hyp, tok in candidates[: config.width]:
+        for logprob, hyp, tok in survivors:
             ids = hyp.ids + (tok,)
             if tok == EOS_ID or len(ids) >= config.max_len:
-                finished.append(Hypothesis(ids, logprob, None, None, finished=True))
+                finished.append((ids, logprob))
             else:
                 state, logp = step_distribution(hyp.state, tok, params)
                 live.append(Hypothesis(ids, logprob, state, logp.data))
-    finished.sort(key=lambda h: _rank_key(h, config.length_norm))
-    return [(list(h.ids), h.logprob) for h in finished[: config.width]]
 
+    def rank_key(item):
+        ids, logprob = item
+        return (-(logprob / len(ids) if config.length_norm else logprob), ids)
 
-def exhaustive_decode(
-    feature, start_id: int, params: ModelParams, max_len: int, exclude_ids=(PAD_ID,)
-) -> tuple[list[int], float]:
-    """The exact argmax sequence by full enumeration, same tie rule.
-
-    Enumerates every emittable sequence that either ends with eos or runs
-    to ``max_len`` tokens. Refuses vocabularies where the enumeration would
-    exceed a million sequences.
-    """
-    if max_len < 1:
-        raise ValueError(f"max_len must be >= 1, got {max_len}")
-    if params.dims.vocab**max_len > EXHAUSTIVE_LIMIT:
-        raise ValueError(
-            f"search space {params.dims.vocab}^{max_len} exceeds {EXHAUSTIVE_LIMIT} sequences"
-        )
-    emittable = _emittable_ids(params.dims.vocab, exclude_ids)
-    root = _root(feature, start_id, params)
-    best_ids: tuple[int, ...] | None = None
-    best_logprob = -np.inf
-    stack = [root]
-    while stack:
-        hyp = stack.pop()
-        for tok in emittable:
-            logprob = hyp.logprob + float(hyp.next_logp[tok])
-            ids = hyp.ids + (tok,)
-            if tok == EOS_ID or len(ids) >= max_len:
-                if best_ids is None or _sort_key(logprob, ids) < _sort_key(best_logprob, best_ids):
-                    best_ids, best_logprob = ids, logprob
-            else:
-                state, logp = step_distribution(hyp.state, tok, params)
-                stack.append(Hypothesis(ids, logprob, state, logp.data))
-    assert best_ids is not None
-    return list(best_ids), best_logprob
+    finished.sort(key=rank_key)
+    return [(list(ids), logprob) for ids, logprob in finished[: config.width]]

@@ -41,7 +41,7 @@ class Dims:
 
 @dataclass
 class LstmState:
-    """Hidden and cell activations; rows for a batch, vectors for one beam."""
+    """Hidden and cell activations, one [B,H] row per sequence."""
 
     h: Tensor
     c: Tensor
@@ -91,9 +91,9 @@ def init_params(dims: Dims, seed) -> ModelParams:
     return ModelParams(dims, w_embed, w_image, b_image, w_x, w_h, b_gates, w_out, b_out)
 
 
-def zero_state(params: ModelParams, batch: int | None = None) -> LstmState:
-    """All-zero start state; vector form when ``batch`` is None."""
-    shape = (params.dims.hidden,) if batch is None else (batch, params.dims.hidden)
+def zero_state(params: ModelParams, batch: int = 1) -> LstmState:
+    """All-zero [batch,H] start state."""
+    shape = (batch, params.dims.hidden)
     return LstmState(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
 
 
@@ -124,23 +124,12 @@ def embed_tokens(params: ModelParams, ids) -> Tensor:
     return ad.take_rows(params.w_embed, np.asarray(ids, dtype=np.int64))
 
 
-def _as_row(x: Tensor) -> Tensor:
-    return ad.reshape(x, (1, x.shape[0]))
-
-
-def _as_vector(x: Tensor) -> Tensor:
-    return ad.reshape(x, (x.shape[-1],))
-
-
-def lstm_step(x: Tensor, state: LstmState, params: ModelParams) -> tuple[LstmState, Tensor]:
-    """One step plus output logits; accepts vector or row-batch inputs."""
-    if x.data.ndim == 1:
-        row_state = LstmState(_as_row(state.h), _as_row(state.c))
-        new = advance_state(_as_row(x), row_state, params)
-        logits = output_logits(new, params)
-        return LstmState(_as_vector(new.h), _as_vector(new.c)), _as_vector(logits)
-    new = advance_state(x, state, params)
-    return new, output_logits(new, params)
+def _feature_row(feature, caller: str, params: ModelParams) -> Tensor:
+    """One 1-D image feature, projected into a [1,E] input row."""
+    data = feature.data if isinstance(feature, Tensor) else np.asarray(feature)
+    if data.ndim != 1:
+        raise ad.DimensionError(f"{caller}: feature must be 1-D, got shape {data.shape}")
+    return project_feature(Tensor(data[None, :]), params)
 
 
 @dataclass
@@ -164,11 +153,7 @@ def forward_sequence(feature, sequence: TokenSequence, start_id: int, params: Mo
     if not 0 <= start_id < params.dims.vocab:
         raise IndexError(f"forward_sequence: start id {start_id} out of range")
     with ad.no_grad():
-        feat = feature if isinstance(feature, Tensor) else Tensor(feature)
-        if feat.data.ndim != 1:
-            raise ad.DimensionError(f"forward_sequence: feature must be 1-D, got shape {feat.shape}")
-        state = zero_state(params, batch=1)
-        state = advance_state(project_feature(_as_row(feat), params), state, params)
+        state = advance_state(_feature_row(feature, "forward_sequence", params), zero_state(params), params)
         distributions = []
         inputs = (start_id,) + sequence.ids[:-1]
         for tok in inputs:
@@ -176,15 +161,15 @@ def forward_sequence(feature, sequence: TokenSequence, start_id: int, params: Mo
             state = advance_state(x, state, params)
             logp = ad.log_softmax(output_logits(state, params).data[0])
             distributions.append(np.exp(logp))
-        final = LstmState(_as_vector(state.h), _as_vector(state.c))
-    return ForwardTrace(distributions, final, sequence, start_id)
+    return ForwardTrace(distributions, state, sequence, start_id)
 
 
 def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -> tuple[LstmState, Tensor]:
     """Advance one decode step and return log-probabilities for the next id.
 
     The input is either an integer token id (embedded) or a 1-D feature
-    vector (projected). State vectors are 1-D; the tape stays untouched.
+    vector (projected). The state is a single [1,H] row and the returned
+    log-probabilities are a 1-D [V] vector; the tape stays untouched.
     """
     with ad.no_grad():
         if isinstance(token_or_feature, (int, np.integer)):
@@ -193,13 +178,7 @@ def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -
                 raise IndexError(f"step_distribution: token id {tok} out of range")
             x = ad.take_rows(params.w_embed, np.array([tok], dtype=np.int64))
         else:
-            feat = token_or_feature if isinstance(token_or_feature, Tensor) else Tensor(token_or_feature)
-            if feat.data.ndim != 1:
-                raise ad.DimensionError(
-                    f"step_distribution: feature must be 1-D, got shape {feat.shape}"
-                )
-            x = project_feature(_as_row(feat), params)
-        row_state = LstmState(_as_row(state.h), _as_row(state.c))
-        new = advance_state(x, row_state, params)
+            x = _feature_row(token_or_feature, "step_distribution", params)
+        new = advance_state(x, state, params)
         logp = ad.log_softmax(output_logits(new, params).data[0])
-        return LstmState(_as_vector(new.h), _as_vector(new.c)), Tensor(logp)
+        return new, Tensor(logp)

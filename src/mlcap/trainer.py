@@ -286,7 +286,6 @@ def generate_caption(
     config = BeamConfig(
         width=width,
         max_len=max_len,
-        language=language,
         exclude_ids=(PAD_ID,) + vocab.start_ids,
         length_norm=length_norm,
     )

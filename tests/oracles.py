@@ -1,11 +1,21 @@
-"""Brute-force metric re-implementations used only as test oracles.
+"""Brute-force metric and decoder re-implementations used only as test oracles.
 
 Written independently of the library code, favoring obviousness over speed:
-explicit loops, plain dicts, no shared helpers. If the library and these
-disagree, trust neither and recount by hand.
+explicit loops, plain dicts, no shared helpers. The decoders share only the
+model's ``step_distribution`` with the library, since that is what they
+search over. If the library and these disagree, trust neither and recount
+by hand.
 """
 
 import math
+from typing import NamedTuple
+
+import numpy as np
+
+from mlcap.model import step_distribution, zero_state
+from mlcap.vocab import EOS_ID, PAD_ID
+
+EXHAUSTIVE_LIMIT = 1_000_000
 
 
 def grams(tokens, n):
@@ -118,3 +128,92 @@ def random_corpus(rng, n_images=None, vocab=("the", "cat", "sat", "on", "mat", "
             refs.append([vocab[int(i)] for i in rng.integers(0, len(vocab), ref_len)])
         items.append((candidate, refs))
     return items
+
+
+# ---------------------------------------------------------------------------
+# decoders
+
+
+class _Hyp(NamedTuple):
+    ids: tuple
+    logprob: float
+    state: object
+    next_logp: np.ndarray
+
+
+def _sort_key(logprob, ids):
+    """The documented tie rule: higher logprob first, then smaller id tuple."""
+    return (-logprob, ids)
+
+
+def _emittable(vocab_size, exclude_ids):
+    return [t for t in range(vocab_size) if t not in set(int(i) for i in exclude_ids)]
+
+
+def _root(feature, start_id, params):
+    state, _ = step_distribution(zero_state(params), np.asarray(feature, dtype=np.float64), params)
+    state, logp = step_distribution(state, int(start_id), params)
+    return _Hyp((), 0.0, state, logp.data)
+
+
+def reference_beam_search(feature, start_id, params, config):
+    """Beam search by sorting every (logprob, parent, token) candidate tuple.
+
+    The scalar form of the library's beam: each step builds all W x V
+    candidates and sorts them by the tie rule on the full id tuples.
+    """
+    emittable = _emittable(params.dims.vocab, config.exclude_ids)
+    live = [_root(feature, start_id, params)]
+    finished = []
+    while live:
+        candidates = []
+        for hyp in live:
+            for tok in emittable:
+                candidates.append((hyp.logprob + float(hyp.next_logp[tok]), hyp, tok))
+        candidates.sort(key=lambda c: _sort_key(c[0], c[1].ids + (c[2],)))
+        live = []
+        for logprob, hyp, tok in candidates[: config.width]:
+            ids = hyp.ids + (tok,)
+            if tok == EOS_ID or len(ids) >= config.max_len:
+                finished.append((ids, logprob))
+            else:
+                state, logp = step_distribution(hyp.state, tok, params)
+                live.append(_Hyp(ids, logprob, state, logp.data))
+
+    def rank_key(item):
+        ids, logprob = item
+        score = logprob / len(ids) if config.length_norm else logprob
+        return _sort_key(score, ids)
+
+    finished.sort(key=rank_key)
+    return [(list(ids), logprob) for ids, logprob in finished[: config.width]]
+
+
+def exhaustive_decode(feature, start_id, params, max_len, exclude_ids=(PAD_ID,)):
+    """The exact argmax sequence by full enumeration, same tie rule.
+
+    Enumerates every emittable sequence that either ends with eos or runs
+    to ``max_len`` tokens. Refuses vocabularies where the enumeration would
+    exceed a million sequences.
+    """
+    if max_len < 1:
+        raise ValueError(f"max_len must be >= 1, got {max_len}")
+    if params.dims.vocab**max_len > EXHAUSTIVE_LIMIT:
+        raise ValueError(
+            f"search space {params.dims.vocab}^{max_len} exceeds {EXHAUSTIVE_LIMIT} sequences"
+        )
+    emittable = _emittable(params.dims.vocab, exclude_ids)
+    best_ids, best_logprob = None, -math.inf
+    stack = [_root(feature, start_id, params)]
+    while stack:
+        hyp = stack.pop()
+        for tok in emittable:
+            logprob = hyp.logprob + float(hyp.next_logp[tok])
+            ids = hyp.ids + (tok,)
+            if tok == EOS_ID or len(ids) >= max_len:
+                if best_ids is None or _sort_key(logprob, ids) < _sort_key(best_logprob, best_ids):
+                    best_ids, best_logprob = ids, logprob
+            else:
+                state, logp = step_distribution(hyp.state, tok, params)
+                stack.append(_Hyp(ids, logprob, state, logp.data))
+    return list(best_ids), best_logprob

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from mlcap import autodiff as ad
-from mlcap.beam import BeamConfig, beam_search, exhaustive_decode
+from mlcap.beam import BeamConfig, beam_search
 from mlcap.cli import main as cli_main
 from mlcap.cli import reference_sequence_check
 from mlcap.data import (
@@ -37,7 +37,7 @@ from mlcap.trainer import (
     sequence_loss,
 )
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from oracles import naive_bleu, naive_cider, random_corpus
+from oracles import exhaustive_decode, naive_bleu, naive_cider, random_corpus
 from tinymodels import prefix_free_params, random_params
 
 

@@ -5,11 +5,15 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlcap.beam import BeamConfig, beam_search, exhaustive_decode
+from mlcap.autodiff import Tensor
+from mlcap.beam import BeamConfig, beam_search
 from mlcap.model import step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID
-from tinymodels import prefix_free_params, random_params, toy_distribution
+from oracles import exhaustive_decode, reference_beam_search
+from tinymodels import prefix_free_params, random_params, toy_distribution, wide_params
 
 A, B = 3, 4  # surface ids in the toy five-token table (pad, unk, eos, a, b)
 
@@ -99,6 +103,28 @@ class TestToyModel:
         with pytest.raises(ValueError, match="eos"):
             BeamConfig(width=2, exclude_ids=(EOS_ID,))
 
+    def test_all_tied_candidates_keep_lexically_smallest(self):
+        # a uniform model ties every candidate at every step, so the
+        # partition cut must keep all of them for the id-tuple rule to pick
+        p = prefix_free_params(np.zeros(5))
+        results = beam_search(self.feature, 1, p, BeamConfig(width=3, max_len=1))
+        assert [r[0] for r in results] == [[1], [EOS_ID], [A]]
+        results = beam_search(self.feature, 1, p, BeamConfig(width=3, max_len=2))
+        assert [r[0] for r in results] == [[EOS_ID], [1, 1], [1, EOS_ID]]
+
+    def test_cross_parent_ties_follow_full_id_order(self):
+        # [b] outranks [a] after one step, but the exact tie between [a, b]
+        # and [b, a] must still go to the lexically smaller [a, b]
+        p = prefix_free_params([-1e9, -1e9, np.log(0.1), np.log(0.3), np.log(0.6)])
+        results = beam_search(self.feature, 1, p, BeamConfig(width=2, max_len=2))
+        assert [r[0] for r in results] == [[B, B], [A, B]]
+
+    def test_non_finite_logprobs_raise(self):
+        p = prefix_free_params(toy_distribution())
+        p.w_out.data[:] = np.nan
+        with pytest.raises(ValueError, match="non-finite log-probabilities at decode step 1"):
+            beam_search(self.feature, 1, p, BeamConfig(width=2, max_len=3))
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BeamConfig(width=0)
@@ -138,6 +164,35 @@ class TestAgainstReferenceDecoders:
         feature = rng.normal(size=params.dims.feature)
         for ids, logprob in beam_search(feature, 3, params, BeamConfig(width=3, max_len=5)):
             npt.assert_allclose(replay_logprob(feature, 3, params, ids), logprob, atol=1e-12)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_sort_reference(self, data):
+        vocab = data.draw(st.integers(3, 8), label="vocab")
+        kind = data.draw(st.sampled_from(["random", "flat", "prefix-free"]), label="model")
+        if kind == "prefix-free":
+            # few distinct scores: exact ties between extensions of
+            # different parents, e.g. [a, b] and [b, a], are common
+            scores = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.0]), min_size=vocab, max_size=vocab))
+            params = prefix_free_params(scores)
+        else:
+            params = wide_params(vocab=vocab, seed=data.draw(st.integers(0, 2**16), label="seed"), scale=2.0)
+        if kind == "flat":
+            params.w_out = Tensor(np.zeros_like(params.w_out.data))
+            params.b_out = Tensor(np.zeros_like(params.b_out.data))
+        exclude = data.draw(
+            st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
+        )
+        config = BeamConfig(
+            width=data.draw(st.integers(1, 6), label="width"),
+            max_len=data.draw(st.integers(1, 4), label="max_len"),
+            exclude_ids=tuple(sorted(exclude)),
+        )
+        feature = np.linspace(-1.0, 1.0, params.dims.feature)
+        start = data.draw(st.integers(0, vocab - 1), label="start")
+        assert beam_search(feature, start, params, config) == reference_beam_search(
+            feature, start, params, config
+        )
 
     def test_decode_is_deterministic(self):
         params = random_params(seed=77)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from mlcap.cli import EXIT_DATA, EXIT_GRADCHECK, EXIT_OK, EXIT_USAGE, main
-from mlcap.data import load_checkpoint, load_dataset, model_from_checkpoint, save_dataset
+from mlcap.data import load_checkpoint, load_dataset, model_from_checkpoint, save_checkpoint, save_dataset
 from mlcap.model import forward_sequence
 from mlcap.vocab import EOS_ID, TokenSequence
 
@@ -189,6 +189,20 @@ class TestCaption:
             ]
         )
         assert code == EXIT_DATA
+
+    def test_non_finite_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
+        ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
+        ckpt.arrays["w_out"][:] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, ckpt)
+        code = main(
+            [
+                "caption", "--ckpt", str(bad), "--data", str(workdir["data"]),
+                "--out", str(tmp_path / "c"), "--lang", "en",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "non-finite log-probabilities at decode step 1" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_data_error(self, workdir, tmp_path):
         code = main(

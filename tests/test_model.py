@@ -9,9 +9,10 @@ from mlcap.autodiff import Tensor
 from mlcap.model import (
     Dims,
     LstmState,
+    advance_state,
     forward_sequence,
     init_params,
-    lstm_step,
+    output_logits,
     step_distribution,
     zero_state,
 )
@@ -89,36 +90,23 @@ class TestLstmStep:
             Tensor(rng.normal(size=(3, p.dims.hidden))),
             Tensor(rng.normal(size=(3, p.dims.hidden))),
         )
-        new, logits = lstm_step(x, state, p)
+        new = advance_state(x, state, p)
+        logits = output_logits(new, p)
         h_ref, c_ref, logits_ref = np_lstm_step(x.data, state.h.data, state.c.data, p)
         npt.assert_allclose(new.h.data, h_ref, atol=1e-14)
         npt.assert_allclose(new.c.data, c_ref, atol=1e-14)
         npt.assert_allclose(logits.data, logits_ref, atol=1e-14)
 
-    def test_vector_and_row_forms_agree(self):
-        rng = np.random.default_rng(8)
-        p = random_params(seed=8)
-        x = rng.normal(size=p.dims.embed)
-        h = rng.normal(size=p.dims.hidden)
-        c = rng.normal(size=p.dims.hidden)
-        vec_state, vec_logits = lstm_step(Tensor(x), LstmState(Tensor(h), Tensor(c)), p)
-        row_state, row_logits = lstm_step(
-            Tensor(x[None, :]), LstmState(Tensor(h[None, :]), Tensor(c[None, :])), p
-        )
-        npt.assert_array_equal(vec_state.h.data, row_state.h.data[0])
-        npt.assert_array_equal(vec_state.c.data, row_state.c.data[0])
-        npt.assert_array_equal(vec_logits.data, row_logits.data[0])
-        assert vec_logits.data.shape == (p.dims.vocab,)
-
     def test_zero_params_give_zero_hidden_state(self):
         p = prefix_free_params(np.zeros(5))
-        state, _ = lstm_step(Tensor(np.ones(p.dims.embed)), zero_state(p), p)
+        state = advance_state(Tensor(np.ones((1, p.dims.embed))), zero_state(p), p)
+        assert state.h.data.shape == (1, p.dims.hidden)
         npt.assert_array_equal(state.h.data, 0.0)
 
     def test_embedding_dimension_mismatch(self):
         p = random_params()
         with pytest.raises(ad.DimensionError):
-            lstm_step(Tensor(np.zeros((2, p.dims.embed + 1))), zero_state(p, batch=2), p)
+            advance_state(Tensor(np.zeros((2, p.dims.embed + 1))), zero_state(p, batch=2), p)
 
     def test_full_step_gradient_check(self):
         rng = np.random.default_rng(9)
@@ -129,8 +117,8 @@ class TestLstmStep:
         targets = np.array([4, 1])
 
         def loss(*_):
-            state, logits = lstm_step(Tensor(x), LstmState(Tensor(h0), Tensor(c0)), p)
-            return ad.sum_all(ad.cross_entropy_rows(logits, targets))
+            state = advance_state(Tensor(x), LstmState(Tensor(h0), Tensor(c0)), p)
+            return ad.sum_all(ad.cross_entropy_rows(output_logits(state, p), targets))
 
         tensors = [t for _, t in p.named_parameters()]
         assert ad.gradient_check(loss, tensors, h=1e-5) < 1e-5
@@ -145,7 +133,7 @@ class TestForwardSequence:
         for dist in trace.distributions:
             assert dist.shape == (p.dims.vocab,)
             npt.assert_allclose(dist.sum(), 1.0, atol=1e-12)
-        assert trace.final_state.h.data.shape == (p.dims.hidden,)
+        assert trace.final_state.h.data.shape == (1, p.dims.hidden)
 
     def test_matches_step_distribution_composition(self):
         p = random_params(seed=5)
@@ -159,6 +147,7 @@ class TestForwardSequence:
         for tok in (start,) + seq.ids[:-1]:
             state, logp = step_distribution(state, tok, p)
             composed.append(np.exp(logp.data))
+        assert state.h.data.shape == (1, p.dims.hidden)
         for traced, stepped in zip(trace.distributions, composed):
             npt.assert_allclose(traced, stepped, atol=1e-12)
         npt.assert_allclose(trace.final_state.h.data, state.h.data, atol=1e-12)
@@ -185,7 +174,8 @@ class TestStepDistribution:
         p = random_params(seed=6)
         state, logp = step_distribution(zero_state(p), 3, p)
         npt.assert_allclose(np.exp(logp.data).sum(), 1.0, atol=1e-12)
-        assert state.h.data.shape == (p.dims.hidden,)
+        assert logp.data.shape == (p.dims.vocab,)
+        assert state.h.data.shape == (1, p.dims.hidden)
 
     def test_prefix_free_model_ignores_input(self):
         scores = np.array([-50.0, 0.0, 1.0, 2.0, -3.0])
