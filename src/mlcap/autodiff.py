@@ -3,17 +3,25 @@
 A small tape-based engine: every differentiable op allocates a fresh output
 tensor and, when gradients are enabled, records the inputs together with a
 backward rule as a ``TapeEntry`` on that output. ``backward`` walks the
-recorded entries in reverse topological order and accumulates gradients into
-``Tensor.grad``. The op set is exactly what an LSTM decoder with a softmax
-cross-entropy loss needs; there is no broadcasting anywhere except the
-explicit row-wise bias add.
+recorded entries in reverse topological order, accumulates gradients into
+``Tensor.grad`` and frees the graph as it goes. The op set is exactly what
+the caption loss needs:
+
+- ``matmul``, ``add_bias`` (the only broadcast: a vector added to every
+  row), ``hadamard``, ``take_rows``, ``sum_all`` and ``scale``;
+- ``lstm_sequence``, a whole teacher-forced LSTM run as one op, with a
+  hand-written backpropagation-through-time rule;
+- ``cross_entropy_rows``, per-row softmax cross-entropy.
+
+``lstm_cell`` is the tape-free gate arithmetic shared by ``lstm_sequence``
+and the decoder; ``softmax``/``log_softmax`` are plain ndarray helpers.
 """
 
 from __future__ import annotations
 
 import contextlib
 from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -26,12 +34,16 @@ class GradientError(RuntimeError):
     """Backward-pass misuse, e.g. running backward twice on one graph."""
 
 
+class NonFiniteError(ValueError):
+    """An op met NaN or infinite values where it needs finite ones."""
+
+
 _grad_enabled = True
 
 
 @contextlib.contextmanager
 def no_grad():
-    """Context manager that suspends tape recording (used for decoding)."""
+    """Context manager that suspends tape recording (finite differences use it)."""
     global _grad_enabled
     previous = _grad_enabled
     _grad_enabled = False
@@ -39,10 +51,6 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
-
-
-def grad_enabled() -> bool:
-    return _grad_enabled
 
 
 class Tensor:
@@ -69,10 +77,6 @@ class Tensor:
     @property
     def shape(self) -> tuple[int, ...]:
         return self.data.shape
-
-    @property
-    def size(self) -> int:
-        return self.data.size
 
     def item(self) -> float:
         if self.data.ndim != 0:
@@ -103,11 +107,6 @@ class TapeEntry:
 def parameter(data) -> Tensor:
     """A leaf tensor that participates in gradient accumulation."""
     return Tensor(data, requires_grad=True)
-
-
-def zero_grads(tensors: Iterable[Tensor]) -> None:
-    for t in tensors:
-        t.zero_grad()
 
 
 def _accumulate(t: Tensor, g: np.ndarray) -> None:
@@ -154,7 +153,9 @@ def backward(loss: Tensor) -> None:
 
     ``loss`` must be a scalar. A second call on the same graph raises
     ``GradientError``; rebuild the graph (and zero grads) to differentiate
-    again. Calling backward on a scalar constant is a no-op.
+    again. Calling backward on a scalar constant is a no-op. Each entry is
+    unlinked from its output once its rule has run, so the graph holds no
+    reference cycle and is freed by reference counting alone.
     """
     if loss.data.ndim != 0:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
@@ -167,11 +168,11 @@ def backward(loss: Tensor) -> None:
         return
     entries = tape_of(loss)
     loss.grad = np.ones((), dtype=np.float64)
-    for entry in reversed(entries):
-        g = entry.output.grad
-        if g is None:
-            continue
-        entry.rule(g)
+    while entries:
+        entry = entries.pop()
+        entry.output.entry = None
+        if entry.output.grad is not None:
+            entry.rule(entry.output.grad)
 
 
 # ---------------------------------------------------------------------------
@@ -187,19 +188,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     def rule(g: np.ndarray) -> None:
         _accumulate(a, g @ b.data.T)
         _accumulate(b, a.data.T @ g)
-
-    return _record(out, (a, b), rule)
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum of two tensors of identical shape (no broadcasting)."""
-    if a.shape != b.shape:
-        raise DimensionError(f"add: shape mismatch {a.shape} vs {b.shape}")
-    out = Tensor(a.data + b.data)
-
-    def rule(g: np.ndarray) -> None:
-        _accumulate(a, g)
-        _accumulate(b, g)
 
     return _record(out, (a, b), rule)
 
@@ -234,63 +222,6 @@ def hadamard(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), rule)
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
-def sigmoid(x: Tensor) -> Tensor:
-    s = _stable_sigmoid(x.data)
-    out = Tensor(s)
-
-    def rule(g: np.ndarray) -> None:
-        _accumulate(x, g * s * (1.0 - s))
-
-    return _record(out, (x,), rule)
-
-
-def tanh(x: Tensor) -> Tensor:
-    t = np.tanh(x.data)
-    out = Tensor(t)
-
-    def rule(g: np.ndarray) -> None:
-        _accumulate(x, g * (1.0 - t * t))
-
-    return _record(out, (x,), rule)
-
-
-_ELEMENTWISE = {"add": (add, 2), "hadamard": (hadamard, 2), "sigmoid": (sigmoid, 1), "tanh": (tanh, 1)}
-
-
-def elementwise(kind: str, *operands: Tensor) -> Tensor:
-    """Dispatch an elementwise op by name: add, hadamard, sigmoid, tanh."""
-    if kind not in _ELEMENTWISE:
-        raise ValueError(f"elementwise: unknown kind {kind!r}")
-    fn, arity = _ELEMENTWISE[kind]
-    if len(operands) != arity:
-        raise ValueError(f"elementwise: {kind} takes {arity} operands, got {len(operands)}")
-    return fn(*operands)
-
-
-def slice_last(x: Tensor, start: int, stop: int) -> Tensor:
-    """Contiguous slice along the last axis; backward scatters into zeros."""
-    n = x.shape[-1] if x.data.ndim else 0
-    if x.data.ndim not in (1, 2) or not 0 <= start <= stop <= n:
-        raise DimensionError(f"slice_last: bounds [{start}:{stop}] invalid for shape {x.shape}")
-    out = Tensor(x.data[..., start:stop].copy())
-
-    def rule(g: np.ndarray) -> None:
-        buf = np.zeros_like(x.data)
-        buf[..., start:stop] = g
-        _accumulate(x, buf)
-
-    return _record(out, (x,), rule)
-
-
 def take_rows(table: Tensor, ids) -> Tensor:
     """Gather rows of a [v,n] matrix by integer id; rows may repeat.
 
@@ -314,15 +245,99 @@ def take_rows(table: Tensor, ids) -> Tensor:
     return _record(out, (table,), rule)
 
 
-def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
-    if int(np.prod(shape, dtype=np.int64)) != x.size:
-        raise DimensionError(f"reshape: cannot view shape {x.shape} as {shape}")
-    out = Tensor(x.data.reshape(shape).copy())
+def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def lstm_cell(z: np.ndarray, c_prev: np.ndarray):
+    """One LSTM step on plain arrays: ``(h, c, gates, tanh_c)``.
+
+    ``z`` [B,4H] is the packed pre-activation, blocks in the order input,
+    forget, output, candidate; ``c_prev`` [B,H] is the previous cell. The
+    returned ``gates`` [B,4H] hold sigmoid of the first three blocks and
+    tanh of the candidate; ``tanh_c`` is tanh of the new cell. The last
+    two are what backpropagation through the step needs.
+    """
+    hidden = c_prev.shape[1]
+    gates = np.empty_like(z)
+    gates[:, : 3 * hidden] = _stable_sigmoid(z[:, : 3 * hidden])
+    gates[:, 3 * hidden :] = np.tanh(z[:, 3 * hidden :])
+    i, f, o, g = np.split(gates, 4, axis=1)
+    c = f * c_prev + i * g
+    tanh_c = np.tanh(c)
+    return o * tanh_c, c, gates, tanh_c
+
+
+def lstm_sequence(x0: Tensor, xs: Tensor, w_x: Tensor, w_h: Tensor, b_gates: Tensor) -> Tensor:
+    """A teacher-forced LSTM run from the zero state, as one op.
+
+    Step 0 reads ``x0`` [B,E]; steps 1..T read the time-major rows of
+    ``xs`` [T*B,E] (rows t*B..(t+1)*B are step t+1). Returns the hidden
+    rows of steps 1..T, [T*B,H], in the same order. The input projection
+    of every step is one matmul; the backward rule is backpropagation
+    through time written out by hand, and forms each weight gradient with
+    one matmul over all steps.
+    """
+    if x0.data.ndim != 2 or xs.data.ndim != 2 or xs.shape[1] != x0.shape[1]:
+        raise DimensionError(f"lstm_sequence: inputs {x0.shape} and {xs.shape} do not stack")
+    batch, embed = x0.shape
+    hidden = w_h.shape[0]
+    if (
+        not batch
+        or xs.shape[0] % batch
+        or w_x.shape != (embed, 4 * hidden)
+        or w_h.shape != (hidden, 4 * hidden)
+        or b_gates.shape != (4 * hidden,)
+    ):
+        raise DimensionError(
+            f"lstm_sequence: shapes x0 {x0.shape}, xs {xs.shape}, w_x {w_x.shape}, "
+            f"w_h {w_h.shape}, b_gates {b_gates.shape} do not fit"
+        )
+    steps = xs.shape[0] // batch + 1
+    x = np.concatenate((x0.data, xs.data))
+    zx = x @ w_x.data
+    hs = np.empty((steps * batch, hidden))  # hidden rows, time-major
+    cs = np.empty((steps * batch, hidden))
+    acts = []
+    h = c = np.zeros((batch, hidden))
+    for s in range(steps):
+        rows = slice(s * batch, (s + 1) * batch)
+        z = zx[rows] + h @ w_h.data if s else zx[rows].copy()
+        z += b_gates.data
+        h, c, gates, tanh_c = lstm_cell(z, c)
+        hs[rows], cs[rows] = h, c
+        acts.append((gates, tanh_c))
+    out = Tensor(hs[batch:])
 
     def rule(g: np.ndarray) -> None:
-        _accumulate(x, g.reshape(x.shape))
+        dz = np.empty_like(zx)
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        for s in range(steps - 1, -1, -1):
+            rows = slice(s * batch, (s + 1) * batch)
+            if s:
+                dh += g[(s - 1) * batch : s * batch]
+            gates, tanh_c = acts[s]
+            i, f, o, cand = np.split(gates, 4, axis=1)
+            dc += dh * o * (1.0 - tanh_c * tanh_c)
+            c_prev = cs[(s - 1) * batch : s * batch] if s else 0.0
+            d = dz[rows]
+            d[:, :hidden] = dc * cand * i * (1.0 - i)
+            d[:, hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
+            d[:, 2 * hidden : 3 * hidden] = dh * tanh_c * o * (1.0 - o)
+            d[:, 3 * hidden :] = dc * i * (1.0 - cand * cand)
+            if s:
+                dh = d @ w_h.data.T
+                dc = dc * f
+        _accumulate(w_x, x.T @ dz)
+        _accumulate(w_h, hs[:-batch].T @ dz[batch:])
+        _accumulate(b_gates, dz.sum(axis=0))
+        dx = dz @ w_x.data.T
+        _accumulate(x0, dx[:batch])
+        _accumulate(xs, dx[batch:])
 
-    return _record(out, (x,), rule)
+    return _record(out, (x0, xs, w_x, w_h, b_gates), rule)
 
 
 def sum_all(x: Tensor) -> Tensor:
@@ -359,30 +374,6 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
-def softmax_cross_entropy(logits: Tensor, target: int) -> Tensor:
-    """Negative log-probability of ``target`` under softmax of 1-D logits.
-
-    Backward rule is softmax(logits) minus the one-hot of the target.
-    """
-    if logits.data.ndim != 1:
-        raise DimensionError(f"softmax_cross_entropy: logits must be 1-D, got shape {logits.shape}")
-    if not np.isfinite(logits.data).all():
-        raise ValueError("softmax_cross_entropy: logits must be finite")
-    t = int(target)
-    if not 0 <= t < logits.shape[0]:
-        raise IndexError(f"softmax_cross_entropy: target {t} out of range for {logits.shape[0]} classes")
-    shifted = logits.data - logits.data.max()
-    lse = np.log(np.exp(shifted).sum())
-    out = Tensor(lse - shifted[t])
-
-    def rule(g: np.ndarray) -> None:
-        p = softmax(logits.data)
-        p[t] -= 1.0
-        _accumulate(logits, float(g) * p)
-
-    return _record(out, (logits,), rule)
-
-
 def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
     """Per-row softmax cross-entropy of [r,n] logits against r targets."""
     if logits.data.ndim != 2:
@@ -393,7 +384,7 @@ def cross_entropy_rows(logits: Tensor, targets) -> Tensor:
             f"cross_entropy_rows: expected {logits.shape[0]} targets, got shape {idx.shape}"
         )
     if not np.isfinite(logits.data).all():
-        raise ValueError("cross_entropy_rows: logits must be finite")
+        raise NonFiniteError("cross_entropy_rows: logits must be finite")
     if idx.size and (idx.min() < 0 or idx.max() >= logits.shape[1]):
         raise IndexError(f"cross_entropy_rows: target out of range for {logits.shape[1]} classes")
     shifted = logits.data - logits.data.max(axis=1, keepdims=True)

@@ -2,8 +2,9 @@
 
 Subcommands: build-vocab, train, caption, evaluate, synth, gradcheck.
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 gradient
-check failure. Every command that writes an artifact also writes a manifest
-recording the resolved flags, so a run can be reproduced exactly.
+check failure, 5 training diverged. Every command that writes an artifact
+also writes a manifest recording the resolved flags, so a run can be
+reproduced exactly.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from .data import (
 )
 from .metrics import CorpusEval, evaluate_corpus
 from .rng import substream
-from .trainer import TrainConfig, generate_caption, make_batch, run_training, sequence_loss
+from .trainer import DivergenceError, TrainConfig, generate_caption, make_batch, run_training, sequence_loss
 from .trainer import Example as TrainExample
 from .vocab import build_vocab
 
@@ -46,6 +47,7 @@ EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_GRADCHECK = 4
+EXIT_DIVERGED = 5
 
 
 def _add_seed(p):
@@ -397,18 +399,23 @@ def _gradcheck_battery(seed: int):
 
     checks = []
 
-    a, b, v = draw(3, 4), draw(4, 3), draw(3)
+    # each check reads its output through random weights, so every output
+    # coordinate carries a different gradient
+    a, b, v, w = draw(3, 4), draw(4, 3), draw(3), draw(3, 3)
     checks.append(
-        ("matmul+bias+tanh", lambda *_: ad.sum_all(ad.tanh(ad.add_bias(ad.matmul(a, b), v))), [a, b, v])
+        ("matmul+bias+hadamard", lambda *_: ad.sum_all(ad.hadamard(ad.add_bias(ad.matmul(a, b), v), w)), [a, b, v])
     )
-    x, y = draw(4, 4), draw(4, 4)
-    checks.append(
-        ("hadamard+sigmoid", lambda *_: ad.sum_all(ad.hadamard(ad.sigmoid(x), y)), [x, y])
-    )
-    table = draw(6, 3)
+    table, weights = draw(6, 3), draw(4, 3)
     row_ids = rng.integers(0, 6, size=4)
     checks.append(
-        ("take_rows+slice", lambda *_: ad.sum_all(ad.slice_last(ad.take_rows(table, row_ids), 0, 2)), [table])
+        ("take_rows", lambda *_: ad.sum_all(ad.hadamard(ad.take_rows(table, row_ids), weights)), [table])
+    )
+    batch, steps, embed, hidden = 2, 3, 3, 2
+    cell = [draw(batch, embed), draw(steps * batch, embed)]
+    cell += [draw(embed, 4 * hidden), draw(hidden, 4 * hidden), draw(4 * hidden)]
+    readout = draw(steps * batch, hidden)
+    checks.append(
+        ("lstm_sequence", lambda *_: ad.sum_all(ad.hadamard(ad.lstm_sequence(*cell), readout)), cell)
     )
     logits = draw(5, 7)
     targets = rng.integers(0, 7, size=5)
@@ -438,6 +445,9 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except DivergenceError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_DIVERGED
     except (DatasetError, CheckpointError, OSError, ValueError) as exc:
         # remaining ValueErrors are data-driven contract violations
         # (vocabulary collisions, oversubscribed splits, ...)

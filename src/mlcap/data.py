@@ -17,7 +17,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import PARAM_ORDER, Dims, ModelParams
+from .model import PARAM_ORDER, Dims, ModelParams, param_shapes
 from .autodiff import Tensor
 from .vocab import Vocabulary
 
@@ -30,7 +30,8 @@ class DatasetError(ValueError):
 
 
 class CheckpointError(ValueError):
-    """A checkpoint file is malformed, truncated, or version-incompatible."""
+    """A checkpoint file is malformed, truncated, version-incompatible, or
+    holds arrays that do not fit its dims or are not finite."""
 
 
 @dataclass(frozen=True)
@@ -268,15 +269,25 @@ def load_checkpoint(path) -> Checkpoint:
         epoch = int(header["epoch"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid header fields ({exc})") from exc
+    expected = param_shapes(dims)
+    try:
+        listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest]
+    except (KeyError, TypeError) as exc:
+        raise CheckpointError(f"{path}: invalid array manifest ({exc!r})") from exc
+    if listed != list(expected.items()):
+        raise CheckpointError(
+            f"{path}: array manifest {listed} does not match the arrays of {dims}: {list(expected.items())}"
+        )
     arrays: dict[str, np.ndarray] = {}
-    for entry in manifest:
-        name, shape = entry["name"], tuple(entry["shape"])
+    for name, shape in listed:
         count = int(np.prod(shape, dtype=np.int64)) if shape else 1
         nbytes = count * 8
         if len(blob) < offset + nbytes:
             raise CheckpointError(f"{path}: truncated inside array {name!r}")
         flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
         arrays[name] = flat.astype(np.float64).reshape(shape)
+        if not np.isfinite(arrays[name]).all():
+            raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
         offset += nbytes
     if offset != len(blob):
         raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after arrays")

@@ -7,6 +7,10 @@ step is never scored, and the start token is never a prediction target: a
 caption of N ids (terminal eos included) yields exactly N scored steps.
 Gate order inside the packed pre-activation block is input, forget, output,
 candidate, with the forget-gate bias slice initialized to one.
+
+Training runs the whole teacher-forced recurrence as one tape op,
+``autodiff.lstm_sequence``; decoding steps the same cell (``lstm_cell``)
+on plain arrays here, without the tape.
 """
 
 from __future__ import annotations
@@ -17,7 +21,6 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .vocab import TokenSequence
 
 PARAM_ORDER = ("w_embed", "w_image", "b_image", "w_x", "w_h", "b_gates", "w_out", "b_out")
 
@@ -43,8 +46,8 @@ class Dims:
 class LstmState:
     """Hidden and cell activations, one [B,H] row per sequence."""
 
-    h: Tensor
-    c: Tensor
+    h: np.ndarray
+    c: np.ndarray
 
 
 @dataclass
@@ -69,99 +72,47 @@ class ModelParams:
             p.zero_grad()
 
 
+def param_shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
+    """The shape of every parameter, in ``PARAM_ORDER``."""
+    v, e, h, d = dims.vocab, dims.embed, dims.hidden, dims.feature
+    return {
+        "w_embed": (v, e),
+        "w_image": (d, e),
+        "b_image": (e,),
+        "w_x": (e, 4 * h),
+        "w_h": (h, 4 * h),
+        "b_gates": (4 * h,),
+        "w_out": (h, v),
+        "b_out": (v,),
+    }
+
+
 def init_params(dims: Dims, seed) -> ModelParams:
     """Fresh parameters: uniform(-0.08, 0.08) weights drawn in declared
     order, zero biases except the forget-gate block, which starts at one."""
     rng = np.random.default_rng(seed)
-    v, e, h, d = dims.vocab, dims.embed, dims.hidden, dims.feature
-
-    def uniform(*shape):
-        return ad.parameter(rng.uniform(-INIT_SCALE, INIT_SCALE, shape))
-
-    w_embed = uniform(v, e)
-    w_image = uniform(d, e)
-    b_image = ad.parameter(np.zeros(e))
-    w_x = uniform(e, 4 * h)
-    w_h = uniform(h, 4 * h)
-    b = np.zeros(4 * h)
-    b[h : 2 * h] = 1.0
-    b_gates = ad.parameter(b)
-    w_out = uniform(h, v)
-    b_out = ad.parameter(np.zeros(v))
-    return ModelParams(dims, w_embed, w_image, b_image, w_x, w_h, b_gates, w_out, b_out)
+    arrays = {
+        name: rng.uniform(-INIT_SCALE, INIT_SCALE, shape) if name.startswith("w_") else np.zeros(shape)
+        for name, shape in param_shapes(dims).items()
+    }
+    arrays["b_gates"][dims.hidden : 2 * dims.hidden] = 1.0
+    return ModelParams(dims, **{name: ad.parameter(a) for name, a in arrays.items()})
 
 
 def zero_state(params: ModelParams, batch: int = 1) -> LstmState:
     """All-zero [batch,H] start state."""
     shape = (batch, params.dims.hidden)
-    return LstmState(Tensor(np.zeros(shape)), Tensor(np.zeros(shape)))
+    return LstmState(np.zeros(shape), np.zeros(shape))
 
 
-def advance_state(x: Tensor, state: LstmState, params: ModelParams) -> LstmState:
-    """One recurrence step on row inputs: x [B,E], state [B,H] -> [B,H]."""
-    z = ad.add_bias(ad.add(ad.matmul(x, params.w_x), ad.matmul(state.h, params.w_h)), params.b_gates)
-    hh = params.dims.hidden
-    i = ad.sigmoid(ad.slice_last(z, 0, hh))
-    f = ad.sigmoid(ad.slice_last(z, hh, 2 * hh))
-    o = ad.sigmoid(ad.slice_last(z, 2 * hh, 3 * hh))
-    g = ad.tanh(ad.slice_last(z, 3 * hh, 4 * hh))
-    c = ad.add(ad.hadamard(f, state.c), ad.hadamard(i, g))
-    h = ad.hadamard(o, ad.tanh(c))
+def advance_state(x: np.ndarray, state: LstmState, params: ModelParams) -> LstmState:
+    """One tape-free recurrence step on row inputs: x [B,E], state [B,H] -> [B,H]."""
+    if x.ndim != 2 or x.shape[1] != params.dims.embed:
+        raise ad.DimensionError(f"advance_state: input rows {x.shape} do not have width {params.dims.embed}")
+    z = x @ params.w_x.data + state.h @ params.w_h.data
+    z += params.b_gates.data
+    h, c, _, _ = ad.lstm_cell(z, state.c)
     return LstmState(h, c)
-
-
-def output_logits(state: LstmState, params: ModelParams) -> Tensor:
-    return ad.add_bias(ad.matmul(state.h, params.w_out), params.b_out)
-
-
-def project_feature(feature: Tensor, params: ModelParams) -> Tensor:
-    """Image feature rows [B,D] into embedding space [B,E]."""
-    return ad.add_bias(ad.matmul(feature, params.w_image), params.b_image)
-
-
-def embed_tokens(params: ModelParams, ids) -> Tensor:
-    """Embedding rows [B,E] for a vector of token ids."""
-    return ad.take_rows(params.w_embed, np.asarray(ids, dtype=np.int64))
-
-
-def _feature_row(feature, caller: str, params: ModelParams) -> Tensor:
-    """One 1-D image feature, projected into a [1,E] input row."""
-    data = feature.data if isinstance(feature, Tensor) else np.asarray(feature)
-    if data.ndim != 1:
-        raise ad.DimensionError(f"{caller}: feature must be 1-D, got shape {data.shape}")
-    return project_feature(Tensor(data[None, :]), params)
-
-
-@dataclass
-class ForwardTrace:
-    """Teacher-forced pass record: one probability row per scored target."""
-
-    distributions: list[np.ndarray]
-    final_state: LstmState
-    sequence: TokenSequence
-    start_id: int
-
-
-def forward_sequence(feature, sequence: TokenSequence, start_id: int, params: ModelParams) -> ForwardTrace:
-    """Score a caption against a feature without touching the tape.
-
-    Inputs are the projected feature, the start id, then all caption ids
-    but the last; the t-th recorded distribution predicts sequence.ids[t].
-    """
-    if not sequence.ids:
-        raise ValueError("forward_sequence: sequence must contain at least the eos id")
-    if not 0 <= start_id < params.dims.vocab:
-        raise IndexError(f"forward_sequence: start id {start_id} out of range")
-    with ad.no_grad():
-        state = advance_state(_feature_row(feature, "forward_sequence", params), zero_state(params), params)
-        distributions = []
-        inputs = (start_id,) + sequence.ids[:-1]
-        for tok in inputs:
-            x = ad.take_rows(params.w_embed, np.array([tok], dtype=np.int64))
-            state = advance_state(x, state, params)
-            logp = ad.log_softmax(output_logits(state, params).data[0])
-            distributions.append(np.exp(logp))
-    return ForwardTrace(distributions, state, sequence, start_id)
 
 
 def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -> tuple[LstmState, Tensor]:
@@ -171,14 +122,16 @@ def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -
     vector (projected). The state is a single [1,H] row and the returned
     log-probabilities are a 1-D [V] vector; the tape stays untouched.
     """
-    with ad.no_grad():
-        if isinstance(token_or_feature, (int, np.integer)):
-            tok = int(token_or_feature)
-            if not 0 <= tok < params.dims.vocab:
-                raise IndexError(f"step_distribution: token id {tok} out of range")
-            x = ad.take_rows(params.w_embed, np.array([tok], dtype=np.int64))
-        else:
-            x = _feature_row(token_or_feature, "step_distribution", params)
-        new = advance_state(x, state, params)
-        logp = ad.log_softmax(output_logits(new, params).data[0])
-        return new, Tensor(logp)
+    if isinstance(token_or_feature, (int, np.integer)):
+        tok = int(token_or_feature)
+        if not 0 <= tok < params.dims.vocab:
+            raise IndexError(f"step_distribution: token id {tok} out of range")
+        x = params.w_embed.data[[tok]]
+    else:
+        data = token_or_feature.data if isinstance(token_or_feature, Tensor) else np.asarray(token_or_feature)
+        if data.ndim != 1:
+            raise ad.DimensionError(f"step_distribution: feature must be 1-D, got shape {data.shape}")
+        x = data[None, :] @ params.w_image.data + params.b_image.data
+    new = advance_state(x, state, params)
+    logits = new.h @ params.w_out.data + params.b_out.data
+    return new, Tensor(ad.log_softmax(logits[0]))

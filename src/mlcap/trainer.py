@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -24,21 +24,29 @@ from .autodiff import DimensionError, Tensor
 from .beam import BeamConfig, beam_search
 from .data import DatasetSplit, ImageRecord, corpus_from_records
 from .metrics import CorpusEval, cider
-from .model import (
-    Dims,
-    LstmState,
-    ModelParams,
-    advance_state,
-    init_params,
-    output_logits,
-    project_feature,
-    embed_tokens,
-)
+from .model import Dims, ModelParams, init_params
 from .rng import substream
 from .vocab import PAD_ID, Vocabulary, build_vocab
 
 CLIP_NORM = 5.0
 LOSS_MODES = ("mean", "sum")
+
+
+class DivergenceError(RuntimeError):
+    """Training produced a non-finite loss or gradient.
+
+    ``batch`` counts from zero within the epoch; ``run_training`` fills in
+    ``epoch``, which stays ``None`` when ``train_epoch`` is called alone.
+    """
+
+    def __init__(self, batch: int, epoch: int | None = None):
+        super().__init__(batch, epoch)
+        self.batch = batch
+        self.epoch = epoch
+
+    def __str__(self) -> str:
+        where = f"batch {self.batch}" if self.epoch is None else f"epoch {self.epoch}, batch {self.batch}"
+        return f"training diverged: non-finite loss or gradient in {where}"
 
 
 @dataclass(frozen=True)
@@ -151,23 +159,16 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> Tens
     token_count = batch.token_count
     if token_count == 0:
         raise ValueError("sequence_loss: batch mask selects no target positions")
-    batch_size, steps = batch.targets.shape
-    hidden = params.dims.hidden
-    state = LstmState(
-        Tensor(np.zeros((batch_size, hidden))), Tensor(np.zeros((batch_size, hidden)))
+    # token inputs are time-major: every start id, then each target column
+    # but the last, so row t*B+b of every [T*B, .] array is step t of row b
+    ids = np.concatenate((batch.start_ids, batch.targets[:, :-1].T.ravel()))
+    image = ad.add_bias(ad.matmul(Tensor(batch.features), params.w_image), params.b_image)
+    hidden = ad.lstm_sequence(
+        image, ad.take_rows(params.w_embed, ids), params.w_x, params.w_h, params.b_gates
     )
-    state = advance_state(project_feature(Tensor(batch.features), params), state, params)
-    x = embed_tokens(params, batch.start_ids)
-    state = advance_state(x, state, params)
-    total: Tensor | None = None
-    for t in range(steps):
-        ce = ad.cross_entropy_rows(output_logits(state, params), batch.targets[:, t])
-        masked = ad.hadamard(ce, Tensor(batch.mask[:, t]))
-        step_sum = ad.sum_all(masked)
-        total = step_sum if total is None else ad.add(total, step_sum)
-        if t + 1 < steps:
-            state = advance_state(embed_tokens(params, batch.targets[:, t]), state, params)
-    assert total is not None
+    logits = ad.add_bias(ad.matmul(hidden, params.w_out), params.b_out)
+    nll = ad.cross_entropy_rows(logits, batch.targets.T.ravel())
+    total = ad.sum_all(ad.hadamard(nll, Tensor(batch.mask.T.ravel())))
     if mode == "mean":
         total = ad.scale(total, 1.0 / token_count)
     return total
@@ -241,18 +242,27 @@ def train_epoch(
     config: TrainConfig,
     rng: np.random.Generator,
 ) -> float:
-    """One shuffled pass; returns the token-weighted mean NLL per token."""
+    """One shuffled pass; returns the token-weighted mean NLL per token.
+
+    Raises ``DivergenceError`` before any update that a non-finite loss or
+    gradient would poison.
+    """
     if not examples:
         raise ValueError("train_epoch: no training examples")
     order = rng.permutation(len(examples))
     nll_sum = 0.0
     token_sum = 0
-    for lo in range(0, len(order), config.batch_size):
+    for index, lo in enumerate(range(0, len(order), config.batch_size)):
         batch = make_batch([examples[i] for i in order[lo : lo + config.batch_size]])
         params.zero_grads()
-        loss = sequence_loss(batch, params, config.loss_mode)
+        try:
+            loss = sequence_loss(batch, params, config.loss_mode)
+        except ad.NonFiniteError as exc:
+            raise DivergenceError(index) from exc
         ad.backward(loss)
         grads = collect_gradients(params)
+        if not (np.isfinite(loss.data) and all(np.isfinite(g).all() for g in grads.values())):
+            raise DivergenceError(index)
         if config.clip:
             clip_gradients(grads)
         adam_step(params, grads, adam)
@@ -378,7 +388,11 @@ def run_training(
     best_score = -np.inf
     for epoch in range(config.epochs):
         started = time.perf_counter()
-        train_loss = train_epoch(examples, params, adam, config, shuffle_rng)
+        try:
+            train_loss = train_epoch(examples, params, adam, config, shuffle_rng)
+        except DivergenceError as exc:
+            exc.epoch = epoch
+            raise
         val_score = validation_score(params, vocab, split.val, languages, config.val_beam, config.max_len)
         seconds = time.perf_counter() - started
         history.append(EpochStats(epoch, train_loss, val_score, seconds))

@@ -1,10 +1,11 @@
-"""Brute-force metric and decoder re-implementations used only as test oracles.
+"""Brute-force metric, scoring and decoder re-implementations used only as
+test oracles.
 
 Written independently of the library code, favoring obviousness over speed:
-explicit loops, plain dicts, no shared helpers. The decoders share only the
-model's ``step_distribution`` with the library, since that is what they
-search over. If the library and these disagree, trust neither and recount
-by hand.
+explicit loops, plain dicts, no shared helpers. ``forward_sequence`` restates
+the decoder in plain numpy; the decoders share only the model's
+``step_distribution`` with the library, since that is what they search over.
+If the library and these disagree, trust neither and recount by hand.
 """
 
 import math
@@ -12,7 +13,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mlcap.model import step_distribution, zero_state
+from mlcap.model import LstmState, step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID
 
 EXHAUSTIVE_LIMIT = 1_000_000
@@ -128,6 +129,54 @@ def random_corpus(rng, n_images=None, vocab=("the", "cat", "sat", "on", "mat", "
             refs.append([vocab[int(i)] for i in rng.integers(0, len(vocab), ref_len)])
         items.append((candidate, refs))
     return items
+
+
+# ---------------------------------------------------------------------------
+# teacher-forced scoring
+
+
+class ForwardTrace(NamedTuple):
+    """Teacher-forced pass record: one probability row per scored target."""
+
+    distributions: list
+    final_state: LstmState
+    sequence: object
+    start_id: int
+
+
+def _sigmoid(v):
+    return 1.0 / (1.0 + np.exp(-v))
+
+
+def forward_sequence(feature, sequence, start_id, params):
+    """Score a caption against a feature, restated step by step in numpy.
+
+    Inputs are the projected feature, the start id, then all caption ids
+    but the last; the t-th recorded distribution predicts sequence.ids[t].
+    """
+    if not sequence.ids:
+        raise ValueError("forward_sequence: sequence must contain at least the eos id")
+    if not 0 <= start_id < params.dims.vocab:
+        raise IndexError(f"forward_sequence: start id {start_id} out of range")
+    p = {name: t.data for name, t in params.named_parameters()}
+    n = params.dims.hidden
+
+    def step(x, h, c):
+        z = x @ p["w_x"] + h @ p["w_h"] + p["b_gates"]
+        i, f, o = _sigmoid(z[:, :n]), _sigmoid(z[:, n : 2 * n]), _sigmoid(z[:, 2 * n : 3 * n])
+        c = f * c + i * np.tanh(z[:, 3 * n :])
+        return o * np.tanh(c), c
+
+    h = c = np.zeros((1, n))
+    image = np.asarray(feature, dtype=np.float64)[None, :] @ p["w_image"] + p["b_image"]
+    h, c = step(image, h, c)
+    distributions = []
+    for tok in (start_id,) + tuple(sequence.ids[:-1]):
+        h, c = step(p["w_embed"][[tok]], h, c)
+        logits = (h @ p["w_out"] + p["b_out"])[0]
+        e = np.exp(logits - logits.max())
+        distributions.append(e / e.sum())
+    return ForwardTrace(distributions, LstmState(h, c), sequence, start_id)
 
 
 # ---------------------------------------------------------------------------

@@ -23,7 +23,7 @@ from mlcap.data import (
     synth_generate,
 )
 from mlcap.metrics import CorpusEval, bleu_n, cider, evaluate_corpus
-from mlcap.model import Dims, forward_sequence, init_params, step_distribution, zero_state
+from mlcap.model import Dims, init_params, step_distribution, zero_state
 from mlcap.rng import substream
 from mlcap.trainer import (
     AdamState,
@@ -37,7 +37,7 @@ from mlcap.trainer import (
     sequence_loss,
 )
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from oracles import exhaustive_decode, naive_bleu, naive_cider, random_corpus
+from oracles import exhaustive_decode, forward_sequence, naive_bleu, naive_cider, random_corpus
 from tinymodels import prefix_free_params, random_params
 
 

@@ -5,10 +5,12 @@ import json
 import numpy as np
 import pytest
 
-from mlcap.cli import EXIT_DATA, EXIT_GRADCHECK, EXIT_OK, EXIT_USAGE, main
+from mlcap import trainer
+from mlcap.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_OK, EXIT_USAGE, main
 from mlcap.data import load_checkpoint, load_dataset, model_from_checkpoint, save_checkpoint, save_dataset
-from mlcap.model import forward_sequence
 from mlcap.vocab import EOS_ID, TokenSequence
+from oracles import forward_sequence
+from tinymodels import rewrite_checkpoint_header
 
 
 @pytest.fixture(scope="module")
@@ -121,6 +123,22 @@ class TestTrain:
         trace = forward_sequence(feature, sequence, ckpt.vocab.start_id("en"), params)
         assert len(trace.distributions) == 1
 
+    def test_divergence_exits_with_its_own_code(self, workdir, tmp_path, monkeypatch, capsys):
+        # a step size near the float64 limit overflows the second batch
+        hot = trainer.AdamState.for_params.__func__
+        monkeypatch.setattr(
+            trainer.AdamState, "for_params", classmethod(lambda cls, params: hot(cls, params, alpha=1e308))
+        )
+        args = [
+            "train", "--data", str(workdir["data"]), "--out", str(tmp_path / "run"),
+            "--split", "30,5,5", "--epochs", "2", "--batch", "8", "--hidden", "4",
+            "--embed", "4", "--min-count", "1",
+        ]
+        with np.errstate(over="ignore", invalid="ignore"):
+            code = main(args)
+        assert code == EXIT_DIVERGED
+        assert "training diverged: non-finite loss or gradient in epoch 0, batch 1" in capsys.readouterr().err
+
     def test_oversubscribed_split_fails(self, workdir, tmp_path):
         code = main(
             [
@@ -190,19 +208,37 @@ class TestCaption:
         )
         assert code == EXIT_DATA
 
+    def caption_with(self, workdir, tmp_path, ckpt_path):
+        return main(
+            [
+                "caption", "--ckpt", str(ckpt_path), "--data", str(workdir["data"]),
+                "--out", str(tmp_path / "c"), "--lang", "en",
+            ]
+        )
+
     def test_non_finite_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
         ckpt.arrays["w_out"][:] = np.nan
         bad = tmp_path / "nan.ckpt"
         save_checkpoint(bad, ckpt)
-        code = main(
-            [
-                "caption", "--ckpt", str(bad), "--data", str(workdir["data"]),
-                "--out", str(tmp_path / "c"), "--lang", "en",
-            ]
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "array 'w_out' holds non-finite values" in capsys.readouterr().err
+
+    def test_manifest_entry_without_name_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "noname.ckpt"
+        rewrite_checkpoint_header(
+            workdir["run"] / "best.ckpt", bad, lambda header: header["arrays"][2].pop("name")
         )
-        assert code == EXIT_DATA
-        assert "non-finite log-probabilities at decode step 1" in capsys.readouterr().err
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "invalid array manifest" in capsys.readouterr().err
+
+    def test_array_shape_disagreeing_with_dims_is_data_error(self, workdir, tmp_path, capsys):
+        ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
+        ckpt.arrays["w_out"] = np.zeros((ckpt.dims.hidden + 1, ckpt.dims.vocab))
+        bad = tmp_path / "shape.ckpt"
+        save_checkpoint(bad, ckpt)
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "does not match" in capsys.readouterr().err
 
     def test_missing_checkpoint_is_data_error(self, workdir, tmp_path):
         code = main(

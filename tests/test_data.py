@@ -23,9 +23,9 @@ from mlcap.data import (
     split_dataset,
     synth_generate,
 )
-from mlcap.model import forward_sequence
+from oracles import forward_sequence
 from mlcap.vocab import TokenSequence, build_vocab
-from tinymodels import random_params
+from tinymodels import random_params, rewrite_checkpoint_header
 
 
 def write_jsonl(path, rows):
@@ -221,6 +221,31 @@ class TestCheckpoint:
         save_checkpoint(p, ckpt)
         with pytest.raises(CheckpointError, match="version"):
             load_checkpoint(p)
+
+    def test_manifest_entry_without_name_refused(self, tmp_path):
+        _, _, _, path = self.roundtrip(tmp_path)
+        bad = tmp_path / "noname.ckpt"
+        rewrite_checkpoint_header(path, bad, lambda header: header["arrays"][0].pop("name"))
+        with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(bad)
+
+    def test_array_shape_must_follow_dims(self, tmp_path):
+        _, _, _, path = self.roundtrip(tmp_path)
+        ckpt = load_checkpoint(path)
+        ckpt.arrays["w_out"] = np.zeros((ckpt.dims.hidden, ckpt.dims.vocab + 1))
+        bad = tmp_path / "shape.ckpt"
+        save_checkpoint(bad, ckpt)
+        with pytest.raises(CheckpointError, match="w_out"):
+            load_checkpoint(bad)
+
+    def test_non_finite_array_refused(self, tmp_path):
+        _, _, _, path = self.roundtrip(tmp_path)
+        ckpt = load_checkpoint(path)
+        ckpt.arrays["b_gates"][3] = np.nan
+        bad = tmp_path / "nan.ckpt"
+        save_checkpoint(bad, ckpt)
+        with pytest.raises(CheckpointError, match="'b_gates' holds non-finite"):
+            load_checkpoint(bad)
 
     def test_missing_array_refused(self, tmp_path):
         _, _, _, path = self.roundtrip(tmp_path)

@@ -1,23 +1,23 @@
-"""Decoder tests: initialization, recurrence math, trace/step agreement."""
+"""Decoder tests: initialization, recurrence math, fused-run/step agreement."""
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
-from mlcap.autodiff import Tensor
 from mlcap.model import (
     Dims,
     LstmState,
     advance_state,
-    forward_sequence,
     init_params,
-    output_logits,
     step_distribution,
     zero_state,
 )
 from mlcap.vocab import TokenSequence
-from tinymodels import prefix_free_params, random_params
+from oracles import forward_sequence
+from tinymodels import prefix_free_params, random_params, wide_params
 
 
 def np_sigmoid(x):
@@ -33,8 +33,7 @@ def np_lstm_step(x, h, c, params):
     o = np_sigmoid(z[..., 2 * hh : 3 * hh])
     g = np.tanh(z[..., 3 * hh : 4 * hh])
     c_new = f * c + i * g
-    h_new = o * np.tanh(c_new)
-    return h_new, c_new, h_new @ params.w_out.data + params.b_out.data
+    return o * np.tanh(c_new), c_new
 
 
 class TestDims:
@@ -85,43 +84,65 @@ class TestLstmStep:
     def test_matches_numpy_restatement(self):
         rng = np.random.default_rng(7)
         p = random_params(seed=7)
-        x = Tensor(rng.normal(size=(3, p.dims.embed)))
-        state = LstmState(
-            Tensor(rng.normal(size=(3, p.dims.hidden))),
-            Tensor(rng.normal(size=(3, p.dims.hidden))),
-        )
+        x = rng.normal(size=(3, p.dims.embed))
+        state = LstmState(rng.normal(size=(3, p.dims.hidden)), rng.normal(size=(3, p.dims.hidden)))
         new = advance_state(x, state, p)
-        logits = output_logits(new, p)
-        h_ref, c_ref, logits_ref = np_lstm_step(x.data, state.h.data, state.c.data, p)
-        npt.assert_allclose(new.h.data, h_ref, atol=1e-14)
-        npt.assert_allclose(new.c.data, c_ref, atol=1e-14)
-        npt.assert_allclose(logits.data, logits_ref, atol=1e-14)
+        h_ref, c_ref = np_lstm_step(x, state.h, state.c, p)
+        npt.assert_allclose(new.h, h_ref, atol=1e-14)
+        npt.assert_allclose(new.c, c_ref, atol=1e-14)
 
     def test_zero_params_give_zero_hidden_state(self):
         p = prefix_free_params(np.zeros(5))
-        state = advance_state(Tensor(np.ones((1, p.dims.embed))), zero_state(p), p)
-        assert state.h.data.shape == (1, p.dims.hidden)
-        npt.assert_array_equal(state.h.data, 0.0)
+        state = advance_state(np.ones((1, p.dims.embed)), zero_state(p), p)
+        assert state.h.shape == (1, p.dims.hidden)
+        npt.assert_array_equal(state.h, 0.0)
 
     def test_embedding_dimension_mismatch(self):
         p = random_params()
         with pytest.raises(ad.DimensionError):
-            advance_state(Tensor(np.zeros((2, p.dims.embed + 1))), zero_state(p, batch=2), p)
+            advance_state(np.zeros((2, p.dims.embed + 1)), zero_state(p, batch=2), p)
 
     def test_full_step_gradient_check(self):
+        # the fused training op, read out through random weights so every
+        # hidden coordinate of every step carries its own gradient
         rng = np.random.default_rng(9)
-        p = random_params(vocab=5, embed=3, hidden=3, feature=2, seed=9)
-        x = rng.normal(size=(2, 3))
-        h0 = rng.normal(size=(2, 3))
-        c0 = rng.normal(size=(2, 3))
-        targets = np.array([4, 1])
+        p = wide_params(vocab=5, embed=3, hidden=3, feature=2, seed=9)
+        batch, steps = 2, 3
+        x0 = ad.parameter(rng.normal(size=(batch, 3)))
+        xs = ad.parameter(rng.normal(size=(steps * batch, 3)))
+        readout = ad.Tensor(rng.normal(size=(steps * batch, 3)))
 
         def loss(*_):
-            state = advance_state(Tensor(x), LstmState(Tensor(h0), Tensor(c0)), p)
-            return ad.sum_all(ad.cross_entropy_rows(output_logits(state, p), targets))
+            hs = ad.lstm_sequence(x0, xs, p.w_x, p.w_h, p.b_gates)
+            return ad.sum_all(ad.hadamard(hs, readout))
 
-        tensors = [t for _, t in p.named_parameters()]
+        tensors = [x0, xs, p.w_x, p.w_h, p.b_gates]
         assert ad.gradient_check(loss, tensors, h=1e-5) < 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        batch=st.integers(1, 4),
+        steps=st.integers(1, 6),
+        embed=st.integers(1, 5),
+        hidden=st.integers(1, 5),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_fused_run_equals_step_unroll(self, batch, steps, embed, hidden, seed):
+        p = wide_params(vocab=4, embed=embed, hidden=hidden, feature=2, seed=seed % 1000, scale=1.0)
+        rng = np.random.default_rng(seed)
+        x0 = rng.normal(size=(batch, embed))
+        xs = rng.normal(size=(steps * batch, embed))
+        fused = ad.lstm_sequence(ad.Tensor(x0), ad.Tensor(xs), p.w_x, p.w_h, p.b_gates).data
+        state = advance_state(x0, zero_state(p, batch), p)
+        for t in range(steps):
+            state = advance_state(xs[t * batch : (t + 1) * batch], state, p)
+            npt.assert_allclose(fused[t * batch : (t + 1) * batch], state.h, rtol=0, atol=1e-12)
+
+    def test_fused_run_rejects_ragged_steps(self):
+        p = random_params()
+        x0 = ad.Tensor(np.zeros((2, p.dims.embed)))
+        with pytest.raises(ad.DimensionError):
+            ad.lstm_sequence(x0, ad.Tensor(np.zeros((3, p.dims.embed))), p.w_x, p.w_h, p.b_gates)
 
 
 class TestForwardSequence:
@@ -133,7 +154,7 @@ class TestForwardSequence:
         for dist in trace.distributions:
             assert dist.shape == (p.dims.vocab,)
             npt.assert_allclose(dist.sum(), 1.0, atol=1e-12)
-        assert trace.final_state.h.data.shape == (1, p.dims.hidden)
+        assert trace.final_state.h.shape == (1, p.dims.hidden)
 
     def test_matches_step_distribution_composition(self):
         p = random_params(seed=5)
@@ -147,10 +168,10 @@ class TestForwardSequence:
         for tok in (start,) + seq.ids[:-1]:
             state, logp = step_distribution(state, tok, p)
             composed.append(np.exp(logp.data))
-        assert state.h.data.shape == (1, p.dims.hidden)
+        assert state.h.shape == (1, p.dims.hidden)
         for traced, stepped in zip(trace.distributions, composed):
             npt.assert_allclose(traced, stepped, atol=1e-12)
-        npt.assert_allclose(trace.final_state.h.data, state.h.data, atol=1e-12)
+        npt.assert_allclose(trace.final_state.h, state.h, atol=1e-12)
 
     def test_rejects_empty_sequence(self):
         p = random_params()
@@ -175,7 +196,7 @@ class TestStepDistribution:
         state, logp = step_distribution(zero_state(p), 3, p)
         npt.assert_allclose(np.exp(logp.data).sum(), 1.0, atol=1e-12)
         assert logp.data.shape == (p.dims.vocab,)
-        assert state.h.data.shape == (1, p.dims.hidden)
+        assert state.h.shape == (1, p.dims.hidden)
 
     def test_prefix_free_model_ignores_input(self):
         scores = np.array([-50.0, 0.0, 1.0, 2.0, -3.0])

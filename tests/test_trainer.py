@@ -7,10 +7,11 @@ import pytest
 from mlcap import autodiff as ad
 from mlcap.autodiff import Tensor
 from mlcap.data import split_dataset, synth_generate
-from mlcap.model import forward_sequence
+from oracles import forward_sequence
 from mlcap.trainer import (
     AdamState,
     Batch,
+    DivergenceError,
     Example,
     TrainConfig,
     adam_step,
@@ -131,6 +132,16 @@ class TestSequenceLoss:
         with pytest.raises(ValueError, match="mode"):
             sequence_loss(batch, params, mode="median")
 
+    def test_tape_length_does_not_depend_on_steps(self):
+        params = random_params(seed=26)
+        feature = np.zeros(params.dims.feature)
+        lengths = []
+        for steps in (2, 8):
+            batch = make_batch([Example(feature, 3, (4,) * (steps - 1) + (EOS_ID,)), Example(feature, 3, (EOS_ID,))])
+            assert batch.targets.shape[1] == steps
+            lengths.append(len(ad.tape_of(sequence_loss(batch, params))))
+        assert lengths[0] == lengths[1] == 10
+
     def test_gradients_match_finite_differences(self):
         # a wide-scale model keeps every gradient coordinate above the
         # finite-difference noise floor, so the per-coordinate bound is fair
@@ -230,6 +241,20 @@ class TestTrainEpoch:
         for _ in range(14):
             last = train_epoch(examples, params, adam, config, rng)
         assert last < first * 0.5
+
+    def test_divergence_names_the_batch_before_updating(self):
+        # a huge step size throws the weights so far that the next forward
+        # pass overflows; that batch fails before Adam touches the weights
+        records = synth_generate(8, seed=41, languages=["en"])
+        vocab = build_vocab([(c.language, c.tokens) for r in records for c in r.captions], min_count=1)
+        params = random_params(vocab=len(vocab), embed=4, hidden=4, feature=16, seed=1)
+        adam = AdamState.for_params(params, alpha=1e308)
+        config = TrainConfig(epochs=1, batch_size=4, hidden=4, embed=4, min_count=1)
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as caught:
+            train_epoch(examples_from_records(records, vocab, ["en"]), params, adam, config, np.random.default_rng(0))
+        assert (caught.value.batch, caught.value.epoch, adam.t) == (1, None, 1)
+        assert "non-finite loss or gradient in batch 1" in str(caught.value)
+        assert all(np.isfinite(p.data).all() for _, p in params.named_parameters())
 
     def test_requires_examples(self):
         params = random_params()

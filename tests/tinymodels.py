@@ -1,4 +1,7 @@
-"""Small model builders shared across test modules."""
+"""Small model builders and checkpoint edits shared across test modules."""
+
+import json
+import struct
 
 import numpy as np
 
@@ -64,3 +67,13 @@ def prefix_free_params(log_weights, embed=2, hidden=2, feature=2):
 def toy_distribution():
     """Token scores for (pad, unk, eos, a, b) with p = (0, 0, .2, .5, .3)."""
     return np.array([NEG_BIG, NEG_BIG, np.log(0.2), np.log(0.5), np.log(0.3)])
+
+
+def rewrite_checkpoint_header(src, dst, edit):
+    """Copy a checkpoint file, passing its JSON header through ``edit``."""
+    blob = src.read_bytes()
+    (length,) = struct.unpack_from("<Q", blob, 6)
+    header = json.loads(blob[14 : 14 + length])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    dst.write_bytes(blob[:6] + struct.pack("<Q", len(text)) + text + blob[14 + length :])
