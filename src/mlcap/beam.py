@@ -77,7 +77,7 @@ def _emittable_ids(vocab_size: int, exclude_ids) -> np.ndarray:
 def _root(feature, start_id: int, params: ModelParams) -> Hypothesis:
     state, _ = step_distribution(zero_state(params), np.asarray(feature, dtype=np.float64), params)
     state, logp = step_distribution(state, int(start_id), params)
-    return Hypothesis(ids=(), logprob=0.0, state=state, next_logp=logp.data)
+    return Hypothesis(ids=(), logprob=0.0, state=state, next_logp=logp)
 
 
 def _select(live: list[Hypothesis], emittable: np.ndarray, width: int, step: int):
@@ -121,7 +121,7 @@ def beam_search(feature, start_id: int, params: ModelParams, config: BeamConfig)
                 finished.append((ids, logprob))
             else:
                 state, logp = step_distribution(hyp.state, tok, params)
-                live.append(Hypothesis(ids, logprob, state, logp.data))
+                live.append(Hypothesis(ids, logprob, state, logp))
 
     def rank_key(item):
         ids, logprob = item

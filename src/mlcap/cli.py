@@ -64,6 +64,8 @@ def _parse_langs(value):
     langs = [x.strip() for x in value.split(",") if x.strip()]
     if not langs:
         raise UsageError("--langs must name at least one language code")
+    if len(set(langs)) != len(langs):
+        raise UsageError(f"--langs repeats a language code: {value!r}")
     return langs
 
 
@@ -90,7 +92,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-count", type=int, default=5, help="minimum token frequency")
     p.add_argument("--lowercase", action="store_true", help="lowercase caption tokens")
     _add_langs(p)
-    _add_seed(p)
 
     p = sub.add_parser("train", help="train a caption model")
     p.add_argument("--data", required=True, help="JSONL dataset")
@@ -123,7 +124,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--beam", type=int, default=5)
     p.add_argument("--max-len", type=int, default=30)
     p.add_argument("--length-norm", action="store_true", help="rank by logprob per token")
-    _add_seed(p)
 
     p = sub.add_parser("evaluate", help="score candidate captions against references")
     p.add_argument("--data", required=True, help="JSONL reference dataset")
@@ -131,7 +131,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="optional JSON report path")
     p.add_argument("--lowercase", action="store_true")
     _add_langs(p)
-    _add_seed(p)
 
     p = sub.add_parser("synth", help="generate the synthetic shapes dataset")
     p.add_argument("--out", required=True, help="output JSONL path")
@@ -163,12 +162,12 @@ def _write_manifest(out_path: Path, command: str, args: argparse.Namespace, outp
 
 def cmd_build_vocab(args) -> int:
     langs = _parse_langs(args.langs)
+    if args.min_count < 1:
+        raise UsageError("--min-count must be >= 1")
     records = load_dataset(args.data, lowercase=args.lowercase)
     corpus = corpus_from_records(records, langs)
     if not corpus:
         raise DatasetError(f"no captions found for languages {langs}")
-    if args.min_count < 1:
-        raise UsageError("--min-count must be >= 1")
     vocab = build_vocab(corpus, args.min_count)
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
@@ -238,25 +237,25 @@ def cmd_train(args) -> int:
 
 
 def cmd_caption(args) -> int:
+    if args.beam < 1 or args.max_len < 1:
+        raise UsageError("--beam and --max-len must be >= 1")
     ckpt = load_checkpoint(args.ckpt)
     params = model_from_checkpoint(ckpt)
     vocab = ckpt.vocab
-    records = load_dataset(args.data, require_captions=False)
-    if ckpt.config.get("feature_l2norm"):
-        records = l2_normalize_records(records)
-    if args.beam < 1 or args.max_len < 1:
-        raise UsageError("--beam and --max-len must be >= 1")
     try:
         vocab.start_id(args.lang)
     except ValueError as exc:
         raise UsageError(str(exc)) from exc
+    records = load_dataset(args.data, require_captions=False)
+    # load_dataset guarantees one feature width per file
+    width = records[0].feature.size
+    if width != ckpt.dims.feature:
+        raise DatasetError(f"feature width {width} does not match model width {ckpt.dims.feature}")
+    if ckpt.config.get("feature_l2norm"):
+        records = l2_normalize_records(records)
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
         for rec in records:
-            if rec.feature.size != ckpt.dims.feature:
-                raise DatasetError(
-                    f"feature width {rec.feature.size} does not match model width {ckpt.dims.feature}"
-                )
             tokens = generate_caption(
                 params, vocab, rec.feature, args.lang,
                 width=args.beam, max_len=args.max_len, length_norm=args.length_norm,
@@ -365,7 +364,7 @@ def reference_sequence_check():
 
     dims = Dims(vocab=10, embed=6, hidden=8, feature=5)
     rng = np.random.default_rng(REFERENCE_MODEL_SEED)
-    wide = lambda *shape: ad.parameter(rng.uniform(-0.5, 0.5, shape))
+    wide = lambda *shape: rng.uniform(-0.5, 0.5, shape)
     b_gates = rng.uniform(-0.5, 0.5, 4 * dims.hidden)
     b_gates[dims.hidden : 2 * dims.hidden] += 1.0
     params = ModelParams(
@@ -375,55 +374,42 @@ def reference_sequence_check():
         b_image=wide(dims.embed),
         w_x=wide(dims.embed, 4 * dims.hidden),
         w_h=wide(dims.hidden, 4 * dims.hidden),
-        b_gates=ad.parameter(b_gates),
+        b_gates=b_gates,
         w_out=wide(dims.hidden, dims.vocab),
         b_out=wide(dims.vocab),
     )
     token_ids = tuple(int(t) for t in rng.integers(3, dims.vocab, 3)) + (2,)
     batch = make_batch([TrainExample(rng.normal(size=dims.feature), 3, token_ids)])
-    inputs = [t for _, t in params.named_parameters()]
-    return (lambda *_: sequence_loss(batch, params)), inputs
+    return (lambda: sequence_loss(batch, params)), dict(params.named_parameters())
 
 
 def _gradcheck_battery(seed: int):
-    """Named finite-difference checks over ops plus the pinned full-loss check.
+    """Named finite-difference checks: the LSTM run and the pinned full loss.
 
-    The op-level inputs are drawn from ``seed``; their gradients are O(1),
-    so any seed passes. The sequence-loss entry is the fixed reference
-    model from ``reference_sequence_check``.
+    The ``lstm_sequence`` inputs are drawn from ``seed`` and its output is
+    read through random weights, so every output coordinate carries its own
+    O(1) gradient and any seed passes. The sequence-loss entry is the fixed
+    reference model from ``reference_sequence_check``.
     """
     rng = np.random.default_rng(seed)
-
-    def draw(*shape):
-        return ad.parameter(rng.uniform(-0.5, 0.5, shape))
-
-    checks = []
-
-    # each check reads its output through random weights, so every output
-    # coordinate carries a different gradient
-    a, b, v, w = draw(3, 4), draw(4, 3), draw(3), draw(3, 3)
-    checks.append(
-        ("matmul+bias+hadamard", lambda *_: ad.sum_all(ad.hadamard(ad.add_bias(ad.matmul(a, b), v), w)), [a, b, v])
-    )
-    table, weights = draw(6, 3), draw(4, 3)
-    row_ids = rng.integers(0, 6, size=4)
-    checks.append(
-        ("take_rows", lambda *_: ad.sum_all(ad.hadamard(ad.take_rows(table, row_ids), weights)), [table])
-    )
     batch, steps, embed, hidden = 2, 3, 3, 2
-    cell = [draw(batch, embed), draw(steps * batch, embed)]
-    cell += [draw(embed, 4 * hidden), draw(hidden, 4 * hidden), draw(4 * hidden)]
-    readout = draw(steps * batch, hidden)
-    checks.append(
-        ("lstm_sequence", lambda *_: ad.sum_all(ad.hadamard(ad.lstm_sequence(*cell), readout)), cell)
-    )
-    logits = draw(5, 7)
-    targets = rng.integers(0, 7, size=5)
-    checks.append(
-        ("cross_entropy_rows", lambda *_: ad.sum_all(ad.cross_entropy_rows(logits, targets)), [logits])
-    )
-    checks.append(("sequence_loss", *reference_sequence_check()))
-    return checks
+    shapes = {
+        "x0": (batch, embed),
+        "xs": (steps * batch, embed),
+        "w_x": (embed, 4 * hidden),
+        "w_h": (hidden, 4 * hidden),
+        "b_gates": (4 * hidden,),
+    }
+    cell = {name: rng.uniform(-0.5, 0.5, shape) for name, shape in shapes.items()}
+    readout = rng.uniform(-0.5, 0.5, (steps * batch, hidden))
+
+    def lstm_check():
+        hs, pullback = ad.lstm_sequence(*cell.values())
+        dx, dw_x, dw_h, db_gates = pullback(readout)
+        grads = {"x0": dx[:batch], "xs": dx[batch:], "w_x": dw_x, "w_h": dw_h, "b_gates": db_gates}
+        return float((hs * readout).sum()), grads
+
+    return [("lstm_sequence", lstm_check, cell), ("sequence_loss", *reference_sequence_check())]
 
 
 def main(argv=None) -> int:

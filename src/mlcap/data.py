@@ -18,7 +18,6 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import PARAM_ORDER, Dims, ModelParams, param_shapes
-from .autodiff import Tensor
 from .vocab import Vocabulary
 
 MAGIC = b"MLCAP1"
@@ -204,7 +203,7 @@ class Checkpoint:
 
 
 def checkpoint_from_model(params: ModelParams, vocab: Vocabulary, config: dict, epoch: int) -> Checkpoint:
-    arrays = {name: tensor.data.copy() for name, tensor in params.named_parameters()}
+    arrays = {name: array.copy() for name, array in params.named_parameters()}
     return Checkpoint(params.dims, vocab, arrays, dict(config), int(epoch))
 
 
@@ -212,8 +211,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
     missing = [name for name in PARAM_ORDER if name not in ckpt.arrays]
     if missing:
         raise CheckpointError(f"checkpoint is missing arrays: {missing}")
-    tensors = {name: Tensor(ckpt.arrays[name].copy(), requires_grad=True) for name in PARAM_ORDER}
-    return ModelParams(ckpt.dims, **tensors)
+    return ModelParams(ckpt.dims, **{name: ckpt.arrays[name].copy() for name in PARAM_ORDER})
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:

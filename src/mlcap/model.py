@@ -8,9 +8,9 @@ caption of N ids (terminal eos included) yields exactly N scored steps.
 Gate order inside the packed pre-activation block is input, forget, output,
 candidate, with the forget-gate bias slice initialized to one.
 
-Training runs the whole teacher-forced recurrence as one tape op,
-``autodiff.lstm_sequence``; decoding steps the same cell (``lstm_cell``)
-on plain arrays here, without the tape.
+Parameters are plain float64 arrays. Training runs the whole
+teacher-forced recurrence as ``autodiff.lstm_sequence``; decoding steps the
+same cell (``lstm_cell``) here, one row per sequence.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Tensor
 
 PARAM_ORDER = ("w_embed", "w_image", "b_image", "w_x", "w_h", "b_gates", "w_out", "b_out")
 
@@ -52,24 +51,20 @@ class LstmState:
 
 @dataclass
 class ModelParams:
-    """All trainable tensors, in the fixed order used for Adam and storage."""
+    """All trainable arrays, in the fixed order used for Adam and storage."""
 
     dims: Dims
-    w_embed: Tensor  # [V, E] token embedding rows
-    w_image: Tensor  # [D, E] image feature projection
-    b_image: Tensor  # [E]
-    w_x: Tensor      # [E, 4H] input weights, gates packed i|f|o|g
-    w_h: Tensor      # [H, 4H] recurrent weights
-    b_gates: Tensor  # [4H]
-    w_out: Tensor    # [H, V] output projection
-    b_out: Tensor    # [V]
+    w_embed: np.ndarray  # [V, E] token embedding rows
+    w_image: np.ndarray  # [D, E] image feature projection
+    b_image: np.ndarray  # [E]
+    w_x: np.ndarray      # [E, 4H] input weights, gates packed i|f|o|g
+    w_h: np.ndarray      # [H, 4H] recurrent weights
+    b_gates: np.ndarray  # [4H]
+    w_out: np.ndarray    # [H, V] output projection
+    b_out: np.ndarray    # [V]
 
-    def named_parameters(self) -> list[tuple[str, Tensor]]:
+    def named_parameters(self) -> list[tuple[str, np.ndarray]]:
         return [(name, getattr(self, name)) for name in PARAM_ORDER]
-
-    def zero_grads(self) -> None:
-        for _, p in self.named_parameters():
-            p.zero_grad()
 
 
 def param_shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
@@ -96,7 +91,7 @@ def init_params(dims: Dims, seed) -> ModelParams:
         for name, shape in param_shapes(dims).items()
     }
     arrays["b_gates"][dims.hidden : 2 * dims.hidden] = 1.0
-    return ModelParams(dims, **{name: ad.parameter(a) for name, a in arrays.items()})
+    return ModelParams(dims, **arrays)
 
 
 def zero_state(params: ModelParams, batch: int = 1) -> LstmState:
@@ -106,32 +101,32 @@ def zero_state(params: ModelParams, batch: int = 1) -> LstmState:
 
 
 def advance_state(x: np.ndarray, state: LstmState, params: ModelParams) -> LstmState:
-    """One tape-free recurrence step on row inputs: x [B,E], state [B,H] -> [B,H]."""
+    """One recurrence step on row inputs: x [B,E], state [B,H] -> [B,H]."""
     if x.ndim != 2 or x.shape[1] != params.dims.embed:
         raise ad.DimensionError(f"advance_state: input rows {x.shape} do not have width {params.dims.embed}")
-    z = x @ params.w_x.data + state.h @ params.w_h.data
-    z += params.b_gates.data
+    z = x @ params.w_x + state.h @ params.w_h
+    z += params.b_gates
     h, c, _, _ = ad.lstm_cell(z, state.c)
     return LstmState(h, c)
 
 
-def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -> tuple[LstmState, Tensor]:
+def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -> tuple[LstmState, np.ndarray]:
     """Advance one decode step and return log-probabilities for the next id.
 
     The input is either an integer token id (embedded) or a 1-D feature
     vector (projected). The state is a single [1,H] row and the returned
-    log-probabilities are a 1-D [V] vector; the tape stays untouched.
+    log-probabilities are a 1-D [V] array.
     """
     if isinstance(token_or_feature, (int, np.integer)):
         tok = int(token_or_feature)
         if not 0 <= tok < params.dims.vocab:
             raise IndexError(f"step_distribution: token id {tok} out of range")
-        x = params.w_embed.data[[tok]]
+        x = params.w_embed[[tok]]
     else:
-        data = token_or_feature.data if isinstance(token_or_feature, Tensor) else np.asarray(token_or_feature)
-        if data.ndim != 1:
-            raise ad.DimensionError(f"step_distribution: feature must be 1-D, got shape {data.shape}")
-        x = data[None, :] @ params.w_image.data + params.b_image.data
+        feature = np.asarray(token_or_feature)
+        if feature.ndim != 1:
+            raise ad.DimensionError(f"step_distribution: feature must be 1-D, got shape {feature.shape}")
+        x = feature[None, :] @ params.w_image + params.b_image
     new = advance_state(x, state, params)
-    logits = new.h @ params.w_out.data + params.b_out.data
-    return new, Tensor(ad.log_softmax(logits[0]))
+    logits = new.h @ params.w_out + params.b_out
+    return new, ad.log_softmax(logits[0])

@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DimensionError, Tensor
+from .autodiff import DimensionError
 from .beam import BeamConfig, beam_search
 from .data import DatasetSplit, ImageRecord, corpus_from_records
 from .metrics import CorpusEval, cider
@@ -146,32 +146,69 @@ def make_batch(examples: Sequence[Example]) -> Batch:
     return Batch(features, start_ids, targets, mask)
 
 
-def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> Tensor:
-    """Teacher-forced NLL of all unmasked target positions in one graph.
+def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tuple[float, dict[str, np.ndarray]]:
+    """Teacher-forced NLL of all unmasked target positions, and its gradients.
 
-    The image feature is the first input step (its output distribution is
-    not scored), the start token the second; thereafter each target token
-    is also the next input. Padding rows advance the state but their
-    positions are masked out of the loss.
+    Returns ``(loss, grads)`` with ``grads`` keyed by ``PARAM_ORDER``. The
+    image feature is the first input step (its output distribution is not
+    scored), the start token the second; thereafter each target token is
+    also the next input. Padding rows advance the state but their positions
+    are masked out of the loss. The forward pass runs first, then the
+    backward pass in reverse, by hand. Raises ``NonFiniteError`` on
+    non-finite logits and ``IndexError`` on an id outside the vocabulary.
     """
     if mode not in LOSS_MODES:
         raise ValueError(f"loss mode must be one of {LOSS_MODES}, got {mode!r}")
     token_count = batch.token_count
     if token_count == 0:
         raise ValueError("sequence_loss: batch mask selects no target positions")
-    # token inputs are time-major: every start id, then each target column
-    # but the last, so row t*B+b of every [T*B, .] array is step t of row b
+    vocab = params.dims.vocab
+    for ids in (batch.start_ids, batch.targets):
+        if ids.size and (ids.min() < 0 or ids.max() >= vocab):
+            raise IndexError(f"sequence_loss: token id out of range for a vocabulary of {vocab}")
+    # every [T*B, .] array is time-major: row t*B+b is step t of example b;
+    # the token inputs are every start id, then each target column but the last
+    batch_size = batch.start_ids.size
     ids = np.concatenate((batch.start_ids, batch.targets[:, :-1].T.ravel()))
-    image = ad.add_bias(ad.matmul(Tensor(batch.features), params.w_image), params.b_image)
-    hidden = ad.lstm_sequence(
-        image, ad.take_rows(params.w_embed, ids), params.w_x, params.w_h, params.b_gates
-    )
-    logits = ad.add_bias(ad.matmul(hidden, params.w_out), params.b_out)
-    nll = ad.cross_entropy_rows(logits, batch.targets.T.ravel())
-    total = ad.sum_all(ad.hadamard(nll, Tensor(batch.mask.T.ravel())))
+    targets = batch.targets.T.ravel()
+    rows = np.arange(targets.size)
+    image = batch.features @ params.w_image + params.b_image
+    hidden, lstm_pullback = ad.lstm_sequence(image, params.w_embed[ids], params.w_x, params.w_h, params.b_gates)
+    logits = hidden @ params.w_out
+    logits += params.b_out
+    if not np.isfinite(logits).all():
+        raise ad.NonFiniteError("sequence_loss: logits must be finite")
+    # masked cross-entropy; one [T*B,V] buffer goes logits -> exp -> dlogits
+    logits -= logits.max(axis=1, keepdims=True)
+    picked = logits[rows, targets]
+    exp = np.exp(logits, out=logits)
+    sums = exp.sum(axis=1)
+    weights = batch.mask.T.ravel()
+    loss = ((np.log(sums) - picked) * weights).sum()
     if mode == "mean":
-        total = ad.scale(total, 1.0 / token_count)
-    return total
+        scale = 1.0 / token_count
+        loss = loss * scale
+        weights = weights * scale
+
+    dlogits = exp
+    dlogits /= sums[:, None]
+    dlogits[rows, targets] -= 1.0
+    dlogits *= weights[:, None]
+    dx, dw_x, dw_h, db_gates = lstm_pullback(dlogits @ params.w_out.T)
+    dimage = dx[:batch_size]
+    dw_embed = np.zeros_like(params.w_embed)
+    np.add.at(dw_embed, ids, dx[batch_size:])
+    grads = {
+        "w_embed": dw_embed,
+        "w_image": batch.features.T @ dimage,
+        "b_image": dimage.sum(axis=0),
+        "w_x": dw_x,
+        "w_h": dw_h,
+        "b_gates": db_gates,
+        "w_out": hidden.T @ dlogits,
+        "b_out": dlogits.sum(axis=0),
+    }
+    return float(loss), grads
 
 
 @dataclass
@@ -188,8 +225,8 @@ class AdamState:
 
     @classmethod
     def for_params(cls, params: ModelParams, **hyper) -> "AdamState":
-        m = {name: np.zeros_like(p.data) for name, p in params.named_parameters()}
-        v = {name: np.zeros_like(p.data) for name, p in params.named_parameters()}
+        m = {name: np.zeros_like(p) for name, p in params.named_parameters()}
+        v = {name: np.zeros_like(p) for name, p in params.named_parameters()}
         return cls(m=m, v=v, **hyper)
 
 
@@ -202,9 +239,9 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     for name, p in params.named_parameters():
         if name not in grads:
             raise ValueError(f"adam_step: missing gradient for {name!r}")
-        if grads[name].shape != p.data.shape:
+        if grads[name].shape != p.shape:
             raise DimensionError(
-                f"adam_step: gradient shape {grads[name].shape} != parameter shape {p.data.shape} for {name!r}"
+                f"adam_step: gradient shape {grads[name].shape} != parameter shape {p.shape} for {name!r}"
             )
     state.t += 1
     correction1 = 1.0 - state.beta1**state.t
@@ -215,7 +252,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
         m_hat = state.m[name] / correction1
         v_hat = state.v[name] / correction2
-        p.data -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = CLIP_NORM) -> float:
@@ -226,13 +263,6 @@ def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = CLIP_NORM) ->
         for g in grads.values():
             g *= factor
     return total
-
-
-def collect_gradients(params: ModelParams) -> dict[str, np.ndarray]:
-    return {
-        name: (p.grad if p.grad is not None else np.zeros_like(p.data))
-        for name, p in params.named_parameters()
-    }
 
 
 def train_epoch(
@@ -254,20 +284,17 @@ def train_epoch(
     token_sum = 0
     for index, lo in enumerate(range(0, len(order), config.batch_size)):
         batch = make_batch([examples[i] for i in order[lo : lo + config.batch_size]])
-        params.zero_grads()
         try:
-            loss = sequence_loss(batch, params, config.loss_mode)
+            loss, grads = sequence_loss(batch, params, config.loss_mode)
         except ad.NonFiniteError as exc:
             raise DivergenceError(index) from exc
-        ad.backward(loss)
-        grads = collect_gradients(params)
-        if not (np.isfinite(loss.data) and all(np.isfinite(g).all() for g in grads.values())):
+        if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
             raise DivergenceError(index)
         if config.clip:
             clip_gradients(grads)
         adam_step(params, grads, adam)
         n = batch.token_count
-        nll_sum += float(loss.data) * (n if config.loss_mode == "mean" else 1.0)
+        nll_sum += loss * (n if config.loss_mode == "mean" else 1.0)
         token_sum += n
     return nll_sum / token_sum
 
@@ -402,10 +429,7 @@ def run_training(
             save_epoch(params, vocab, epoch)
         if val_score > best_score:
             best_score = val_score
-            best_arrays = {name: p.data.copy() for name, p in params.named_parameters()}
+            best_arrays = {name: p.copy() for name, p in params.named_parameters()}
     best_epoch = select_best_epoch([s.val_score for s in history])
     assert best_arrays is not None
-    best_params = ModelParams(
-        dims, **{name: Tensor(best_arrays[name], requires_grad=True) for name in best_arrays}
-    )
-    return TrainResult(best_params, vocab, dims, config, history, best_epoch)
+    return TrainResult(ModelParams(dims, **best_arrays), vocab, dims, config, history, best_epoch)

@@ -158,7 +158,7 @@ def forward_sequence(feature, sequence, start_id, params):
         raise ValueError("forward_sequence: sequence must contain at least the eos id")
     if not 0 <= start_id < params.dims.vocab:
         raise IndexError(f"forward_sequence: start id {start_id} out of range")
-    p = {name: t.data for name, t in params.named_parameters()}
+    p = dict(params.named_parameters())
     n = params.dims.hidden
 
     def step(x, h, c):
@@ -202,7 +202,7 @@ def _emittable(vocab_size, exclude_ids):
 def _root(feature, start_id, params):
     state, _ = step_distribution(zero_state(params), np.asarray(feature, dtype=np.float64), params)
     state, logp = step_distribution(state, int(start_id), params)
-    return _Hyp((), 0.0, state, logp.data)
+    return _Hyp((), 0.0, state, logp)
 
 
 def reference_beam_search(feature, start_id, params, config):
@@ -227,7 +227,7 @@ def reference_beam_search(feature, start_id, params, config):
                 finished.append((ids, logprob))
             else:
                 state, logp = step_distribution(hyp.state, tok, params)
-                live.append(_Hyp(ids, logprob, state, logp.data))
+                live.append(_Hyp(ids, logprob, state, logp))
 
     def rank_key(item):
         ids, logprob = item
@@ -264,5 +264,5 @@ def exhaustive_decode(feature, start_id, params, max_len, exclude_ids=(PAD_ID,))
                     best_ids, best_logprob = ids, logprob
             else:
                 state, logp = step_distribution(hyp.state, tok, params)
-                stack.append(_Hyp(ids, logprob, state, logp.data))
+                stack.append(_Hyp(ids, logprob, state, logp))
     return list(best_ids), best_logprob

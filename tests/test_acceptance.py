@@ -29,7 +29,6 @@ from mlcap.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
-    collect_gradients,
     examples_from_records,
     generate_caption,
     make_batch,
@@ -106,18 +105,16 @@ class TestBeamOracle:
     @staticmethod
     def _greedy(feature, start_id, params, config):
         emittable = [i for i in range(params.dims.vocab) if i not in config.exclude_ids]
-        with ad.no_grad():
-            state, _ = step_distribution(zero_state(params), ad.Tensor(feature), params)
-            state, logp = step_distribution(state, start_id, params)
-            ids, total = [], 0.0
-            while True:
-                scores = logp.data
-                best = min(emittable, key=lambda i: (-scores[i], i))
-                ids.append(best)
-                total += float(scores[best])
-                if best == EOS_ID or len(ids) >= config.max_len:
-                    return ids, total
-                state, logp = step_distribution(state, best, params)
+        state, _ = step_distribution(zero_state(params), feature, params)
+        state, logp = step_distribution(state, start_id, params)
+        ids, total = [], 0.0
+        while True:
+            best = min(emittable, key=lambda i: (-logp[i], i))
+            ids.append(best)
+            total += float(logp[best])
+            if best == EOS_ID or len(ids) >= config.max_len:
+                return ids, total
+            state, logp = step_distribution(state, best, params)
 
     def test_saturated_beam_equals_exhaustive_and_width_one_equals_greedy(self, capsys):
         started = time.perf_counter()
@@ -223,11 +220,8 @@ class TestOverfitSanity:
         nll = float("inf")
         epochs = 0
         for epochs in range(1, 201):
-            params.zero_grads()
-            loss = sequence_loss(batch, params)
-            ad.backward(loss)
-            adam_step(params, collect_gradients(params), adam)
-            nll = float(loss.data)
+            nll, grads = sequence_loss(batch, params)
+            adam_step(params, grads, adam)
             if nll < 0.01:
                 break
         seconds = time.perf_counter() - started
@@ -270,7 +264,7 @@ class TestDeterminismAndPersistence:
                 a = forward_sequence(rec.feature, sequence, start, params)
                 b = forward_sequence(rec.feature, sequence, start, reloaded)
                 for da, db in zip(a.distributions, b.distributions):
-                    bit_exact = bit_exact and da.data.tobytes() == db.data.tobytes()
+                    bit_exact = bit_exact and da.tobytes() == db.tobytes()
         ok = identical and bit_exact
         scorecard(
             capsys, "determinism-persistence", ok,
@@ -281,10 +275,10 @@ class TestDeterminismAndPersistence:
 class TestAdamUnit:
     def test_first_step_matches_hand_derivation(self, capsys):
         params = prefix_free_params(np.zeros(3))
-        grads = {name: np.zeros_like(p.data) for name, p in params.named_parameters()}
+        grads = {name: np.zeros_like(p) for name, p in params.named_parameters()}
         grads["b_out"] = np.array([1.0, 0.0, 0.0])
         adam_step(params, grads, AdamState.for_params(params))
-        got = float(params.b_out.data[0])
+        got = float(params.b_out[0])
         diff = abs(got - (-0.000999999990))
         ok = diff < 1e-12
         scorecard(capsys, "adam-first-step", ok, f"update {got:.12f}, |diff| {diff:.1e}")

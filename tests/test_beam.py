@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcap.autodiff import Tensor
 from mlcap.beam import BeamConfig, beam_search
 from mlcap.model import step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID
@@ -25,11 +24,11 @@ def greedy_decode(feature, start_id, params, max_len, exclude_ids=(PAD_ID,)):
     banned = list(exclude_ids)
     ids, total = [], 0.0
     while True:
-        scores = logp.data.copy()
+        scores = logp.copy()
         scores[banned] = -np.inf
         tok = int(np.argmax(scores))
         ids.append(tok)
-        total += float(logp.data[tok])
+        total += float(logp[tok])
         if tok == EOS_ID or len(ids) >= max_len:
             return ids, total
         state, logp = step_distribution(state, tok, params)
@@ -40,7 +39,7 @@ def replay_logprob(feature, start_id, params, ids):
     state, logp = step_distribution(state, start_id, params)
     total = 0.0
     for tok in ids:
-        total = total + float(logp.data[tok])
+        total = total + float(logp[tok])
         state, logp = step_distribution(state, tok, params)
     return total
 
@@ -121,7 +120,7 @@ class TestToyModel:
 
     def test_non_finite_logprobs_raise(self):
         p = prefix_free_params(toy_distribution())
-        p.w_out.data[:] = np.nan
+        p.w_out[:] = np.nan
         with pytest.raises(ValueError, match="non-finite log-probabilities at decode step 1"):
             beam_search(self.feature, 1, p, BeamConfig(width=2, max_len=3))
 
@@ -178,8 +177,8 @@ class TestAgainstReferenceDecoders:
         else:
             params = wide_params(vocab=vocab, seed=data.draw(st.integers(0, 2**16), label="seed"), scale=2.0)
         if kind == "flat":
-            params.w_out = Tensor(np.zeros_like(params.w_out.data))
-            params.b_out = Tensor(np.zeros_like(params.b_out.data))
+            params.w_out = np.zeros_like(params.w_out)
+            params.b_out = np.zeros_like(params.b_out)
         exclude = data.draw(
             st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
         )

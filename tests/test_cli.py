@@ -52,6 +52,12 @@ class TestSynth:
     def test_rejects_bad_count(self, tmp_path):
         assert main(["synth", "--out", str(tmp_path / "d"), "--n", "0"]) == EXIT_USAGE
 
+    def test_repeated_language_is_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "d.jsonl"
+        assert main(["synth", "--out", str(out), "--n", "3", "--langs", "en,en"]) == EXIT_USAGE
+        assert "repeats a language code" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestBuildVocab:
     def test_writes_token_table(self, workdir, tmp_path):
@@ -70,6 +76,12 @@ class TestBuildVocab:
         main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out_all), "--min-count", "1"])
         main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out_cut), "--min-count", "1000"])
         assert len(out_cut.read_text().splitlines()) < len(out_all.read_text().splitlines())
+
+    def test_bad_min_count_is_usage_error_before_reading_data(self, tmp_path):
+        code = main(
+            ["build-vocab", "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "v"), "--min-count", "0"]
+        )
+        assert code == EXIT_USAGE
 
     def test_unmatched_language_filter_fails(self, workdir, tmp_path):
         code = main(
@@ -207,6 +219,19 @@ class TestCaption:
             ]
         )
         assert code == EXIT_DATA
+        assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("flag", ["--beam", "--max-len"])
+    def test_bad_decode_flag_is_usage_error_before_reading_files(self, tmp_path, flag):
+        code = main(
+            [
+                "caption", "--ckpt", str(tmp_path / "missing.ckpt"),
+                "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "c"),
+                "--lang", "en", flag, "0",
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert not (tmp_path / "c").exists()
 
     def caption_with(self, workdir, tmp_path, ckpt_path):
         return main(
@@ -285,6 +310,20 @@ class TestEvaluate:
         code = main(["evaluate", "--data", str(workdir["data"]), "--cands", str(en), "--langs", "en,jp"])
         assert code == EXIT_USAGE
 
+    def test_repeated_language_is_usage_error(self, workdir, tmp_path, capsys):
+        en = self._reference_candidates(workdir, tmp_path, "en")
+        jp = self._reference_candidates(workdir, tmp_path, "jp")
+        report = tmp_path / "report.json"
+        code = main(
+            [
+                "evaluate", "--data", str(workdir["data"]), "--cands", f"{en},{jp}",
+                "--langs", "en,en", "--out", str(report),
+            ]
+        )
+        assert code == EXIT_USAGE
+        assert "repeats a language code" in capsys.readouterr().err
+        assert not report.exists()
+
     def test_unknown_image_id_fails(self, workdir, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("no-such-image\ta red circle\n")
@@ -314,8 +353,8 @@ class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):
         assert main(["gradcheck"]) == EXIT_OK
         out = capsys.readouterr().out
-        assert out.count("  ok") == 5
-        assert "sequence_loss" in out
+        assert out.count("  ok") == 2
+        assert "lstm_sequence" in out and "sequence_loss" in out
 
     def test_fails_at_impossible_tolerance(self, capsys):
         assert main(["gradcheck", "--tolerance", "1e-15"]) == EXIT_GRADCHECK
@@ -325,6 +364,20 @@ class TestGradcheck:
 
 
 class TestParsing:
+    @pytest.mark.parametrize(
+        "args",
+        [
+            ["build-vocab", "--data", "d", "--out", "o"],
+            ["caption", "--ckpt", "c", "--data", "d", "--out", "o", "--lang", "en"],
+            ["evaluate", "--data", "d", "--cands", "c"],
+        ],
+        ids=["build-vocab", "caption", "evaluate"],
+    )
+    def test_seed_only_on_commands_that_draw_randomness(self, args, capsys):
+        # these commands draw no randomness, so they take no --seed
+        assert main(args + ["--seed", "1"]) == EXIT_USAGE
+        assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
     def test_unknown_command(self, capsys):
         assert main(["no-such-command"]) == EXIT_USAGE
 

@@ -1,10 +1,15 @@
 """Dataset parsing/validation, splits, checkpoint round trips, synth data."""
 
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from mlcap.data import (
     Caption,
@@ -24,6 +29,7 @@ from mlcap.data import (
     synth_generate,
 )
 from oracles import forward_sequence
+from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import TokenSequence, build_vocab
 from tinymodels import random_params, rewrite_checkpoint_header
 
@@ -175,8 +181,8 @@ class TestCheckpoint:
         loaded = load_checkpoint(path)
         assert loaded.epoch == 1 and loaded.config == config
         assert loaded.vocab == vocab and loaded.dims == params.dims
-        for name, tensor in params.named_parameters():
-            assert loaded.arrays[name].tobytes() == tensor.data.tobytes()
+        for name, array in params.named_parameters():
+            assert loaded.arrays[name].tobytes() == array.tobytes()
         rebuilt = model_from_checkpoint(loaded)
         feature = np.ones(params.dims.feature)
         seq = TokenSequence((3, 2), "en")
@@ -184,6 +190,25 @@ class TestCheckpoint:
         b = forward_sequence(feature, seq, 3, rebuilt).distributions
         for x, y in zip(a, b):
             assert x.tobytes() == y.tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data(), sizes=st.tuples(*[st.integers(1, 4)] * 3), epoch=st.integers(0, 10**6))
+    def test_roundtrip_is_bit_exact_for_any_finite_arrays(self, data, sizes, epoch):
+        vocab = build_vocab([("en", ("a", "cat"))], min_count=1)
+        dims = Dims(len(vocab), *sizes)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        drawn = {
+            name: data.draw(arrays(np.float64, shape, elements=finite), label=name)
+            for name, shape in param_shapes(dims).items()
+        }
+        params = ModelParams(dims, **drawn)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "model.ckpt"
+            save_checkpoint(path, checkpoint_from_model(params, vocab, {"seed": 1}, epoch))
+            loaded = load_checkpoint(path)
+        assert (loaded.dims, loaded.vocab, loaded.config, loaded.epoch) == (params.dims, vocab, {"seed": 1}, epoch)
+        for name, array in model_from_checkpoint(loaded).named_parameters():
+            assert array.tobytes() == drawn[name].tobytes(), name
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         params, vocab, config, path = self.roundtrip(tmp_path)

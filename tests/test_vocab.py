@@ -1,6 +1,8 @@
 """Vocabulary construction, encode/decode, and control-token layout."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mlcap.vocab import EOS_ID, PAD_ID, UNK_ID, Vocabulary, build_vocab
 
@@ -68,6 +70,21 @@ class TestEncodeDecode:
         v = build_vocab(bilingual_corpus(), min_count=1)
         tokens = ["maru", "aka", "desu"]
         assert v.decode(v.encode(tokens, "jp").ids) == tokens
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_decode_inverts_encode_on_in_vocabulary_tokens(self, data):
+        words = st.text(alphabet="abcxyz<>", min_size=1, max_size=4)
+        corpus = data.draw(
+            st.lists(st.tuples(st.sampled_from(["en", "jp"]), st.lists(words, max_size=5)), min_size=1, max_size=6)
+        )
+        try:
+            v = build_vocab(corpus, min_count=data.draw(st.integers(1, 2)))
+        except ValueError:  # a surface word spelled like a control token
+            return
+        surface = v.id_to_token[v.first_surface_id :]
+        tokens = data.draw(st.lists(st.sampled_from(surface), max_size=8)) if surface else []
+        assert v.decode(v.encode(tokens, data.draw(st.sampled_from(v.languages))).ids) == tokens
 
     def test_encode_unknown_language(self):
         v = build_vocab(bilingual_corpus(), min_count=1)

@@ -5,8 +5,9 @@ import struct
 
 import numpy as np
 
-from mlcap.autodiff import Tensor
 from mlcap.model import Dims, ModelParams, init_params
+from mlcap.trainer import Example
+from mlcap.vocab import EOS_ID
 
 NEG_BIG = -1e9
 
@@ -25,7 +26,7 @@ def wide_params(vocab=6, embed=3, hidden=4, feature=2, seed=0, scale=0.5):
     """
     dims = Dims(vocab, embed, hidden, feature)
     rng = np.random.default_rng(seed)
-    u = lambda *shape: Tensor(rng.uniform(-scale, scale, shape), requires_grad=True)
+    u = lambda *shape: rng.uniform(-scale, scale, shape)
     b_gates = rng.uniform(-scale, scale, 4 * hidden)
     b_gates[hidden : 2 * hidden] += 1.0
     return ModelParams(
@@ -35,10 +36,21 @@ def wide_params(vocab=6, embed=3, hidden=4, feature=2, seed=0, scale=0.5):
         b_image=u(embed),
         w_x=u(embed, 4 * hidden),
         w_h=u(hidden, 4 * hidden),
-        b_gates=Tensor(b_gates, requires_grad=True),
+        b_gates=b_gates,
         w_out=u(hidden, vocab),
         b_out=u(vocab),
     )
+
+
+def tiny_examples(params, rng, count=4, max_tokens=3):
+    """Random training examples sized for the given model; lengths vary, so
+    a batch of them is padded and its mask has zeros."""
+    out = []
+    for _ in range(count):
+        n = int(rng.integers(1, max_tokens + 1))
+        ids = tuple(int(t) for t in rng.integers(3, params.dims.vocab, n)) + (EOS_ID,)
+        out.append(Example(rng.normal(size=params.dims.feature), 3, ids))
+    return out
 
 
 def prefix_free_params(log_weights, embed=2, hidden=2, feature=2):
@@ -50,7 +62,7 @@ def prefix_free_params(log_weights, embed=2, hidden=2, feature=2):
     """
     log_weights = np.asarray(log_weights, dtype=np.float64)
     dims = Dims(len(log_weights), embed, hidden, feature)
-    zeros = lambda *shape: Tensor(np.zeros(shape), requires_grad=True)
+    zeros = lambda *shape: np.zeros(shape)
     return ModelParams(
         dims,
         w_embed=zeros(dims.vocab, embed),
@@ -60,7 +72,7 @@ def prefix_free_params(log_weights, embed=2, hidden=2, feature=2):
         w_h=zeros(hidden, 4 * hidden),
         b_gates=zeros(4 * hidden),
         w_out=zeros(hidden, dims.vocab),
-        b_out=Tensor(log_weights, requires_grad=True),
+        b_out=log_weights.copy(),
     )
 
 
