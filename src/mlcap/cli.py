@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -254,13 +255,19 @@ def cmd_caption(args) -> int:
     if ckpt.config.get("feature_l2norm"):
         records = l2_normalize_records(records)
     out = Path(args.out)
-    with out.open("w", encoding="utf-8") as fh:
-        for rec in records:
-            tokens = generate_caption(
-                params, vocab, rec.feature, args.lang,
-                width=args.beam, max_len=args.max_len, length_norm=args.length_norm,
-            )
-            fh.write(f"{rec.image_id}\t{' '.join(tokens)}\n")
+    # decode into a sibling file so a failure leaves no partial output behind
+    partial = out.with_name(out.name + ".partial")
+    try:
+        with partial.open("w", encoding="utf-8") as fh:
+            for rec in records:
+                tokens = generate_caption(
+                    params, vocab, rec.feature, args.lang,
+                    width=args.beam, max_len=args.max_len, length_norm=args.length_norm,
+                )
+                fh.write(f"{rec.image_id}\t{' '.join(tokens)}\n")
+        os.replace(partial, out)
+    finally:
+        partial.unlink(missing_ok=True)
     _write_manifest(_manifest_path(out), "caption", args, [str(out)])
     print(f"wrote {len(records)} captions to {out}")
     return EXIT_OK

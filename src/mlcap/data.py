@@ -267,6 +267,8 @@ def load_checkpoint(path) -> Checkpoint:
         epoch = int(header["epoch"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid header fields ({exc})") from exc
+    if len(vocab) != dims.vocab:
+        raise CheckpointError(f"{path}: header lists {len(vocab)} vocabulary tokens but dims.vocab is {dims.vocab}")
     expected = param_shapes(dims)
     try:
         listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest]

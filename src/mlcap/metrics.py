@@ -9,23 +9,29 @@ there is no smoothing.
 
 The consensus score averages, over images and over n-gram orders 1..4, the
 cosine similarity between tf-idf vectors of the candidate and of each
-reference. Term frequency is the raw within-sentence count; document
-frequency counts the images whose reference set contains the n-gram, with
-the denominator clamped to one. Scores live in [0, 1]; a candidate or
+reference; it is not CIDEr-D (no length penalty, clipping or x10 scale).
+Term frequency is the raw within-sentence count; document frequency counts
+the images whose reference set contains the n-gram, and a candidate n-gram
+in no reference counts as in one. Scores live in [0, 1]; a candidate or
 reference with an all-zero vector contributes zero for that order.
+
+Both scores come from one table per call: each order counts every candidate
+and reference once, and its clipped matches, document frequencies and
+cosines are read from those counts. Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 NGRAM_ORDERS = (1, 2, 3, 4)
 
 
-def ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
+    """The n-grams of one sentence, keyed by token tuple, with their counts."""
     return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
@@ -71,15 +77,7 @@ class MetricReport:
     candidate_tokens: int
 
     def as_dict(self) -> dict:
-        return {
-            "bleu1": self.bleu1,
-            "bleu2": self.bleu2,
-            "bleu3": self.bleu3,
-            "bleu4": self.bleu4,
-            "cider": self.cider,
-            "images": self.images,
-            "candidate_tokens": self.candidate_tokens,
-        }
+        return asdict(self)
 
 
 def _closest_reference_length(item: EvalItem) -> int:
@@ -87,82 +85,75 @@ def _closest_reference_length(item: EvalItem) -> int:
     return min((len(ref) for ref in item.references), key=lambda r: (abs(r - c), r))
 
 
-def bleu_n(corpus: CorpusEval, n: int) -> float:
-    """Corpus BLEU with uniform k-gram weights for k = 1..n."""
-    if not 1 <= n <= 4:
-        raise ValueError(f"bleu_n: order must be in 1..4, got {n}")
-    c = sum(len(item.candidate) for item in corpus.items)
-    r = sum(_closest_reference_length(item) for item in corpus.items)
+def _bleu(matched: list[int], totals: list[int], c: int, r: int) -> list[float]:
+    """BLEU-1..4 from per-order clipped matches and candidate n-gram totals."""
+    scores = [0.0] * len(NGRAM_ORDERS)
     if c == 0:
-        return 0.0
-    log_precision_sum = 0.0
-    for k in range(1, n + 1):
-        matched = 0
-        total = 0
-        for item in corpus.items:
-            cand = ngram_counts(item.candidate, k)
-            if not cand:
-                continue
-            ceiling: Counter = Counter()
-            for ref in item.references:
-                for gram, cnt in ngram_counts(ref, k).items():
-                    if cnt > ceiling[gram]:
-                        ceiling[gram] = cnt
-            matched += sum(min(cnt, ceiling[gram]) for gram, cnt in cand.items())
-            total += sum(cand.values())
-        if matched == 0 or total == 0:
-            return 0.0
-        log_precision_sum += math.log(matched / total)
+        return scores
     brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
-    return brevity * math.exp(log_precision_sum / n)
+    log_precision_sum = 0.0
+    for k, (hits, total) in enumerate(zip(matched, totals)):
+        if hits == 0:
+            break
+        log_precision_sum += math.log(hits / total)
+        scores[k] = brevity * math.exp(log_precision_sum / (k + 1))
+    return scores
 
 
-def _tfidf(counts: Counter, idf: dict) -> dict:
-    return {gram: cnt * idf.get(gram, idf["__unseen__"]) for gram, cnt in counts.items()}
+def _similarities(counts: list, doc_freq: Counter, m: int) -> list[float]:
+    """Each image's mean tf-idf cosine to its references at one order."""
+    idf = {gram: math.log(m / df) for gram, df in doc_freq.items()}
+    unseen = math.log(m)
+    out = []
+    for cand, refs in counts:
+        cand_vec = {gram: cnt * idf.get(gram, unseen) for gram, cnt in cand.items()}
+        cand_norm = math.sqrt(math.fsum([x * x for x in cand_vec.values()]))
+        sims = []
+        for ref in refs:
+            ref_vec = {gram: cnt * idf[gram] for gram, cnt in ref.items()}
+            ref_norm = math.sqrt(math.fsum([x * x for x in ref_vec.values()]))
+            dot = math.fsum([x * ref_vec[gram] for gram, x in cand_vec.items() if gram in ref_vec])
+            sims.append(dot / (cand_norm * ref_norm) if cand_norm and ref_norm else 0.0)
+        out.append(math.fsum(sims) / len(sims))
+    return out
 
 
-def _cosine(u: dict, v: dict) -> float:
-    norm_u = math.sqrt(math.fsum(x * x for x in u.values()))
-    norm_v = math.sqrt(math.fsum(x * x for x in v.values()))
-    if norm_u == 0.0 or norm_v == 0.0:
-        return 0.0
-    dot = math.fsum(u[g] * v[g] for g in u if g in v)
-    return dot / (norm_u * norm_v)
+def _score(corpus: CorpusEval) -> tuple[list[float], float]:
+    """BLEU-1..4 and the consensus score, counting each sentence once per order."""
+    items = corpus.items
+    matched, totals, sims_by_order = [], [], []
+    for n in NGRAM_ORDERS:
+        hits = total = 0
+        doc_freq: Counter = Counter()
+        counts = []
+        for item in items:
+            cand = _ngram_counts(item.candidate, n)
+            refs = [_ngram_counts(ref, n) for ref in item.references]
+            ceiling: dict = {}
+            for ref in refs:
+                for gram, cnt in ref.items():
+                    if cnt > ceiling.get(gram, 0):
+                        ceiling[gram] = cnt
+            hits += sum(min(cnt, ceiling.get(gram, 0)) for gram, cnt in cand.items())
+            total += sum(cand.values())
+            doc_freq.update(ceiling.keys())
+            counts.append((cand, refs))
+        matched.append(hits)
+        totals.append(total)
+        sims_by_order.append(_similarities(counts, doc_freq, len(items)))
+    c = sum(len(item.candidate) for item in items)
+    r = sum(_closest_reference_length(item) for item in items)
+    image_scores = [math.fsum(sims) / len(NGRAM_ORDERS) for sims in zip(*sims_by_order)]
+    return _bleu(matched, totals, c, r), math.fsum(image_scores) / len(items)
 
 
 def cider(corpus: CorpusEval) -> float:
     """Mean over images and n-gram orders of the tf-idf cosine to each ref."""
-    m = len(corpus.items)
-    idf_by_order = []
-    for n in NGRAM_ORDERS:
-        doc_freq: Counter = Counter()
-        for item in corpus.items:
-            seen = set()
-            for ref in item.references:
-                seen.update(ngram_counts(ref, n))
-            doc_freq.update(seen)
-        idf = {gram: math.log(m / max(1, df)) for gram, df in doc_freq.items()}
-        idf["__unseen__"] = math.log(m / 1)
-        idf_by_order.append(idf)
-    image_scores = []
-    for item in corpus.items:
-        order_scores = []
-        for n, idf in zip(NGRAM_ORDERS, idf_by_order):
-            cand_vec = _tfidf(ngram_counts(item.candidate, n), idf)
-            sims = [_cosine(cand_vec, _tfidf(ngram_counts(ref, n), idf)) for ref in item.references]
-            order_scores.append(math.fsum(sims) / len(sims))
-        image_scores.append(math.fsum(order_scores) / len(NGRAM_ORDERS))
-    return math.fsum(image_scores) / m
+    return _score(corpus)[1]
 
 
 def evaluate_corpus(corpus: CorpusEval) -> MetricReport:
-    """BLEU-1..4 and the consensus score in one pass."""
-    return MetricReport(
-        bleu1=bleu_n(corpus, 1),
-        bleu2=bleu_n(corpus, 2),
-        bleu3=bleu_n(corpus, 3),
-        bleu4=bleu_n(corpus, 4),
-        cider=cider(corpus),
-        images=len(corpus.items),
-        candidate_tokens=sum(len(item.candidate) for item in corpus.items),
-    )
+    """BLEU-1..4 and the consensus score (under the ``cider`` key) in one pass."""
+    bleu, consensus = _score(corpus)
+    candidate_tokens = sum(len(item.candidate) for item in corpus.items)
+    return MetricReport(*bleu, cider=consensus, images=len(corpus.items), candidate_tokens=candidate_tokens)

@@ -22,7 +22,7 @@ from mlcap.data import (
     split_dataset,
     synth_generate,
 )
-from mlcap.metrics import CorpusEval, bleu_n, cider, evaluate_corpus
+from mlcap.metrics import CorpusEval, cider, evaluate_corpus
 from mlcap.model import Dims, init_params, step_distribution, zero_state
 from mlcap.rng import substream
 from mlcap.trainer import (
@@ -148,16 +148,15 @@ class TestMetricOracles:
         for _ in range(100):
             items = random_corpus(rng, n_images=int(rng.integers(1, 11)))
             corpus = CorpusEval.from_pairs(items)
+            report = evaluate_corpus(corpus)
             for n in range(1, 5):
-                worst = max(worst, abs(bleu_n(corpus, n) - naive_bleu(items, n)))
+                worst = max(worst, abs(getattr(report, f"bleu{n}") - naive_bleu(items, n)))
             worst = max(worst, abs(cider(corpus) - naive_cider(items)))
         ok = worst < 1e-9
         scorecard(capsys, "metric-oracles", ok, f"100 corpora, worst abs diff {worst:.2e}")
 
     def test_fixed_hand_examples(self, capsys):
-        clip = bleu_n(
-            CorpusEval.from_pairs([(["the"] * 3, [["the", "cat"]])]), 1
-        )
+        clip = evaluate_corpus(CorpusEval.from_pairs([(["the"] * 3, [["the", "cat"]])])).bleu1
         identity = cider(
             CorpusEval.from_pairs(
                 [
@@ -183,7 +182,7 @@ class TestLanguageControl:
             n = len(pairs)
             pure = sum(1 for cand, _ in pairs if cand and set(cand) <= bilingual["surface"][lang]) / n
             exact = sum(1 for cand, refs in pairs if list(cand) == list(refs[0])) / n
-            bleu1 = bleu_n(CorpusEval.from_pairs(pairs, lang), 1)
+            bleu1 = evaluate_corpus(CorpusEval.from_pairs(pairs, lang)).bleu1
             stats[lang] = (pure, exact, bleu1)
             ok = ok and pure >= 0.95 and exact >= 0.90 and bleu1 >= 0.95
         detail = ", ".join(

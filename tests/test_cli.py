@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from mlcap import trainer
+from mlcap import cli, trainer
 from mlcap.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_OK, EXIT_USAGE, main
 from mlcap.data import load_checkpoint, load_dataset, model_from_checkpoint, save_checkpoint, save_dataset
 from mlcap.vocab import EOS_ID, TokenSequence
@@ -256,6 +256,38 @@ class TestCaption:
         )
         assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
         assert "invalid array manifest" in capsys.readouterr().err
+
+    def test_vocabulary_shorter_than_dims_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "short_vocab.ckpt"
+        rewrite_checkpoint_header(
+            workdir["run"] / "best.ckpt", bad, lambda header: header["vocab"]["tokens"].__delitem__(slice(8, None))
+        )
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "header lists 8 vocabulary tokens" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
+
+    def test_decode_failure_leaves_no_output_behind(self, workdir, tmp_path, monkeypatch, capsys):
+        decoded = []
+
+        def fail_on_second_record(*args, **kwargs):
+            decoded.append(args)
+            if len(decoded) == 2:
+                raise ValueError("beam_search: non-finite log-probability")
+            return ["a", "red", "circle"]
+
+        monkeypatch.setattr(cli, "generate_caption", fail_on_second_record)
+        fresh = tmp_path / "fresh"
+        fresh.mkdir()
+        assert self.caption_with(workdir, fresh, workdir["run"] / "best.ckpt") == EXIT_DATA
+        assert "non-finite log-probability" in capsys.readouterr().err
+        assert list(fresh.iterdir()) == []
+
+        existing = tmp_path / "c"
+        existing.write_bytes(b"img-0\tan older caption\n")
+        decoded.clear()
+        assert self.caption_with(workdir, tmp_path, workdir["run"] / "best.ckpt") == EXIT_DATA
+        assert existing.read_bytes() == b"img-0\tan older caption\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "fresh"]
 
     def test_array_shape_disagreeing_with_dims_is_data_error(self, workdir, tmp_path, capsys):
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")

@@ -167,9 +167,9 @@ class TestSplit:
 
 class TestCheckpoint:
     def roundtrip(self, tmp_path):
-        params = random_params(seed=13)
         corpus = [("en", ("a", "cat")), ("jp", ("neko", "da"))]
         vocab = build_vocab(corpus, min_count=1)
+        params = random_params(vocab=len(vocab), seed=13)
         config = {"epochs": 2, "seed": 42, "languages": ["en", "jp"]}
         ckpt = checkpoint_from_model(params, vocab, config, epoch=1)
         path = tmp_path / "model.ckpt"
@@ -252,6 +252,14 @@ class TestCheckpoint:
         bad = tmp_path / "noname.ckpt"
         rewrite_checkpoint_header(path, bad, lambda header: header["arrays"][0].pop("name"))
         with pytest.raises(CheckpointError, match="manifest"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("edit", [list.pop, lambda tokens: tokens.append("zzz")], ids=["short", "long"])
+    def test_vocabulary_length_must_follow_dims(self, tmp_path, edit):
+        _, _, _, path = self.roundtrip(tmp_path)
+        bad = tmp_path / "vocab.ckpt"
+        rewrite_checkpoint_header(path, bad, lambda header: edit(header["vocab"]["tokens"]))
+        with pytest.raises(CheckpointError, match="vocabulary tokens but dims.vocab"):
             load_checkpoint(bad)
 
     def test_array_shape_must_follow_dims(self, tmp_path):

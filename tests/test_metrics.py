@@ -1,10 +1,15 @@
 """Metric tests: hand-counted cases and brute-force oracle equivalence."""
 
+from collections import Counter
+
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mlcap.metrics import CorpusEval, EvalItem, bleu_n, cider, evaluate_corpus
+from mlcap import metrics
+from mlcap.metrics import NGRAM_ORDERS, CorpusEval, EvalItem, cider, evaluate_corpus
 from oracles import naive_bleu, naive_cider, random_corpus
 
 
@@ -12,42 +17,41 @@ def corpus_of(pairs, language=None):
     return CorpusEval.from_pairs(pairs, language)
 
 
+def bleu(corpus, n):
+    """BLEU-n as ``evaluate_corpus`` reports it."""
+    return getattr(evaluate_corpus(corpus), f"bleu{n}")
+
+
 class TestBleuHandCases:
     def test_clipping_the_the_the(self):
         c = corpus_of([(["the", "the", "the"], [["the", "cat"]])])
-        npt.assert_allclose(bleu_n(c, 1), 1.0 / 3.0, atol=1e-12)
+        npt.assert_allclose(bleu(c, 1), 1.0 / 3.0, atol=1e-12)
 
     def test_perfect_match_scores_one(self):
         caption = ["a", "red", "circle", "sits", "here"]
         c = corpus_of([(caption, [caption]), (caption, [list(caption)])])
         for n in (1, 2, 3, 4):
-            npt.assert_allclose(bleu_n(c, n), 1.0, atol=1e-12)
+            npt.assert_allclose(bleu(c, n), 1.0, atol=1e-12)
 
     def test_brevity_penalty_applies_when_short(self):
         c = corpus_of([(["the", "cat"], [["the", "cat", "sat", "on", "mat"]])])
         expect = np.exp(1.0 - 5.0 / 2.0) * 1.0  # unigram precision is 1
-        npt.assert_allclose(bleu_n(c, 1), expect, atol=1e-12)
+        npt.assert_allclose(bleu(c, 1), expect, atol=1e-12)
 
     def test_closest_reference_length_ties_prefer_shorter(self):
         # candidate len 3, refs len 2 and 4: both one away, r must be 2
         c = corpus_of([(["a", "b", "c"], [["a", "b"], ["a", "b", "c", "d"]])])
-        assert bleu_n(c, 1) == 1.0  # c=3 >= r=2, no penalty
+        assert bleu(c, 1) == 1.0  # c=3 >= r=2, no penalty
 
     def test_any_zero_precision_zeroes_the_score(self):
         c = corpus_of([(["dog", "dog"], [["dog", "cat"]])])  # no bigram match
-        assert bleu_n(c, 1) > 0.0
-        assert bleu_n(c, 2) == 0.0
+        report = evaluate_corpus(c)
+        assert report.bleu1 > 0.0
+        assert report.bleu2 == report.bleu3 == report.bleu4 == 0.0
 
     def test_empty_candidate_corpus_scores_zero(self):
-        c = corpus_of([([], [["the", "cat"]])])
-        assert bleu_n(c, 1) == 0.0
-
-    def test_order_must_be_1_to_4(self):
-        c = corpus_of([(["a"], [["a"]])])
-        with pytest.raises(ValueError):
-            bleu_n(c, 0)
-        with pytest.raises(ValueError):
-            bleu_n(c, 5)
+        report = evaluate_corpus(corpus_of([([], [["the", "cat"]])]))
+        assert report.bleu1 == report.bleu2 == report.bleu3 == report.bleu4 == 0.0
 
     def test_appending_identity_image_cannot_lower_bleu1(self):
         rng = np.random.default_rng(5)
@@ -55,14 +59,14 @@ class TestBleuHandCases:
             items = random_corpus(rng)
             base = corpus_of(items)
             extended = corpus_of(items + [(["mat", "cat"], [["mat", "cat"]])])
-            if bleu_n(base, 1) > 0:  # identity keeps BP at 1 only if c >= r holds
+            if bleu(base, 1) > 0:  # identity keeps BP at 1 only if c >= r holds
                 c_base = sum(len(cand) for cand, _ in items)
                 r_base = sum(
                     min((len(r) for r in refs), key=lambda L: (abs(L - len(cand)), L))
                     for cand, refs in items
                 )
                 if c_base >= r_base:
-                    assert bleu_n(extended, 1) >= bleu_n(base, 1) - 1e-12
+                    assert bleu(extended, 1) >= bleu(base, 1) - 1e-12
 
 
 class TestCiderHandCases:
@@ -96,13 +100,49 @@ class TestOracleEquivalence:
         items = random_corpus(rng)
         c = corpus_of(items)
         for n in (1, 2, 3, 4):
-            npt.assert_allclose(bleu_n(c, n), naive_bleu(items, n), atol=1e-9)
+            npt.assert_allclose(bleu(c, n), naive_bleu(items, n), atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(40))
     def test_cider_matches_bruteforce(self, seed):
         rng = np.random.default_rng(1000 + seed)
         items = random_corpus(rng)
         npt.assert_allclose(cider(corpus_of(items)), naive_cider(items), atol=1e-9)
+
+
+# the shapes random_corpus draws: candidates of 0..7 words, 1..3 references of 1..7
+WORDS = st.sampled_from(("the", "cat", "sat", "on", "mat", "dog", "ran"))
+REFERENCES = st.lists(st.lists(WORDS, min_size=1, max_size=7), min_size=1, max_size=3)
+ITEMS = st.lists(st.tuples(st.lists(WORDS, max_size=7), REFERENCES), min_size=1, max_size=6)
+
+
+class TestOnePass:
+    @settings(max_examples=200, deadline=None)
+    @given(items=ITEMS)
+    def test_every_report_field_matches_the_oracles(self, items):
+        corpus = corpus_of(items)
+        report = evaluate_corpus(corpus)
+        for n in NGRAM_ORDERS:
+            assert abs(getattr(report, f"bleu{n}") - naive_bleu(items, n)) <= 1e-9
+        assert abs(report.cider - naive_cider(items)) <= 1e-9
+        assert report.cider == cider(corpus)
+        assert report.images == len(items)
+        assert report.candidate_tokens == sum(len(cand) for cand, _ in items)
+
+    @pytest.mark.parametrize("score", [evaluate_corpus, cider])
+    def test_each_sentence_is_counted_once_per_order(self, monkeypatch, score):
+        calls = Counter()
+        count = metrics._ngram_counts
+
+        def counting(tokens, n):
+            calls[tuple(tokens), n] += 1
+            return count(tokens, n)
+
+        monkeypatch.setattr(metrics, "_ngram_counts", counting)
+        items = random_corpus(np.random.default_rng(31), n_images=6)
+        items.append((["the", "cat"], [["the", "cat"], ["the", "cat"]]))  # repeats count apart
+        score(corpus_of(items))
+        sentences = Counter(tuple(s) for cand, refs in items for s in [cand, *refs])
+        assert calls == Counter({(s, n): k for s, k in sentences.items() for n in NGRAM_ORDERS})
 
 
 class TestInvariances:
