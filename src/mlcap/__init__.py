@@ -1,3 +1,3 @@
-"""Multilingual image caption engine with a hand-rolled autodiff core."""
+"""Multilingual image caption engine with hand-written gradients."""
 
 __version__ = "0.1.0"

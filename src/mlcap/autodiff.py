@@ -8,14 +8,10 @@ pullback that backpropagates through time by hand. The pieces:
 - ``lstm_cell``, the gate arithmetic of one step, shared by
   ``lstm_sequence`` and the decoder;
 - ``lstm_sequence``, a whole teacher-forced LSTM run from the zero state;
-- ``log_softmax``, the decoder's normalisation;
-- ``gradient_check``, which compares any ``(loss, grads)`` function with
-  central finite differences.
+- ``log_softmax``, the decoder's normalisation.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -123,36 +119,3 @@ def log_softmax(z: np.ndarray) -> np.ndarray:
     """Log of softmax along the last axis, computed with max subtraction."""
     shifted = z - z.max(axis=-1, keepdims=True)
     return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-
-
-def gradient_check(f: Callable[[], tuple], inputs: dict[str, np.ndarray], h: float = 1e-5) -> float:
-    """Worst relative disagreement between hand-written and finite-difference grads.
-
-    ``f()`` returns ``(loss, grads)``: a scalar loss and, for every name in
-    ``inputs``, the gradient of the loss with respect to that array. The
-    finite-difference side perturbs the arrays of ``inputs`` in place, one
-    coordinate at a time, with central differences of step ``h``; the
-    relative error of a coordinate is
-    |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|) and the maximum over all
-    coordinates of all inputs is returned.
-    """
-    if h <= 0:
-        raise ValueError("gradient_check: h must be positive")
-    loss, grads = f()
-    if np.ndim(loss) != 0:
-        raise ValueError(f"gradient_check: f must return a scalar loss, got shape {np.shape(loss)}")
-    worst = 0.0
-    for name, array in inputs.items():
-        flat = array.reshape(-1)
-        flat_ad = np.asarray(grads[name]).reshape(-1)
-        for j in range(flat.size):
-            orig = flat[j]
-            flat[j] = orig + h
-            f_plus = float(f()[0])
-            flat[j] = orig - h
-            f_minus = float(f()[0])
-            flat[j] = orig
-            g_fd = (f_plus - f_minus) / (2.0 * h)
-            denom = max(1e-12, abs(flat_ad[j]) + abs(g_fd))
-            worst = max(worst, abs(flat_ad[j] - g_fd) / denom)
-    return worst

@@ -66,8 +66,6 @@ class Hypothesis:
 
 def _emittable_ids(vocab_size: int, exclude_ids) -> np.ndarray:
     banned = set(int(i) for i in exclude_ids)
-    if EOS_ID in banned:
-        raise ValueError("the eos id cannot be excluded from emission")
     ids = np.array([t for t in range(vocab_size) if t not in banned], dtype=np.int64)
     if not ids.size:
         raise ValueError("every token id is excluded from emission")

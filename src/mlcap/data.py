@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -199,7 +199,6 @@ class Checkpoint:
     arrays: dict[str, np.ndarray]
     config: dict
     epoch: int
-    version: int = FORMAT_VERSION
 
 
 def checkpoint_from_model(params: ModelParams, vocab: Vocabulary, config: dict, epoch: int) -> Checkpoint:
@@ -217,13 +216,8 @@ def model_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     header = {
         "format": MAGIC.decode("ascii"),
-        "version": ckpt.version,
-        "dims": {
-            "vocab": ckpt.dims.vocab,
-            "embed": ckpt.dims.embed,
-            "hidden": ckpt.dims.hidden,
-            "feature": ckpt.dims.feature,
-        },
+        "version": FORMAT_VERSION,
+        "dims": asdict(ckpt.dims),
         "vocab": {"tokens": list(ckpt.vocab.id_to_token), "languages": list(ckpt.vocab.languages)},
         "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in ckpt.arrays.items()],
         "config": ckpt.config,
@@ -254,6 +248,8 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+    if not isinstance(header, dict):
+        raise CheckpointError(f"{path}: header must be a JSON object")
     offset += header_len
     if header.get("version") != FORMAT_VERSION:
         raise CheckpointError(
@@ -267,6 +263,8 @@ def load_checkpoint(path) -> Checkpoint:
         epoch = int(header["epoch"])
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid header fields ({exc})") from exc
+    if not isinstance(config, dict):
+        raise CheckpointError(f"{path}: header config must be a JSON object, got {type(config).__name__}")
     if len(vocab) != dims.vocab:
         raise CheckpointError(f"{path}: header lists {len(vocab)} vocabulary tokens but dims.vocab is {dims.vocab}")
     expected = param_shapes(dims)
@@ -353,40 +351,4 @@ def synth_generate(n_images: int, seed, languages: Sequence[str]) -> list[ImageR
             text = table["template"].format(color=table["colors"][color], shape=table["shapes"][shape])
             captions.append(Caption(lang, tuple(text.split())))
         records.append(ImageRecord(f"synth-{i:06d}", feature, tuple(captions)))
-    return records
-
-
-def import_coco(annotations_path, features_path, language: str, *, lowercase: bool = False) -> list[ImageRecord]:
-    """Best-effort bridge from COCO-style caption annotations.
-
-    ``annotations_path`` is the usual JSON with ``images`` and
-    ``annotations`` lists; ``features_path`` is a JSON object mapping
-    image id strings to feature vectors. Images lacking captions or a
-    feature vector are skipped; captions are whitespace-tokenized.
-    """
-    with open(annotations_path, "r", encoding="utf-8") as fh:
-        ann = json.load(fh)
-    with open(features_path, "r", encoding="utf-8") as fh:
-        features = json.load(fh)
-    if not isinstance(ann, dict) or "annotations" not in ann:
-        raise DatasetError(f"{annotations_path}: expected an object with an 'annotations' list")
-    by_image: dict[str, list[tuple[str, ...]]] = {}
-    for entry in ann["annotations"]:
-        image_id = str(entry.get("image_id"))
-        caption = entry.get("caption")
-        if not isinstance(caption, str):
-            continue
-        text = caption.lower() if lowercase else caption
-        tokens = tuple(text.split())
-        if tokens:
-            by_image.setdefault(image_id, []).append(tokens)
-    records = []
-    for image_id in sorted(by_image):
-        if image_id not in features:
-            continue
-        feature = np.asarray(features[image_id], dtype=np.float64)
-        captions = tuple(Caption(language, toks) for toks in by_image[image_id])
-        records.append(ImageRecord(image_id, feature, captions))
-    if not records:
-        raise DatasetError("no images had both captions and a feature vector")
     return records

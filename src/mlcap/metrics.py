@@ -52,18 +52,17 @@ class CorpusEval:
     """All evaluation items for one language (or pooled across languages)."""
 
     items: tuple[EvalItem, ...]
-    language: str | None = None
 
     def __post_init__(self):
         if not self.items:
             raise ValueError("cannot evaluate an empty corpus")
 
     @classmethod
-    def from_pairs(cls, pairs: Iterable[tuple[Sequence[str], Sequence[Sequence[str]]]], language=None):
+    def from_pairs(cls, pairs: Iterable[tuple[Sequence[str], Sequence[Sequence[str]]]]):
         items = tuple(
             EvalItem(tuple(cand), tuple(tuple(r) for r in refs)) for cand, refs in pairs
         )
-        return cls(items, language)
+        return cls(items)
 
 
 @dataclass(frozen=True)

@@ -37,8 +37,9 @@ class Dims:
 
     def __post_init__(self):
         for name in ("vocab", "embed", "hidden", "feature"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"dims.{name} must be >= 1, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+                raise ValueError(f"dims.{name} must be a positive int, got {value!r}")
 
 
 @dataclass

@@ -1,4 +1,4 @@
-"""Training: batched NLL over caption tokens, Adam, CIDEr model selection.
+"""Training: batched NLL over caption tokens, Adam, consensus-score model selection.
 
 Each (image, caption, language) pair is an independent training example;
 languages mix freely inside a batch, distinguished only by their start
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -79,22 +79,10 @@ class TrainConfig:
             raise ValueError(f"config.languages has duplicates: {self.languages}")
 
     def as_dict(self) -> dict:
-        d = {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "hidden": self.hidden,
-            "embed": self.embed,
-            "beam": self.beam,
-            "val_beam": self.val_beam,
-            "max_len": self.max_len,
-            "seed": self.seed,
-            "min_count": self.min_count,
-            "languages": None if self.languages is None else list(self.languages),
-            "loss_mode": self.loss_mode,
-            "clip": self.clip,
-            "lowercase": self.lowercase,
-            "feature_l2norm": self.feature_l2norm,
-        }
+        """The fields as a JSON-ready dict, ``languages`` as a list."""
+        d = asdict(self)
+        if self.languages is not None:
+            d["languages"] = list(self.languages)
         return d
 
 
@@ -127,8 +115,8 @@ def examples_from_records(records: Iterable[ImageRecord], vocab: Vocabulary, lan
     for rec in records:
         for cap in rec.captions:
             if cap.language in keep:
-                seq = vocab.encode(cap.tokens, cap.language)
-                examples.append(Example(rec.feature, vocab.start_id(cap.language), seq.ids))
+                ids = vocab.encode(cap.tokens, cap.language)
+                examples.append(Example(rec.feature, vocab.start_id(cap.language), ids))
     return examples
 
 
@@ -299,17 +287,6 @@ def train_epoch(
     return nll_sum / token_sum
 
 
-def select_best_epoch(history: Sequence[float]) -> int:
-    """Index of the highest validation score, earliest on exact ties."""
-    if not history:
-        raise ValueError("select_best_epoch: empty history")
-    best = 0
-    for i, score in enumerate(history):
-        if score > history[best]:
-            best = i
-    return best
-
-
 def generate_caption(
     params: ModelParams,
     vocab: Vocabulary,
@@ -349,7 +326,7 @@ def validation_score(
             cand = generate_caption(params, vocab, rec.feature, lang, width, max_len)
             pairs.append((cand, refs))
         if pairs:
-            per_language.append(cider(CorpusEval.from_pairs(pairs, lang)))
+            per_language.append(cider(CorpusEval.from_pairs(pairs)))
     if not per_language:
         return 0.0
     return math.fsum(per_language) / len(per_language)
@@ -357,7 +334,6 @@ def validation_score(
 
 @dataclass
 class EpochStats:
-    epoch: int
     train_loss: float
     val_score: float
     seconds: float
@@ -367,14 +343,8 @@ class EpochStats:
 class TrainResult:
     params: ModelParams
     vocab: Vocabulary
-    dims: Dims
-    config: TrainConfig
     history: list[EpochStats]
     best_epoch: int
-
-    @property
-    def val_scores(self) -> list[float]:
-        return [s.val_score for s in self.history]
 
 
 def run_training(
@@ -400,6 +370,8 @@ def run_training(
     )
     if not languages:
         raise ValueError("run_training: no languages found in the training split")
+    if not any(c.language in languages for r in split.val for c in r.captions):
+        raise ValueError(f"run_training: no validation captions in languages {languages}")
     corpus = corpus_from_records(split.train, languages)
     vocab = build_vocab(corpus, config.min_count)
     feature_dim = int(split.train[0].feature.size)
@@ -411,8 +383,7 @@ def run_training(
     if not examples:
         raise ValueError(f"run_training: no captions in languages {languages}")
     history: list[EpochStats] = []
-    best_arrays: dict[str, np.ndarray] | None = None
-    best_score = -np.inf
+    best_epoch, best_score, best_arrays = -1, -np.inf, {}
     for epoch in range(config.epochs):
         started = time.perf_counter()
         try:
@@ -422,14 +393,12 @@ def run_training(
             raise
         val_score = validation_score(params, vocab, split.val, languages, config.val_beam, config.max_len)
         seconds = time.perf_counter() - started
-        history.append(EpochStats(epoch, train_loss, val_score, seconds))
+        history.append(EpochStats(train_loss, val_score, seconds))
         if log is not None:
             log(f"{epoch}\t{train_loss:.6f}\t{val_score:.6f}\t{seconds:.3f}")
         if save_epoch is not None:
             save_epoch(params, vocab, epoch)
         if val_score > best_score:
-            best_score = val_score
+            best_epoch, best_score = epoch, val_score
             best_arrays = {name: p.copy() for name, p in params.named_parameters()}
-    best_epoch = select_best_epoch([s.val_score for s in history])
-    assert best_arrays is not None
-    return TrainResult(ModelParams(dims, **best_arrays), vocab, dims, config, history, best_epoch)
+    return TrainResult(ModelParams(dims, **best_arrays), vocab, history, best_epoch)

@@ -11,7 +11,6 @@ the end-of-sequence id.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 PAD_TOKEN = "<pad>"
@@ -24,14 +23,6 @@ EOS_ID = 2
 
 def start_token(language: str) -> str:
     return f"<{language}>"
-
-
-@dataclass(frozen=True)
-class TokenSequence:
-    """An encoded caption: surface ids ending with eos, plus its language."""
-
-    ids: tuple[int, ...]
-    language: str
 
 
 class Vocabulary:
@@ -72,7 +63,7 @@ class Vocabulary:
     def start_ids(self) -> tuple[int, ...]:
         return tuple(self._start_ids[l] for l in self.languages)
 
-    def encode(self, tokens: Iterable[str], language: str) -> TokenSequence:
+    def encode(self, tokens: Iterable[str], language: str) -> tuple[int, ...]:
         """Map surface tokens to ids (unknowns to unk) and append eos.
 
         The language start id is not part of the encoded sequence; it is
@@ -85,7 +76,7 @@ class Vocabulary:
             i = self.token_to_id.get(tok, UNK_ID)
             ids.append(i if i >= self.first_surface_id else UNK_ID)
         ids.append(EOS_ID)
-        return TokenSequence(tuple(ids), language)
+        return tuple(ids)
 
     def decode(self, ids: Iterable[int]) -> list[str]:
         """Ids back to surface tokens: stop at eos, drop pad and start ids."""

@@ -140,7 +140,7 @@ class ForwardTrace(NamedTuple):
 
     distributions: list
     final_state: LstmState
-    sequence: object
+    ids: tuple
     start_id: int
 
 
@@ -148,13 +148,13 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
-def forward_sequence(feature, sequence, start_id, params):
+def forward_sequence(feature, ids, start_id, params):
     """Score a caption against a feature, restated step by step in numpy.
 
     Inputs are the projected feature, the start id, then all caption ids
-    but the last; the t-th recorded distribution predicts sequence.ids[t].
+    but the last; the t-th recorded distribution predicts ids[t].
     """
-    if not sequence.ids:
+    if not ids:
         raise ValueError("forward_sequence: sequence must contain at least the eos id")
     if not 0 <= start_id < params.dims.vocab:
         raise IndexError(f"forward_sequence: start id {start_id} out of range")
@@ -171,12 +171,12 @@ def forward_sequence(feature, sequence, start_id, params):
     image = np.asarray(feature, dtype=np.float64)[None, :] @ p["w_image"] + p["b_image"]
     h, c = step(image, h, c)
     distributions = []
-    for tok in (start_id,) + tuple(sequence.ids[:-1]):
+    for tok in (start_id,) + tuple(ids[:-1]):
         h, c = step(p["w_embed"][[tok]], h, c)
         logits = (h @ p["w_out"] + p["b_out"])[0]
         e = np.exp(logits - logits.max())
         distributions.append(e / e.sum())
-    return ForwardTrace(distributions, LstmState(h, c), sequence, start_id)
+    return ForwardTrace(distributions, LstmState(h, c), tuple(ids), start_id)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,9 @@ import time
 import numpy as np
 import pytest
 
-from mlcap import autodiff as ad
+from mlcap.gradcheck import gradient_check, reference_sequence_check
 from mlcap.beam import BeamConfig, beam_search
 from mlcap.cli import main as cli_main
-from mlcap.cli import reference_sequence_check
 from mlcap.data import (
     checkpoint_from_model,
     load_checkpoint,
@@ -95,7 +94,7 @@ class TestGradientSuite:
     def test_full_loss_gradients_match_finite_differences(self, capsys):
         started = time.perf_counter()
         f, inputs = reference_sequence_check()
-        err = ad.gradient_check(f, inputs, h=1e-5)
+        err = gradient_check(f, inputs, h=1e-5)
         seconds = time.perf_counter() - started
         ok = err < 1e-5 and seconds < 30.0
         scorecard(capsys, "gradient-suite", ok, f"max rel err {err:.2e}, {seconds:.1f}s")
@@ -182,7 +181,7 @@ class TestLanguageControl:
             n = len(pairs)
             pure = sum(1 for cand, _ in pairs if cand and set(cand) <= bilingual["surface"][lang]) / n
             exact = sum(1 for cand, refs in pairs if list(cand) == list(refs[0])) / n
-            bleu1 = evaluate_corpus(CorpusEval.from_pairs(pairs, lang)).bleu1
+            bleu1 = evaluate_corpus(CorpusEval.from_pairs(pairs)).bleu1
             stats[lang] = (pure, exact, bleu1)
             ok = ok and pure >= 0.95 and exact >= 0.90 and bleu1 >= 0.95
         detail = ", ".join(
@@ -198,8 +197,8 @@ class TestUnifiedVersusMonolingual:
     def test_per_language_cider_gap_is_small(self, capsys, bilingual):
         gaps = {}
         for lang in ("en", "jp"):
-            unified = cider(CorpusEval.from_pairs(bilingual["unified_pairs"][lang], lang))
-            mono = cider(CorpusEval.from_pairs(bilingual["mono_pairs"][lang], lang))
+            unified = cider(CorpusEval.from_pairs(bilingual["unified_pairs"][lang]))
+            mono = cider(CorpusEval.from_pairs(bilingual["mono_pairs"][lang]))
             gaps[lang] = abs(unified - mono)
         ok = all(gap <= 0.10 for gap in gaps.values())
         detail = ", ".join(f"{lang}: gap {gap:.4f}" for lang, gap in gaps.items())
@@ -258,10 +257,10 @@ class TestDeterminismAndPersistence:
         bit_exact = True
         for rec in synth_generate(5, substream(12, "synth"), ["en", "jp"]):
             for cap in rec.captions:
-                sequence = vocab.encode(cap.tokens, cap.language)
+                ids = vocab.encode(cap.tokens, cap.language)
                 start = vocab.start_id(cap.language)
-                a = forward_sequence(rec.feature, sequence, start, params)
-                b = forward_sequence(rec.feature, sequence, start, reloaded)
+                a = forward_sequence(rec.feature, ids, start, params)
+                b = forward_sequence(rec.feature, ids, start, reloaded)
                 for da, db in zip(a.distributions, b.distributions):
                     bit_exact = bit_exact and da.tobytes() == db.tobytes()
         ok = identical and bit_exact

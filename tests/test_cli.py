@@ -8,7 +8,7 @@ import pytest
 from mlcap import cli, trainer
 from mlcap.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_OK, EXIT_USAGE, main
 from mlcap.data import load_checkpoint, load_dataset, model_from_checkpoint, save_checkpoint, save_dataset
-from mlcap.vocab import EOS_ID, TokenSequence
+from mlcap.vocab import EOS_ID
 from oracles import forward_sequence
 from tinymodels import rewrite_checkpoint_header
 
@@ -131,8 +131,7 @@ class TestTrain:
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
         params = model_from_checkpoint(ckpt)
         feature = np.zeros(ckpt.dims.feature)
-        sequence = TokenSequence((EOS_ID,), "en")
-        trace = forward_sequence(feature, sequence, ckpt.vocab.start_id("en"), params)
+        trace = forward_sequence(feature, (EOS_ID,), ckpt.vocab.start_id("en"), params)
         assert len(trace.distributions) == 1
 
     def test_divergence_exits_with_its_own_code(self, workdir, tmp_path, monkeypatch, capsys):
@@ -159,6 +158,18 @@ class TestTrain:
             ]
         )
         assert code == EXIT_DATA
+
+    def test_no_validation_split_is_data_error_before_training(self, workdir, tmp_path, capsys):
+        out = tmp_path / "r"
+        code = main(
+            [
+                "train", "--data", str(workdir["data"]), "--out", str(out), "--split", "30,0,5",
+                "--epochs", "1", "--hidden", "4", "--embed", "4", "--min-count", "1",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "no validation captions" in capsys.readouterr().err
+        assert not list(out.glob("*.ckpt"))
 
     def test_bad_config_is_usage_error(self, workdir, tmp_path):
         code = main(
@@ -265,6 +276,22 @@ class TestCaption:
         assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
         assert "header lists 8 vocabulary tokens" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_non_int_dims_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "float_dims.ckpt"
+        rewrite_checkpoint_header(
+            workdir["run"] / "best.ckpt", bad, lambda header: header["dims"].update(hidden=10.0)
+        )
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "dims.hidden must be a positive int, got 10.0" in capsys.readouterr().err
+
+    def test_non_object_config_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "list_config.ckpt"
+        rewrite_checkpoint_header(
+            workdir["run"] / "best.ckpt", bad, lambda header: header.update(config=["x"])
+        )
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "config must be a JSON object" in capsys.readouterr().err
 
     def test_decode_failure_leaves_no_output_behind(self, workdir, tmp_path, monkeypatch, capsys):
         decoded = []

@@ -13,8 +13,8 @@ from mlcap.metrics import NGRAM_ORDERS, CorpusEval, EvalItem, cider, evaluate_co
 from oracles import naive_bleu, naive_cider, random_corpus
 
 
-def corpus_of(pairs, language=None):
-    return CorpusEval.from_pairs(pairs, language)
+def corpus_of(pairs):
+    return CorpusEval.from_pairs(pairs)
 
 
 def bleu(corpus, n):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
+from mlcap.gradcheck import gradient_check
 from mlcap.model import (
     Dims,
     LstmState,
@@ -15,7 +16,6 @@ from mlcap.model import (
     step_distribution,
     zero_state,
 )
-from mlcap.vocab import TokenSequence
 from oracles import forward_sequence
 from tinymodels import prefix_free_params, random_params, wide_params
 
@@ -40,6 +40,11 @@ class TestDims:
     def test_rejects_nonpositive(self):
         with pytest.raises(ValueError, match="hidden"):
             Dims(vocab=5, embed=3, hidden=0, feature=2)
+
+    @pytest.mark.parametrize("value", [4.0, True, np.int64(4), "4"], ids=["float", "bool", "numpy", "str"])
+    def test_rejects_non_int(self, value):
+        with pytest.raises(ValueError, match="dims.embed must be a positive int"):
+            Dims(vocab=5, embed=value, hidden=4, feature=2)
 
 
 class TestInit:
@@ -122,7 +127,7 @@ class TestLstmStep:
             grads = {"x0": dx[:batch], "xs": dx[batch:], "w_x": dw_x, "w_h": dw_h, "b_gates": db_gates}
             return float((hs * readout).sum()), grads
 
-        assert ad.gradient_check(loss, inputs, h=1e-5) < 1e-5
+        assert gradient_check(loss, inputs, h=1e-5) < 1e-5
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -153,9 +158,9 @@ class TestLstmStep:
 class TestForwardSequence:
     def test_scored_step_count_and_row_sums(self):
         p = random_params(seed=4)
-        seq = TokenSequence((4, 5, 2), "en")
-        trace = forward_sequence(np.ones(p.dims.feature), seq, 3, p)
-        assert len(trace.distributions) == len(seq.ids)
+        ids = (4, 5, 2)
+        trace = forward_sequence(np.ones(p.dims.feature), ids, 3, p)
+        assert len(trace.distributions) == len(ids)
         for dist in trace.distributions:
             assert dist.shape == (p.dims.vocab,)
             npt.assert_allclose(dist.sum(), 1.0, atol=1e-12)
@@ -163,14 +168,14 @@ class TestForwardSequence:
 
     def test_matches_step_distribution_composition(self):
         p = random_params(seed=5)
-        seq = TokenSequence((5, 4, 4, 2), "en")
+        ids = (5, 4, 4, 2)
         feature = np.linspace(-1.0, 1.0, p.dims.feature)
         start = 3
-        trace = forward_sequence(feature, seq, start, p)
+        trace = forward_sequence(feature, ids, start, p)
         state = zero_state(p)
         state, _ = step_distribution(state, feature, p)
         composed = []
-        for tok in (start,) + seq.ids[:-1]:
+        for tok in (start,) + ids[:-1]:
             state, logp = step_distribution(state, tok, p)
             composed.append(np.exp(logp))
         assert state.h.shape == (1, p.dims.hidden)
@@ -181,17 +186,17 @@ class TestForwardSequence:
     def test_rejects_empty_sequence(self):
         p = random_params()
         with pytest.raises(ValueError, match="eos"):
-            forward_sequence(np.ones(p.dims.feature), TokenSequence((), "en"), 3, p)
+            forward_sequence(np.ones(p.dims.feature), (), 3, p)
 
     def test_rejects_bad_start_id(self):
         p = random_params()
         with pytest.raises(IndexError):
-            forward_sequence(np.ones(p.dims.feature), TokenSequence((2,), "en"), p.dims.vocab, p)
+            forward_sequence(np.ones(p.dims.feature), (2,), p.dims.vocab, p)
 
     def test_leaves_parameters_untouched(self):
         p = random_params()
         before = {name: t.tobytes() for name, t in p.named_parameters()}
-        forward_sequence(np.ones(p.dims.feature), TokenSequence((4, 2), "en"), 3, p)
+        forward_sequence(np.ones(p.dims.feature), (4, 2), 3, p)
         assert {name: t.tobytes() for name, t in p.named_parameters()} == before
 
 

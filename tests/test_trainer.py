@@ -1,5 +1,8 @@
 """Trainer tests: loss semantics, Adam arithmetic, epoch loop, selection."""
 
+import dataclasses
+import json
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -7,7 +10,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
+from mlcap import trainer
 from mlcap.data import split_dataset, synth_generate
+from mlcap.gradcheck import gradient_check
 from oracles import forward_sequence
 from mlcap.trainer import (
     AdamState,
@@ -21,7 +26,6 @@ from mlcap.trainer import (
     generate_caption,
     make_batch,
     run_training,
-    select_best_epoch,
     sequence_loss,
     train_epoch,
     validation_score,
@@ -69,7 +73,7 @@ class TestSequenceLoss:
         rng = np.random.default_rng(21)
         ex = tiny_examples(params, rng, count=1)[0]
         loss, _ = sequence_loss(make_batch([ex]), params, mode="sum")
-        trace = forward_sequence(ex.feature, type("S", (), {"ids": ex.target_ids})(), ex.start_id, params)
+        trace = forward_sequence(ex.feature, ex.target_ids, ex.start_id, params)
         nll = -sum(np.log(dist[t]) for dist, t in zip(trace.distributions, ex.target_ids))
         npt.assert_allclose(loss, nll, atol=1e-9)
 
@@ -152,7 +156,7 @@ class TestSequenceLoss:
         batch = make_batch(tiny_examples(params, rng, count=3))
 
         f = lambda: sequence_loss(batch, params)
-        assert ad.gradient_check(f, dict(params.named_parameters()), h=1e-5) < 1e-5
+        assert gradient_check(f, dict(params.named_parameters()), h=1e-5) < 1e-5
 
 
 class TestAdam:
@@ -213,15 +217,20 @@ class TestClip:
 
 
 class TestSelection:
-    def test_highest_wins(self):
-        assert select_best_epoch([0.1, 0.7, 0.3]) == 1
+    def test_ties_break_earliest(self, monkeypatch):
+        scores = iter([0.2, 0.5, 0.5, 0.5])
+        monkeypatch.setattr(trainer, "validation_score", lambda *args: next(scores))
+        snapshots = []
 
-    def test_ties_break_earliest(self):
-        assert select_best_epoch([0.2, 0.5, 0.5, 0.5]) == 1
+        def save_epoch(params, vocab, epoch):
+            snapshots.append({name: p.copy() for name, p in params.named_parameters()})
 
-    def test_empty_history_rejected(self):
-        with pytest.raises(ValueError):
-            select_best_epoch([])
+        split = TestRunTraining().small_split()
+        result = run_training(split, TestRunTraining().small_config(epochs=4), save_epoch=save_epoch)
+        assert result.best_epoch == 1 and len(snapshots) == 4
+        for name, array in result.params.named_parameters():
+            assert array.tobytes() == snapshots[1][name].tobytes(), name
+        assert snapshots[1]["w_out"].tobytes() != snapshots[3]["w_out"].tobytes()
 
 
 class TestTrainEpoch:
@@ -277,10 +286,9 @@ class TestConfig:
             TrainConfig(languages=("en", "en"))
 
     def test_as_dict_roundtrips_json(self):
-        import json
-
         d = TrainConfig(languages=("en", "jp")).as_dict()
         assert json.loads(json.dumps(d)) == d
+        assert list(TrainConfig().as_dict()) == [f.name for f in dataclasses.fields(TrainConfig)]
 
 
 class TestRunTraining:
@@ -303,14 +311,15 @@ class TestRunTraining:
             parts = line.split("\t")
             assert len(parts) == 4
             float(parts[1]), float(parts[2]), float(parts[3])
-        assert result.best_epoch == select_best_epoch(result.val_scores)
-        assert result.dims.vocab == len(result.vocab)
-        assert result.dims.feature == 16
+        scores = [s.val_score for s in result.history]
+        assert result.best_epoch == scores.index(max(scores))
+        assert result.params.dims.vocab == len(result.vocab)
+        assert result.params.dims.feature == 16
 
     def test_reruns_are_bit_identical(self):
         a = run_training(self.small_split(), self.small_config())
         b = run_training(self.small_split(), self.small_config())
-        assert a.val_scores == b.val_scores
+        assert [s.val_score for s in a.history] == [s.val_score for s in b.history]
         for (name, pa), (_, pb) in zip(a.params.named_parameters(), b.params.named_parameters()):
             assert pa.tobytes() == pb.tobytes(), name
 
@@ -324,6 +333,20 @@ class TestRunTraining:
         split.train = []
         with pytest.raises(ValueError):
             run_training(split, self.small_config())
+
+    @pytest.mark.parametrize("val", ["empty", "other-language"])
+    def test_validation_without_training_languages_rejected(self, val, monkeypatch):
+        # without a scored validation caption every epoch would score 0 and
+        # the least-trained epoch would be kept as the best
+        split = self.small_split()
+        if val == "empty":
+            split.val = []
+        else:
+            jp_only = lambda r: tuple(c for c in r.captions if c.language == "jp")
+            split.val = [dataclasses.replace(r, captions=jp_only(r)) for r in split.val]
+        monkeypatch.setattr(trainer, "train_epoch", lambda *args: pytest.fail("trained before validating"))
+        with pytest.raises(ValueError, match="no validation captions"):
+            run_training(split, self.small_config(languages=("en",)))
 
 
 class TestDecodeHelpers:

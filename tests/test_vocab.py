@@ -59,17 +59,16 @@ class TestBuildVocab:
 class TestEncodeDecode:
     def test_encode_appends_eos_and_maps_unknowns(self):
         v = build_vocab(bilingual_corpus(), min_count=1)
-        seq = v.encode(["a", "purple", "circle"], "en")
-        assert seq.language == "en"
-        assert seq.ids[-1] == EOS_ID
-        assert seq.ids[1] == UNK_ID
-        assert PAD_ID not in seq.ids
-        assert v.start_id("en") not in seq.ids
+        ids = v.encode(["a", "purple", "circle"], "en")
+        assert ids[-1] == EOS_ID
+        assert ids[1] == UNK_ID
+        assert PAD_ID not in ids
+        assert v.start_id("en") not in ids
 
     def test_encode_decode_roundtrip_for_known_tokens(self):
         v = build_vocab(bilingual_corpus(), min_count=1)
         tokens = ["maru", "aka", "desu"]
-        assert v.decode(v.encode(tokens, "jp").ids) == tokens
+        assert v.decode(v.encode(tokens, "jp")) == tokens
 
     @settings(max_examples=100, deadline=None)
     @given(data=st.data())
@@ -84,7 +83,7 @@ class TestEncodeDecode:
             return
         surface = v.id_to_token[v.first_surface_id :]
         tokens = data.draw(st.lists(st.sampled_from(surface), max_size=8)) if surface else []
-        assert v.decode(v.encode(tokens, data.draw(st.sampled_from(v.languages))).ids) == tokens
+        assert v.decode(v.encode(tokens, data.draw(st.sampled_from(v.languages)))) == tokens
 
     def test_encode_unknown_language(self):
         v = build_vocab(bilingual_corpus(), min_count=1)
@@ -93,8 +92,8 @@ class TestEncodeDecode:
 
     def test_control_strings_encode_as_unknown(self):
         v = build_vocab(bilingual_corpus(), min_count=1)
-        seq = v.encode(["<pad>", "<en>", "a"], "en")
-        assert seq.ids[0] == UNK_ID and seq.ids[1] == UNK_ID
+        ids = v.encode(["<pad>", "<en>", "a"], "en")
+        assert ids[0] == UNK_ID and ids[1] == UNK_ID
 
     def test_decode_stops_at_eos_and_skips_control_ids(self):
         v = build_vocab(bilingual_corpus(), min_count=1)
