@@ -32,7 +32,7 @@ from .data import (
 )
 from .metrics import CorpusEval, evaluate_corpus
 from .rng import substream
-from .trainer import DivergenceError, TrainConfig, generate_caption, run_training
+from .trainer import DivergenceError, TrainConfig, generate_caption, run_training, training_languages
 from .vocab import build_vocab
 
 
@@ -199,6 +199,7 @@ def cmd_train(args) -> int:
     if config.feature_l2norm:
         records = l2_normalize_records(records)
     split = split_dataset(records, _parse_split(args.split), substream(config.seed, "split"))
+    training_languages(split, config)  # refuse the inputs before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     log_path = out_dir / "train_log.tsv"

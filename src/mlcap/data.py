@@ -260,9 +260,11 @@ def load_checkpoint(path) -> Checkpoint:
         vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["languages"])
         manifest = header["arrays"]
         config = header["config"]
-        epoch = int(header["epoch"])
+        epoch = header["epoch"]
     except (KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"{path}: invalid header fields ({exc})") from exc
+    if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+        raise CheckpointError(f"{path}: header epoch must be an integer >= 0, got {epoch!r}")
     if not isinstance(config, dict):
         raise CheckpointError(f"{path}: header config must be a JSON object, got {type(config).__name__}")
     if len(vocab) != dims.vocab:

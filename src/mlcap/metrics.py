@@ -15,24 +15,28 @@ the images whose reference set contains the n-gram, and a candidate n-gram
 in no reference counts as in one. Scores live in [0, 1]; a candidate or
 reference with an all-zero vector contributes zero for that order.
 
-Both scores come from one table per call: each order counts every candidate
-and reference once, and its clipped matches, document frequencies and
-cosines are read from those counts. Nothing is kept between calls.
+Both scores come from one integer-array table per call. The tokens are
+interned once into an int64 array; an order-n gram code is the order-(n-1)
+code and the next token id, made dense by a sort. One sort per order counts
+the (sentence, gram) pairs; the reference ceilings are a maximum over each
+(image, gram) run and the document frequencies a bincount of those runs.
+The result is exact, not just close: idf is one ``math.log(m / df)`` per
+document frequency, the tf-idf products are formed elementwise as single
+roundings, and every norm, dot product and mean is a ``math.fsum`` over its
+group, which rounds the exact sum once, whatever the order of its terms.
+Nothing is kept between calls.
 """
 
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Iterable, Sequence
 
+import numpy as np
+
 NGRAM_ORDERS = (1, 2, 3, 4)
-
-
-def _ngram_counts(tokens: Sequence[str], n: int) -> Counter:
-    """The n-grams of one sentence, keyed by token tuple, with their counts."""
-    return Counter(tuple(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
 
 
 @dataclass(frozen=True)
@@ -99,51 +103,103 @@ def _bleu(matched: list[int], totals: list[int], c: int, r: int) -> list[float]:
     return scores
 
 
-def _similarities(counts: list, doc_freq: Counter, m: int) -> list[float]:
-    """Each image's mean tf-idf cosine to its references at one order."""
-    idf = {gram: math.log(m / df) for gram, df in doc_freq.items()}
-    unseen = math.log(m)
-    out = []
-    for cand, refs in counts:
-        cand_vec = {gram: cnt * idf.get(gram, unseen) for gram, cnt in cand.items()}
-        cand_norm = math.sqrt(math.fsum([x * x for x in cand_vec.values()]))
-        sims = []
-        for ref in refs:
-            ref_vec = {gram: cnt * idf[gram] for gram, cnt in ref.items()}
-            ref_norm = math.sqrt(math.fsum([x * x for x in ref_vec.values()]))
-            dot = math.fsum([x * ref_vec[gram] for gram, x in cand_vec.items() if gram in ref_vec])
-            sims.append(dot / (cand_norm * ref_norm) if cand_norm and ref_norm else 0.0)
-        out.append(math.fsum(sims) / len(sims))
-    return out
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """True where a sorted array starts a run of equal values."""
+    starts = np.ones(len(sorted_keys), dtype=bool)
+    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
+    return starts
+
+
+def _dense(keys: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each key's rank among the distinct keys, and how many there are."""
+    order = np.argsort(keys, kind="stable")
+    ranks = np.empty_like(keys)
+    ranks[order] = np.cumsum(_run_starts(keys[order])) - 1
+    return ranks, int(ranks.max(initial=-1)) + 1
+
+
+def _find(sorted_keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Where each query sits in ``sorted_keys``, and whether it is there."""
+    at = np.searchsorted(sorted_keys, queries)
+    found = at < len(sorted_keys)
+    found[found] = sorted_keys[at[found]] == queries[found]
+    return at, found
+
+
+def _offsets(groups: np.ndarray, n_groups: int) -> np.ndarray:
+    """Boundaries of groups 0..n_groups-1 in a sorted array of group ids."""
+    return np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=n_groups))))
+
+
+def _group_fsums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each group; exact, so the order inside a group is moot."""
+    values, offsets = values.tolist(), offsets.tolist()
+    return np.array([math.fsum(values[a:b]) for a, b in zip(offsets, offsets[1:])])
 
 
 def _score(corpus: CorpusEval) -> tuple[list[float], float]:
-    """BLEU-1..4 and the consensus score, counting each sentence once per order."""
+    """BLEU-1..4 and the consensus score from one n-gram table per order."""
     items = corpus.items
+    m = len(items)
+    # sentences run image by image: the candidate, then its references
+    sentences = [s for item in items for s in (item.candidate, *item.references)]
+    n_refs = np.array([len(item.references) for item in items], dtype=np.int64)
+    cand_sent = np.concatenate(([0], np.cumsum(n_refs + 1)[:-1]))
+    image_of = np.repeat(np.arange(m), n_refs + 1)
+    is_ref = np.ones(len(sentences), dtype=bool)
+    is_ref[cand_sent] = False
+    ref_sents = np.flatnonzero(is_ref)
+    cand_of_ref = cand_sent[image_of[ref_sents]]
+    ref_offsets = np.concatenate(([0], np.cumsum(n_refs)))
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
+    flat = list(chain.from_iterable(sentences))
+    ids = {t: i for i, t in enumerate(dict.fromkeys(flat))}
+    tokens = np.fromiter(map(ids.__getitem__, flat), dtype=np.int64, count=len(flat))
+    sent_of = np.repeat(np.arange(len(sentences)), lengths)
+    end_of = np.repeat(np.cumsum(lengths), lengths)
+    starts, codes, n_codes = np.arange(len(tokens)), tokens, len(ids)
     matched, totals, sims_by_order = [], [], []
     for n in NGRAM_ORDERS:
-        hits = total = 0
-        doc_freq: Counter = Counter()
-        counts = []
-        for item in items:
-            cand = _ngram_counts(item.candidate, n)
-            refs = [_ngram_counts(ref, n) for ref in item.references]
-            ceiling: dict = {}
-            for ref in refs:
-                for gram, cnt in ref.items():
-                    if cnt > ceiling.get(gram, 0):
-                        ceiling[gram] = cnt
-            hits += sum(min(cnt, ceiling.get(gram, 0)) for gram, cnt in cand.items())
-            total += sum(cand.values())
-            doc_freq.update(ceiling.keys())
-            counts.append((cand, refs))
-        matched.append(hits)
-        totals.append(total)
-        sims_by_order.append(_similarities(counts, doc_freq, len(items)))
+        if n > 1:  # an n-gram is the code of its first n-1 tokens and its last token;
+            # keys stay below (token count) ** 2, far inside int64
+            keep = starts + (n - 1) < end_of[starts]
+            starts = starts[keep]
+            codes, n_codes = _dense(codes[keep] * len(ids) + tokens[starts + (n - 1)])
+        # one row per distinct (sentence, gram), sorted by sentence
+        pair_keys = np.sort(sent_of[starts] * n_codes + codes)
+        first = np.flatnonzero(_run_starts(pair_keys))
+        counts = np.diff(np.append(first, len(pair_keys)))
+        sent, gram = np.divmod(pair_keys[first], n_codes)
+        image_keys = image_of[sent] * n_codes + gram
+        ref = is_ref[sent]
+        # the reference ceiling of each (image, gram): its largest count in one reference
+        order = np.argsort(image_keys[ref], kind="stable")
+        ref_keys = image_keys[ref][order]
+        runs = np.flatnonzero(_run_starts(ref_keys))
+        ceiling_keys = ref_keys[runs]
+        # (runs is empty when no reference is n tokens long: nothing to reduce)
+        ceilings = np.maximum.reduceat(counts[ref][order], runs) if len(runs) else runs
+        cand_keys, cand_counts = image_keys[~ref], counts[~ref]
+        at, found = _find(ceiling_keys, cand_keys)
+        matched.append(int(np.minimum(cand_counts[found], ceilings[at[found]]).sum()))
+        totals.append(int(cand_counts.sum()))
+        # images whose references hold the gram; a candidate gram in none counts as in one
+        doc_freq = np.maximum(np.bincount(gram[ref][order][runs], minlength=n_codes), 1)
+        idf = np.array([0.0] + [math.log(m / df) for df in range(1, int(doc_freq.max(initial=1)) + 1)])
+        weights = counts * idf[doc_freq[gram]]
+        norms = np.sqrt(_group_fsums(weights * weights, _offsets(sent, len(sentences))))
+        at, found = _find(cand_keys, image_keys[ref])
+        products = weights[~ref][at[found]] * weights[ref][found]
+        dots = _group_fsums(products, _offsets(sent[ref][found], len(sentences)))[ref_sents]
+        cand_norms, ref_norms = norms[cand_of_ref], norms[ref_sents]
+        both = (cand_norms != 0.0) & (ref_norms != 0.0)
+        sims = np.zeros(len(ref_sents))
+        sims[both] = dots[both] / (cand_norms[both] * ref_norms[both])
+        sims_by_order.append(_group_fsums(sims, ref_offsets) / n_refs)
     c = sum(len(item.candidate) for item in items)
     r = sum(_closest_reference_length(item) for item in items)
-    image_scores = [math.fsum(sims) / len(NGRAM_ORDERS) for sims in zip(*sims_by_order)]
-    return _bleu(matched, totals, c, r), math.fsum(image_scores) / len(items)
+    image_scores = [math.fsum(sims) / len(NGRAM_ORDERS) for sims in zip(*(s.tolist() for s in sims_by_order))]
+    return _bleu(matched, totals, c, r), math.fsum(image_scores) / m
 
 
 def cider(corpus: CorpusEval) -> float:

@@ -347,6 +347,28 @@ class TrainResult:
     best_epoch: int
 
 
+def training_languages(split: DatasetSplit, config: TrainConfig) -> list[str]:
+    """The languages ``run_training`` trains on.
+
+    Raises ValueError unless the split has training images and both training
+    and validation captions in those languages.
+    """
+    if not split.train:
+        raise ValueError("run_training: empty training split")
+    languages = (
+        list(config.languages)
+        if config.languages is not None
+        else sorted({c.language for r in split.train for c in r.captions})
+    )
+    if not languages:
+        raise ValueError("run_training: no languages found in the training split")
+    if not any(c.language in languages for r in split.val for c in r.captions):
+        raise ValueError(f"run_training: no validation captions in languages {languages}")
+    if not any(c.language in languages for r in split.train for c in r.captions):
+        raise ValueError(f"run_training: no captions in languages {languages}")
+    return languages
+
+
 def run_training(
     split: DatasetSplit,
     config: TrainConfig,
@@ -361,17 +383,7 @@ def run_training(
     called with the parameters and vocabulary after every epoch; the
     returned parameters are a copy of the best epoch, not the last.
     """
-    if not split.train:
-        raise ValueError("run_training: empty training split")
-    languages = (
-        list(config.languages)
-        if config.languages is not None
-        else sorted({c.language for r in split.train for c in r.captions})
-    )
-    if not languages:
-        raise ValueError("run_training: no languages found in the training split")
-    if not any(c.language in languages for r in split.val for c in r.captions):
-        raise ValueError(f"run_training: no validation captions in languages {languages}")
+    languages = training_languages(split, config)
     corpus = corpus_from_records(split.train, languages)
     vocab = build_vocab(corpus, config.min_count)
     feature_dim = int(split.train[0].feature.size)
@@ -380,8 +392,6 @@ def run_training(
     adam = AdamState.for_params(params)
     shuffle_rng = substream(config.seed, "shuffle")
     examples = examples_from_records(split.train, vocab, languages)
-    if not examples:
-        raise ValueError(f"run_training: no captions in languages {languages}")
     history: list[EpochStats] = []
     best_epoch, best_score, best_arrays = -1, -np.inf, {}
     for epoch in range(config.epochs):

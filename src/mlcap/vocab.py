@@ -31,6 +31,8 @@ class Vocabulary:
     def __init__(self, tokens: Sequence[str], languages: Sequence[str]):
         tokens = list(tokens)
         languages = list(languages)
+        if not all(isinstance(x, str) for x in tokens + languages):
+            raise ValueError("vocabulary tokens and languages must be strings")
         if languages != sorted(languages) or len(set(languages)) != len(languages):
             raise ValueError("languages must be unique and sorted")
         expected = [PAD_TOKEN, UNK_TOKEN, EOS_TOKEN] + [start_token(l) for l in languages]

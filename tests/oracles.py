@@ -5,14 +5,18 @@ Written independently of the library code, favoring obviousness over speed:
 explicit loops, plain dicts, no shared helpers. ``forward_sequence`` restates
 the decoder in plain numpy; the decoders share only the model's
 ``step_distribution`` with the library, since that is what they search over.
+``reference_score`` differs in purpose: it is the per-sentence ``Counter``
+form of the metric table, with the same rounding, so it checks exactness.
 If the library and these disagree, trust neither and recount by hand.
 """
 
 import math
+from collections import Counter
 from typing import NamedTuple
 
 import numpy as np
 
+from mlcap.metrics import MetricReport
 from mlcap.model import LstmState, step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID
 
@@ -115,7 +119,65 @@ def _cosine(u, v):
     return dot / (nu * nv)
 
 
-def random_corpus(rng, n_images=None, vocab=("the", "cat", "sat", "on", "mat", "dog", "ran")):
+def reference_score(corpus):
+    """``evaluate_corpus``'s report from per-sentence ``Counter`` tables.
+
+    The dict-based counting that the array table in ``mlcap.metrics``
+    replaced, kept as its exactness oracle: the same products, each group
+    summed with ``math.fsum``, so the library must match it bit for bit.
+    """
+    items = corpus.items
+    m = len(items)
+    matched, totals, sims_by_order = [], [], []
+    for n in range(1, 5):
+        hits = total = 0
+        doc_freq = Counter()
+        counts = []
+        for item in items:
+            cand = Counter(tuple(item.candidate[i : i + n]) for i in range(len(item.candidate) - n + 1))
+            refs = [Counter(tuple(ref[i : i + n]) for i in range(len(ref) - n + 1)) for ref in item.references]
+            ceiling = {}
+            for ref in refs:
+                for gram, cnt in ref.items():
+                    ceiling[gram] = max(cnt, ceiling.get(gram, 0))
+            hits += sum(min(cnt, ceiling.get(gram, 0)) for gram, cnt in cand.items())
+            total += sum(cand.values())
+            doc_freq.update(ceiling.keys())
+            counts.append((cand, refs))
+        matched.append(hits)
+        totals.append(total)
+        idf = {gram: math.log(m / df) for gram, df in doc_freq.items()}
+        sims = []
+        for cand, refs in counts:
+            cand_vec = {gram: cnt * idf.get(gram, math.log(m)) for gram, cnt in cand.items()}
+            cand_norm = math.sqrt(math.fsum([x * x for x in cand_vec.values()]))
+            per_ref = []
+            for ref in refs:
+                ref_vec = {gram: cnt * idf[gram] for gram, cnt in ref.items()}
+                ref_norm = math.sqrt(math.fsum([x * x for x in ref_vec.values()]))
+                dot = math.fsum([x * ref_vec[gram] for gram, x in cand_vec.items() if gram in ref_vec])
+                per_ref.append(dot / (cand_norm * ref_norm) if cand_norm and ref_norm else 0.0)
+            sims.append(math.fsum(per_ref) / len(per_ref))
+        sims_by_order.append(sims)
+    c = sum(len(item.candidate) for item in items)
+    r = sum(
+        min((len(ref) for ref in item.references), key=lambda L: (abs(L - len(item.candidate)), L))
+        for item in items
+    )
+    bleu = [0.0] * 4
+    if c:
+        brevity = 1.0 if c >= r else math.exp(1.0 - r / c)
+        log_precision_sum = 0.0
+        for k in range(4):
+            if matched[k] == 0:
+                break
+            log_precision_sum += math.log(matched[k] / totals[k])
+            bleu[k] = brevity * math.exp(log_precision_sum / (k + 1))
+    image_scores = [math.fsum(sims) / 4 for sims in zip(*sims_by_order)]
+    return MetricReport(*bleu, cider=math.fsum(image_scores) / m, images=m, candidate_tokens=c)
+
+
+def random_corpus(rng, n_images=None,vocab=("the", "cat", "sat", "on", "mat", "dog", "ran")):
     """A random evaluation corpus as (candidate, references) pairs."""
     if n_images is None:
         n_images = int(rng.integers(1, 6))

@@ -171,6 +171,15 @@ class TestTrain:
         assert "no validation captions" in capsys.readouterr().err
         assert not list(out.glob("*.ckpt"))
 
+    @pytest.mark.parametrize("extra", [["--split", "30,0,5"], ["--split", "30,5,5", "--langs", "xx"]])
+    def test_refused_run_leaves_no_out_directory(self, workdir, tmp_path, extra):
+        out = tmp_path / "r"
+        code = main(
+            ["train", "--data", str(workdir["data"]), "--out", str(out), "--epochs", "1", "--min-count", "1"] + extra
+        )
+        assert code == EXIT_DATA
+        assert not out.exists()
+
     def test_bad_config_is_usage_error(self, workdir, tmp_path):
         code = main(
             ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "r"), "--epochs", "0"]
@@ -284,6 +293,15 @@ class TestCaption:
         )
         assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
         assert "dims.hidden must be a positive int, got 10.0" in capsys.readouterr().err
+
+    def test_non_string_vocabulary_token_is_data_error(self, workdir, tmp_path, capsys):
+        bad = tmp_path / "int_token.ckpt"
+        rewrite_checkpoint_header(
+            workdir["run"] / "best.ckpt", bad, lambda header: header["vocab"]["tokens"].__setitem__(-1, 5)
+        )
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "tokens and languages must be strings" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_non_object_config_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "list_config.ckpt"

@@ -268,6 +268,21 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="vocabulary tokens but dims.vocab"):
             load_checkpoint(bad)
 
+    def test_non_string_vocabulary_token_refused(self, tmp_path):
+        _, _, _, path = self.roundtrip(tmp_path)
+        bad = tmp_path / "int_token.ckpt"
+        rewrite_checkpoint_header(path, bad, lambda header: header["vocab"]["tokens"].__setitem__(-1, 5))
+        with pytest.raises(CheckpointError, match="tokens and languages must be strings"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("epoch", [2.7, True, -1, "3"])
+    def test_epoch_must_be_a_non_negative_int(self, tmp_path, epoch):
+        _, _, _, path = self.roundtrip(tmp_path)
+        bad = tmp_path / "epoch.ckpt"
+        rewrite_checkpoint_header(path, bad, lambda header: header.update(epoch=epoch))
+        with pytest.raises(CheckpointError, match="epoch must be an integer >= 0"):
+            load_checkpoint(bad)
+
     def test_array_shape_must_follow_dims(self, tmp_path):
         _, _, _, path = self.roundtrip(tmp_path)
         ckpt = load_checkpoint(path)

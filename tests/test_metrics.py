@@ -1,16 +1,13 @@
 """Metric tests: hand-counted cases and brute-force oracle equivalence."""
 
-from collections import Counter
-
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlcap import metrics
 from mlcap.metrics import NGRAM_ORDERS, CorpusEval, EvalItem, cider, evaluate_corpus
-from oracles import naive_bleu, naive_cider, random_corpus
+from oracles import naive_bleu, naive_cider, random_corpus, reference_score
 
 
 def corpus_of(pairs):
@@ -128,21 +125,55 @@ class TestOnePass:
         assert report.images == len(items)
         assert report.candidate_tokens == sum(len(cand) for cand, _ in items)
 
-    @pytest.mark.parametrize("score", [evaluate_corpus, cider])
-    def test_each_sentence_is_counted_once_per_order(self, monkeypatch, score):
-        calls = Counter()
-        count = metrics._ngram_counts
 
-        def counting(tokens, n):
-            calls[tuple(tokens), n] += 1
-            return count(tokens, n)
+def report_bits(report):
+    """Every report field, floats as their exact hex form."""
+    return {k: v.hex() if isinstance(v, float) else v for k, v in report.as_dict().items()}
 
-        monkeypatch.setattr(metrics, "_ngram_counts", counting)
-        items = random_corpus(np.random.default_rng(31), n_images=6)
-        items.append((["the", "cat"], [["the", "cat"], ["the", "cat"]]))  # repeats count apart
-        score(corpus_of(items))
-        sentences = Counter(tuple(s) for cand, refs in items for s in [cand, *refs])
-        assert calls == Counter({(s, n): k for s, k in sentences.items() for n in NGRAM_ORDERS})
+
+@st.composite
+def scoring_corpora(draw):
+    """Corpora with the edge cases of the count table: empty candidates,
+    references shorter than every order, repeated sentences within an image,
+    single images, and (with ``shared``) grams in every image's references,
+    whose idf is zero."""
+    shared = draw(st.lists(WORDS, min_size=1, max_size=3)) if draw(st.booleans()) else []
+    items = []
+    for _ in range(draw(st.integers(1, 5))):
+        candidate = draw(st.lists(WORDS, max_size=7))
+        references = draw(st.lists(st.lists(WORDS, max_size=7), min_size=1, max_size=3))
+        if draw(st.booleans()):
+            references.append(list(references[0]))
+        if draw(st.booleans()):
+            references.append(list(candidate))
+        references[0] = shared + references[0]
+        items.append((candidate, references))
+    return items
+
+
+class TestExactness:
+    """The array table sums every group with ``math.fsum`` and takes one
+    ``math.log`` per document frequency, so it matches the per-sentence
+    ``Counter`` computation bit for bit, not just within a tolerance."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(items=scoring_corpora())
+    @example(items=[([], [[]])])
+    @example(items=[(["a"], [[], []]), ([], [["a"]])])
+    @example(items=[(["a", "a", "a"], [["a", "a", "a"], ["a", "a", "a"]])])
+    @example(items=[(["x", "y"], [["x", "y"]]), (["x", "y"], [["x", "y"]])])
+    def test_every_field_equals_the_counter_reference(self, items):
+        corpus = corpus_of(items)
+        report = evaluate_corpus(corpus)
+        assert report_bits(report) == report_bits(reference_score(corpus))
+        assert cider(corpus) == report.cider
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_large_corpora_equal_the_counter_reference(self, seed):
+        rng = np.random.default_rng(500 + seed)
+        words = tuple(f"w{i}" for i in range(40))
+        corpus = corpus_of(random_corpus(rng, n_images=150, vocab=words))
+        assert report_bits(evaluate_corpus(corpus)) == report_bits(reference_score(corpus))
 
 
 class TestInvariances:
