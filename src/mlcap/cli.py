@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -247,8 +248,8 @@ def cmd_caption(args) -> int:
     records = load_dataset(args.data, require_captions=False)
     # load_dataset guarantees one feature width per file
     width = records[0].feature.size
-    if width != ckpt.dims.feature:
-        raise DatasetError(f"feature width {width} does not match model width {ckpt.dims.feature}")
+    if width != params.dims.feature:
+        raise DatasetError(f"feature width {width} does not match model width {params.dims.feature}")
     if ckpt.config.get("feature_l2norm"):
         records = l2_normalize_records(records)
     out = Path(args.out)
@@ -333,8 +334,8 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    if args.tolerance <= 0:
-        raise UsageError("--tolerance must be positive")
+    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
+        raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance:g}")
     failures = 0
     for name, func, inputs in gradcheck.battery(args.seed):
         err = gradcheck.gradient_check(func, inputs)

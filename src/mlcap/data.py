@@ -1,23 +1,28 @@
 """Dataset I/O, splitting, checkpoint serialization, synthetic data.
 
 Datasets are JSON Lines: one object per image with an ``image_id``, a fixed
-width ``feature`` vector, and a ``captions`` list of ``{lang, tokens}``
-objects. Checkpoints are a single binary file: the ``MLCAP1`` magic, an
-8-byte little-endian header length, a JSON header (dimensions, vocabulary,
-array manifest, training config, epoch), then the raw little-endian float64
-array bytes concatenated in manifest order. Round trips are bit-exact.
+width ``feature`` vector of JSON numbers, and a ``captions`` list of
+``{lang, tokens}`` objects; tokens are non-empty and hold no whitespace.
+Checkpoints are a single binary file: the ``MLCAP1`` magic, an 8-byte
+little-endian header length, a JSON header (dimensions, vocabulary, array
+manifest, training config, epoch), then the raw little-endian float64 array
+bytes in manifest order. A ``Checkpoint`` holds the ``ModelParams`` it was
+given, not copies; loading checks every length against the file size, then
+streams each array into its own buffer. Round trips are bit-exact.
 """
 
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import PARAM_ORDER, Dims, ModelParams, param_shapes
+from .model import Dims, ModelParams, param_shapes
 from .vocab import Vocabulary
 
 MAGIC = b"MLCAP1"
@@ -63,6 +68,10 @@ def _parse_captions(raw, where: str, lowercase: bool) -> tuple[Caption, ...]:
         tokens = entry.get("tokens")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DatasetError(f"{where}: captions[{j}] needs 'tokens' as a list of strings")
+        # captions are written space-joined and read back split on whitespace
+        bad = [t for t in tokens if t.split() != [t]]
+        if bad:
+            raise DatasetError(f"{where}: captions[{j}] tokens must be non-empty and hold no whitespace, got {bad[0]!r}")
         if lowercase:
             tokens = [t.lower() for t in tokens]
         captions.append(Caption(entry["lang"], tuple(tokens)))
@@ -72,8 +81,9 @@ def _parse_captions(raw, where: str, lowercase: bool) -> tuple[Caption, ...]:
 def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True) -> list[ImageRecord]:
     """Read and validate a JSONL dataset.
 
-    Feature width must be uniform across the file; image ids must be
-    unique. With ``require_captions`` off (caption-generation inputs),
+    Features must be finite JSON numbers, one width across the file; image
+    ids must be unique; caption tokens must be non-empty strings without
+    whitespace. With ``require_captions`` off (caption-generation inputs),
     records may omit captions entirely.
     """
     records: list[ImageRecord] = []
@@ -85,7 +95,7 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
                 continue
             where = f"{path}:{lineno}"
             try:
-                obj = json.loads(line)
+                obj = json.loads(line, parse_int=float)  # an integer past the float range reads as inf
             except json.JSONDecodeError as exc:
                 raise DatasetError(f"{where}: invalid JSON ({exc.msg})") from exc
             if not isinstance(obj, dict):
@@ -99,12 +109,11 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
             raw_feature = obj.get("feature")
             if not isinstance(raw_feature, list) or not raw_feature:
                 raise DatasetError(f"{where}: image_id {image_id!r} needs a non-empty 'feature' list")
-            try:
-                feature = np.asarray(raw_feature, dtype=np.float64)
-            except (TypeError, ValueError) as exc:
-                raise DatasetError(f"{where}: image_id {image_id!r} has a non-numeric feature") from exc
-            if feature.ndim != 1 or not np.isfinite(feature).all():
-                raise DatasetError(f"{where}: image_id {image_id!r} feature must be a flat finite vector")
+            if not all(type(x) is float for x in raw_feature):
+                raise DatasetError(f"{where}: image_id {image_id!r} has a non-numeric feature")
+            feature = np.asarray(raw_feature, dtype=np.float64)
+            if not np.isfinite(feature).all():
+                raise DatasetError(f"{where}: image_id {image_id!r} feature must be finite")
             if feature_dim is None:
                 feature_dim = feature.size
             elif feature.size != feature_dim:
@@ -192,34 +201,33 @@ def split_dataset(records: Sequence[ImageRecord], parts, seed) -> DatasetSplit:
 
 @dataclass
 class Checkpoint:
-    """A trained model snapshot: arrays in declared order plus metadata."""
+    """A trained model snapshot: the ``ModelParams`` it was given (the arrays
+    themselves, not copies) plus vocabulary, training config and epoch."""
 
-    dims: Dims
+    params: ModelParams
     vocab: Vocabulary
-    arrays: dict[str, np.ndarray]
     config: dict
     epoch: int
 
 
 def checkpoint_from_model(params: ModelParams, vocab: Vocabulary, config: dict, epoch: int) -> Checkpoint:
-    arrays = {name: array.copy() for name, array in params.named_parameters()}
-    return Checkpoint(params.dims, vocab, arrays, dict(config), int(epoch))
+    """A checkpoint holding ``params`` itself; save it before the arrays change."""
+    return Checkpoint(params, vocab, dict(config), int(epoch))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
-    missing = [name for name in PARAM_ORDER if name not in ckpt.arrays]
-    if missing:
-        raise CheckpointError(f"checkpoint is missing arrays: {missing}")
-    return ModelParams(ckpt.dims, **{name: ckpt.arrays[name].copy() for name in PARAM_ORDER})
+    """The checkpoint's own ``ModelParams``, not a copy."""
+    return ckpt.params
 
 
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
+    named = ckpt.params.named_parameters()
     header = {
         "format": MAGIC.decode("ascii"),
         "version": FORMAT_VERSION,
-        "dims": asdict(ckpt.dims),
+        "dims": asdict(ckpt.params.dims),
         "vocab": {"tokens": list(ckpt.vocab.id_to_token), "languages": list(ckpt.vocab.languages)},
-        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in ckpt.arrays.items()],
+        "arrays": [{"name": name, "shape": list(arr.shape)} for name, arr in named],
         "config": ckpt.config,
         "epoch": ckpt.epoch,
     }
@@ -228,70 +236,69 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)
-        for arr in ckpt.arrays.values():
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+        for _, arr in named:
+            fh.write(np.ascontiguousarray(arr, dtype="<f8"))  # the array's own buffer when it is already <f8
 
 
 def load_checkpoint(path) -> Checkpoint:
+    """Check every declared length against the file size before reading or
+    allocating anything, then read each array from the file into its own buffer."""
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if blob[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
-    offset = len(MAGIC)
-    if len(blob) < offset + 8:
-        raise CheckpointError(f"{path}: truncated before header length")
-    (header_len,) = struct.unpack_from("<Q", blob, offset)
-    offset += 8
-    if len(blob) < offset + header_len:
-        raise CheckpointError(f"{path}: truncated inside header")
-    try:
-        header = json.loads(blob[offset : offset + header_len].decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-        raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
-    if not isinstance(header, dict):
-        raise CheckpointError(f"{path}: header must be a JSON object")
-    offset += header_len
-    if header.get("version") != FORMAT_VERSION:
-        raise CheckpointError(
-            f"{path}: format version {header.get('version')!r} unsupported (expected {FORMAT_VERSION})"
-        )
-    try:
-        dims = Dims(**header["dims"])
-        vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["languages"])
-        manifest = header["arrays"]
-        config = header["config"]
-        epoch = header["epoch"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"{path}: invalid header fields ({exc})") from exc
-    if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
-        raise CheckpointError(f"{path}: header epoch must be an integer >= 0, got {epoch!r}")
-    if not isinstance(config, dict):
-        raise CheckpointError(f"{path}: header config must be a JSON object, got {type(config).__name__}")
-    if len(vocab) != dims.vocab:
-        raise CheckpointError(f"{path}: header lists {len(vocab)} vocabulary tokens but dims.vocab is {dims.vocab}")
-    expected = param_shapes(dims)
-    try:
-        listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest]
-    except (KeyError, TypeError) as exc:
-        raise CheckpointError(f"{path}: invalid array manifest ({exc!r})") from exc
-    if listed != list(expected.items()):
-        raise CheckpointError(
-            f"{path}: array manifest {listed} does not match the arrays of {dims}: {list(expected.items())}"
-        )
-    arrays: dict[str, np.ndarray] = {}
-    for name, shape in listed:
-        count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        nbytes = count * 8
-        if len(blob) < offset + nbytes:
-            raise CheckpointError(f"{path}: truncated inside array {name!r}")
-        flat = np.frombuffer(blob, dtype="<f8", count=count, offset=offset)
-        arrays[name] = flat.astype(np.float64).reshape(shape)
-        if not np.isfinite(arrays[name]).all():
-            raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
-        offset += nbytes
-    if offset != len(blob):
-        raise CheckpointError(f"{path}: {len(blob) - offset} trailing bytes after arrays")
-    return Checkpoint(dims, vocab, arrays, config, epoch)
+        size = os.fstat(fh.fileno()).st_size
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint (bad magic)")
+        length = fh.read(8)
+        if len(length) < 8:
+            raise CheckpointError(f"{path}: truncated before header length")
+        (header_len,) = struct.unpack("<Q", length)
+        if header_len > size - fh.tell():
+            raise CheckpointError(f"{path}: truncated inside header")
+        try:
+            header = json.loads(fh.read(header_len).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header must be a JSON object")
+        if header.get("version") != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: format version {header.get('version')!r} unsupported (expected {FORMAT_VERSION})")
+        try:
+            dims = Dims(**header["dims"])
+            vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["languages"])
+            manifest = header["arrays"]
+            config = header["config"]
+            epoch = header["epoch"]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CheckpointError(f"{path}: invalid header fields ({exc})") from exc
+        if isinstance(epoch, bool) or not isinstance(epoch, int) or epoch < 0:
+            raise CheckpointError(f"{path}: header epoch must be an integer >= 0, got {epoch!r}")
+        if not isinstance(config, dict):
+            raise CheckpointError(f"{path}: header config must be a JSON object, got {type(config).__name__}")
+        if len(vocab) != dims.vocab:
+            raise CheckpointError(f"{path}: header lists {len(vocab)} vocabulary tokens but dims.vocab is {dims.vocab}")
+        expected = param_shapes(dims)
+        try:
+            listed = [(entry["name"], tuple(entry["shape"])) for entry in manifest]
+        except (KeyError, TypeError) as exc:
+            raise CheckpointError(f"{path}: invalid array manifest ({exc!r})") from exc
+        if listed != list(expected.items()):
+            raise CheckpointError(
+                f"{path}: array manifest {listed} does not match the arrays of {dims}: {list(expected.items())}"
+            )
+        end = fh.tell()
+        for name, shape in expected.items():
+            end += 8 * math.prod(shape)
+            if end > size:
+                raise CheckpointError(f"{path}: truncated inside array {name!r}")
+        if end != size:
+            raise CheckpointError(f"{path}: {size - end} trailing bytes after arrays")
+        arrays = {}
+        for name, shape in expected.items():
+            array = arrays[name] = np.empty(shape, dtype="<f8")
+            if fh.readinto(array) != array.nbytes:  # the file shrank since fstat
+                raise CheckpointError(f"{path}: truncated inside array {name!r}")
+            if not np.isfinite(array).all():
+                raise CheckpointError(f"{path}: array {name!r} holds non-finite values")
+    return Checkpoint(ModelParams(dims, **arrays), vocab, config, epoch)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ from mlcap.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_OK, EXIT_US
 from mlcap.data import load_checkpoint, load_dataset, model_from_checkpoint, save_checkpoint, save_dataset
 from mlcap.vocab import EOS_ID
 from oracles import forward_sequence
-from tinymodels import rewrite_checkpoint_header
+from tinymodels import claim_dims, rewrite_checkpoint_header
 
 
 @pytest.fixture(scope="module")
@@ -130,7 +130,7 @@ class TestTrain:
     def test_checkpoint_restores_a_working_model(self, workdir):
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
         params = model_from_checkpoint(ckpt)
-        feature = np.zeros(ckpt.dims.feature)
+        feature = np.zeros(params.dims.feature)
         trace = forward_sequence(feature, (EOS_ID,), ckpt.vocab.start_id("en"), params)
         assert len(trace.distributions) == 1
 
@@ -263,7 +263,7 @@ class TestCaption:
 
     def test_non_finite_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
-        ckpt.arrays["w_out"][:] = np.nan
+        ckpt.params.w_out[:] = np.nan
         bad = tmp_path / "nan.ckpt"
         save_checkpoint(bad, ckpt)
         assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
@@ -336,11 +336,39 @@ class TestCaption:
 
     def test_array_shape_disagreeing_with_dims_is_data_error(self, workdir, tmp_path, capsys):
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
-        ckpt.arrays["w_out"] = np.zeros((ckpt.dims.hidden + 1, ckpt.dims.vocab))
+        ckpt.params.w_out = np.zeros((ckpt.params.dims.hidden + 1, ckpt.params.dims.vocab))
         bad = tmp_path / "shape.ckpt"
         save_checkpoint(bad, ckpt)
         assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
         assert "does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("forge", ["truncated", "header_length", "huge_dims"])
+    def test_forged_lengths_are_data_errors(self, workdir, tmp_path, capsys, forge):
+        best = workdir["run"] / "best.ckpt"
+        blob = best.read_bytes()
+        bad = tmp_path / "forged.ckpt"
+        if forge == "truncated":
+            bad.write_bytes(blob[: len(blob) // 2])
+        elif forge == "header_length":
+            bad.write_bytes(blob[:6] + (2**63 - 1).to_bytes(8, "little") + blob[14:])
+        else:
+            rewrite_checkpoint_header(best, bad, lambda header: claim_dims(header, hidden=10**400))
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "truncated inside" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["forged.ckpt"]
+
+    def test_non_number_feature_is_data_error(self, workdir, tmp_path, capsys):
+        data = tmp_path / "strings.jsonl"
+        data.write_text('{"image_id": "i0", "feature": ["1.5", true, 2]}\n')
+        code = main(
+            [
+                "caption", "--ckpt", str(workdir["run"] / "best.ckpt"), "--data", str(data),
+                "--out", str(tmp_path / "c"), "--lang", "en",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert "strings.jsonl:1: image_id 'i0' has a non-numeric feature" in capsys.readouterr().err
+        assert not (tmp_path / "c").exists()
 
     def test_missing_checkpoint_is_data_error(self, workdir, tmp_path):
         code = main(
@@ -407,6 +435,17 @@ class TestEvaluate:
         code = main(["evaluate", "--data", str(workdir["data"]), "--cands", str(bad), "--langs", "en"])
         assert code == EXIT_DATA
 
+    def test_reference_token_holding_whitespace_is_data_error(self, tmp_path, capsys):
+        # "New York" as one token cannot match a caption read back split on
+        # whitespace, so the exact caption would score BLEU-2..4 of zero
+        data = tmp_path / "refs.jsonl"
+        row = {"image_id": "i0", "feature": [0.0], "captions": [{"lang": "en", "tokens": ["a", "New York", "cab"]}]}
+        data.write_text(json.dumps(row) + "\n")
+        cands = tmp_path / "cands.tsv"
+        cands.write_text("i0\ta New York cab\n")
+        assert main(["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en"]) == EXIT_DATA
+        assert "refs.jsonl:1: captions[0] tokens must be non-empty and hold no whitespace" in capsys.readouterr().err
+
     def test_identity_corpus_scores_one_everywhere(self, tmp_path, capsys):
         # two images with disjoint four-token captions: every n-gram order
         # has a nonzero tf-idf vector, so exact candidates are perfect
@@ -438,6 +477,12 @@ class TestGradcheck:
 
     def test_seed_only_varies_op_inputs(self, capsys):
         assert main(["gradcheck", "--seed", "99"]) == EXIT_OK
+
+    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
+    def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
+        assert main(["gradcheck", "--tolerance", tolerance]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == "" and "--tolerance must be finite and positive" in err
 
 
 class TestParsing:

@@ -31,7 +31,7 @@ from mlcap.data import (
 from oracles import forward_sequence
 from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import build_vocab
-from tinymodels import random_params, rewrite_checkpoint_header
+from tinymodels import claim_dims, random_params, rewrite_checkpoint_header
 
 
 def write_jsonl(path, rows):
@@ -87,6 +87,32 @@ class TestLoadDataset:
         p.write_text(json.dumps(row).replace("NaN", "1e999") + "\n")
         with pytest.raises(DatasetError):
             load_dataset(p)
+
+    @pytest.mark.parametrize("entry", ['"1.5"', "true", "null", "[1.0]", "{}"])
+    def test_non_number_feature_entry_rejected(self, tmp_path, entry):
+        p = tmp_path / "d.jsonl"
+        row = json.dumps(good_row(1)).replace('"feature": [0.1, ', f'"feature": [{entry}, ')
+        p.write_text(json.dumps(good_row(0)) + "\n" + row + "\n")
+        with pytest.raises(DatasetError, match=r":2: image_id 'img-1' has a non-numeric feature"):
+            load_dataset(p)
+
+    def test_integer_beyond_float_range_rejected(self, tmp_path):
+        p = tmp_path / "d.jsonl"
+        row = good_row(0)
+        row["feature"] = [10**400, 1.0, 0.0]
+        write_jsonl(p, [row])
+        with pytest.raises(DatasetError, match=r":1: image_id 'img-0' feature must be finite"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("token", ["New York", "", "cab\n", "\u3000"])
+    def test_token_that_does_not_survive_a_whitespace_split_rejected(self, tmp_path, token):
+        # captions are written space-joined and read back split on whitespace
+        p = tmp_path / "d.jsonl"
+        row = good_row(0)
+        row["captions"][0]["tokens"] = ["a", token, "cab"]
+        write_jsonl(p, [good_row(1), row])
+        with pytest.raises(DatasetError, match=r":2: captions\[0\] tokens must be non-empty and hold no whitespace"):
+            load_dataset(p, require_captions=False)
 
     def test_missing_captions_rejected_unless_allowed(self, tmp_path):
         p = tmp_path / "d.jsonl"
@@ -180,10 +206,10 @@ class TestCheckpoint:
         params, vocab, config, path = self.roundtrip(tmp_path)
         loaded = load_checkpoint(path)
         assert loaded.epoch == 1 and loaded.config == config
-        assert loaded.vocab == vocab and loaded.dims == params.dims
-        for name, array in params.named_parameters():
-            assert loaded.arrays[name].tobytes() == array.tobytes()
+        assert loaded.vocab == vocab and loaded.params.dims == params.dims
         rebuilt = model_from_checkpoint(loaded)
+        for (name, array), (_, back) in zip(params.named_parameters(), rebuilt.named_parameters()):
+            assert back.dtype == np.float64 and back.tobytes() == array.tobytes(), name
         feature = np.ones(params.dims.feature)
         a = forward_sequence(feature, (3, 2), 3, params).distributions
         b = forward_sequence(feature, (3, 2), 3, rebuilt).distributions
@@ -205,9 +231,15 @@ class TestCheckpoint:
             path = Path(tmp) / "model.ckpt"
             save_checkpoint(path, checkpoint_from_model(params, vocab, {"seed": 1}, epoch))
             loaded = load_checkpoint(path)
-        assert (loaded.dims, loaded.vocab, loaded.config, loaded.epoch) == (params.dims, vocab, {"seed": 1}, epoch)
+        assert (loaded.params.dims, loaded.vocab, loaded.config, loaded.epoch) == (params.dims, vocab, {"seed": 1}, epoch)
         for name, array in model_from_checkpoint(loaded).named_parameters():
             assert array.tobytes() == drawn[name].tobytes(), name
+
+    def test_checkpoint_holds_the_given_arrays(self):
+        vocab = build_vocab([("en", ("a", "cat"))], min_count=1)
+        params = random_params(vocab=len(vocab), seed=2)
+        ckpt = checkpoint_from_model(params, vocab, {}, 0)
+        assert ckpt.params is params and model_from_checkpoint(ckpt) is params
 
     def test_rewrite_is_byte_identical(self, tmp_path):
         params, vocab, config, path = self.roundtrip(tmp_path)
@@ -229,6 +261,34 @@ class TestCheckpoint:
             p.write_bytes(blob[:cut])
             with pytest.raises(CheckpointError, match="truncated|magic"):
                 load_checkpoint(p)
+
+    def test_every_prefix_is_a_checkpoint_error(self, tmp_path):
+        _, _, _, path = self.roundtrip(tmp_path)
+        blob = path.read_bytes()
+        cut = tmp_path / "cut.ckpt"
+        for size in range(len(blob)):
+            cut.write_bytes(blob[:size])
+            with pytest.raises(CheckpointError):
+                load_checkpoint(cut)
+
+    @pytest.mark.parametrize("length", [2**63 - 1, 2**64 - 1])
+    def test_forged_header_length_refused(self, tmp_path, length):
+        _, _, _, path = self.roundtrip(tmp_path)
+        blob = path.read_bytes()
+        bad = tmp_path / "long_header.ckpt"
+        bad.write_bytes(blob[:6] + struct.pack("<Q", length) + blob[14:])
+        with pytest.raises(CheckpointError, match="truncated inside header"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize("width", [10**6, 10**10, 10**400], ids=["terabytes", "past-int64", "past-float"])
+    def test_consistent_dims_claiming_huge_arrays_refused(self, tmp_path, width):
+        # a tiny file whose header is self-consistent but declares arrays far
+        # larger than the file: refused before anything is allocated
+        _, _, _, path = self.roundtrip(tmp_path)
+        bad = tmp_path / "huge.ckpt"
+        rewrite_checkpoint_header(path, bad, lambda header: claim_dims(header, embed=width, hidden=width, feature=width))
+        with pytest.raises(CheckpointError, match="truncated inside array 'w_embed'"):
+            load_checkpoint(bad)
 
     def test_trailing_garbage_detected(self, tmp_path):
         _, _, _, path = self.roundtrip(tmp_path)
@@ -260,6 +320,15 @@ class TestCheckpoint:
         with pytest.raises(CheckpointError, match="manifest"):
             load_checkpoint(bad)
 
+    def test_float_manifest_shape_reads_the_shapes_dims_imply(self, tmp_path):
+        # [4.0, 16] == [4, 16] passes the manifest check, so the arrays take
+        # their shapes from dims rather than from the header's floats
+        params, _, _, path = self.roundtrip(tmp_path)
+        odd = tmp_path / "float_shape.ckpt"
+        rewrite_checkpoint_header(path, odd, lambda header: header["arrays"][4].update(shape=[4.0, 16.0]))
+        for (name, array), (_, back) in zip(params.named_parameters(), load_checkpoint(odd).params.named_parameters()):
+            assert back.shape == array.shape and back.tobytes() == array.tobytes(), name
+
     @pytest.mark.parametrize("edit", [list.pop, lambda tokens: tokens.append("zzz")], ids=["short", "long"])
     def test_vocabulary_length_must_follow_dims(self, tmp_path, edit):
         _, _, _, path = self.roundtrip(tmp_path)
@@ -286,7 +355,7 @@ class TestCheckpoint:
     def test_array_shape_must_follow_dims(self, tmp_path):
         _, _, _, path = self.roundtrip(tmp_path)
         ckpt = load_checkpoint(path)
-        ckpt.arrays["w_out"] = np.zeros((ckpt.dims.hidden, ckpt.dims.vocab + 1))
+        ckpt.params.w_out = np.zeros((ckpt.params.dims.hidden, ckpt.params.dims.vocab + 1))
         bad = tmp_path / "shape.ckpt"
         save_checkpoint(bad, ckpt)
         with pytest.raises(CheckpointError, match="w_out"):
@@ -295,18 +364,11 @@ class TestCheckpoint:
     def test_non_finite_array_refused(self, tmp_path):
         _, _, _, path = self.roundtrip(tmp_path)
         ckpt = load_checkpoint(path)
-        ckpt.arrays["b_gates"][3] = np.nan
+        ckpt.params.b_gates[3] = np.nan
         bad = tmp_path / "nan.ckpt"
         save_checkpoint(bad, ckpt)
         with pytest.raises(CheckpointError, match="'b_gates' holds non-finite"):
             load_checkpoint(bad)
-
-    def test_missing_array_refused(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        ckpt = load_checkpoint(path)
-        del ckpt.arrays["w_out"]
-        with pytest.raises(CheckpointError, match="w_out"):
-            model_from_checkpoint(ckpt)
 
 
 class TestSynth:

@@ -5,7 +5,7 @@ import struct
 
 import numpy as np
 
-from mlcap.model import Dims, ModelParams, init_params
+from mlcap.model import Dims, ModelParams, init_params, param_shapes
 from mlcap.trainer import Example
 from mlcap.vocab import EOS_ID
 
@@ -89,3 +89,10 @@ def rewrite_checkpoint_header(src, dst, edit):
     edit(header)
     text = json.dumps(header).encode("utf-8")
     dst.write_bytes(blob[:6] + struct.pack("<Q", len(text)) + text + blob[14 + length :])
+
+
+def claim_dims(header, **dims):
+    """A checkpoint header edit: new dims and the array manifest they imply."""
+    header["dims"].update(dims)
+    shapes = param_shapes(Dims(**header["dims"]))
+    header["arrays"] = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
