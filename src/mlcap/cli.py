@@ -2,9 +2,11 @@
 
 Subcommands: build-vocab, train, caption, evaluate, synth, gradcheck.
 Exit codes: 0 success, 2 usage error, 3 data validation error, 4 gradient
-check failure, 5 training diverged. Every command that writes an artifact
-also writes a manifest recording the resolved flags, so a run can be
-reproduced exactly.
+check failure, 5 training diverged. The parser converts and checks every
+flag value, so a bad one exits 2 before any file is read or written; train
+and caption take their defaults from ``TrainConfig`` and ``BeamConfig``.
+Every command that writes an artifact also writes a manifest recording the
+resolved flags, so a run can be reproduced exactly.
 """
 
 from __future__ import annotations
@@ -14,12 +16,15 @@ import json
 import math
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import __version__, gradcheck
+from .beam import BeamConfig
 from .data import (
     CheckpointError,
     DatasetError,
+    check_split,
     checkpoint_from_model,
     corpus_from_records,
     l2_normalize_records,
@@ -38,7 +43,7 @@ from .vocab import build_vocab
 
 
 class UsageError(ValueError):
-    """Bad flag values or flag combinations."""
+    """Flag facts the parser cannot see: counts that must agree, a language the checkpoint lacks."""
 
 
 EXIT_OK = 0
@@ -48,35 +53,55 @@ EXIT_GRADCHECK = 4
 EXIT_DIVERGED = 5
 
 
-def _add_seed(p):
-    p.add_argument("--seed", type=int, default=42, help="run seed (all rng streams derive from it)")
+def _checked(convert, ok, rule: str):
+    """An argparse type: ``convert`` the text, then refuse a value unless ``ok(value)``."""
+
+    def parse(text: str):
+        try:
+            value = convert(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {convert.__name__}, got {text!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"{rule}, got {text}")
+        return value
+
+    return parse
 
 
-def _add_langs(p):
-    p.add_argument("--langs", type=str, default=None, help="comma-separated language codes")
+_positive_int = _checked(int, lambda v: v >= 1, "must be >= 1")
+_seed = _checked(int, lambda v: v >= 0, "must be >= 0")
+_tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be finite and positive")
 
 
-def _parse_langs(value):
-    if value is None:
-        return None
-    langs = [x.strip() for x in value.split(",") if x.strip()]
-    if not langs:
-        raise UsageError("--langs must name at least one language code")
+def _langs(text: str) -> tuple[str, ...]:
+    """Comma-separated codes, each non-empty and without whitespace, as a dataset's ``lang`` must be."""
+    langs = [x.strip() for x in text.split(",")]
+    if any(x.split() != [x] for x in langs):
+        raise argparse.ArgumentTypeError(f"needs non-empty codes without whitespace, got {text!r}")
     if len(set(langs)) != len(langs):
-        raise UsageError(f"--langs repeats a language code: {value!r}")
-    return langs
+        raise argparse.ArgumentTypeError(f"repeats a language code: {text!r}")
+    return tuple(langs)
 
 
-def _parse_split(value):
-    parts = [x.strip() for x in value.split(",")]
-    if len(parts) != 3:
-        raise UsageError("--split needs three comma-separated values (train,val,test)")
+def _split(text: str) -> tuple:
+    """Three integer counts, or else three fractions (train,val,test)."""
+    parts = text.split(",")
     try:
-        if all("." not in p and "e" not in p.lower() for p in parts):
-            return tuple(int(p) for p in parts)
-        return tuple(float(p) for p in parts)
+        try:
+            numbers = [int(p) for p in parts]
+        except ValueError:
+            numbers = [float(p) for p in parts]
+        return check_split(numbers)
     except ValueError as exc:
-        raise UsageError(f"--split values must all be numbers: {value!r}") from exc
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _add_seed(p):
+    p.add_argument("--seed", type=_seed, default=TrainConfig.seed, help="run seed (all rng streams derive from it)")
+
+
+def _add_langs(p, dest="langs"):
+    p.add_argument("--langs", dest=dest, metavar="LANGS", type=_langs, help="comma-separated language codes")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -87,28 +112,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("build-vocab", help="build and write the token table")
     p.add_argument("--data", required=True, help="JSONL dataset")
     p.add_argument("--out", required=True, help="output listing path")
-    p.add_argument("--min-count", type=int, default=5, help="minimum token frequency")
+    p.add_argument("--min-count", type=_positive_int, default=TrainConfig.min_count, help="minimum token frequency")
     p.add_argument("--lowercase", action="store_true", help="lowercase caption tokens")
     _add_langs(p)
 
+    # dests are TrainConfig's field names, so cmd_train builds the config from them
     p = sub.add_parser("train", help="train a caption model")
     p.add_argument("--data", required=True, help="JSONL dataset")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--split", default="0.8,0.1,0.1", help="train,val,test counts or fractions")
-    p.add_argument("--epochs", type=int, default=40)
-    p.add_argument("--batch", type=int, default=128)
-    p.add_argument("--hidden", type=int, default=512)
-    p.add_argument("--embed", type=int, default=512)
-    p.add_argument("--min-count", type=int, default=5)
-    p.add_argument("--beam", type=int, default=5, help="beam width recorded for generation")
-    p.add_argument("--val-beam", type=int, default=1, help="beam width for per-epoch validation")
-    p.add_argument("--max-len", type=int, default=30)
-    p.add_argument("--loss-sum", action="store_true", help="optimize the raw summed loss")
+    p.add_argument("--split", type=_split, default="0.8,0.1,0.1", help="train,val,test counts or fractions")
+    p.add_argument("--epochs", type=_positive_int, default=TrainConfig.epochs)
+    p.add_argument("--batch", dest="batch_size", metavar="BATCH", type=_positive_int, default=TrainConfig.batch_size)
+    p.add_argument("--hidden", type=_positive_int, default=TrainConfig.hidden)
+    p.add_argument("--embed", type=_positive_int, default=TrainConfig.embed)
+    p.add_argument("--min-count", type=_positive_int, default=TrainConfig.min_count)
+    p.add_argument("--val-beam", type=_positive_int, default=TrainConfig.val_beam, help="validation beam width")
+    p.add_argument("--max-len", type=_positive_int, default=TrainConfig.max_len)
+    p.add_argument("--loss-sum", dest="loss_mode", action="store_const", const="sum",
+                   default=TrainConfig.loss_mode, help="optimize the raw summed loss")
     p.add_argument("--clip", action="store_true", help="clip gradients to global norm 5.0")
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--feature-l2norm", action="store_true", help="unit-normalize features")
     p.add_argument("--best-only", action="store_true", help="skip per-epoch checkpoints")
-    _add_langs(p)
+    _add_langs(p, dest="languages")
     _add_seed(p)
 
     p = sub.add_parser("caption", help="decode captions for a feature file")
@@ -119,87 +145,64 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--out", required=True, help="output TSV path")
     p.add_argument("--lang", required=True, help="language to decode")
-    p.add_argument("--beam", type=int, default=5)
-    p.add_argument("--max-len", type=int, default=30)
+    p.add_argument("--beam", type=_positive_int, default=BeamConfig.width)
+    p.add_argument("--max-len", type=_positive_int, default=BeamConfig.max_len)
     p.add_argument("--length-norm", action="store_true", help="rank by logprob per token")
 
     p = sub.add_parser("evaluate", help="score candidate captions against references")
     p.add_argument("--data", required=True, help="JSONL reference dataset")
     p.add_argument("--cands", required=True, help="comma-separated candidate TSV paths")
     p.add_argument("--out", default=None, help="optional JSON report path")
-    p.add_argument("--lowercase", action="store_true")
+    p.add_argument("--lowercase", action="store_true", help="lowercase reference and candidate tokens")
     _add_langs(p)
 
     p = sub.add_parser("synth", help="generate the synthetic shapes dataset")
     p.add_argument("--out", required=True, help="output JSONL path")
-    p.add_argument("--n", type=int, default=1200, help="number of images")
+    p.add_argument("--n", type=_positive_int, default=1200, help="number of images")
     _add_langs(p)
     _add_seed(p)
 
     p = sub.add_parser("gradcheck", help="verify gradients against finite differences")
-    p.add_argument("--tolerance", type=float, default=1e-5)
+    p.add_argument("--tolerance", type=_tolerance, default=1e-5)
     _add_seed(p)
 
     return parser
 
 
-def _manifest_path(out) -> Path:
-    return Path(str(out) + ".manifest.json")
-
-
-def _write_manifest(out_path: Path, command: str, args: argparse.Namespace, outputs: list[str]) -> None:
+def _write_manifest(args: argparse.Namespace, outputs: list[str], path=None) -> None:
+    """Record the resolved flags in ``path``, by default beside the first output."""
     options = {k: v for k, v in sorted(vars(args).items()) if k != "command"}
     manifest = {
         "artifact_version": __version__,
-        "command": command,
+        "command": args.command,
         "options": options,
         "outputs": outputs,
     }
-    out_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    path = Path(path or outputs[0] + ".manifest.json")
+    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def cmd_build_vocab(args) -> int:
-    langs = _parse_langs(args.langs)
-    if args.min_count < 1:
-        raise UsageError("--min-count must be >= 1")
     records = load_dataset(args.data, lowercase=args.lowercase)
-    corpus = corpus_from_records(records, langs)
+    corpus = corpus_from_records(records, args.langs)
     if not corpus:
-        raise DatasetError(f"no captions found for languages {langs}")
+        raise DatasetError(f"no captions found for languages {args.langs}")
     vocab = build_vocab(corpus, args.min_count)
     out = Path(args.out)
     with out.open("w", encoding="utf-8") as fh:
         for i, token in enumerate(vocab.id_to_token):
             fh.write(f"{i}\t{token}\n")
-    _write_manifest(_manifest_path(out), "build-vocab", args, [str(out)])
+    _write_manifest(args, [str(out)])
     print(f"wrote {len(vocab)} tokens to {out}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    try:
-        config = TrainConfig(
-            epochs=args.epochs,
-            batch_size=args.batch,
-            hidden=args.hidden,
-            embed=args.embed,
-            beam=args.beam,
-            val_beam=args.val_beam,
-            max_len=args.max_len,
-            seed=args.seed,
-            min_count=args.min_count,
-            languages=None if args.langs is None else tuple(_parse_langs(args.langs)),
-            loss_mode="sum" if args.loss_sum else "mean",
-            clip=args.clip,
-            lowercase=args.lowercase,
-            feature_l2norm=args.feature_l2norm,
-        )
-    except ValueError as exc:
-        raise UsageError(str(exc)) from exc
+    config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)})
     records = load_dataset(args.data, lowercase=config.lowercase)
     if config.feature_l2norm:
         records = l2_normalize_records(records)
-    split = split_dataset(records, _parse_split(args.split), substream(config.seed, "split"))
+    split = split_dataset(records, args.split, substream(config.seed, "split"))
     training_languages(split, config)  # refuse the inputs before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -207,8 +210,6 @@ def cmd_train(args) -> int:
     epoch_paths: list[str] = []
 
     def save_epoch(params, vocab, epoch):
-        if args.best_only:
-            return
         path = out_dir / f"epoch_{epoch:03d}.ckpt"
         save_checkpoint(path, checkpoint_from_model(params, vocab, config.as_dict(), epoch))
         epoch_paths.append(str(path))
@@ -219,25 +220,15 @@ def cmd_train(args) -> int:
             print(line)
             log_fh.write(line + "\n")
 
-        result = run_training(split, config, log=log, save_epoch=save_epoch)
+        result = run_training(split, config, log=log, save_epoch=None if args.best_only else save_epoch)
     best_path = out_dir / "best.ckpt"
-    save_checkpoint(
-        best_path,
-        checkpoint_from_model(result.params, result.vocab, config.as_dict(), result.best_epoch),
-    )
-    _write_manifest(
-        out_dir / "manifest.json",
-        "train",
-        args,
-        [str(best_path), str(log_path)] + epoch_paths,
-    )
+    save_checkpoint(best_path, checkpoint_from_model(result.params, result.vocab, config.as_dict(), result.best_epoch))
+    _write_manifest(args, [str(best_path), str(log_path)] + epoch_paths, out_dir / "manifest.json")
     print(f"best epoch {result.best_epoch} -> {best_path}")
     return EXIT_OK
 
 
 def cmd_caption(args) -> int:
-    if args.beam < 1 or args.max_len < 1:
-        raise UsageError("--beam and --max-len must be >= 1")
     ckpt = load_checkpoint(args.ckpt)
     params = model_from_checkpoint(ckpt)
     vocab = ckpt.vocab
@@ -266,12 +257,12 @@ def cmd_caption(args) -> int:
         os.replace(partial, out)
     finally:
         partial.unlink(missing_ok=True)
-    _write_manifest(_manifest_path(out), "caption", args, [str(out)])
+    _write_manifest(args, [str(out)])
     print(f"wrote {len(records)} captions to {out}")
     return EXIT_OK
 
 
-def _read_candidates(path) -> dict[str, list[str]]:
+def _read_candidates(path, lowercase: bool) -> dict[str, list[str]]:
     candidates: dict[str, list[str]] = {}
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -283,24 +274,23 @@ def _read_candidates(path) -> dict[str, list[str]]:
             image_id, text = line.split("\t", 1)
             if image_id in candidates:
                 raise DatasetError(f"{path}:{lineno}: duplicate candidate for {image_id!r}")
-            candidates[image_id] = text.split()
+            candidates[image_id] = (text.lower() if lowercase else text).split()
     if not candidates:
         raise DatasetError(f"{path}: no candidates found")
     return candidates
 
 
 def cmd_evaluate(args) -> int:
-    langs = _parse_langs(args.langs)
     cand_paths = [p.strip() for p in args.cands.split(",") if p.strip()]
-    if langs is None or len(langs) != len(cand_paths):
+    if args.langs is None or len(args.langs) != len(cand_paths):
         raise UsageError("--cands and --langs must list the same number of entries")
     records = load_dataset(args.data, lowercase=args.lowercase)
     by_id = {rec.image_id: rec for rec in records}
     report: dict = {"per_language": {}}
     pooled = []
-    for lang, path in zip(langs, cand_paths):
+    for lang, path in zip(args.langs, cand_paths):
         pairs = []
-        for image_id, tokens in _read_candidates(path).items():
+        for image_id, tokens in _read_candidates(path, args.lowercase).items():
             rec = by_id.get(image_id)
             if rec is None:
                 raise DatasetError(f"{path}: candidate {image_id!r} is not in the reference data")
@@ -315,33 +305,25 @@ def cmd_evaluate(args) -> int:
     print(text)
     if args.out:
         Path(args.out).write_text(text + "\n", encoding="utf-8")
-        _write_manifest(
-            _manifest_path(args.out), "evaluate", args, [args.out]
-        )
+        _write_manifest(args, [args.out])
     return EXIT_OK
 
 
 def cmd_synth(args) -> int:
-    langs = _parse_langs(args.langs) or ["en", "jp"]
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
-    records = synth_generate(args.n, substream(args.seed, "synth"), langs)
+    records = synth_generate(args.n, substream(args.seed, "synth"), args.langs or ("en", "jp"))
     out = Path(args.out)
     save_dataset(records, out)
-    _write_manifest(_manifest_path(out), "synth", args, [str(out)])
+    _write_manifest(args, [str(out)])
     print(f"wrote {len(records)} records to {out}")
     return EXIT_OK
 
 
 def cmd_gradcheck(args) -> int:
-    if not (math.isfinite(args.tolerance) and args.tolerance > 0):
-        raise UsageError(f"--tolerance must be finite and positive, got {args.tolerance:g}")
     failures = 0
     for name, func, inputs in gradcheck.battery(args.seed):
         err = gradcheck.gradient_check(func, inputs)
         status = "ok" if err < args.tolerance else "FAIL"
-        if status == "FAIL":
-            failures += 1
+        failures += status == "FAIL"
         print(f"{name:<22s} max_rel_err={err:.3e}  {status}")
     if failures:
         print(f"{failures} gradient check(s) exceeded tolerance {args.tolerance:g}", file=sys.stderr)

@@ -2,7 +2,10 @@
 
 Datasets are JSON Lines: one object per image with an ``image_id``, a fixed
 width ``feature`` vector of JSON numbers, and a ``captions`` list of
-``{lang, tokens}`` objects; tokens are non-empty and hold no whitespace.
+``{lang, tokens}`` objects. An ``image_id`` holds no tab or line break
+(caption output is tab-separated lines), a ``lang`` is non-empty and holds
+no comma or whitespace (``--langs`` lists codes comma-separated), and
+tokens are non-empty and hold no whitespace.
 Checkpoints are a single binary file: the ``MLCAP1`` magic, an 8-byte
 little-endian header length, a JSON header (dimensions, vocabulary, array
 manifest, training config, epoch), then the raw little-endian float64 array
@@ -65,6 +68,10 @@ def _parse_captions(raw, where: str, lowercase: bool) -> tuple[Caption, ...]:
     for j, entry in enumerate(raw):
         if not isinstance(entry, dict) or not isinstance(entry.get("lang"), str):
             raise DatasetError(f"{where}: captions[{j}] needs a string 'lang'")
+        # --langs lists codes comma-separated, so a code it cannot name is refused here
+        lang = entry["lang"]
+        if lang.split() != [lang] or "," in lang:
+            raise DatasetError(f"{where}: captions[{j}] lang {lang!r} must be non-empty, without comma or whitespace")
         tokens = entry.get("tokens")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DatasetError(f"{where}: captions[{j}] needs 'tokens' as a list of strings")
@@ -74,7 +81,7 @@ def _parse_captions(raw, where: str, lowercase: bool) -> tuple[Caption, ...]:
             raise DatasetError(f"{where}: captions[{j}] tokens must be non-empty and hold no whitespace, got {bad[0]!r}")
         if lowercase:
             tokens = [t.lower() for t in tokens]
-        captions.append(Caption(entry["lang"], tuple(tokens)))
+        captions.append(Caption(lang, tuple(tokens)))
     return tuple(captions)
 
 
@@ -82,9 +89,10 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
     """Read and validate a JSONL dataset.
 
     Features must be finite JSON numbers, one width across the file; image
-    ids must be unique; caption tokens must be non-empty strings without
-    whitespace. With ``require_captions`` off (caption-generation inputs),
-    records may omit captions entirely.
+    ids must be unique and hold no tab or line break; caption tokens must be
+    non-empty strings without whitespace, and a caption ``lang`` a non-empty
+    code without commas or whitespace. With ``require_captions`` off
+    (caption-generation inputs), records may omit captions entirely.
     """
     records: list[ImageRecord] = []
     seen_ids: set[str] = set()
@@ -103,6 +111,9 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
             image_id = obj.get("image_id")
             if not isinstance(image_id, str) or not image_id:
                 raise DatasetError(f"{where}: missing or empty 'image_id'")
+            # caption output is one 'image_id<TAB>tokens' line per image
+            if any(c in image_id for c in "\t\n\r"):
+                raise DatasetError(f"{where}: image_id {image_id!r} holds a tab or line break")
             if image_id in seen_ids:
                 raise DatasetError(f"{where}: duplicate image_id {image_id!r}")
             seen_ids.add(image_id)
@@ -161,21 +172,20 @@ def l2_normalize_records(records: Sequence[ImageRecord]) -> list[ImageRecord]:
     return out
 
 
-def _resolve_counts(parts, total: int) -> tuple[int, int, int]:
+def check_split(parts) -> tuple:
+    """``parts`` as a tuple: three non-negative int counts, or else three
+    finite non-negative fractions (as floats) summing to at most 1."""
+    parts = tuple(parts)
     if len(parts) != 3:
         raise ValueError("split needs exactly three parts (train, val, test)")
     if all(isinstance(p, int) for p in parts):
-        counts = tuple(parts)
-        if any(c < 0 for c in counts):
+        if any(c < 0 for c in parts):
             raise ValueError(f"split counts must be non-negative, got {parts}")
-    else:
-        fractions = [float(p) for p in parts]
-        if any(f < 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
-            raise ValueError(f"split fractions must be non-negative and sum to <= 1, got {parts}")
-        counts = tuple(int(f * total) for f in fractions)
-    if sum(counts) > total:
-        raise ValueError(f"split {counts} asks for more than the {total} records available")
-    return counts
+        return parts
+    fractions = tuple(float(p) for p in parts)
+    if not all(math.isfinite(f) and f >= 0 for f in fractions) or sum(fractions) > 1.0 + 1e-9:
+        raise ValueError(f"split fractions must be finite, non-negative and sum to <= 1, got {parts}")
+    return fractions
 
 
 def split_dataset(records: Sequence[ImageRecord], parts, seed) -> DatasetSplit:
@@ -184,9 +194,13 @@ def split_dataset(records: Sequence[ImageRecord], parts, seed) -> DatasetSplit:
     ``parts`` is three integers (absolute counts) or three floats
     (fractions of the record count, floored). Leftover records are dropped.
     """
-    n_train, n_val, n_test = _resolve_counts(parts, len(records))
+    parts, total = check_split(parts), len(records)
+    counts = parts if all(isinstance(p, int) for p in parts) else tuple(int(f * total) for f in parts)
+    if sum(counts) > total:
+        raise ValueError(f"split {counts} asks for more than the {total} records available")
+    n_train, n_val, n_test = counts
     rng = np.random.default_rng(seed)
-    order = rng.permutation(len(records))
+    order = rng.permutation(total)
     shuffled = [records[i] for i in order]
     return DatasetSplit(
         train=shuffled[:n_train],

@@ -14,8 +14,10 @@ STREAMS = {"init": 0, "shuffle": 1, "synth": 2, "split": 3}
 
 
 def substream(seed: int, name: str) -> np.random.Generator:
-    """Generator for the named substream of ``seed``."""
+    """Generator for the named substream of ``seed``, an int >= 0 (not a bool)."""
     if name not in STREAMS:
         raise ValueError(f"unknown rng stream {name!r}; known: {sorted(STREAMS)}")
+    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be an int >= 0, got {seed!r}")
     ss = np.random.SeedSequence(entropy=int(seed), spawn_key=(STREAMS[name],))
     return np.random.default_rng(ss)

@@ -6,8 +6,17 @@ import numpy as np
 import pytest
 
 from mlcap import cli, trainer
+from mlcap.trainer import TrainConfig
 from mlcap.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_OK, EXIT_USAGE, main
-from mlcap.data import load_checkpoint, load_dataset, model_from_checkpoint, save_checkpoint, save_dataset
+from mlcap.data import (
+    Caption,
+    ImageRecord,
+    load_checkpoint,
+    load_dataset,
+    model_from_checkpoint,
+    save_checkpoint,
+    save_dataset,
+)
 from mlcap.vocab import EOS_ID
 from oracles import forward_sequence
 from tinymodels import claim_dims, rewrite_checkpoint_header
@@ -48,9 +57,6 @@ class TestSynth:
         assert main(["synth", "--out", str(out), "--n", "3", "--langs", "de,en,fr"]) == EXIT_OK
         langs = {c.language for r in load_dataset(out) for c in r.captions}
         assert langs == {"de", "en", "fr"}
-
-    def test_rejects_bad_count(self, tmp_path):
-        assert main(["synth", "--out", str(tmp_path / "d"), "--n", "0"]) == EXIT_USAGE
 
     def test_repeated_language_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
@@ -180,23 +186,36 @@ class TestTrain:
         assert code == EXIT_DATA
         assert not out.exists()
 
-    def test_bad_config_is_usage_error(self, workdir, tmp_path):
-        code = main(
-            ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "r"), "--epochs", "0"]
-        )
-        assert code == EXIT_USAGE
+    def test_manifest_records_protocol_defaults(self, workdir, tmp_path, monkeypatch):
+        # with only --data and --out given, the parsed config is TrainConfig's defaults
+        configs = []
 
-    def test_manifest_records_protocol_defaults(self, workdir):
-        manifest = json.loads((workdir["run"] / "manifest.json").read_text())
-        parsed_defaults = {"epochs": 40, "batch": 128, "hidden": 512, "beam": 5}
-        from mlcap.cli import build_parser
+        def refuse(split, config):
+            configs.append(config)
+            raise ValueError("stop before training")
 
-        args = build_parser().parse_args(["train", "--data", "d", "--out", "o"])
-        for key, value in parsed_defaults.items():
-            assert getattr(args, key) == value
-        # the shared run recorded its overridden values
-        assert manifest["options"]["epochs"] == 2
-        assert manifest["options"]["seed"] == 4
+        monkeypatch.setattr(cli, "training_languages", refuse)
+        assert main(["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "o")]) == EXIT_DATA
+        assert configs == [TrainConfig()]
+        # the shared run recorded its overridden values under TrainConfig's field names
+        options = json.loads((workdir["run"] / "manifest.json").read_text())["options"]
+        assert (options["epochs"], options["batch_size"], options["seed"]) == (2, 8, 4)
+        assert options["split"] == [30, 5, 5] and options["loss_mode"] == "mean"
+        assert "beam" not in options and options["languages"] is None
+
+    def test_caption_language_that_langs_cannot_name_is_data_error(self, workdir, tmp_path, capsys):
+        # a code holding a comma would train, then no --langs could name it
+        def retag(caption):
+            return Caption("jp,x", caption.tokens) if caption.language == "jp" else caption
+
+        data = tmp_path / "tagged.jsonl"
+        records = load_dataset(workdir["data"])
+        save_dataset([ImageRecord(r.image_id, r.feature, tuple(map(retag, r.captions))) for r in records], data)
+        out = tmp_path / "r"
+        code = main(["train", "--data", str(data), "--out", str(out), "--split", "30,5,5", "--min-count", "1"])
+        assert code == EXIT_DATA
+        assert "tagged.jsonl:1: captions[1] lang 'jp,x' must be non-empty" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestCaption:
@@ -240,6 +259,28 @@ class TestCaption:
         )
         assert code == EXIT_DATA
         assert not (tmp_path / "c").exists()
+
+    def test_image_id_holding_a_tab_is_data_error(self, workdir, tmp_path, capsys):
+        # evaluate splits each caption line at its first tab, so an id 'a<TAB>x'
+        # would read back as image 'a' with a leading token 'x'
+        records = load_dataset(workdir["data"])
+        bad_id = records[1].image_id + "\tx"
+        records[1] = ImageRecord(bad_id, records[1].feature, records[1].captions)
+        data = tmp_path / "tabbed.jsonl"
+        save_dataset(records, data)
+        out = tmp_path / "cap.tsv"
+        code = main(
+            [
+                "caption", "--ckpt", str(workdir["run"] / "best.ckpt"), "--data", str(data),
+                "--out", str(out), "--lang", "en",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"tabbed.jsonl:2: image_id {bad_id!r} holds a tab or line break" in capsys.readouterr().err
+        assert not out.exists()
+        cands = tmp_path / "cands.tsv"
+        cands.write_text(f"{records[0].image_id}\ta red circle\n")
+        assert main(["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en"]) == EXIT_DATA
 
     @pytest.mark.parametrize("flag", ["--beam", "--max-len"])
     def test_bad_decode_flag_is_usage_error_before_reading_files(self, tmp_path, flag):
@@ -446,6 +487,24 @@ class TestEvaluate:
         assert main(["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en"]) == EXIT_DATA
         assert "refs.jsonl:1: captions[0] tokens must be non-empty and hold no whitespace" in capsys.readouterr().err
 
+    def test_lowercase_applies_to_candidates_too(self, tmp_path, capsys):
+        # exact candidates score the same with and without the flag
+        data = tmp_path / "refs.jsonl"
+        rows = [
+            {"image_id": "i0", "feature": [0.0], "captions": [{"lang": "en", "tokens": ["A", "Red", "Circle"]}]},
+            {"image_id": "i1", "feature": [1.0], "captions": [{"lang": "en", "tokens": ["Blue", "Star"]}]},
+        ]
+        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        cands = tmp_path / "cands.tsv"
+        cands.write_text("i0\tA Red Circle\ni1\tBlue Star\n")
+        reports = []
+        for extra in ([], ["--lowercase"]):
+            assert main(["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en", *extra]) == EXIT_OK
+            reports.append(json.loads(capsys.readouterr().out))
+        assert reports[1] == reports[0]
+        assert reports[1]["per_language"]["en"]["bleu1"] == 1.0
+        assert reports[1]["per_language"]["en"]["cider"] > 0.5
+
     def test_identity_corpus_scores_one_everywhere(self, tmp_path, capsys):
         # two images with disjoint four-token captions: every n-gram order
         # has a nonzero tf-idf vector, so exact candidates are perfect
@@ -482,7 +541,7 @@ class TestGradcheck:
     def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
         assert main(["gradcheck", "--tolerance", tolerance]) == EXIT_USAGE
         out, err = capsys.readouterr()
-        assert out == "" and "--tolerance must be finite and positive" in err
+        assert out == "" and "argument --tolerance: must be finite and positive" in err
 
 
 class TestParsing:
@@ -509,8 +568,50 @@ class TestParsing:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
 
-    def test_bad_split_string(self, workdir, tmp_path):
-        code = main(
-            ["train", "--data", str(workdir["data"]), "--out", str(tmp_path / "r"), "--split", "1,2"]
-        )
-        assert code == EXIT_USAGE
+    # every command's files are missing, so a handler that ran would exit 3, not 2
+    COMMANDS = {
+        "synth": ["--out", "out.jsonl"],
+        "build-vocab": ["--data", "missing.jsonl", "--out", "vocab.tsv"],
+        "train": ["--data", "missing.jsonl", "--out", "run"],
+        "caption": ["--ckpt", "missing.ckpt", "--data", "missing.jsonl", "--out", "cap.tsv", "--lang", "en"],
+        "evaluate": ["--data", "missing.jsonl", "--cands", "en.tsv,jp.tsv", "--out", "report.json"],
+        "gradcheck": [],
+    }
+    BAD_FLAGS = [
+        ("synth", "--n", "0", "must be >= 1"),
+        ("synth", "--seed", "-1", "must be >= 0"),
+        ("synth", "--langs", "en,en", "repeats a language code"),
+        ("synth", "--langs", "en,", "needs non-empty codes without whitespace"),
+        ("synth", "--langs", "en,j\tp", "needs non-empty codes without whitespace"),
+        ("build-vocab", "--min-count", "0", "must be >= 1"),
+        ("build-vocab", "--langs", "en,en", "repeats a language code"),
+        *[
+            ("train", flag, "0", "must be >= 1")
+            for flag in ("--epochs", "--batch", "--hidden", "--embed", "--min-count", "--val-beam", "--max-len")
+        ],
+        ("train", "--epochs", "2.5", "expected int"),
+        ("train", "--seed", "-1", "must be >= 0"),
+        ("train", "--split", "1,2", "exactly three parts"),
+        ("train", "--split", "0.5,nan,0", "must be finite"),
+        ("train", "--split", "0.6,0.6,0", "sum to <= 1"),
+        ("train", "--split", "30,-1,5", "counts must be non-negative"),
+        ("train", "--split", "a,b,c", "could not convert"),
+        ("train", "--langs", "en,en", "repeats a language code"),
+        ("caption", "--beam", "0", "must be >= 1"),
+        ("caption", "--max-len", "0", "must be >= 1"),
+        ("evaluate", "--langs", "en,en", "repeats a language code"),
+        ("gradcheck", "--seed", "-1", "must be >= 0"),
+        *[("gradcheck", "--tolerance", v, "must be finite and positive") for v in ("nan", "inf", "0", "-0.5")],
+        ("gradcheck", "--tolerance", "tight", "expected float"),
+    ]
+
+    @pytest.mark.parametrize("command,flag,value,rule", BAD_FLAGS, ids=[f"{c}:{f}={v}" for c, f, v, _ in BAD_FLAGS])
+    def test_bad_flag_value_exits_2_before_any_file_is_touched(
+        self, tmp_path, monkeypatch, capsys, command, flag, value, rule
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main([command, *self.COMMANDS[command], flag, value]) == EXIT_USAGE
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert f"mlcap {command}: error: argument {flag}: " in err and rule in err
+        assert list(tmp_path.iterdir()) == []

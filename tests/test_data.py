@@ -114,6 +114,24 @@ class TestLoadDataset:
         with pytest.raises(DatasetError, match=r":2: captions\[0\] tokens must be non-empty and hold no whitespace"):
             load_dataset(p, require_captions=False)
 
+    @pytest.mark.parametrize("image_id", ["img-1\tx", "img-1\nx", "img-1\r"])
+    def test_image_id_holding_a_tab_or_line_break_rejected(self, tmp_path, image_id):
+        # caption output is one 'image_id<TAB>tokens' line per image
+        p = tmp_path / "d.jsonl"
+        row = good_row(1)
+        row["image_id"] = image_id
+        write_jsonl(p, [good_row(0), row])
+        with pytest.raises(DatasetError, match=r":2: image_id .* holds a tab or line break"):
+            load_dataset(p, require_captions=False)
+
+    @pytest.mark.parametrize("lang", ["", "jp,x", "j p", "en\n"])
+    def test_lang_that_a_langs_flag_cannot_name_rejected(self, tmp_path, lang):
+        # --langs splits its value at commas and strips whitespace
+        p = tmp_path / "d.jsonl"
+        write_jsonl(p, [good_row(0), good_row(1, langs=("en", lang))])
+        with pytest.raises(DatasetError, match=r":2: captions\[1\] lang .* must be non-empty, without comma or whitespace"):
+            load_dataset(p)
+
     def test_missing_captions_rejected_unless_allowed(self, tmp_path):
         p = tmp_path / "d.jsonl"
         row = {"image_id": "x", "feature": [1.0]}
@@ -182,6 +200,12 @@ class TestSplit:
         assert ids(a.train) != ids(c.train)
         all_ids = ids(a.train) + ids(a.val) + ids(a.test)
         assert len(set(all_ids)) == len(all_ids) == 12
+
+    @pytest.mark.parametrize("parts", [(0.5, float("nan"), 0.0), (0.5, float("inf"), 0.0), (0.5, -0.1, 0.0)])
+    def test_fractions_must_be_finite_and_non_negative(self, parts):
+        records = synth_generate(5, seed=3, languages=["en"])
+        with pytest.raises(ValueError, match="must be finite, non-negative"):
+            split_dataset(records, parts, seed=0)
 
     def test_overdraw_rejected(self):
         records = synth_generate(5, seed=3, languages=["en"])

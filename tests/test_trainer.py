@@ -328,6 +328,12 @@ class TestRunTraining:
         assert result.vocab.languages == ("en",)
         assert "desu" not in result.vocab.token_to_id
 
+    @pytest.mark.parametrize("seed", [1.5, -1, True, "7"])
+    def test_seed_must_be_a_non_negative_int(self, seed):
+        # otherwise a float seed trains with its floor while as_dict() records the float
+        with pytest.raises(ValueError, match=f"seed must be an int >= 0, got {seed!r}"):
+            run_training(self.small_split(), self.small_config(seed=seed))
+
     def test_empty_training_split_rejected(self):
         split = self.small_split()
         split.train = []
