@@ -199,10 +199,8 @@ def cmd_build_vocab(args) -> int:
 
 def cmd_train(args) -> int:
     config = TrainConfig(**{f.name: getattr(args, f.name) for f in fields(TrainConfig) if hasattr(args, f.name)})
-    records = load_dataset(args.data, lowercase=config.lowercase)
-    if config.feature_l2norm:
-        records = l2_normalize_records(records)
-    split = split_dataset(records, args.split, substream(config.seed, "split"))
+    # run_training applies config.lowercase and config.feature_l2norm itself
+    split = split_dataset(load_dataset(args.data), args.split, substream(config.seed, "split"))
     training_languages(split, config)  # refuse the inputs before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -230,6 +228,9 @@ def cmd_train(args) -> int:
 
 def cmd_caption(args) -> int:
     ckpt = load_checkpoint(args.ckpt)
+    l2norm = ckpt.config.get("feature_l2norm", False)  # checkpoints made outside `mlcap train` may lack it
+    if not isinstance(l2norm, bool):
+        raise CheckpointError(f"{args.ckpt}: config.feature_l2norm must be true or false, got {l2norm!r}")
     params = model_from_checkpoint(ckpt)
     vocab = ckpt.vocab
     try:
@@ -241,7 +242,7 @@ def cmd_caption(args) -> int:
     width = records[0].feature.size
     if width != params.dims.feature:
         raise DatasetError(f"feature width {width} does not match model width {params.dims.feature}")
-    if ckpt.config.get("feature_l2norm"):
+    if l2norm:
         records = l2_normalize_records(records)
     out = Path(args.out)
     # decode into a sibling file so a failure leaves no partial output behind

@@ -61,7 +61,7 @@ class DatasetSplit:
     test: list[ImageRecord]
 
 
-def _parse_captions(raw, where: str, lowercase: bool) -> tuple[Caption, ...]:
+def _parse_captions(raw, where: str) -> tuple[Caption, ...]:
     if not isinstance(raw, list):
         raise DatasetError(f"{where}: captions must be a list")
     captions = []
@@ -79,8 +79,6 @@ def _parse_captions(raw, where: str, lowercase: bool) -> tuple[Caption, ...]:
         bad = [t for t in tokens if t.split() != [t]]
         if bad:
             raise DatasetError(f"{where}: captions[{j}] tokens must be non-empty and hold no whitespace, got {bad[0]!r}")
-        if lowercase:
-            tokens = [t.lower() for t in tokens]
         captions.append(Caption(lang, tuple(tokens)))
     return tuple(captions)
 
@@ -93,6 +91,7 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
     non-empty strings without whitespace, and a caption ``lang`` a non-empty
     code without commas or whitespace. With ``require_captions`` off
     (caption-generation inputs), records may omit captions entirely.
+    ``lowercase`` lowercases the tokens after they pass those checks.
     """
     records: list[ImageRecord] = []
     seen_ids: set[str] = set()
@@ -131,13 +130,13 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
                 raise DatasetError(
                     f"{where}: image_id {image_id!r} feature width {feature.size} != {feature_dim}"
                 )
-            captions = _parse_captions(obj.get("captions", []), where, lowercase)
+            captions = _parse_captions(obj.get("captions", []), where)
             if require_captions and not captions:
                 raise DatasetError(f"{where}: image_id {image_id!r} has no captions")
             records.append(ImageRecord(image_id, feature, captions))
     if not records:
         raise DatasetError(f"{path}: dataset is empty")
-    return records
+    return lowercase_records(records) if lowercase else records
 
 
 def save_dataset(records: Iterable[ImageRecord], path) -> None:
@@ -160,6 +159,12 @@ def corpus_from_records(records: Iterable[ImageRecord], languages=None) -> list[
         for c in rec.captions
         if keep is None or c.language in keep
     ]
+
+
+def lowercase_records(records: Sequence[ImageRecord]) -> list[ImageRecord]:
+    """Records with every caption token lowercased."""
+    lower = lambda c: Caption(c.language, tuple(t.lower() for t in c.tokens))
+    return [ImageRecord(rec.image_id, rec.feature, tuple(map(lower, rec.captions))) for rec in records]
 
 
 def l2_normalize_records(records: Sequence[ImageRecord]) -> list[ImageRecord]:

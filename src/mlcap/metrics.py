@@ -17,9 +17,11 @@ reference with an all-zero vector contributes zero for that order.
 
 Both scores come from one integer-array table per call. The tokens are
 interned once into an int64 array; an order-n gram code is the order-(n-1)
-code and the next token id, made dense by a sort. One sort per order counts
-the (sentence, gram) pairs; the reference ceilings are a maximum over each
-(image, gram) run and the document frequencies a bincount of those runs.
+code and the next token id, made dense by ``np.unique``. Per order, one
+``np.unique`` counts the (sentence, gram) pairs and another finds the
+distinct (image, gram) reference pairs: ``np.maximum.at`` takes their
+reference ceilings and a bincount of their grams the document frequencies.
+Each table is sorted by sentence, so ``np.searchsorted`` finds the groups.
 The result is exact, not just close: idf is one ``math.log(m / df)`` per
 document frequency, the tf-idf products are formed elementwise as single
 roundings, and every norm, dot product and mean is a ``math.fsum`` over its
@@ -103,32 +105,12 @@ def _bleu(matched: list[int], totals: list[int], c: int, r: int) -> list[float]:
     return scores
 
 
-def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
-    """True where a sorted array starts a run of equal values."""
-    starts = np.ones(len(sorted_keys), dtype=bool)
-    starts[1:] = sorted_keys[1:] != sorted_keys[:-1]
-    return starts
-
-
-def _dense(keys: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each key's rank among the distinct keys, and how many there are."""
-    order = np.argsort(keys, kind="stable")
-    ranks = np.empty_like(keys)
-    ranks[order] = np.cumsum(_run_starts(keys[order])) - 1
-    return ranks, int(ranks.max(initial=-1)) + 1
-
-
 def _find(sorted_keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Where each query sits in ``sorted_keys``, and whether it is there."""
     at = np.searchsorted(sorted_keys, queries)
     found = at < len(sorted_keys)
     found[found] = sorted_keys[at[found]] == queries[found]
     return at, found
-
-
-def _offsets(groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """Boundaries of groups 0..n_groups-1 in a sorted array of group ids."""
-    return np.concatenate(([0], np.cumsum(np.bincount(groups, minlength=n_groups))))
 
 
 def _group_fsums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
@@ -158,39 +140,37 @@ def _score(corpus: CorpusEval) -> tuple[list[float], float]:
     sent_of = np.repeat(np.arange(len(sentences)), lengths)
     end_of = np.repeat(np.cumsum(lengths), lengths)
     starts, codes, n_codes = np.arange(len(tokens)), tokens, len(ids)
+    # groups are contiguous in a table sorted by sentence; these find their boundaries
+    group_ids = np.arange(len(sentences) + 1)
     matched, totals, sims_by_order = [], [], []
     for n in NGRAM_ORDERS:
         if n > 1:  # an n-gram is the code of its first n-1 tokens and its last token;
             # keys stay below (token count) ** 2, far inside int64
             keep = starts + (n - 1) < end_of[starts]
             starts = starts[keep]
-            codes, n_codes = _dense(codes[keep] * len(ids) + tokens[starts + (n - 1)])
+            grams, codes = np.unique(codes[keep] * len(ids) + tokens[starts + (n - 1)], return_inverse=True)
+            n_codes = len(grams)
         # one row per distinct (sentence, gram), sorted by sentence
-        pair_keys = np.sort(sent_of[starts] * n_codes + codes)
-        first = np.flatnonzero(_run_starts(pair_keys))
-        counts = np.diff(np.append(first, len(pair_keys)))
-        sent, gram = np.divmod(pair_keys[first], n_codes)
+        pair_keys, counts = np.unique(sent_of[starts] * n_codes + codes, return_counts=True)
+        sent, gram = np.divmod(pair_keys, n_codes)
         image_keys = image_of[sent] * n_codes + gram
         ref = is_ref[sent]
         # the reference ceiling of each (image, gram): its largest count in one reference
-        order = np.argsort(image_keys[ref], kind="stable")
-        ref_keys = image_keys[ref][order]
-        runs = np.flatnonzero(_run_starts(ref_keys))
-        ceiling_keys = ref_keys[runs]
-        # (runs is empty when no reference is n tokens long: nothing to reduce)
-        ceilings = np.maximum.reduceat(counts[ref][order], runs) if len(runs) else runs
+        ceiling_keys, slot = np.unique(image_keys[ref], return_inverse=True)
+        ceilings = np.zeros(len(ceiling_keys), dtype=counts.dtype)
+        np.maximum.at(ceilings, slot, counts[ref])
         cand_keys, cand_counts = image_keys[~ref], counts[~ref]
         at, found = _find(ceiling_keys, cand_keys)
         matched.append(int(np.minimum(cand_counts[found], ceilings[at[found]]).sum()))
         totals.append(int(cand_counts.sum()))
         # images whose references hold the gram; a candidate gram in none counts as in one
-        doc_freq = np.maximum(np.bincount(gram[ref][order][runs], minlength=n_codes), 1)
+        doc_freq = np.maximum(np.bincount(ceiling_keys % n_codes, minlength=n_codes), 1)
         idf = np.array([0.0] + [math.log(m / df) for df in range(1, int(doc_freq.max(initial=1)) + 1)])
         weights = counts * idf[doc_freq[gram]]
-        norms = np.sqrt(_group_fsums(weights * weights, _offsets(sent, len(sentences))))
+        norms = np.sqrt(_group_fsums(weights * weights, np.searchsorted(sent, group_ids)))
         at, found = _find(cand_keys, image_keys[ref])
         products = weights[~ref][at[found]] * weights[ref][found]
-        dots = _group_fsums(products, _offsets(sent[ref][found], len(sentences)))[ref_sents]
+        dots = _group_fsums(products, np.searchsorted(sent[ref][found], group_ids))[ref_sents]
         cand_norms, ref_norms = norms[cand_of_ref], norms[ref_sents]
         both = (cand_norms != 0.0) & (ref_norms != 0.0)
         sims = np.zeros(len(ref_sents))

@@ -22,7 +22,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import DimensionError
 from .beam import BeamConfig, beam_search
-from .data import DatasetSplit, ImageRecord, corpus_from_records
+from .data import DatasetSplit, ImageRecord, corpus_from_records, l2_normalize_records, lowercase_records
 from .metrics import CorpusEval, cider
 from .model import Dims, ModelParams, init_params
 from .rng import substream
@@ -51,7 +51,9 @@ class DivergenceError(RuntimeError):
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Run settings; defaults follow the reference captioning protocol."""
+    """Run settings; defaults follow the reference captioning protocol.
+    ``run_training`` applies ``lowercase`` and ``feature_l2norm`` to the records
+    it is given; ``mlcap caption`` re-applies a checkpoint's ``feature_l2norm``."""
 
     epochs: int = 40
     batch_size: int = 128
@@ -351,7 +353,7 @@ def training_languages(split: DatasetSplit, config: TrainConfig) -> list[str]:
     """The languages ``run_training`` trains on.
 
     Raises ValueError unless the split has training images and both training
-    and validation captions in those languages.
+    and validation captions in each of those languages.
     """
     if not split.train:
         raise ValueError("run_training: empty training split")
@@ -362,10 +364,13 @@ def training_languages(split: DatasetSplit, config: TrainConfig) -> list[str]:
     )
     if not languages:
         raise ValueError("run_training: no languages found in the training split")
-    if not any(c.language in languages for r in split.val for c in r.captions):
-        raise ValueError(f"run_training: no validation captions in languages {languages}")
-    if not any(c.language in languages for r in split.train for c in r.captions):
-        raise ValueError(f"run_training: no captions in languages {languages}")
+    # the validation score is the unweighted mean over every training language,
+    # and a language without training captions has no start token to decode from
+    for records, what in ((split.val, "validation captions"), (split.train, "captions")):
+        present = {c.language for r in records for c in r.captions}
+        missing = [lang for lang in languages if lang not in present]
+        if missing:
+            raise ValueError(f"run_training: no {what} in languages {missing}")
     return languages
 
 
@@ -384,14 +389,19 @@ def run_training(
     returned parameters are a copy of the best epoch, not the last.
     """
     languages = training_languages(split, config)
-    corpus = corpus_from_records(split.train, languages)
+    train, val = split.train, split.val
+    if config.lowercase:
+        train, val = lowercase_records(train), lowercase_records(val)
+    if config.feature_l2norm:
+        train, val = l2_normalize_records(train), l2_normalize_records(val)
+    corpus = corpus_from_records(train, languages)
     vocab = build_vocab(corpus, config.min_count)
-    feature_dim = int(split.train[0].feature.size)
+    feature_dim = int(train[0].feature.size)
     dims = Dims(len(vocab), config.embed, config.hidden, feature_dim)
     params = init_params(dims, substream(config.seed, "init"))
     adam = AdamState.for_params(params)
     shuffle_rng = substream(config.seed, "shuffle")
-    examples = examples_from_records(split.train, vocab, languages)
+    examples = examples_from_records(train, vocab, languages)
     history: list[EpochStats] = []
     best_epoch, best_score, best_arrays = -1, -np.inf, {}
     for epoch in range(config.epochs):
@@ -401,7 +411,7 @@ def run_training(
         except DivergenceError as exc:
             exc.epoch = epoch
             raise
-        val_score = validation_score(params, vocab, split.val, languages, config.val_beam, config.max_len)
+        val_score = validation_score(params, vocab, val, languages, config.val_beam, config.max_len)
         seconds = time.perf_counter() - started
         history.append(EpochStats(train_loss, val_score, seconds))
         if log is not None:

@@ -352,6 +352,26 @@ class TestCaption:
         assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
         assert "config must be a JSON object" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["no", 1, None])
+    def test_non_bool_feature_l2norm_is_data_error(self, workdir, tmp_path, capsys, value):
+        # otherwise a truthy non-bool would silently normalize every feature
+        bad = tmp_path / "l2norm.ckpt"
+        rewrite_checkpoint_header(
+            workdir["run"] / "best.ckpt", bad, lambda header: header["config"].update(feature_l2norm=value)
+        )
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert f"config.feature_l2norm must be true or false, got {value!r}" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["l2norm.ckpt"]
+
+    def test_missing_feature_l2norm_means_false(self, workdir, tmp_path):
+        best = workdir["run"] / "best.ckpt"
+        bare = tmp_path / "bare.ckpt"
+        rewrite_checkpoint_header(best, bare, lambda header: header["config"].clear())
+        (tmp_path / "with_config").mkdir()
+        assert self.caption_with(workdir, tmp_path / "with_config", best) == EXIT_OK
+        assert self.caption_with(workdir, tmp_path, bare) == EXIT_OK
+        assert (tmp_path / "c").read_bytes() == (tmp_path / "with_config" / "c").read_bytes()
+
     def test_decode_failure_leaves_no_output_behind(self, workdir, tmp_path, monkeypatch, capsys):
         decoded = []
 

@@ -162,6 +162,12 @@ class TestExactness:
     @example(items=[(["a"], [[], []]), ([], [["a"]])])
     @example(items=[(["a", "a", "a"], [["a", "a", "a"], ["a", "a", "a"]])])
     @example(items=[(["x", "y"], [["x", "y"]]), (["x", "y"], [["x", "y"]])])
+    # no sentence reaches 2 tokens, so orders 2-4 have empty tables
+    @example(items=[(["a"], [["b"], ["a"]]), (["c"], [["c"], []]), ([], [["a"]])])
+    # candidate grams that no reference holds
+    @example(items=[(["p", "q", "r", "s"], [["s", "t", "u"]]), (["s", "t", "u"], [["p", "q", "s", "t", "u"]])])
+    # identical duplicate references
+    @example(items=[(["a", "b", "a"], [["a", "b", "a", "b"], ["a", "b", "a", "b"]]), (["b"], [["b", "a"], ["b", "a"]])])
     def test_every_field_equals_the_counter_reference(self, items):
         corpus = corpus_of(items)
         report = evaluate_corpus(corpus)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
 from mlcap import trainer
-from mlcap.data import split_dataset, synth_generate
+from mlcap.data import Caption, l2_normalize_records, split_dataset, synth_generate
 from mlcap.gradcheck import gradient_check
 from oracles import forward_sequence
 from mlcap.trainer import (
@@ -340,19 +340,62 @@ class TestRunTraining:
         with pytest.raises(ValueError):
             run_training(split, self.small_config())
 
-    @pytest.mark.parametrize("val", ["empty", "other-language"])
+    @pytest.mark.parametrize("val", ["empty", "other-language", "one-of-two-languages"])
     def test_validation_without_training_languages_rejected(self, val, monkeypatch):
         # without a scored validation caption every epoch would score 0 and
-        # the least-trained epoch would be kept as the best
+        # the least-trained epoch would be kept as the best; with one of two
+        # languages missing, the validation mean would silently cover the other alone
         split = self.small_split()
+        languages, missing = ("en",), "en"
         if val == "empty":
             split.val = []
         else:
-            jp_only = lambda r: tuple(c for c in r.captions if c.language == "jp")
-            split.val = [dataclasses.replace(r, captions=jp_only(r)) for r in split.val]
+            kept = "jp" if val == "other-language" else "en"
+            only_kept = lambda r: tuple(c for c in r.captions if c.language == kept)
+            split.val = [dataclasses.replace(r, captions=only_kept(r)) for r in split.val]
+        if val == "one-of-two-languages":
+            languages, missing = None, "jp"
         monkeypatch.setattr(trainer, "train_epoch", lambda *args: pytest.fail("trained before validating"))
-        with pytest.raises(ValueError, match="no validation captions"):
-            run_training(split, self.small_config(languages=("en",)))
+        with pytest.raises(ValueError, match=rf"no validation captions in languages \['{missing}'\]"):
+            run_training(split, self.small_config(languages=languages))
+
+    def test_language_without_training_captions_rejected(self, monkeypatch):
+        # otherwise a full epoch trains before decoding finds no start token for it
+        split = self.small_split()
+        en_only = lambda r: tuple(c for c in r.captions if c.language == "en")
+        split.train = [dataclasses.replace(r, captions=en_only(r)) for r in split.train]
+        monkeypatch.setattr(trainer, "train_epoch", lambda *args: pytest.fail("trained before validating"))
+        with pytest.raises(ValueError, match=r"no captions in languages \['jp'\]"):
+            run_training(split, self.small_config(languages=("en", "jp")))
+
+    def test_feature_l2norm_is_applied_by_run_training(self):
+        split = self.small_split()
+        normalized = dataclasses.replace(
+            split, train=l2_normalize_records(split.train), val=l2_normalize_records(split.val)
+        )
+        flagged = run_training(split, self.small_config(epochs=1, feature_l2norm=True))
+        by_hand = run_training(normalized, self.small_config(epochs=1))
+        raw = run_training(split, self.small_config(epochs=1))
+        bits = lambda result: [p.tobytes() for _, p in result.params.named_parameters()]
+        assert bits(flagged) == bits(by_hand) != bits(raw)
+
+    def test_lowercase_is_applied_by_run_training(self):
+        # the synthetic captions are lowercase, so shouting them and training
+        # with lowercase on must reproduce the plain run, validation included
+        def shout(r):
+            return dataclasses.replace(
+                r, captions=tuple(Caption(c.language, tuple(t.upper() for t in c.tokens)) for c in r.captions)
+            )
+
+        split = self.small_split()
+        shouted = dataclasses.replace(split, train=list(map(shout, split.train)), val=list(map(shout, split.val)))
+        flagged = run_training(shouted, self.small_config(epochs=2, lowercase=True))
+        plain = run_training(split, self.small_config(epochs=2))
+        assert "blue" in flagged.vocab.token_to_id and "BLUE" not in flagged.vocab.token_to_id
+        assert flagged.vocab.id_to_token == plain.vocab.id_to_token
+        assert [s.val_score for s in flagged.history] == [s.val_score for s in plain.history]
+        for (name, a), (_, b) in zip(flagged.params.named_parameters(), plain.params.named_parameters()):
+            assert a.tobytes() == b.tobytes(), name
 
 
 class TestDecodeHelpers:
