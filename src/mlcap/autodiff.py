@@ -29,6 +29,11 @@ def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
+def _gate_blocks(gates: np.ndarray, hidden: int):
+    """The four [B,H] gate blocks of ``gates`` as views, by basic slicing."""
+    return tuple(gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+
+
 def lstm_cell(z: np.ndarray, c_prev: np.ndarray):
     """One LSTM step on plain arrays: ``(h, c, gates, tanh_c)``.
 
@@ -42,7 +47,7 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray):
     gates = np.empty_like(z)
     gates[:, : 3 * hidden] = _stable_sigmoid(z[:, : 3 * hidden])
     gates[:, 3 * hidden :] = np.tanh(z[:, 3 * hidden :])
-    i, f, o, g = np.split(gates, 4, axis=1)
+    i, f, o, g = _gate_blocks(gates, hidden)
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
     return o * tanh_c, c, gates, tanh_c
@@ -99,7 +104,7 @@ def lstm_sequence(x0: np.ndarray, xs: np.ndarray, w_x: np.ndarray, w_h: np.ndarr
             if s:
                 dh += g[(s - 1) * batch : s * batch]
             gates, tanh_c = acts[s]
-            i, f, o, cand = np.split(gates, 4, axis=1)
+            i, f, o, cand = _gate_blocks(gates, hidden)
             dc += dh * o * (1.0 - tanh_c * tanh_c)
             c_prev = cs[(s - 1) * batch : s * batch] if s else 0.0
             d = dz[rows]

@@ -19,6 +19,10 @@ are ordered by (-score, parent's lexical rank, token id). All live
 hypotheses have the same length at a given step, so that order is the
 order of the full id tuples, and the first ``width`` are exactly the
 candidates the tie rule selects.
+
+``greedy_block`` is the width-1 search for a block of images at once: one
+``step_rows`` call per step for every row, with ``_select``'s rule applied
+to each row on its own.
 """
 
 from __future__ import annotations
@@ -27,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LstmState, ModelParams, step_distribution, zero_state
+from .model import LstmState, ModelParams, step_distribution, step_rows, zero_state
 from .vocab import EOS_ID, PAD_ID
 
 
@@ -127,3 +131,39 @@ def beam_search(feature, start_id: int, params: ModelParams, config: BeamConfig)
 
     finished.sort(key=rank_key)
     return [(list(ids), logprob) for ids, logprob in finished[: config.width]]
+
+
+def greedy_block(features, start_id: int, params: ModelParams, config: BeamConfig) -> list[list[int]]:
+    """Width-1 decodes of every row of ``features`` [N,D], as id lists.
+
+    Each row keeps ``_select``'s rule: its candidates score the row's sum
+    so far plus each emittable id's log-probability, the highest wins, and
+    ties go to the lowest id. A row ends at eos or at ``max_len`` emitted
+    ids; ended rows keep stepping with the block until every row has ended.
+    Raises ``ValueError`` when a live row has non-finite log-probabilities.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    if not 0 <= start_id < params.dims.vocab:
+        raise IndexError(f"greedy_block: start id {start_id} out of range")
+    emittable = _emittable_ids(params.dims.vocab, config.exclude_ids)
+    rows = np.arange(features.shape[0])
+    state, _ = step_rows(features @ params.w_image + params.b_image, zero_state(params, rows.size), params)
+    state, logp = step_rows(params.w_embed[np.full(rows.size, start_id)], state, params)
+    scores = np.zeros(rows.size)
+    ids = np.empty((rows.size, config.max_len), dtype=np.int64)
+    lengths = np.full(rows.size, config.max_len)
+    live = np.ones(rows.size, dtype=bool)
+    for step in range(1, config.max_len + 1):
+        candidates = scores[:, None] + logp[:, emittable]
+        if not np.isfinite(candidates[live]).all():
+            raise ValueError(f"non-finite log-probabilities at decode step {step}")
+        best = candidates.argmax(axis=1)  # the first maximum: emittable ids ascend
+        scores = candidates[rows, best]
+        tokens = emittable[best]
+        ids[:, step - 1] = tokens
+        lengths[live & (tokens == EOS_ID)] = step
+        live &= tokens != EOS_ID
+        if not live.any() or step == config.max_len:
+            break
+        state, logp = step_rows(params.w_embed[tokens], state, params)
+    return [ids[r, : lengths[r]].tolist() for r in rows]

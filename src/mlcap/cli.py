@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -24,6 +23,7 @@ from .beam import BeamConfig
 from .data import (
     CheckpointError,
     DatasetError,
+    atomic_open,
     check_split,
     checkpoint_from_model,
     corpus_from_records,
@@ -245,19 +245,14 @@ def cmd_caption(args) -> int:
     if l2norm:
         records = l2_normalize_records(records)
     out = Path(args.out)
-    # decode into a sibling file so a failure leaves no partial output behind
-    partial = out.with_name(out.name + ".partial")
-    try:
-        with partial.open("w", encoding="utf-8") as fh:
-            for rec in records:
-                tokens = generate_caption(
-                    params, vocab, rec.feature, args.lang,
-                    width=args.beam, max_len=args.max_len, length_norm=args.length_norm,
-                )
-                fh.write(f"{rec.image_id}\t{' '.join(tokens)}\n")
-        os.replace(partial, out)
-    finally:
-        partial.unlink(missing_ok=True)
+    # a failure leaves no partial output behind
+    with atomic_open(out, "w", encoding="utf-8") as fh:
+        for rec in records:
+            tokens = generate_caption(
+                params, vocab, rec.feature, args.lang,
+                width=args.beam, max_len=args.max_len, length_norm=args.length_norm,
+            )
+            fh.write(f"{rec.image_id}\t{' '.join(tokens)}\n")
     _write_manifest(args, [str(out)])
     print(f"wrote {len(records)} captions to {out}")
     return EXIT_OK

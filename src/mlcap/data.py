@@ -9,9 +9,11 @@ tokens are non-empty and hold no whitespace.
 Checkpoints are a single binary file: the ``MLCAP1`` magic, an 8-byte
 little-endian header length, a JSON header (dimensions, vocabulary, array
 manifest, training config, epoch), then the raw little-endian float64 array
-bytes in manifest order. A ``Checkpoint`` holds the ``ModelParams`` it was
-given, not copies; loading checks every length against the file size, then
-streams each array into its own buffer. Round trips are bit-exact.
+bytes in manifest order, written beside the target and renamed over it
+(``atomic_open``) so a failed save leaves the previous file whole. A
+``Checkpoint`` holds the ``ModelParams`` it was given, not copies; loading
+checks every length against the file size, then streams each array into
+its own buffer. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ import json
 import math
 import os
 import struct
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from typing import Iterable, Sequence
 
@@ -239,6 +242,21 @@ def model_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
     return ckpt.params
 
 
+@contextmanager
+def atomic_open(path, mode: str = "w", **kwargs):
+    """Open the sibling ``<path>.partial`` for writing and rename it over
+    ``path`` once the block completes; if the block raises, the sibling is
+    removed and ``path`` keeps what it held before."""
+    partial = f"{os.fspath(path)}.partial"
+    try:
+        with open(partial, mode, **kwargs) as fh:
+            yield fh
+        os.replace(partial, path)
+    finally:
+        if os.path.exists(partial):
+            os.unlink(partial)
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     named = ckpt.params.named_parameters()
     header = {
@@ -251,7 +269,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "epoch": ckpt.epoch,
     }
     header_bytes = json.dumps(header, sort_keys=True, ensure_ascii=False).encode("utf-8")
-    with open(path, "wb") as fh:
+    with atomic_open(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<Q", len(header_bytes)))
         fh.write(header_bytes)

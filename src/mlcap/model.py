@@ -10,7 +10,8 @@ candidate, with the forget-gate bias slice initialized to one.
 
 Parameters are plain float64 arrays. Training runs the whole
 teacher-forced recurrence as ``autodiff.lstm_sequence``; decoding steps the
-same cell (``lstm_cell``) here, one row per sequence.
+same cell (``lstm_cell``) here: ``step_rows`` advances a block of rows,
+one per sequence, and ``step_distribution`` is its one-row form.
 """
 
 from __future__ import annotations
@@ -111,12 +112,20 @@ def advance_state(x: np.ndarray, state: LstmState, params: ModelParams) -> LstmS
     return LstmState(h, c)
 
 
+def step_rows(x_rows: np.ndarray, state: LstmState, params: ModelParams) -> tuple[LstmState, np.ndarray]:
+    """One decode step for a block of rows: input rows [N,E] and state
+    [N,H] to the new state and next-id log-probabilities [N,V]."""
+    new = advance_state(x_rows, state, params)
+    logits = new.h @ params.w_out + params.b_out
+    return new, ad.log_softmax(logits)
+
+
 def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -> tuple[LstmState, np.ndarray]:
     """Advance one decode step and return log-probabilities for the next id.
 
     The input is either an integer token id (embedded) or a 1-D feature
     vector (projected). The state is a single [1,H] row and the returned
-    log-probabilities are a 1-D [V] array.
+    log-probabilities are a 1-D [V] array: ``step_rows`` on one row.
     """
     if isinstance(token_or_feature, (int, np.integer)):
         tok = int(token_or_feature)
@@ -128,6 +137,5 @@ def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -
         if feature.ndim != 1:
             raise ad.DimensionError(f"step_distribution: feature must be 1-D, got shape {feature.shape}")
         x = feature[None, :] @ params.w_image + params.b_image
-    new = advance_state(x, state, params)
-    logits = new.h @ params.w_out + params.b_out
-    return new, ad.log_softmax(logits[0])
+    new, logp = step_rows(x, state, params)
+    return new, logp[0]

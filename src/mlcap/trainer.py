@@ -5,9 +5,10 @@ languages mix freely inside a batch, distinguished only by their start
 token. A batch pads captions to the longest one and masks the padding out
 of the loss, which averages over unmasked target positions by default (an
 optional mode keeps the raw sum). Every epoch reshuffles with its own rng
-stream, decodes the validation images greedily, and scores them with the
-consensus metric; the checkpoint kept is the epoch whose unweighted mean
-across languages is highest, earliest on ties.
+stream, decodes each language's validation images greedily as one block of
+rows (or one image at a time at a wider validation beam), and scores them
+with the consensus metric; the checkpoint kept is the epoch whose
+unweighted mean across languages is highest, earliest on ties.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError
-from .beam import BeamConfig, beam_search
+from .beam import BeamConfig, beam_search, greedy_block
 from .data import DatasetSplit, ImageRecord, corpus_from_records, l2_normalize_records, lowercase_records
 from .metrics import CorpusEval, cider
 from .model import Dims, ModelParams, init_params
@@ -224,7 +225,9 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     """One bias-corrected Adam update, in place.
 
     theta <- theta - alpha * m_hat / (sqrt(v_hat) + eps), with the epsilon
-    outside the square root.
+    outside the square root. The moments update in place and the step is
+    built in two scratch buffers, one rounding per operation in the
+    textbook order, so the arrays match the out-of-place update bit for bit.
     """
     for name, p in params.named_parameters():
         if name not in grads:
@@ -236,13 +239,23 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     state.t += 1
     correction1 = 1.0 - state.beta1**state.t
     correction2 = 1.0 - state.beta2**state.t
+    largest = max(p.size for _, p in params.named_parameters())
+    buffers = np.empty(largest), np.empty(largest)
     for name, p in params.named_parameters():
-        g = grads[name]
-        state.m[name] = state.beta1 * state.m[name] + (1.0 - state.beta1) * g
-        state.v[name] = state.beta2 * state.v[name] + (1.0 - state.beta2) * (g * g)
-        m_hat = state.m[name] / correction1
-        v_hat = state.v[name] / correction2
-        p -= state.alpha * m_hat / (np.sqrt(v_hat) + state.eps)
+        g, m, v = grads[name], state.m[name], state.v[name]
+        step, denom = (buf[: p.size].reshape(p.shape) for buf in buffers)
+        m *= state.beta1
+        m += np.multiply(g, 1.0 - state.beta1, out=step)
+        v *= state.beta2
+        np.multiply(g, g, out=denom)
+        v += np.multiply(denom, 1.0 - state.beta2, out=denom)
+        np.divide(m, correction1, out=step)
+        np.divide(v, correction2, out=denom)
+        np.sqrt(denom, out=denom)
+        denom += state.eps
+        step *= state.alpha
+        step /= denom
+        p -= step
 
 
 def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = CLIP_NORM) -> float:
@@ -299,14 +312,14 @@ def generate_caption(
     length_norm: bool = False,
 ) -> list[str]:
     """Beam-decode one image in one language, back to surface tokens."""
-    config = BeamConfig(
-        width=width,
-        max_len=max_len,
-        exclude_ids=(PAD_ID,) + vocab.start_ids,
-        length_norm=length_norm,
-    )
+    config = _decode_config(vocab, width, max_len, length_norm)
     ids, _ = beam_search(feature, vocab.start_id(language), params, config)[0]
     return vocab.decode(ids)
+
+
+def _decode_config(vocab: Vocabulary, width: int, max_len: int, length_norm: bool = False) -> BeamConfig:
+    """Decode settings that bar padding and every language start id."""
+    return BeamConfig(width=width, max_len=max_len, exclude_ids=(PAD_ID,) + vocab.start_ids, length_norm=length_norm)
 
 
 def validation_score(
@@ -317,18 +330,24 @@ def validation_score(
     width: int,
     max_len: int,
 ) -> float:
-    """Unweighted mean over languages of the consensus score on decodes."""
+    """Unweighted mean over languages of the consensus score on decodes.
+
+    At ``width`` 1 each language's images decode as one ``greedy_block``;
+    a wider beam decodes them one ``generate_caption`` at a time.
+    """
     per_language = []
     for lang in languages:
-        pairs = []
-        for rec in records:
-            refs = [c.tokens for c in rec.captions if c.language == lang]
-            if not refs:
-                continue
-            cand = generate_caption(params, vocab, rec.feature, lang, width, max_len)
-            pairs.append((cand, refs))
-        if pairs:
-            per_language.append(cider(CorpusEval.from_pairs(pairs)))
+        kept = [rec for rec in records if any(c.language == lang for c in rec.captions)]
+        if not kept:
+            continue
+        if width == 1:
+            config = _decode_config(vocab, 1, max_len)
+            decoded = greedy_block(np.stack([rec.feature for rec in kept]), vocab.start_id(lang), params, config)
+            cands = [vocab.decode(ids) for ids in decoded]
+        else:
+            cands = [generate_caption(params, vocab, rec.feature, lang, width, max_len) for rec in kept]
+        pairs = [(cand, [c.tokens for c in rec.captions if c.language == lang]) for cand, rec in zip(cands, kept)]
+        per_language.append(cider(CorpusEval.from_pairs(pairs)))
     if not per_language:
         return 0.0
     return math.fsum(per_language) / len(per_language)

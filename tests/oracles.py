@@ -1,12 +1,13 @@
-"""Brute-force metric, scoring and decoder re-implementations used only as
-test oracles.
+"""Brute-force metric, scoring, optimizer and decoder re-implementations used
+only as test oracles.
 
 Written independently of the library code, favoring obviousness over speed:
 explicit loops, plain dicts, no shared helpers. ``forward_sequence`` restates
 the decoder in plain numpy; the decoders share only the model's
 ``step_distribution`` with the library, since that is what they search over.
 ``reference_score`` differs in purpose: it is the per-sentence ``Counter``
-form of the metric table, with the same rounding, so it checks exactness.
+form of the metric table, with the same rounding, so it checks exactness;
+``textbook_adam_step`` likewise rounds once per textbook operation.
 If the library and these disagree, trust neither and recount by hand.
 """
 
@@ -239,6 +240,26 @@ def forward_sequence(feature, ids, start_id, params):
         e = np.exp(logits - logits.max())
         distributions.append(e / e.sum())
     return ForwardTrace(distributions, LstmState(h, c), tuple(ids), start_id)
+
+
+# ---------------------------------------------------------------------------
+# optimizer
+
+
+def textbook_adam_step(arrays, grads, m, v, t, alpha=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Step ``t`` of bias-corrected Adam, out of place, on dicts of arrays.
+
+    Rebinds ``arrays``, ``m`` and ``v`` entries to fresh arrays, one numpy
+    expression per quantity, in the order Kingma & Ba write the update.
+    """
+    correction1 = 1.0 - beta1**t
+    correction2 = 1.0 - beta2**t
+    for name, g in grads.items():
+        m[name] = beta1 * m[name] + (1.0 - beta1) * g
+        v[name] = beta2 * v[name] + (1.0 - beta2) * (g * g)
+        m_hat = m[name] / correction1
+        v_hat = v[name] / correction2
+        arrays[name] = arrays[name] - alpha * m_hat / (np.sqrt(v_hat) + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcap.beam import BeamConfig, beam_search
+from mlcap.beam import BeamConfig, beam_search, greedy_block
 from mlcap.model import step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID
 from oracles import exhaustive_decode, reference_beam_search
@@ -199,6 +199,68 @@ class TestAgainstReferenceDecoders:
         first = beam_search(feature, 3, params, BeamConfig(width=3, max_len=6))
         second = beam_search(feature, 3, params, BeamConfig(width=3, max_len=6))
         assert first == second
+
+
+class TestGreedyBlock:
+    """``greedy_block`` decodes a block of rows as width-1 beams, row by row."""
+
+    @staticmethod
+    def assert_rows_match(features, start, params, config):
+        block = greedy_block(features, start, params, config)
+        assert len(block) == len(features)
+        for row, ids in zip(features, block):
+            assert ids == beam_search(row, start, params, config)[0][0]
+            assert ids == greedy_decode(row, start, params, config.max_len, config.exclude_ids)[0]
+        return block
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_rows_match_width_one_beam_and_greedy(self, data):
+        vocab = data.draw(st.integers(3, 8), label="vocab")
+        kind = data.draw(st.sampled_from(["random", "flat", "prefix-free"]), label="model")
+        if kind == "prefix-free":
+            scores = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.0]), min_size=vocab, max_size=vocab))
+            params = prefix_free_params(scores)
+        else:
+            params = wide_params(vocab=vocab, seed=data.draw(st.integers(0, 2**16), label="seed"), scale=2.0)
+            # shifting eos makes rows of one block end on different steps or run to max_len
+            params.b_out[EOS_ID] += data.draw(st.sampled_from([-1.0, 0.0, 1.0]), label="eos shift")
+        if kind == "flat":
+            params.w_out = np.zeros_like(params.w_out)
+            params.b_out = np.zeros_like(params.b_out)
+        exclude = data.draw(
+            st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
+        )
+        max_len = data.draw(st.integers(1, 6), label="max_len")
+        config = BeamConfig(width=1, max_len=max_len, exclude_ids=tuple(sorted(exclude)))
+        height = data.draw(st.integers(1, 8), label="height")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="feature seed"))
+        features = rng.normal(scale=2.0, size=(height, params.dims.feature))
+        start = data.draw(st.integers(0, vocab - 1), label="start")
+        self.assert_rows_match(features, start, params, config)
+
+    def test_rows_end_on_different_steps(self):
+        params = wide_params(vocab=6, embed=4, hidden=5, feature=3, seed=10, scale=2.0)
+        params.b_out[EOS_ID] -= 1.0
+        features = np.random.default_rng(10).normal(scale=2.0, size=(8, params.dims.feature))
+        block = self.assert_rows_match(features, 3, params, BeamConfig(width=1, max_len=6))
+        ended = [len(ids) for ids in block if ids[-1] == EOS_ID]
+        capped = [ids for ids in block if ids[-1] != EOS_ID]
+        assert len(set(ended)) >= 3 and [len(ids) for ids in capped] == [6]
+
+    def test_non_finite_logprobs_raise(self):
+        params = random_params(seed=5)
+        params.w_out[:] = np.nan
+        with pytest.raises(ValueError, match="non-finite log-probabilities at decode step 1"):
+            greedy_block(np.ones((3, params.dims.feature)), 3, params, BeamConfig(width=1, max_len=4))
+
+    def test_rejects_bad_features_and_start(self):
+        params = random_params()
+        config = BeamConfig(width=1, max_len=4)
+        with pytest.raises(ValueError):
+            greedy_block(np.ones(params.dims.feature), 3, params, config)
+        with pytest.raises(IndexError):
+            greedy_block(np.ones((2, params.dims.feature)), params.dims.vocab, params, config)
 
 
 class TestExhaustive:

@@ -271,6 +271,16 @@ class TestCheckpoint:
         save_checkpoint(again, load_checkpoint(path))
         assert path.read_bytes() == again.read_bytes()
 
+    def test_failed_save_leaves_the_previous_file_whole(self, tmp_path):
+        params, vocab, config, path = self.roundtrip(tmp_path)
+        before = path.read_bytes()
+        # an object array cannot be written as float64: the save raises mid-file
+        broken = ModelParams(**{**vars(params), "w_out": np.full(params.w_out.shape, object(), dtype=object)})
+        with pytest.raises(TypeError):
+            save_checkpoint(path, checkpoint_from_model(broken, vocab, config, epoch=2))
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
+
     def test_bad_magic(self, tmp_path):
         p = tmp_path / "x.ckpt"
         p.write_bytes(b"NOTFMT" + b"\x00" * 16)

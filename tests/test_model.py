@@ -14,6 +14,7 @@ from mlcap.model import (
     advance_state,
     init_params,
     step_distribution,
+    step_rows,
     zero_state,
 )
 from oracles import forward_sequence
@@ -227,3 +228,26 @@ class TestStepDistribution:
         p = random_params()
         with pytest.raises(ad.DimensionError):
             step_distribution(zero_state(p), np.ones((2, p.dims.feature)), p)
+
+
+class TestStepRows:
+    @pytest.mark.parametrize("seed", range(4))
+    def test_one_row_is_step_distribution_bit_for_bit(self, seed):
+        p = wide_params(vocab=7, embed=3, hidden=4, feature=5, seed=seed)
+        feature = np.random.default_rng(seed).normal(size=p.dims.feature)
+        expected_state, expected = step_distribution(zero_state(p), feature, p)
+        state, rows = step_rows(feature[None, :] @ p.w_image + p.b_image, zero_state(p), p)
+        assert rows.shape == (1, p.dims.vocab)
+        assert np.array_equal(rows[0], expected)
+        assert np.array_equal(state.h, expected_state.h) and np.array_equal(state.c, expected_state.c)
+        for tok in range(p.dims.vocab):
+            expected_next, expected = step_distribution(state, tok, p)
+            after, rows = step_rows(p.w_embed[[tok]], state, p)
+            assert np.array_equal(rows[0], expected)
+            assert np.array_equal(after.h, expected_next.h) and np.array_equal(after.c, expected_next.c)
+
+    def test_rows_normalize(self):
+        p = random_params(seed=6)
+        state, rows = step_rows(p.w_embed[[3, 4, 5]], zero_state(p, 3), p)
+        assert rows.shape == (3, p.dims.vocab) and state.h.shape == (3, p.dims.hidden)
+        npt.assert_allclose(np.exp(rows).sum(axis=1), 1.0, atol=1e-12)

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import numpy.testing as npt
@@ -13,7 +14,8 @@ from mlcap import autodiff as ad
 from mlcap import trainer
 from mlcap.data import Caption, l2_normalize_records, split_dataset, synth_generate
 from mlcap.gradcheck import gradient_check
-from oracles import forward_sequence
+from mlcap.metrics import CorpusEval, cider
+from oracles import forward_sequence, textbook_adam_step
 from mlcap.trainer import (
     AdamState,
     Batch,
@@ -188,6 +190,22 @@ class TestAdam:
                 v_hat = v[name] / (1.0 - 0.999**t)
                 mirror[name] -= 1e-3 * m_hat / (np.sqrt(v_hat) + 1e-8)
                 npt.assert_allclose(getattr(params, name), mirror[name], atol=1e-15)
+
+    def test_in_place_update_is_bit_identical_to_textbook(self):
+        rng = np.random.default_rng(5)
+        params = wide_params(vocab=50, embed=16, hidden=24, feature=32, seed=5)
+        state = AdamState.for_params(params)
+        arrays = {name: p.copy() for name, p in params.named_parameters()}
+        m = {name: np.zeros_like(p) for name, p in arrays.items()}
+        v = {name: np.zeros_like(p) for name, p in arrays.items()}
+        for t in range(1, 4):
+            grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape) for name, p in arrays.items()}
+            adam_step(params, grads, state)
+            textbook_adam_step(arrays, grads, m, v, t)
+            for name, p in params.named_parameters():
+                assert p.tobytes() == arrays[name].tobytes(), name
+                assert state.m[name].tobytes() == m[name].tobytes(), name
+                assert state.v[name].tobytes() == v[name].tobytes(), name
 
     def test_shape_mismatch_rejected(self):
         params = prefix_free_params(np.zeros(3))
@@ -408,6 +426,25 @@ class TestDecodeHelpers:
         )
         for tok in tokens:
             assert not tok.startswith("<") or tok == "<unk>"
+
+    @pytest.mark.parametrize("width", [1, 2])
+    def test_validation_score_is_the_mean_of_per_image_decodes(self, width):
+        split = TestRunTraining().small_split()
+        result = run_training(split, TestRunTraining().small_config(epochs=2))
+        # one record without jp captions: it counts for en only
+        records = list(split.val) + [dataclasses.replace(split.val[0], captions=split.val[0].captions[:1])]
+        assert {c.language for c in records[-1].captions} == {"en"}
+        per_language = []
+        for lang in ("en", "jp"):
+            pairs = []
+            for rec in records:
+                refs = [c.tokens for c in rec.captions if c.language == lang]
+                if refs:
+                    cand = generate_caption(result.params, result.vocab, rec.feature, lang, width, 8)
+                    pairs.append((cand, refs))
+            per_language.append(cider(CorpusEval.from_pairs(pairs)))
+        expected = math.fsum(per_language) / 2
+        assert validation_score(result.params, result.vocab, records, ["en", "jp"], width, 8) == expected
 
     def test_validation_score_empty_is_zero(self):
         params = random_params()
