@@ -53,35 +53,31 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray):
     return o * tanh_c, c, gates, tanh_c
 
 
-def lstm_sequence(x0: np.ndarray, xs: np.ndarray, w_x: np.ndarray, w_h: np.ndarray, b_gates: np.ndarray):
+def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b_gates: np.ndarray):
     """A teacher-forced LSTM run from the zero state: ``(hidden_rows, pullback)``.
 
-    Step 0 reads ``x0`` [B,E]; steps 1..T read the time-major rows of
-    ``xs`` [T*B,E] (rows t*B..(t+1)*B are step t+1). ``hidden_rows`` are
-    the hidden rows of steps 1..T, [T*B,H], in the same order. The input
-    projection of every step is one matmul. ``pullback(g)`` takes the
-    gradient of the loss with respect to ``hidden_rows`` and returns
-    ``(dx, dw_x, dw_h, db_gates)``, where ``dx`` [(T+1)*B,E] holds the rows
-    of ``x0`` and then those of ``xs``: backpropagation through time written
-    out by hand, with one matmul over all steps per weight gradient.
+    ``x`` [(T+1)*B,E] holds the inputs of ``batch`` sequences, time-major:
+    rows s*B..(s+1)*B are step s. ``hidden_rows`` are the hidden rows of
+    steps 1..T, [T*B,H], in the same order. The input projection of every
+    step is one matmul. ``pullback(g)`` takes the gradient of the loss with
+    respect to ``hidden_rows`` and returns ``(dx, dw_x, dw_h, db_gates)``,
+    ``dx`` shaped like ``x``: backpropagation through time written out by
+    hand, with one matmul over all steps per weight gradient.
     """
-    if x0.ndim != 2 or xs.ndim != 2 or xs.shape[1] != x0.shape[1]:
-        raise DimensionError(f"lstm_sequence: inputs {x0.shape} and {xs.shape} do not stack")
-    batch, embed = x0.shape
     hidden = w_h.shape[0]
     if (
-        not batch
-        or xs.shape[0] % batch
-        or w_x.shape != (embed, 4 * hidden)
+        x.ndim != 2
+        or not 0 < batch <= x.shape[0]
+        or x.shape[0] % batch
+        or w_x.shape != (x.shape[1], 4 * hidden)
         or w_h.shape != (hidden, 4 * hidden)
         or b_gates.shape != (4 * hidden,)
     ):
         raise DimensionError(
-            f"lstm_sequence: shapes x0 {x0.shape}, xs {xs.shape}, w_x {w_x.shape}, "
+            f"lstm_sequence: shapes x {x.shape} in batches of {batch}, w_x {w_x.shape}, "
             f"w_h {w_h.shape}, b_gates {b_gates.shape} do not fit"
         )
-    steps = xs.shape[0] // batch + 1
-    x = np.concatenate((x0, xs))
+    steps = x.shape[0] // batch
     zx = x @ w_x
     hs = np.empty((steps * batch, hidden))  # hidden rows, time-major
     cs = np.empty((steps * batch, hidden))

@@ -22,7 +22,8 @@ candidates the tie rule selects.
 
 ``greedy_block`` is the width-1 search for a block of images at once: one
 ``step_rows`` call per step for every row, with ``_select``'s rule applied
-to each row on its own.
+to each row on its own. ``trainer.decode_images`` runs every width-1 decode
+as ``greedy_block`` row blocks, and only wider beams through ``beam_search``.
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@ check failure, 5 training diverged. The parser converts and checks every
 flag value, so a bad one exits 2 before any file is read or written; train
 and caption take their defaults from ``TrainConfig`` and ``BeamConfig``.
 Every command that writes an artifact also writes a manifest recording the
-resolved flags, so a run can be reproduced exactly.
+resolved flags, so a run can be reproduced exactly. Outputs other than the
+synth dataset and the training log are written through ``atomic_open``: a
+command that fails leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .data import (
 )
 from .metrics import CorpusEval, evaluate_corpus
 from .rng import substream
-from .trainer import DivergenceError, TrainConfig, generate_caption, run_training, training_languages
+from .trainer import DivergenceError, TrainConfig, decode_images, run_training, training_languages
 from .vocab import build_vocab
 
 
@@ -178,8 +180,8 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], path=None) -> 
         "options": options,
         "outputs": outputs,
     }
-    path = Path(path or outputs[0] + ".manifest.json")
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with atomic_open(path or outputs[0] + ".manifest.json", "w", encoding="utf-8") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def cmd_build_vocab(args) -> int:
@@ -189,7 +191,7 @@ def cmd_build_vocab(args) -> int:
         raise DatasetError(f"no captions found for languages {args.langs}")
     vocab = build_vocab(corpus, args.min_count)
     out = Path(args.out)
-    with out.open("w", encoding="utf-8") as fh:
+    with atomic_open(out, "w", encoding="utf-8") as fh:
         for i, token in enumerate(vocab.id_to_token):
             fh.write(f"{i}\t{token}\n")
     _write_manifest(args, [str(out)])
@@ -244,14 +246,11 @@ def cmd_caption(args) -> int:
         raise DatasetError(f"feature width {width} does not match model width {params.dims.feature}")
     if l2norm:
         records = l2_normalize_records(records)
+    features = [rec.feature for rec in records]
+    captions = decode_images(params, vocab, features, args.lang, args.beam, args.max_len, args.length_norm)
     out = Path(args.out)
-    # a failure leaves no partial output behind
     with atomic_open(out, "w", encoding="utf-8") as fh:
-        for rec in records:
-            tokens = generate_caption(
-                params, vocab, rec.feature, args.lang,
-                width=args.beam, max_len=args.max_len, length_norm=args.length_norm,
-            )
+        for rec, tokens in zip(records, captions):
             fh.write(f"{rec.image_id}\t{' '.join(tokens)}\n")
     _write_manifest(args, [str(out)])
     print(f"wrote {len(records)} captions to {out}")
@@ -300,7 +299,8 @@ def cmd_evaluate(args) -> int:
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.out:
-        Path(args.out).write_text(text + "\n", encoding="utf-8")
+        with atomic_open(args.out, "w", encoding="utf-8") as fh:
+            fh.write(text + "\n")
         _write_manifest(args, [args.out])
     return EXIT_OK
 

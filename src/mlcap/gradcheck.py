@@ -90,8 +90,7 @@ def battery(seed: int):
     rng = np.random.default_rng(seed)
     batch, steps, embed, hidden = 2, 3, 3, 2
     shapes = {
-        "x0": (batch, embed),
-        "xs": (steps * batch, embed),
+        "x": ((steps + 1) * batch, embed),
         "w_x": (embed, 4 * hidden),
         "w_h": (hidden, 4 * hidden),
         "b_gates": (4 * hidden,),
@@ -100,9 +99,8 @@ def battery(seed: int):
     readout = rng.uniform(-0.5, 0.5, (steps * batch, hidden))
 
     def lstm_check():
-        hs, pullback = ad.lstm_sequence(*cell.values())
-        dx, dw_x, dw_h, db_gates = pullback(readout)
-        grads = {"x0": dx[:batch], "xs": dx[batch:], "w_x": dw_x, "w_h": dw_h, "b_gates": db_gates}
-        return float((hs * readout).sum()), grads
+        hs, pullback = ad.lstm_sequence(cell["x"], batch, cell["w_x"], cell["w_h"], cell["b_gates"])
+        # the pullback returns the gradients in ``shapes``'s order
+        return float((hs * readout).sum()), dict(zip(cell, pullback(readout)))
 
     return [("lstm_sequence", lstm_check, cell), ("sequence_loss", *reference_sequence_check())]

@@ -5,10 +5,10 @@ languages mix freely inside a batch, distinguished only by their start
 token. A batch pads captions to the longest one and masks the padding out
 of the loss, which averages over unmasked target positions by default (an
 optional mode keeps the raw sum). Every epoch reshuffles with its own rng
-stream, decodes each language's validation images greedily as one block of
-rows (or one image at a time at a wider validation beam), and scores them
-with the consensus metric; the checkpoint kept is the epoch whose
-unweighted mean across languages is highest, earliest on ties.
+stream, decodes each language's validation images with ``decode_images``
+(the one decoder entry, shared with ``mlcap caption``) and scores them with
+the consensus metric; the checkpoint kept is the epoch whose unweighted
+mean across languages is highest, earliest on ties.
 """
 
 from __future__ import annotations
@@ -31,6 +31,7 @@ from .vocab import PAD_ID, Vocabulary, build_vocab
 
 CLIP_NORM = 5.0
 LOSS_MODES = ("mean", "sum")
+GREEDY_BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a greedy block: 16 MB
 
 
 class DivergenceError(RuntimeError):
@@ -127,7 +128,7 @@ def make_batch(examples: Sequence[Example]) -> Batch:
     if not examples:
         raise ValueError("cannot build an empty batch")
     longest = max(len(ex.target_ids) for ex in examples)
-    features = np.stack([ex.feature for ex in examples]).astype(np.float64)
+    features = np.stack([ex.feature for ex in examples], dtype=np.float64)
     start_ids = np.array([ex.start_id for ex in examples], dtype=np.int64)
     targets = np.full((len(examples), longest), PAD_ID, dtype=np.int64)
     mask = np.zeros((len(examples), longest))
@@ -163,8 +164,8 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
     ids = np.concatenate((batch.start_ids, batch.targets[:, :-1].T.ravel()))
     targets = batch.targets.T.ravel()
     rows = np.arange(targets.size)
-    image = batch.features @ params.w_image + params.b_image
-    hidden, lstm_pullback = ad.lstm_sequence(image, params.w_embed[ids], params.w_x, params.w_h, params.b_gates)
+    x = np.concatenate((batch.features @ params.w_image + params.b_image, params.w_embed[ids]))
+    hidden, lstm_pullback = ad.lstm_sequence(x, batch_size, params.w_x, params.w_h, params.b_gates)
     logits = hidden @ params.w_out
     logits += params.b_out
     if not np.isfinite(logits).all():
@@ -302,24 +303,35 @@ def train_epoch(
     return nll_sum / token_sum
 
 
+def decode_images(
+    params: ModelParams, vocab: Vocabulary, features, language: str, width: int, max_len: int, length_norm=False
+) -> list[list[str]]:
+    """Decode each image of ``features`` ([N,D], or N D-vectors) in ``language``, as surface tokens.
+
+    Padding and every start id are barred from emission. A beam wider than 1
+    runs ``beam_search`` per image. At ``width`` 1 the images decode as
+    ``greedy_block`` blocks of near-equal height, each at most
+    ``max(2, GREEDY_BLOCK_CELLS // V)`` rows where N allows, and of one row
+    only when N is 1: a 1-row matmul rounds differently from a block row.
+    """
+    features = np.asarray(features, dtype=np.float64)
+    config = BeamConfig(width=width, max_len=max_len, exclude_ids=(PAD_ID,) + vocab.start_ids, length_norm=length_norm)
+    start_id = vocab.start_id(language)
+    if width == 1:
+        n, rows = len(features), max(2, GREEDY_BLOCK_CELLS // params.dims.vocab)
+        # ceil(n / rows) blocks, but never so many that a block holds one row
+        blocks = np.array_split(features, max(1, min(-(-n // rows), n // 2)))
+        decoded = [ids for block in blocks for ids in greedy_block(block, start_id, params, config)]
+    else:
+        decoded = [beam_search(feature, start_id, params, config)[0][0] for feature in features]
+    return [vocab.decode(ids) for ids in decoded]
+
+
 def generate_caption(
-    params: ModelParams,
-    vocab: Vocabulary,
-    feature: np.ndarray,
-    language: str,
-    width: int = 5,
-    max_len: int = 30,
-    length_norm: bool = False,
+    params: ModelParams, vocab: Vocabulary, feature, language: str, width: int = 5, max_len: int = 30
 ) -> list[str]:
-    """Beam-decode one image in one language, back to surface tokens."""
-    config = _decode_config(vocab, width, max_len, length_norm)
-    ids, _ = beam_search(feature, vocab.start_id(language), params, config)[0]
-    return vocab.decode(ids)
-
-
-def _decode_config(vocab: Vocabulary, width: int, max_len: int, length_norm: bool = False) -> BeamConfig:
-    """Decode settings that bar padding and every language start id."""
-    return BeamConfig(width=width, max_len=max_len, exclude_ids=(PAD_ID,) + vocab.start_ids, length_norm=length_norm)
+    """Decode one image in one language: ``decode_images`` on one row."""
+    return decode_images(params, vocab, [feature], language, width, max_len)[0]
 
 
 def validation_score(
@@ -330,22 +342,14 @@ def validation_score(
     width: int,
     max_len: int,
 ) -> float:
-    """Unweighted mean over languages of the consensus score on decodes.
-
-    At ``width`` 1 each language's images decode as one ``greedy_block``;
-    a wider beam decodes them one ``generate_caption`` at a time.
-    """
+    """Unweighted mean over languages of the consensus score on decodes,
+    each language's images decoded by one ``decode_images`` call."""
     per_language = []
     for lang in languages:
         kept = [rec for rec in records if any(c.language == lang for c in rec.captions)]
         if not kept:
             continue
-        if width == 1:
-            config = _decode_config(vocab, 1, max_len)
-            decoded = greedy_block(np.stack([rec.feature for rec in kept]), vocab.start_id(lang), params, config)
-            cands = [vocab.decode(ids) for ids in decoded]
-        else:
-            cands = [generate_caption(params, vocab, rec.feature, lang, width, max_len) for rec in kept]
+        cands = decode_images(params, vocab, [rec.feature for rec in kept], lang, width, max_len)
         pairs = [(cand, [c.tokens for c in rec.captions if c.language == lang]) for cand, rec in zip(cands, kept)]
         per_language.append(cider(CorpusEval.from_pairs(pairs)))
     if not per_language:

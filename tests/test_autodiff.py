@@ -32,8 +32,8 @@ def restated_head(batch, params):
     """
     b = batch.start_ids.size
     ids = np.concatenate((batch.start_ids, batch.targets[:, :-1].T.ravel()))
-    image = batch.features @ params.w_image + params.b_image
-    hs, pullback = ad.lstm_sequence(image, params.w_embed[ids], params.w_x, params.w_h, params.b_gates)
+    x = np.concatenate((batch.features @ params.w_image + params.b_image, params.w_embed[ids]))
+    hs, pullback = ad.lstm_sequence(x, b, params.w_x, params.w_h, params.b_gates)
     g = softmax(hs @ params.w_out + params.b_out)
     targets = batch.targets.T.ravel()
     g[np.arange(targets.size), targets] -= 1.0

@@ -1,5 +1,7 @@
 """End-to-end checks of the command-line entry points."""
 
+import contextlib
+import errno
 import json
 
 import numpy as np
@@ -39,6 +41,32 @@ def workdir(tmp_path_factory):
     )
     assert code == EXIT_OK
     return {"root": root, "data": data, "run": out}
+
+
+def fail_writes_to(monkeypatch, name):
+    """Make the command's ``atomic_open`` of a file called ``name`` write half
+    of its first chunk and then raise, as a full disk would."""
+    real = cli.atomic_open
+
+    class HalfWrite:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    @contextlib.contextmanager
+    def failing(path, mode="w", **kwargs):
+        with real(path, mode, **kwargs) as fh:
+            yield HalfWrite(fh) if str(path).endswith(name) else fh
+
+    monkeypatch.setattr(cli, "atomic_open", failing)
+
+
+def assert_left_as_before(path, before: bytes):
+    assert path.read_bytes() == before
+    assert not path.with_name(path.name + ".partial").exists()
 
 
 class TestSynth:
@@ -82,6 +110,25 @@ class TestBuildVocab:
         main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out_all), "--min-count", "1"])
         main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out_cut), "--min-count", "1000"])
         assert len(out_cut.read_text().splitlines()) < len(out_all.read_text().splitlines())
+
+    def test_failed_table_write_leaves_the_previous_table(self, workdir, tmp_path, monkeypatch, capsys):
+        out = tmp_path / "vocab.tsv"
+        out.write_bytes(b"0\tolder\n")
+        fail_writes_to(monkeypatch, "vocab.tsv")
+        code = main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out), "--min-count", "1"])
+        assert code == EXIT_DATA
+        assert "No space left on device" in capsys.readouterr().err
+        assert_left_as_before(out, b"0\tolder\n")
+
+    def test_failed_manifest_write_leaves_the_previous_manifest(self, workdir, tmp_path, monkeypatch):
+        out = tmp_path / "vocab.tsv"
+        manifest = tmp_path / "vocab.tsv.manifest.json"
+        manifest.write_bytes(b"{}\n")
+        fail_writes_to(monkeypatch, ".manifest.json")
+        code = main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out), "--min-count", "1"])
+        assert code == EXIT_DATA
+        assert out.read_text().startswith("0\t<pad>\n")
+        assert_left_as_before(manifest, b"{}\n")
 
     def test_bad_min_count_is_usage_error_before_reading_data(self, tmp_path):
         code = main(
@@ -373,24 +420,18 @@ class TestCaption:
         assert (tmp_path / "c").read_bytes() == (tmp_path / "with_config" / "c").read_bytes()
 
     def test_decode_failure_leaves_no_output_behind(self, workdir, tmp_path, monkeypatch, capsys):
-        decoded = []
+        def fail(*args, **kwargs):
+            raise ValueError("non-finite log-probabilities at decode step 2")
 
-        def fail_on_second_record(*args, **kwargs):
-            decoded.append(args)
-            if len(decoded) == 2:
-                raise ValueError("beam_search: non-finite log-probability")
-            return ["a", "red", "circle"]
-
-        monkeypatch.setattr(cli, "generate_caption", fail_on_second_record)
+        monkeypatch.setattr(cli, "decode_images", fail)
         fresh = tmp_path / "fresh"
         fresh.mkdir()
         assert self.caption_with(workdir, fresh, workdir["run"] / "best.ckpt") == EXIT_DATA
-        assert "non-finite log-probability" in capsys.readouterr().err
+        assert "non-finite log-probabilities" in capsys.readouterr().err
         assert list(fresh.iterdir()) == []
 
         existing = tmp_path / "c"
         existing.write_bytes(b"img-0\tan older caption\n")
-        decoded.clear()
         assert self.caption_with(workdir, tmp_path, workdir["run"] / "best.ckpt") == EXIT_DATA
         assert existing.read_bytes() == b"img-0\tan older caption\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "fresh"]
@@ -470,6 +511,18 @@ class TestEvaluate:
             assert scores["images"] == 40
             assert 0.5 < scores["cider"] <= 1.0
         assert report["overall"]["images"] == 80
+
+    def test_failed_report_write_leaves_the_previous_report(self, workdir, tmp_path, monkeypatch):
+        en = self._reference_candidates(workdir, tmp_path, "en")
+        report_path = tmp_path / "report.json"
+        report_path.write_bytes(b'{"older": true}\n')
+        fail_writes_to(monkeypatch, "report.json")
+        code = main(
+            ["evaluate", "--data", str(workdir["data"]), "--cands", str(en), "--langs", "en", "--out", str(report_path)]
+        )
+        assert code == EXIT_DATA
+        assert_left_as_before(report_path, b'{"older": true}\n')
+        assert not (tmp_path / "report.json.manifest.json").exists()
 
     def test_cands_langs_mismatch(self, workdir, tmp_path):
         en = self._reference_candidates(workdir, tmp_path, "en")

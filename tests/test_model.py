@@ -114,8 +114,7 @@ class TestLstmStep:
         p = wide_params(vocab=5, embed=3, hidden=3, feature=2, seed=9)
         batch, steps = 2, 3
         inputs = {
-            "x0": rng.normal(size=(batch, 3)),
-            "xs": rng.normal(size=(steps * batch, 3)),
+            "x": rng.normal(size=((steps + 1) * batch, 3)),
             "w_x": p.w_x,
             "w_h": p.w_h,
             "b_gates": p.b_gates,
@@ -123,10 +122,8 @@ class TestLstmStep:
         readout = rng.normal(size=(steps * batch, 3))
 
         def loss():
-            hs, pullback = ad.lstm_sequence(*inputs.values())
-            dx, dw_x, dw_h, db_gates = pullback(readout)
-            grads = {"x0": dx[:batch], "xs": dx[batch:], "w_x": dw_x, "w_h": dw_h, "b_gates": db_gates}
-            return float((hs * readout).sum()), grads
+            hs, pullback = ad.lstm_sequence(inputs["x"], batch, p.w_x, p.w_h, p.b_gates)
+            return float((hs * readout).sum()), dict(zip(inputs, pullback(readout)))
 
         assert gradient_check(loss, inputs, h=1e-5) < 1e-5
 
@@ -141,19 +138,17 @@ class TestLstmStep:
     def test_fused_run_equals_step_unroll(self, batch, steps, embed, hidden, seed):
         p = wide_params(vocab=4, embed=embed, hidden=hidden, feature=2, seed=seed % 1000, scale=1.0)
         rng = np.random.default_rng(seed)
-        x0 = rng.normal(size=(batch, embed))
-        xs = rng.normal(size=(steps * batch, embed))
-        fused, _ = ad.lstm_sequence(x0, xs, p.w_x, p.w_h, p.b_gates)
-        state = advance_state(x0, zero_state(p, batch), p)
+        x = rng.normal(size=((steps + 1) * batch, embed))
+        fused, _ = ad.lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
+        state = advance_state(x[:batch], zero_state(p, batch), p)
         for t in range(steps):
-            state = advance_state(xs[t * batch : (t + 1) * batch], state, p)
+            state = advance_state(x[(t + 1) * batch : (t + 2) * batch], state, p)
             npt.assert_allclose(fused[t * batch : (t + 1) * batch], state.h, rtol=0, atol=1e-12)
 
     def test_fused_run_rejects_ragged_steps(self):
         p = random_params()
-        x0 = np.zeros((2, p.dims.embed))
         with pytest.raises(ad.DimensionError):
-            ad.lstm_sequence(x0, np.zeros((3, p.dims.embed)), p.w_x, p.w_h, p.b_gates)
+            ad.lstm_sequence(np.zeros((5, p.dims.embed)), 2, p.w_x, p.w_h, p.b_gates)
 
 
 class TestForwardSequence:
@@ -245,6 +240,25 @@ class TestStepRows:
             after, rows = step_rows(p.w_embed[[tok]], state, p)
             assert np.array_equal(rows[0], expected)
             assert np.array_equal(after.h, expected_next.h) and np.array_equal(after.c, expected_next.c)
+
+    @pytest.mark.parametrize("vocab, width", [(23, 64), (1000, 128)], ids=["desk", "larger"])
+    def test_rows_do_not_depend_on_block_height_or_position(self, vocab, width):
+        # greedy decoding splits images into blocks of any height from 2 up, so a
+        # row must get the same bits wherever it sits. Height 1 is left out: a
+        # 1-row matmul takes another BLAS path and may round differently.
+        p = init_params(Dims(vocab, width, width, 2), 0)
+        rng = np.random.default_rng(vocab)
+        n = 300
+        x = rng.normal(size=(n, width))
+        state = LstmState(rng.normal(size=(n, width)), rng.normal(size=(n, width)))
+        whole_state, whole = step_rows(x, state, p)
+        for height in range(2, n + 1):
+            start = int(rng.integers(0, n - height + 1))
+            rows = slice(start, start + height)
+            part_state, part = step_rows(x[rows], LstmState(state.h[rows], state.c[rows]), p)
+            assert np.array_equal(part, whole[rows]), (height, start)
+            assert np.array_equal(part_state.h, whole_state.h[rows]), (height, start)
+            assert np.array_equal(part_state.c, whole_state.c[rows]), (height, start)
 
     def test_rows_normalize(self):
         p = random_params(seed=6)

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
 from mlcap import trainer
+from mlcap.beam import BeamConfig, beam_search
 from mlcap.data import Caption, l2_normalize_records, split_dataset, synth_generate
 from mlcap.gradcheck import gradient_check
 from mlcap.metrics import CorpusEval, cider
@@ -445,6 +446,27 @@ class TestDecodeHelpers:
             per_language.append(cider(CorpusEval.from_pairs(pairs)))
         expected = math.fsum(per_language) / 2
         assert validation_score(result.params, result.vocab, records, ["en", "jp"], width, 8) == expected
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_greedy_decode_images_matches_per_image_beams(self, n, monkeypatch):
+        vocab = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y"))], min_count=1)
+        params = wide_params(vocab=len(vocab), embed=8, hidden=8, feature=3, seed=n, scale=2.0)
+        blocks, greedy_block = [], trainer.greedy_block
+
+        def spy(features, *args):
+            blocks.append(greedy_block(features, *args))
+            return blocks[-1]
+
+        monkeypatch.setattr(trainer, "GREEDY_BLOCK_CELLS", 2 * len(vocab))  # 2-row blocks, one of 3 for odd n
+        monkeypatch.setattr(trainer, "greedy_block", spy)
+        features = np.random.default_rng(n).normal(scale=2.0, size=(n, params.dims.feature))
+        decoded = trainer.decode_images(params, vocab, features, "jp", 1, 6)
+        config = BeamConfig(width=1, max_len=6, exclude_ids=(PAD_ID,) + vocab.start_ids)
+        expected = [beam_search(f, vocab.start_id("jp"), params, config)[0][0] for f in features]
+        assert [ids for block in blocks for ids in block] == expected
+        assert decoded == [vocab.decode(ids) for ids in expected]
+        heights = sorted(len(block) for block in blocks)
+        assert heights == ([1] if n == 1 else [2] * (n // 2 - n % 2) + [3] * (n % 2))
 
     def test_validation_score_empty_is_zero(self):
         params = random_params()
