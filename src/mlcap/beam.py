@@ -151,7 +151,7 @@ def greedy_block(features, start_id: int, params: ModelParams, config: BeamConfi
     state, _ = step_rows(features @ params.w_image + params.b_image, zero_state(params, rows.size), params)
     state, logp = step_rows(params.w_embed[np.full(rows.size, start_id)], state, params)
     scores = np.zeros(rows.size)
-    ids = np.empty((rows.size, config.max_len), dtype=np.int64)
+    columns = []  # one [N] array of emitted ids per step taken, so memory follows the longest decode
     lengths = np.full(rows.size, config.max_len)
     live = np.ones(rows.size, dtype=bool)
     for step in range(1, config.max_len + 1):
@@ -161,10 +161,10 @@ def greedy_block(features, start_id: int, params: ModelParams, config: BeamConfi
         best = candidates.argmax(axis=1)  # the first maximum: emittable ids ascend
         scores = candidates[rows, best]
         tokens = emittable[best]
-        ids[:, step - 1] = tokens
+        columns.append(tokens)
         lengths[live & (tokens == EOS_ID)] = step
         live &= tokens != EOS_ID
         if not live.any() or step == config.max_len:
             break
         state, logp = step_rows(params.w_embed[tokens], state, params)
-    return [ids[r, : lengths[r]].tolist() for r in rows]
+    return [row[:n].tolist() for row, n in zip(np.stack(columns, axis=1), lengths)]

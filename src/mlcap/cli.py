@@ -6,9 +6,9 @@ check failure, 5 training diverged. The parser converts and checks every
 flag value, so a bad one exits 2 before any file is read or written; train
 and caption take their defaults from ``TrainConfig`` and ``BeamConfig``.
 Every command that writes an artifact also writes a manifest recording the
-resolved flags, so a run can be reproduced exactly. Outputs other than the
-synth dataset and the training log are written through ``atomic_open``: a
-command that fails leaves the previous file whole.
+resolved flags, so a run can be reproduced exactly. Every output but the
+training log is written through ``atomic_open``: a command that fails
+leaves the previous file whole.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .data import (
 )
 from .metrics import CorpusEval, evaluate_corpus
 from .rng import substream
-from .trainer import DivergenceError, TrainConfig, decode_images, run_training, training_languages
+from .trainer import CLIP_NORM, DivergenceError, TrainConfig, decode_images, run_training, training_languages
 from .vocab import build_vocab
 
 
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-len", type=_positive_int, default=TrainConfig.max_len)
     p.add_argument("--loss-sum", dest="loss_mode", action="store_const", const="sum",
                    default=TrainConfig.loss_mode, help="optimize the raw summed loss")
-    p.add_argument("--clip", action="store_true", help="clip gradients to global norm 5.0")
+    p.add_argument("--clip", action="store_true", help=f"clip gradients to global norm {CLIP_NORM}")
     p.add_argument("--lowercase", action="store_true")
     p.add_argument("--feature-l2norm", action="store_true", help="unit-normalize features")
     p.add_argument("--best-only", action="store_true", help="skip per-epoch checkpoints")

@@ -9,11 +9,11 @@ tokens are non-empty and hold no whitespace.
 Checkpoints are a single binary file: the ``MLCAP1`` magic, an 8-byte
 little-endian header length, a JSON header (dimensions, vocabulary, array
 manifest, training config, epoch), then the raw little-endian float64 array
-bytes in manifest order, written beside the target and renamed over it
-(``atomic_open``) so a failed save leaves the previous file whole. A
-``Checkpoint`` holds the ``ModelParams`` it was given, not copies; loading
-checks every length against the file size, then streams each array into
-its own buffer. Round trips are bit-exact.
+bytes in manifest order. Datasets and checkpoints are written beside the
+target and renamed over it (``atomic_open``), so a failed save leaves the
+previous file whole. A ``Checkpoint`` holds the ``ModelParams`` it was
+given, not copies; loading checks every length against the file size, then
+streams each array into its own buffer. Round trips are bit-exact.
 """
 
 from __future__ import annotations
@@ -143,7 +143,7 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
 
 
 def save_dataset(records: Iterable[ImageRecord], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_open(path, "w", encoding="utf-8") as fh:
         for rec in records:
             obj = {
                 "image_id": rec.image_id,
@@ -243,7 +243,7 @@ def model_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
 
 
 @contextmanager
-def atomic_open(path, mode: str = "w", **kwargs):
+def atomic_open(path, mode: str, **kwargs):
     """Open the sibling ``<path>.partial`` for writing and rename it over
     ``path`` once the block completes; if the block raises, the sibling is
     removed and ``path`` keeps what it held before."""

@@ -1,9 +1,10 @@
 """Finite-difference verification of the hand-written gradients.
 
 ``gradient_check`` compares any ``(loss, grads)`` function with central
-finite differences. ``battery`` names the checks that ``mlcap gradcheck``
-runs: the fused ``lstm_sequence`` with its pullback, and the full caption
-loss on a pinned reference model (``reference_sequence_check``).
+finite differences of the fixed step ``FD_STEP``. ``battery`` names the
+checks that ``mlcap gradcheck`` runs: the fused ``lstm_sequence`` with its
+pullback, and the full caption loss on a pinned reference model
+(``reference_sequence_check``).
 """
 
 from __future__ import annotations
@@ -21,21 +22,20 @@ from .trainer import Example, make_batch, sequence_loss
 # noise floor (~1e-11 absolute for an O(1) loss), so that check uses a
 # fixed wide-scale model verified to keep every coordinate well above it.
 REFERENCE_MODEL_SEED = 2
+FD_STEP = 1e-5  # the central-difference step of gradient_check
 
 
-def gradient_check(f: Callable[[], tuple], inputs: dict[str, np.ndarray], h: float = 1e-5) -> float:
+def gradient_check(f: Callable[[], tuple], inputs: dict[str, np.ndarray]) -> float:
     """Worst relative disagreement between hand-written and finite-difference grads.
 
     ``f()`` returns ``(loss, grads)``: a scalar loss and, for every name in
     ``inputs``, the gradient of the loss with respect to that array. The
     finite-difference side perturbs the arrays of ``inputs`` in place, one
-    coordinate at a time, with central differences of step ``h``; the
+    coordinate at a time, with central differences of step ``FD_STEP``; the
     relative error of a coordinate is
     |g_ad - g_fd| / max(1e-12, |g_ad| + |g_fd|) and the maximum over all
     coordinates of all inputs is returned.
     """
-    if h <= 0:
-        raise ValueError("gradient_check: h must be positive")
     loss, grads = f()
     if np.ndim(loss) != 0:
         raise ValueError(f"gradient_check: f must return a scalar loss, got shape {np.shape(loss)}")
@@ -45,12 +45,12 @@ def gradient_check(f: Callable[[], tuple], inputs: dict[str, np.ndarray], h: flo
         flat_ad = np.asarray(grads[name]).reshape(-1)
         for j in range(flat.size):
             orig = flat[j]
-            flat[j] = orig + h
+            flat[j] = orig + FD_STEP
             f_plus = float(f()[0])
-            flat[j] = orig - h
+            flat[j] = orig - FD_STEP
             f_minus = float(f()[0])
             flat[j] = orig
-            g_fd = (f_plus - f_minus) / (2.0 * h)
+            g_fd = (f_plus - f_minus) / (2.0 * FD_STEP)
             denom = max(1e-12, abs(flat_ad[j]) + abs(g_fd))
             worst = max(worst, abs(flat_ad[j] - g_fd) / denom)
     return worst

@@ -8,7 +8,9 @@ optional mode keeps the raw sum). Every epoch reshuffles with its own rng
 stream, decodes each language's validation images with ``decode_images``
 (the one decoder entry, shared with ``mlcap caption``) and scores them with
 the consensus metric; the checkpoint kept is the epoch whose unweighted
-mean across languages is highest, earliest on ties.
+mean across languages is highest, earliest on ties. Adam's constants
+(``ADAM_*``, Kingma & Ba) and the clipping norm ``CLIP_NORM`` are fixed;
+a finite gradient whose squared norm overflows is clipped, not zeroed.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .rng import substream
 from .vocab import PAD_ID, Vocabulary, build_vocab
 
 CLIP_NORM = 5.0
+ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8  # Kingma & Ba; read at each adam_step
 LOSS_MODES = ("mean", "sum")
 GREEDY_BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a greedy block: 16 MB
 
@@ -61,9 +64,9 @@ class TrainConfig:
     batch_size: int = 128
     hidden: int = 512
     embed: int = 512
-    beam: int = 5
+    beam: int = BeamConfig.width
     val_beam: int = 1
-    max_len: int = 30
+    max_len: int = BeamConfig.max_len
     seed: int = 42
     min_count: int = 5
     languages: tuple[str, ...] | None = None
@@ -210,16 +213,12 @@ class AdamState:
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
     t: int = 0
-    alpha: float = 1e-3
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def for_params(cls, params: ModelParams, **hyper) -> "AdamState":
+    def for_params(cls, params: ModelParams) -> "AdamState":
         m = {name: np.zeros_like(p) for name, p in params.named_parameters()}
         v = {name: np.zeros_like(p) for name, p in params.named_parameters()}
-        return cls(m=m, v=v, **hyper)
+        return cls(m=m, v=v)
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState) -> None:
@@ -238,35 +237,40 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
                 f"adam_step: gradient shape {grads[name].shape} != parameter shape {p.shape} for {name!r}"
             )
     state.t += 1
-    correction1 = 1.0 - state.beta1**state.t
-    correction2 = 1.0 - state.beta2**state.t
+    correction1 = 1.0 - ADAM_BETA1**state.t
+    correction2 = 1.0 - ADAM_BETA2**state.t
     largest = max(p.size for _, p in params.named_parameters())
     buffers = np.empty(largest), np.empty(largest)
     for name, p in params.named_parameters():
         g, m, v = grads[name], state.m[name], state.v[name]
         step, denom = (buf[: p.size].reshape(p.shape) for buf in buffers)
-        m *= state.beta1
-        m += np.multiply(g, 1.0 - state.beta1, out=step)
-        v *= state.beta2
+        m *= ADAM_BETA1
+        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+        v *= ADAM_BETA2
         np.multiply(g, g, out=denom)
-        v += np.multiply(denom, 1.0 - state.beta2, out=denom)
+        v += np.multiply(denom, 1.0 - ADAM_BETA2, out=denom)
         np.divide(m, correction1, out=step)
         np.divide(v, correction2, out=denom)
         np.sqrt(denom, out=denom)
-        denom += state.eps
-        step *= state.alpha
+        denom += ADAM_EPS
+        step *= ADAM_ALPHA
         step /= denom
         p -= step
 
 
-def clip_gradients(grads: dict[str, np.ndarray], max_norm: float = CLIP_NORM) -> float:
-    """Scale all gradients so their global L2 norm is at most ``max_norm``."""
-    total = math.sqrt(math.fsum(float((g * g).sum()) for g in grads.values()))
-    if total > max_norm and total > 0.0:
-        factor = max_norm / total
+def clip_gradients(grads: dict[str, np.ndarray]) -> float:
+    """Scale all gradients so their global L2 norm is at most ``CLIP_NORM``; returns the norm before."""
+    scale = 1.0
+    with np.errstate(over="ignore"):
+        norm = math.sqrt(math.fsum(float((g * g).sum()) for g in grads.values()))
+    if math.isinf(norm):  # finite entries whose squares overflow: measure relative to the largest
+        scale = max(float(np.abs(g).max(initial=0.0)) for g in grads.values())
+        norm = math.sqrt(math.fsum(float(np.square(g / scale).sum()) for g in grads.values()))
+    if norm * scale > CLIP_NORM:
+        factor = CLIP_NORM / scale / norm
         for g in grads.values():
             g *= factor
-    return total
+    return norm * scale
 
 
 def train_epoch(
@@ -328,7 +332,7 @@ def decode_images(
 
 
 def generate_caption(
-    params: ModelParams, vocab: Vocabulary, feature, language: str, width: int = 5, max_len: int = 30
+    params: ModelParams, vocab: Vocabulary, feature, language: str, width: int, max_len: int
 ) -> list[str]:
     """Decode one image in one language: ``decode_images`` on one row."""
     return decode_images(params, vocab, [feature], language, width, max_len)[0]

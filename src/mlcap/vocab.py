@@ -49,13 +49,6 @@ class Vocabulary:
     def __len__(self) -> int:
         return len(self.id_to_token)
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, Vocabulary)
-            and self.id_to_token == other.id_to_token
-            and self.languages == other.languages
-        )
-
     def start_id(self, language: str) -> int:
         if language not in self._start_ids:
             raise ValueError(f"unknown language {language!r}; known: {list(self.languages)}")
@@ -95,7 +88,7 @@ class Vocabulary:
         return out
 
 
-def build_vocab(corpus: Iterable[tuple[str, Sequence[str]]], min_count: int = 5) -> Vocabulary:
+def build_vocab(corpus: Iterable[tuple[str, Sequence[str]]], min_count: int) -> Vocabulary:
     """Build the shared table from (language, tokens) caption pairs.
 
     Surface tokens with corpus frequency below ``min_count`` are dropped

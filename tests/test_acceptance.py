@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from mlcap import trainer
 from mlcap.gradcheck import gradient_check, reference_sequence_check
 from mlcap.beam import BeamConfig, beam_search
 from mlcap.cli import main as cli_main
@@ -94,7 +95,7 @@ class TestGradientSuite:
     def test_full_loss_gradients_match_finite_differences(self, capsys):
         started = time.perf_counter()
         f, inputs = reference_sequence_check()
-        err = gradient_check(f, inputs, h=1e-5)
+        err = gradient_check(f, inputs)
         seconds = time.perf_counter() - started
         ok = err < 1e-5 and seconds < 30.0
         scorecard(capsys, "gradient-suite", ok, f"max rel err {err:.2e}, {seconds:.1f}s")
@@ -206,7 +207,7 @@ class TestUnifiedVersusMonolingual:
 
 
 class TestOverfitSanity:
-    def test_single_example_drives_nll_below_threshold(self, capsys):
+    def test_single_example_drives_nll_below_threshold(self, capsys, monkeypatch):
         started = time.perf_counter()
         record = synth_generate(1, substream(3, "synth"), ["en"])[0]
         vocab = build_vocab([(c.language, c.tokens) for c in record.captions], min_count=1)
@@ -214,7 +215,8 @@ class TestOverfitSanity:
         params = init_params(Dims(len(vocab), 16, 16, record.feature.size), substream(3, "init"))
         # 200 steps at the training-run step size barely move this far from
         # init, so the sanity check runs its optimizer hotter
-        adam = AdamState.for_params(params, alpha=0.05)
+        monkeypatch.setattr(trainer, "ADAM_ALPHA", 0.05)
+        adam = AdamState.for_params(params)
         nll = float("inf")
         epochs = 0
         for epochs in range(1, 201):

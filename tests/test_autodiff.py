@@ -179,7 +179,7 @@ class TestBackward:
         params = wide_params(vocab=6, embed=3, hidden=3, feature=2, seed=6)
         batch = make_batch([Example(np.ones(2), 4, (4, 4, 4, EOS_ID)), Example(-np.ones(2), 4, (4, EOS_ID))])
         f = lambda: sequence_loss(batch, params, mode="sum")
-        assert gradient_check(f, {"w_embed": params.w_embed}, h=1e-5) < 1e-7
+        assert gradient_check(f, {"w_embed": params.w_embed}) < 1e-7
 
     def test_backward_frees_the_graph_without_the_cycle_collector(self):
         params = wide_params(seed=7)
@@ -204,18 +204,13 @@ class TestBackward:
 class TestGradientCheck:
     def test_square_function_tight_agreement(self):
         x = np.array([3.0])
-        err = gradient_check(lambda: (float((x * x).sum()), {"x": 2.0 * x}), {"x": x}, h=1e-5)
+        err = gradient_check(lambda: (float((x * x).sum()), {"x": 2.0 * x}), {"x": x})
         assert err < 1e-9
 
     def test_requires_scalar_output(self):
         x = np.array([1.0, 2.0])
         with pytest.raises(ValueError, match="scalar"):
             gradient_check(lambda: (x * 1.0, {"x": np.ones(2)}), {"x": x})
-
-    def test_rejects_nonpositive_step(self):
-        x = np.array([1.0])
-        with pytest.raises(ValueError):
-            gradient_check(lambda: (float(x.sum()), {"x": np.ones(1)}), {"x": x}, h=0.0)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_composed_graphs(self, seed):
@@ -230,7 +225,7 @@ class TestGradientCheck:
         batch = ragged_batch(params, rng, count=int(rng.integers(1, 4)))
         mode = ("mean", "sum")[seed % 2]
         f = lambda: sequence_loss(batch, params, mode)
-        assert gradient_check(f, dict(params.named_parameters()), h=1e-5) < 1e-5
+        assert gradient_check(f, dict(params.named_parameters())) < 1e-5
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cross_entropy_rows_fd(self, seed):
@@ -242,4 +237,4 @@ class TestGradientCheck:
         batch.mask[0, 0] = 1.0
         f = lambda: sequence_loss(batch, params, mode="sum")
         inputs = {"w_out": params.w_out, "b_out": params.b_out}
-        assert gradient_check(f, inputs, h=1e-5) < 1e-7
+        assert gradient_check(f, inputs) < 1e-7

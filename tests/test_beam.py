@@ -248,6 +248,14 @@ class TestGreedyBlock:
         capped = [ids for ids in block if ids[-1] != EOS_ID]
         assert len(set(ended)) >= 3 and [len(ids) for ids in capped] == [6]
 
+    def test_huge_max_len_decodes_like_a_small_one(self):
+        # memory follows the steps taken, not max_len: every row here ends at eos within 8 steps
+        params = wide_params(vocab=6, embed=4, hidden=5, feature=3, seed=13, scale=2.0)
+        features = np.random.default_rng(13).normal(scale=2.0, size=(8, params.dims.feature))
+        small = greedy_block(features, 3, params, BeamConfig(width=1, max_len=40))
+        assert all(ids[-1] == EOS_ID for ids in small) and len({len(ids) for ids in small}) > 1
+        assert greedy_block(features, 3, params, BeamConfig(width=1, max_len=10**12)) == small
+
     def test_non_finite_logprobs_raise(self):
         params = random_params(seed=5)
         params.w_out[:] = np.nan

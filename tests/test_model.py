@@ -125,17 +125,19 @@ class TestLstmStep:
             hs, pullback = ad.lstm_sequence(inputs["x"], batch, p.w_x, p.w_h, p.b_gates)
             return float((hs * readout).sum()), dict(zip(inputs, pullback(readout)))
 
-        assert gradient_check(loss, inputs, h=1e-5) < 1e-5
+        assert gradient_check(loss, inputs) < 1e-5
 
     @settings(max_examples=60, deadline=None)
     @given(
-        batch=st.integers(1, 4),
+        batch=st.integers(1, 8),
         steps=st.integers(1, 6),
         embed=st.integers(1, 5),
         hidden=st.integers(1, 5),
         seed=st.integers(0, 2**32 - 1),
     )
     def test_fused_run_equals_step_unroll(self, batch, steps, embed, hidden, seed):
+        # a teacher-forced training row is the decode step's row, bit for bit,
+        # except at batch 1, where the step's 1-row matmul rounds differently
         p = wide_params(vocab=4, embed=embed, hidden=hidden, feature=2, seed=seed % 1000, scale=1.0)
         rng = np.random.default_rng(seed)
         x = rng.normal(size=((steps + 1) * batch, embed))
@@ -143,7 +145,11 @@ class TestLstmStep:
         state = advance_state(x[:batch], zero_state(p, batch), p)
         for t in range(steps):
             state = advance_state(x[(t + 1) * batch : (t + 2) * batch], state, p)
-            npt.assert_allclose(fused[t * batch : (t + 1) * batch], state.h, rtol=0, atol=1e-12)
+            rows = fused[t * batch : (t + 1) * batch]
+            if batch == 1:
+                npt.assert_allclose(rows, state.h, rtol=0, atol=1e-12)
+            else:
+                assert np.array_equal(rows, state.h), (batch, t)
 
     def test_fused_run_rejects_ragged_steps(self):
         p = random_params()

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import warnings
 
 import numpy as np
 import numpy.testing as npt
@@ -159,7 +160,7 @@ class TestSequenceLoss:
         batch = make_batch(tiny_examples(params, rng, count=3))
 
         f = lambda: sequence_loss(batch, params)
-        assert gradient_check(f, dict(params.named_parameters()), h=1e-5) < 1e-5
+        assert gradient_check(f, dict(params.named_parameters())) < 1e-5
 
 
 class TestAdam:
@@ -224,15 +225,24 @@ class TestAdam:
 class TestClip:
     def test_large_gradients_scaled_to_norm(self):
         grads = {"a": np.array([30.0, 40.0])}
-        norm = clip_gradients(grads, max_norm=5.0)
+        norm = clip_gradients(grads)
         assert norm == 50.0
         npt.assert_allclose(np.linalg.norm(grads["a"]), 5.0)
         npt.assert_allclose(grads["a"], [3.0, 4.0])
 
     def test_small_gradients_untouched(self):
         grads = {"a": np.array([0.3, 0.4])}
-        clip_gradients(grads, max_norm=5.0)
+        clip_gradients(grads)
         npt.assert_array_equal(grads["a"], [0.3, 0.4])
+
+    def test_finite_gradient_whose_square_overflows_is_clipped(self):
+        grads = {"a": np.array([1e200, 1.0]), "b": np.array([-1e200])}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            norm = clip_gradients(grads)
+        assert norm == 1e200 * math.sqrt(2.0)
+        npt.assert_allclose(math.hypot(*grads["a"], *grads["b"]), trainer.CLIP_NORM, rtol=1e-15)
+        npt.assert_allclose(grads["a"][0], -grads["b"][0], rtol=0)
 
 
 class TestSelection:
@@ -253,14 +263,15 @@ class TestSelection:
 
 
 class TestTrainEpoch:
-    def test_loss_decreases_on_tiny_data(self):
+    def test_loss_decreases_on_tiny_data(self, monkeypatch):
         records = synth_generate(12, seed=40, languages=["en"])
         vocab = build_vocab([(c.language, c.tokens) for r in records for c in r.captions], min_count=1)
         from mlcap.model import Dims, init_params
 
         params = init_params(Dims(len(vocab), 8, 8, 16), seed=0)
         config = TrainConfig(epochs=1, batch_size=4, hidden=8, embed=8, min_count=1)
-        adam = AdamState.for_params(params, alpha=0.05)
+        monkeypatch.setattr(trainer, "ADAM_ALPHA", 0.05)
+        adam = AdamState.for_params(params)
         examples = examples_from_records(records, vocab, ["en"])
         rng = np.random.default_rng(0)
         first = train_epoch(examples, params, adam, config, rng)
@@ -268,13 +279,14 @@ class TestTrainEpoch:
             last = train_epoch(examples, params, adam, config, rng)
         assert last < first * 0.5
 
-    def test_divergence_names_the_batch_before_updating(self):
+    def test_divergence_names_the_batch_before_updating(self, monkeypatch):
         # a huge step size throws the weights so far that the next forward
         # pass overflows; that batch fails before Adam touches the weights
         records = synth_generate(8, seed=41, languages=["en"])
         vocab = build_vocab([(c.language, c.tokens) for r in records for c in r.captions], min_count=1)
         params = random_params(vocab=len(vocab), embed=4, hidden=4, feature=16, seed=1)
-        adam = AdamState.for_params(params, alpha=1e308)
+        monkeypatch.setattr(trainer, "ADAM_ALPHA", 1e308)
+        adam = AdamState.for_params(params)
         config = TrainConfig(epochs=1, batch_size=4, hidden=4, embed=4, min_count=1)
         with np.errstate(over="ignore", invalid="ignore"), pytest.raises(DivergenceError) as caught:
             train_epoch(examples_from_records(records, vocab, ["en"]), params, adam, config, np.random.default_rng(0))
