@@ -3,7 +3,9 @@
 There is no tape. The one trained graph, the caption loss, is written out
 forward and then backward in ``trainer.sequence_loss``; the recurrence it
 runs is ``lstm_sequence``, which returns its hidden rows together with a
-pullback that backpropagates through time by hand. The pieces:
+pullback that backpropagates through time by hand. The pullback reuses the
+forward's buffers, and dropping it frees every activation, which
+``sequence_loss`` does before it builds the embedding gradient. The pieces:
 
 - ``lstm_cell``, the gate arithmetic of one step, shared by
   ``lstm_sequence`` and the decoder;
@@ -62,7 +64,9 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
     step is one matmul. ``pullback(g)`` takes the gradient of the loss with
     respect to ``hidden_rows`` and returns ``(dx, dw_x, dw_h, db_gates)``,
     ``dx`` shaped like ``x``: backpropagation through time written out by
-    hand, with one matmul over all steps per weight gradient.
+    hand, with one matmul over all steps per weight gradient. It writes the
+    gate gradients over the forward's input projections rather than into a
+    second buffer of that size.
     """
     hidden = w_h.shape[0]
     if (
@@ -92,7 +96,7 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
         acts.append((gates, tanh_c))
 
     def pullback(g: np.ndarray):
-        dz = np.empty_like(zx)
+        dz = zx  # the forward is done with the input projections; their buffer takes dz
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
         for s in range(steps - 1, -1, -1):

@@ -11,6 +11,14 @@ the consensus metric; the checkpoint kept is the epoch whose unweighted
 mean across languages is highest, earliest on ties. Adam's constants
 (``ADAM_*``, Kingma & Ba) and the clipping norm ``CLIP_NORM`` are fixed;
 a finite gradient whose squared norm overflows is clipped, not zeroed.
+
+A training step keeps a bounded working set. ``BLOCK_CELLS`` caps every
+``[rows,V]`` array, in training and in greedy decoding alike: the output
+head and its cross-entropy run over ``row_blocks`` of the hidden rows, so
+no ``[T*B,V]`` logits array exists, and ``w_out``/``b_out`` accumulate per
+block. ``sequence_loss`` drops the recurrence's activations before it
+builds the dense embedding gradient, and ``adam_step`` updates each
+parameter in cache-sized slices of about ``ADAM_SLICE`` elements.
 """
 
 from __future__ import annotations
@@ -34,7 +42,8 @@ from .vocab import PAD_ID, Vocabulary, build_vocab
 CLIP_NORM = 5.0
 ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8  # Kingma & Ba; read at each adam_step
 LOSS_MODES = ("mean", "sum")
-GREEDY_BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a greedy block: 16 MB
+BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a head or greedy block: 16 MB
+ADAM_SLICE = 2**15  # elements per Adam slice; at paper scale 2**15 beat 2**18, 2**21 and whole arrays
 
 
 class DivergenceError(RuntimeError):
@@ -141,6 +150,60 @@ def make_batch(examples: Sequence[Example]) -> Batch:
     return Batch(features, start_ids, targets, mask)
 
 
+def row_blocks(n: int, vocab: int) -> list[slice]:
+    """Slices that cut ``n`` rows into near-equal blocks for ``[rows,V]`` work.
+
+    Each block holds at most ``max(2, BLOCK_CELLS // vocab)`` rows where ``n``
+    allows, and one row only when ``n`` is 1: a 1-row matmul rounds
+    differently from a block row. The taller blocks come first.
+    """
+    rows = max(2, BLOCK_CELLS // vocab)
+    count = max(1, min(-(-n // rows), n // 2))  # ceil(n / rows), but never a lone row beside others
+    edges = [k * (n // count) + min(k, n % count) for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
+def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, params: ModelParams):
+    """The output head and its cross-entropy, forward and backward, over ``row_blocks`` of ``hidden``.
+
+    Returns ``(nll, dhidden, dw_out, db_out)``: each row's negative
+    log-likelihood of its target, and the gradients of ``sum(weights * nll)``.
+    One block buffer goes logits -> exp -> dlogits; the first block writes
+    ``dw_out`` and the later ones add theirs through one reused buffer.
+    """
+    w_out = params.w_out
+    blocks = row_blocks(len(hidden), w_out.shape[1])
+    logits_buffer = np.empty((blocks[0].stop, w_out.shape[1]))  # the first block is the tallest
+    nll = np.empty(len(hidden))
+    dhidden = np.empty_like(hidden)
+    dw_out = np.empty_like(w_out)
+    partial = np.empty_like(w_out) if len(blocks) > 1 else None
+    for block in blocks:
+        h, t = hidden[block], targets[block]
+        rows = np.arange(t.size)
+        logits = np.matmul(h, w_out, out=logits_buffer[: t.size])
+        logits += params.b_out
+        if not np.isfinite(logits).all():
+            raise ad.NonFiniteError("sequence_loss: logits must be finite")
+        logits -= logits.max(axis=1, keepdims=True)
+        picked = logits[rows, t]
+        exp = np.exp(logits, out=logits)
+        sums = exp.sum(axis=1)
+        nll[block] = np.log(sums) - picked
+        dlogits = exp
+        dlogits /= sums[:, None]
+        dlogits[rows, t] -= 1.0
+        dlogits *= weights[block, None]
+        np.matmul(dlogits, w_out.T, out=dhidden[block])
+        if block.start == 0:
+            np.matmul(h.T, dlogits, out=dw_out)
+            db_out = dlogits.sum(axis=0)
+        else:
+            dw_out += np.matmul(h.T, dlogits, out=partial)
+            db_out += dlogits.sum(axis=0)
+    return nll, dhidden, dw_out, db_out
+
+
 def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tuple[float, dict[str, np.ndarray]]:
     """Teacher-forced NLL of all unmasked target positions, and its gradients.
 
@@ -149,7 +212,8 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
     scored), the start token the second; thereafter each target token is
     also the next input. Padding rows advance the state but their positions
     are masked out of the loss. The forward pass runs first, then the
-    backward pass in reverse, by hand. Raises ``NonFiniteError`` on
+    backward pass in reverse, by hand; the output head runs over row blocks
+    of at most ``BLOCK_CELLS`` logits. Raises ``NonFiniteError`` on
     non-finite logits and ``IndexError`` on an id outside the vocabulary.
     """
     if mode not in LOSS_MODES:
@@ -165,31 +229,16 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
     # the token inputs are every start id, then each target column but the last
     batch_size = batch.start_ids.size
     ids = np.concatenate((batch.start_ids, batch.targets[:, :-1].T.ravel()))
-    targets = batch.targets.T.ravel()
-    rows = np.arange(targets.size)
-    x = np.concatenate((batch.features @ params.w_image + params.b_image, params.w_embed[ids]))
-    hidden, lstm_pullback = ad.lstm_sequence(x, batch_size, params.w_x, params.w_h, params.b_gates)
-    logits = hidden @ params.w_out
-    logits += params.b_out
-    if not np.isfinite(logits).all():
-        raise ad.NonFiniteError("sequence_loss: logits must be finite")
-    # masked cross-entropy; one [T*B,V] buffer goes logits -> exp -> dlogits
-    logits -= logits.max(axis=1, keepdims=True)
-    picked = logits[rows, targets]
-    exp = np.exp(logits, out=logits)
-    sums = exp.sum(axis=1)
+    hidden, lstm_pullback = ad.lstm_sequence(
+        np.concatenate((batch.features @ params.w_image + params.b_image, params.w_embed[ids])),
+        batch_size, params.w_x, params.w_h, params.b_gates,
+    )
     weights = batch.mask.T.ravel()
-    loss = ((np.log(sums) - picked) * weights).sum()
-    if mode == "mean":
-        scale = 1.0 / token_count
-        loss = loss * scale
-        weights = weights * scale
-
-    dlogits = exp
-    dlogits /= sums[:, None]
-    dlogits[rows, targets] -= 1.0
-    dlogits *= weights[:, None]
-    dx, dw_x, dw_h, db_gates = lstm_pullback(dlogits @ params.w_out.T)
+    scale = 1.0 / token_count if mode == "mean" else 1.0
+    nll, dhidden, dw_out, db_out = _output_head(hidden, batch.targets.T.ravel(), weights * scale, params)
+    loss = (nll * weights).sum() * scale
+    dx, dw_x, dw_h, db_gates = lstm_pullback(dhidden)
+    del hidden, lstm_pullback, dhidden  # free the activations before the dense w_embed gradient
     dimage = dx[:batch_size]
     dw_embed = np.zeros_like(params.w_embed)
     np.add.at(dw_embed, ids, dx[batch_size:])
@@ -200,8 +249,8 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
         "w_x": dw_x,
         "w_h": dw_h,
         "b_gates": db_gates,
-        "w_out": hidden.T @ dlogits,
-        "b_out": dlogits.sum(axis=0),
+        "w_out": dw_out,
+        "b_out": db_out,
     }
     return float(loss), grads
 
@@ -225,9 +274,12 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     """One bias-corrected Adam update, in place.
 
     theta <- theta - alpha * m_hat / (sqrt(v_hat) + eps), with the epsilon
-    outside the square root. The moments update in place and the step is
-    built in two scratch buffers, one rounding per operation in the
-    textbook order, so the arrays match the out-of-place update bit for bit.
+    outside the square root. Each parameter is updated in slices along its
+    first axis, of about ``ADAM_SLICE`` elements and at least one row, so
+    every operand stays in cache. The moments update in place and the step
+    is built in two slice-sized scratch buffers, one rounding per operation
+    in the textbook order, so the arrays match the out-of-place update bit
+    for bit.
     """
     for name, p in params.named_parameters():
         if name not in grads:
@@ -239,23 +291,27 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     state.t += 1
     correction1 = 1.0 - ADAM_BETA1**state.t
     correction2 = 1.0 - ADAM_BETA2**state.t
-    largest = max(p.size for _, p in params.named_parameters())
-    buffers = np.empty(largest), np.empty(largest)
-    for name, p in params.named_parameters():
-        g, m, v = grads[name], state.m[name], state.v[name]
-        step, denom = (buf[: p.size].reshape(p.shape) for buf in buffers)
-        m *= ADAM_BETA1
-        m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
-        v *= ADAM_BETA2
-        np.multiply(g, g, out=denom)
-        v += np.multiply(denom, 1.0 - ADAM_BETA2, out=denom)
-        np.divide(m, correction1, out=step)
-        np.divide(v, correction2, out=denom)
-        np.sqrt(denom, out=denom)
-        denom += ADAM_EPS
-        step *= ADAM_ALPHA
-        step /= denom
-        p -= step
+    # a slice holds whole rows, so one row wider than ADAM_SLICE is a slice of its own
+    width = max(ADAM_SLICE, max(p.size // len(p) for _, p in params.named_parameters()))
+    buffers = np.empty(width), np.empty(width)
+    for name, whole in params.named_parameters():
+        rows = max(1, ADAM_SLICE // (whole.size // len(whole)))
+        for lo in range(0, len(whole), rows):
+            part = slice(lo, lo + rows)
+            p, g, m, v = whole[part], grads[name][part], state.m[name][part], state.v[name][part]
+            step, denom = (buf[: p.size].reshape(p.shape) for buf in buffers)
+            m *= ADAM_BETA1
+            m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
+            v *= ADAM_BETA2
+            np.multiply(g, g, out=denom)
+            v += np.multiply(denom, 1.0 - ADAM_BETA2, out=denom)
+            np.divide(m, correction1, out=step)
+            np.divide(v, correction2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += ADAM_EPS
+            step *= ADAM_ALPHA
+            step /= denom
+            p -= step
 
 
 def clip_gradients(grads: dict[str, np.ndarray]) -> float:
@@ -314,18 +370,14 @@ def decode_images(
 
     Padding and every start id are barred from emission. A beam wider than 1
     runs ``beam_search`` per image. At ``width`` 1 the images decode as
-    ``greedy_block`` blocks of near-equal height, each at most
-    ``max(2, GREEDY_BLOCK_CELLS // V)`` rows where N allows, and of one row
-    only when N is 1: a 1-row matmul rounds differently from a block row.
+    ``greedy_block`` blocks, one per ``row_blocks`` slice.
     """
     features = np.asarray(features, dtype=np.float64)
     config = BeamConfig(width=width, max_len=max_len, exclude_ids=(PAD_ID,) + vocab.start_ids, length_norm=length_norm)
     start_id = vocab.start_id(language)
     if width == 1:
-        n, rows = len(features), max(2, GREEDY_BLOCK_CELLS // params.dims.vocab)
-        # ceil(n / rows) blocks, but never so many that a block holds one row
-        blocks = np.array_split(features, max(1, min(-(-n // rows), n // 2)))
-        decoded = [ids for block in blocks for ids in greedy_block(block, start_id, params, config)]
+        blocks = row_blocks(len(features), params.dims.vocab)
+        decoded = [ids for block in blocks for ids in greedy_block(features[block], start_id, params, config)]
     else:
         decoded = [beam_search(feature, start_id, params, config)[0][0] for feature in features]
     return [vocab.decode(ids) for ids in decoded]

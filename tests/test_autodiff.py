@@ -8,6 +8,7 @@ import numpy.testing as npt
 import pytest
 
 from mlcap import autodiff as ad
+from mlcap import trainer
 from mlcap.gradcheck import gradient_check
 from mlcap.trainer import Batch, Example, make_batch, sequence_loss
 from mlcap.vocab import EOS_ID
@@ -100,6 +101,49 @@ class TestOps:
         npt.assert_allclose(mean, total / batch.token_count, rtol=1e-14)
         for name, g in sum_grads.items():
             npt.assert_allclose(mean_grads[name], g / batch.token_count, rtol=0, atol=1e-15)
+
+
+class TestBlockedHead:
+    # three examples over three steps: 9 hidden rows; 2-row blocks give
+    # heights 3, 2, 2, 2 (taller blocks first, so the last is ragged)
+    def batch(self, params):
+        f = np.linspace(-1.0, 1.0, params.dims.feature)
+        return make_batch([Example(f, 3, (5, 4, EOS_ID)), Example(-f, 4, (6, EOS_ID)), Example(f, 3, (EOS_ID,))])
+
+    def blocked(self, monkeypatch, params):
+        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * params.dims.vocab)
+        heights = [s.stop - s.start for s in trainer.row_blocks(9, params.dims.vocab)]
+        assert heights == [3, 2, 2, 2]
+
+    @pytest.mark.parametrize("mode", ["mean", "sum"])
+    def test_blocks_match_one_block(self, mode, monkeypatch):
+        params = wide_params(vocab=7, embed=3, hidden=4, feature=2, seed=8)
+        batch = self.batch(params)
+        whole, whole_grads = sequence_loss(batch, params, mode)
+        self.blocked(monkeypatch, params)
+        loss, grads = sequence_loss(batch, params, mode)
+        npt.assert_allclose(loss, whole, rtol=1e-12)
+        for name, g in whole_grads.items():
+            npt.assert_allclose(grads[name], g, rtol=1e-12, atol=1e-15, err_msg=name)
+
+    def test_blocked_gradients_match_finite_differences(self, monkeypatch):
+        params = wide_params(vocab=7, embed=3, hidden=4, feature=2, seed=9, scale=1.0)
+        batch = self.batch(params)
+        self.blocked(monkeypatch, params)
+        f = lambda: sequence_loss(batch, params, mode="sum")
+        assert gradient_check(f, dict(params.named_parameters())) < 1e-7
+
+    def test_one_block_is_bit_identical_to_the_restated_head(self):
+        params = wide_params(vocab=7, embed=3, hidden=4, feature=2, seed=10)
+        batch = ragged_batch(params, np.random.default_rng(10), count=4)
+        assert len(trainer.row_blocks(batch.targets.size, params.dims.vocab)) == 1
+        hs, g, ids, dx_tokens = restated_head(batch, params)
+        _, grads = sequence_loss(batch, params, mode="sum")
+        dw_embed = np.zeros_like(params.w_embed)
+        np.add.at(dw_embed, ids, dx_tokens)
+        assert grads["w_out"].tobytes() == (hs.T @ g).tobytes()
+        assert grads["b_out"].tobytes() == g.sum(axis=0).tobytes()
+        assert grads["w_embed"].tobytes() == dw_embed.tobytes()
 
 
 class TestSoftmaxOps:

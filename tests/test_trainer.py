@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -162,6 +163,28 @@ class TestSequenceLoss:
         f = lambda: sequence_loss(batch, params)
         assert gradient_check(f, dict(params.named_parameters())) < 1e-5
 
+    def test_head_holds_one_block_of_logits_at_a_time(self, monkeypatch):
+        # one [T*B,V] array at this shape is 6 MB; with 2**16-cell blocks no
+        # more than a few of those cells are alive, so the whole call peaks
+        # far below that array (numpy reports its buffers to tracemalloc)
+        vocab, batch_size, steps = 2000, 32, 12
+        params = wide_params(vocab=vocab, embed=16, hidden=16, feature=8, seed=13)
+        rng = np.random.default_rng(13)
+        examples = [
+            Example(rng.normal(size=8), 3, tuple(int(t) for t in rng.integers(3, vocab, steps - 1)) + (EOS_ID,))
+            for _ in range(batch_size)
+        ]
+        batch = make_batch(examples)
+        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2**16)
+        logits_bytes = steps * batch_size * vocab * 8
+        tracemalloc.start()
+        try:
+            sequence_loss(batch, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < logits_bytes / 2
+
 
 class TestAdam:
     def test_first_step_hand_value(self):
@@ -194,8 +217,21 @@ class TestAdam:
                 npt.assert_allclose(getattr(params, name), mirror[name], atol=1e-15)
 
     def test_in_place_update_is_bit_identical_to_textbook(self):
+        self.assert_textbook_steps(wide_params(vocab=50, embed=16, hidden=24, feature=32, seed=5))
+
+    @pytest.mark.parametrize("elements", [1, 7, 37])
+    def test_slices_are_bit_identical_to_textbook(self, elements, monkeypatch):
+        # no parameter size is a multiple of 7 or 37; 16-wide rows give
+        # one-row slices at 7 and two-row slices at 37, and a Fortran-ordered
+        # w_out checks that slices are views whatever the layout
+        monkeypatch.setattr(trainer, "ADAM_SLICE", elements)
+        params = wide_params(vocab=50, embed=16, hidden=24, feature=31, seed=5)
+        params.w_out = np.asfortranarray(params.w_out)
+        assert all(p.size % 7 and p.size % 37 for _, p in params.named_parameters())
+        self.assert_textbook_steps(params)
+
+    def assert_textbook_steps(self, params):
         rng = np.random.default_rng(5)
-        params = wide_params(vocab=50, embed=16, hidden=24, feature=32, seed=5)
         state = AdamState.for_params(params)
         arrays = {name: p.copy() for name, p in params.named_parameters()}
         m = {name: np.zeros_like(p) for name, p in arrays.items()}
@@ -293,6 +329,43 @@ class TestTrainEpoch:
         assert (caught.value.batch, caught.value.epoch, adam.t) == (1, None, 1)
         assert "non-finite loss or gradient in batch 1" in str(caught.value)
         assert all(np.isfinite(p).all() for _, p in params.named_parameters())
+
+    def test_non_finite_logits_in_the_last_head_block_stop_the_batch(self, monkeypatch):
+        # token 7's embedding is NaN and it is fed only at the last step, so
+        # only the last row block of the second batch's logits is non-finite
+        params = wide_params(vocab=8, embed=3, hidden=4, feature=2, seed=12)
+        params.w_embed[7] = np.nan
+        f = np.ones(2)
+        intended = [Example(f, 3, (5, 6, EOS_ID)), Example(-f, 4, (6, 5, EOS_ID)),
+                    Example(f, 3, (5, 7, EOS_ID)), Example(-f, 4, (6, 7, EOS_ID))]
+        order = np.random.default_rng(0).permutation(4)
+        examples = [None] * 4
+        for position, index in enumerate(order):
+            examples[index] = intended[position]  # train_epoch's shuffle restores the intended order
+        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * params.dims.vocab)
+        bad = make_batch(intended[2:])
+        hidden, _ = ad.lstm_sequence(
+            np.concatenate((bad.features @ params.w_image + params.b_image, params.w_embed[[3, 4, 5, 6, 7, 7]])),
+            2, params.w_x, params.w_h, params.b_gates,
+        )
+        blocks = trainer.row_blocks(6, params.dims.vocab)
+        assert [np.isfinite(hidden[b]).all() for b in blocks] == [True, True, False]
+        updated = []
+
+        def spy(params, grads, state):
+            adam_step(params, grads, state)
+            updated.append([p.copy() for _, p in params.named_parameters()])
+
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        adam = AdamState.for_params(params)
+        config = TrainConfig(epochs=1, batch_size=2, hidden=4, embed=3, min_count=1)
+        with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as caught:
+            train_epoch(examples, params, adam, config, np.random.default_rng(0))
+        assert isinstance(caught.value.__cause__, ad.NonFiniteError)
+        assert "non-finite loss or gradient in batch 1" in str(caught.value)
+        assert caught.value.batch == 1 and len(updated) == 1
+        for (name, p), kept in zip(params.named_parameters(), updated[0]):
+            assert p.tobytes() == kept.tobytes(), name
 
     def test_requires_examples(self):
         params = random_params()
@@ -469,7 +542,7 @@ class TestDecodeHelpers:
             blocks.append(greedy_block(features, *args))
             return blocks[-1]
 
-        monkeypatch.setattr(trainer, "GREEDY_BLOCK_CELLS", 2 * len(vocab))  # 2-row blocks, one of 3 for odd n
+        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * len(vocab))  # 2-row blocks, one of 3 for odd n
         monkeypatch.setattr(trainer, "greedy_block", spy)
         features = np.random.default_rng(n).normal(scale=2.0, size=(n, params.dims.feature))
         decoded = trainer.decode_images(params, vocab, features, "jp", 1, 6)
