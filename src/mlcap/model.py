@@ -10,8 +10,12 @@ candidate, with the forget-gate bias slice initialized to one.
 
 Parameters are plain float64 arrays. Training runs the whole
 teacher-forced recurrence as ``autodiff.lstm_sequence``; decoding steps the
-same cell (``lstm_cell``) here: ``step_rows`` advances a block of rows,
-one per sequence, and ``step_distribution`` is its one-row form.
+same cell (``lstm_cell``) here: ``project_features`` gives each image's
+first input row, ``step_rows`` advances a block of rows, one per sequence,
+and ``step_distribution`` is its one-row form. Decoding never runs a 1-row
+matmul, which rounds differently from a row inside a block: both functions
+run a lone row as a 2-row block, so a row decodes to the same bits whatever
+block it sits in.
 """
 
 from __future__ import annotations
@@ -112,12 +116,24 @@ def advance_state(x: np.ndarray, state: LstmState, params: ModelParams) -> LstmS
     return LstmState(h, c)
 
 
+def _block(rows: np.ndarray) -> np.ndarray:
+    """``rows`` [N,...], with a lone row duplicated into a 2-row block."""
+    return np.concatenate([rows, rows]) if len(rows) == 1 else rows
+
+
+def project_features(features: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Image features [N,D] projected into embedding space: each decode's first input row [N,E]."""
+    return (_block(features) @ params.w_image + params.b_image)[: len(features)]
+
+
 def step_rows(x_rows: np.ndarray, state: LstmState, params: ModelParams) -> tuple[LstmState, np.ndarray]:
     """One decode step for a block of rows: input rows [N,E] and state
-    [N,H] to the new state and next-id log-probabilities [N,V]."""
-    new = advance_state(x_rows, state, params)
+    [N,H] to the new state and next-id log-probabilities [N,V]. A lone row
+    runs as a 2-row block."""
+    n = len(x_rows)
+    new = advance_state(_block(x_rows), LstmState(_block(state.h), _block(state.c)), params)
     logits = new.h @ params.w_out + params.b_out
-    return new, ad.log_softmax(logits)
+    return LstmState(new.h[:n], new.c[:n]), ad.log_softmax(logits)[:n]
 
 
 def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -> tuple[LstmState, np.ndarray]:
@@ -136,6 +152,6 @@ def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -
         feature = np.asarray(token_or_feature)
         if feature.ndim != 1:
             raise ad.DimensionError(f"step_distribution: feature must be 1-D, got shape {feature.shape}")
-        x = feature[None, :] @ params.w_image + params.b_image
+        x = project_features(feature[None, :], params)
     new, logp = step_rows(x, state, params)
     return new, logp[0]

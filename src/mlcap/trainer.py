@@ -13,7 +13,7 @@ mean across languages is highest, earliest on ties. Adam's constants
 a finite gradient whose squared norm overflows is clipped, not zeroed.
 
 A training step keeps a bounded working set. ``BLOCK_CELLS`` caps every
-``[rows,V]`` array, in training and in greedy decoding alike: the output
+``[rows,V]`` array, in training and in decoding alike: the output
 head and its cross-entropy run over ``row_blocks`` of the hidden rows, so
 no ``[T*B,V]`` logits array exists, and ``w_out``/``b_out`` accumulate per
 block. ``sequence_loss`` drops the recurrence's activations before it
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError
-from .beam import BeamConfig, beam_search, greedy_block
+from .beam import BeamConfig, beam_block, greedy_block
 from .data import DatasetSplit, ImageRecord, corpus_from_records, l2_normalize_records, lowercase_records
 from .metrics import CorpusEval, cider
 from .model import Dims, ModelParams, init_params
@@ -42,7 +42,7 @@ from .vocab import PAD_ID, Vocabulary, build_vocab
 CLIP_NORM = 5.0
 ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8  # Kingma & Ba; read at each adam_step
 LOSS_MODES = ("mean", "sum")
-BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a head or greedy block: 16 MB
+BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a head or decode block: 16 MB
 ADAM_SLICE = 2**15  # elements per Adam slice; at paper scale 2**15 beat 2**18, 2**21 and whole arrays
 
 
@@ -368,9 +368,12 @@ def decode_images(
 ) -> list[list[str]]:
     """Decode each image of ``features`` ([N,D], or N D-vectors) in ``language``, as surface tokens.
 
-    Padding and every start id are barred from emission. A beam wider than 1
-    runs ``beam_search`` per image. At ``width`` 1 the images decode as
-    ``greedy_block`` blocks, one per ``row_blocks`` slice.
+    Padding and every start id are barred from emission. The images decode
+    in ``row_blocks`` slices, one block call each: at ``width`` 1 as
+    ``greedy_block`` rows, of at most ``max(2, BLOCK_CELLS // V)`` images;
+    wider as ``beam_block`` beams, of at most ``max(2, BLOCK_CELLS // (V *
+    width))`` images, so every live hypothesis of a block steps in one
+    ``step_rows`` call. A block decodes each image as it would alone.
     """
     features = np.asarray(features, dtype=np.float64)
     config = BeamConfig(width=width, max_len=max_len, exclude_ids=(PAD_ID,) + vocab.start_ids, length_norm=length_norm)
@@ -379,7 +382,8 @@ def decode_images(
         blocks = row_blocks(len(features), params.dims.vocab)
         decoded = [ids for block in blocks for ids in greedy_block(features[block], start_id, params, config)]
     else:
-        decoded = [beam_search(feature, start_id, params, config)[0][0] for feature in features]
+        blocks = row_blocks(len(features), params.dims.vocab * width)
+        decoded = [ranked[0][0] for block in blocks for ranked in beam_block(features[block], start_id, params, config)]
     return [vocab.decode(ids) for ids in decoded]
 
 

@@ -1,6 +1,7 @@
 """Beam search against hand-enumerated cases, greedy, and full enumeration."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -8,9 +9,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcap.beam import BeamConfig, beam_search, greedy_block
+from mlcap.beam import BeamConfig, beam_block, beam_search, greedy_block
+from mlcap import trainer
 from mlcap.model import step_distribution, zero_state
-from mlcap.vocab import EOS_ID, PAD_ID
+from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
 from oracles import exhaustive_decode, reference_beam_search
 from tinymodels import prefix_free_params, random_params, toy_distribution, wide_params
 
@@ -201,6 +203,21 @@ class TestAgainstReferenceDecoders:
         assert first == second
 
 
+def draw_model(data, vocab):
+    """A random, flat (every candidate tied) or prefix-free model of ``vocab`` ids."""
+    kind = data.draw(st.sampled_from(["random", "flat", "prefix-free"]), label="model")
+    if kind == "prefix-free":
+        scores = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.0]), min_size=vocab, max_size=vocab))
+        return prefix_free_params(scores)
+    params = wide_params(vocab=vocab, seed=data.draw(st.integers(0, 2**16), label="seed"), scale=2.0)
+    # shifting eos makes the rows or images of one block end on different steps or run to max_len
+    params.b_out[EOS_ID] += data.draw(st.sampled_from([-1.0, 0.0, 1.0]), label="eos shift")
+    if kind == "flat":
+        params.w_out = np.zeros_like(params.w_out)
+        params.b_out = np.zeros_like(params.b_out)
+    return params
+
+
 class TestGreedyBlock:
     """``greedy_block`` decodes a block of rows as width-1 beams, row by row."""
 
@@ -217,17 +234,7 @@ class TestGreedyBlock:
     @given(data=st.data())
     def test_rows_match_width_one_beam_and_greedy(self, data):
         vocab = data.draw(st.integers(3, 8), label="vocab")
-        kind = data.draw(st.sampled_from(["random", "flat", "prefix-free"]), label="model")
-        if kind == "prefix-free":
-            scores = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.0]), min_size=vocab, max_size=vocab))
-            params = prefix_free_params(scores)
-        else:
-            params = wide_params(vocab=vocab, seed=data.draw(st.integers(0, 2**16), label="seed"), scale=2.0)
-            # shifting eos makes rows of one block end on different steps or run to max_len
-            params.b_out[EOS_ID] += data.draw(st.sampled_from([-1.0, 0.0, 1.0]), label="eos shift")
-        if kind == "flat":
-            params.w_out = np.zeros_like(params.w_out)
-            params.b_out = np.zeros_like(params.b_out)
+        params = draw_model(data, vocab)
         exclude = data.draw(
             st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
         )
@@ -269,6 +276,111 @@ class TestGreedyBlock:
             greedy_block(np.ones(params.dims.feature), 3, params, config)
         with pytest.raises(IndexError):
             greedy_block(np.ones((2, params.dims.feature)), params.dims.vocab, params, config)
+
+
+class TestBeamBlock:
+    """``beam_block`` decodes a block of images as ``beam_search`` decodes each alone."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_images_match_scalar_and_reference_beams(self, data):
+        vocab = data.draw(st.integers(3, 8), label="vocab")
+        params = draw_model(data, vocab)
+        exclude = data.draw(
+            st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
+        )
+        config = BeamConfig(
+            width=data.draw(st.integers(1, 6), label="width"),
+            max_len=data.draw(st.integers(1, 4), label="max_len"),
+            exclude_ids=tuple(sorted(exclude)),
+            length_norm=data.draw(st.booleans(), label="length_norm"),
+        )
+        images = data.draw(st.integers(1, 8), label="images")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="feature seed"))
+        features = rng.normal(scale=2.0, size=(images, params.dims.feature))
+        start = data.draw(st.integers(0, vocab - 1), label="start")
+        block = beam_block(features, start, params, config)
+        assert len(block) == images
+        for feature, ranked in zip(features, block):
+            assert ranked == beam_search(feature, start, params, config)
+            assert ranked == reference_beam_search(feature, start, params, config)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_saturated_width_equals_exhaustive(self, data):
+        vocab = data.draw(st.integers(3, 5), label="vocab")
+        params = draw_model(data, vocab)
+        exclude = data.draw(
+            st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
+        )
+        max_len = data.draw(st.integers(1, 4), label="max_len")
+        config = BeamConfig(width=vocab**max_len, max_len=max_len, exclude_ids=tuple(sorted(exclude)))
+        images = data.draw(st.integers(1, 8), label="images")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="feature seed"))
+        features = rng.normal(scale=2.0, size=(images, params.dims.feature))
+        start = data.draw(st.integers(0, vocab - 1), label="start")
+        for feature, ranked in zip(features, beam_block(features, start, params, config)):
+            ids, logprob = exhaustive_decode(feature, start, params, max_len, config.exclude_ids)
+            assert ranked[0] == (ids, logprob)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_a_set_decodes_each_image_as_alone(self, data):
+        vocab = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y", "z"))], min_count=1)
+        params = draw_model(data, len(vocab))
+        width = data.draw(st.integers(2, 6), label="width")
+        max_len = data.draw(st.integers(1, 4), label="max_len")
+        images = data.draw(st.integers(1, 8), label="images")
+        rows_per_block = data.draw(st.integers(2, 8), label="rows per block")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="feature seed"))
+        features = rng.normal(scale=2.0, size=(images, params.dims.feature))
+        with mock.patch.object(trainer, "BLOCK_CELLS", rows_per_block * len(vocab) * width):
+            together = trainer.decode_images(params, vocab, features, "jp", width, max_len)
+        alone = [trainer.decode_images(params, vocab, [feature], "jp", width, max_len)[0] for feature in features]
+        assert together == alone
+
+    @pytest.mark.parametrize(
+        "log_weights, width, max_len",
+        [
+            (toy_distribution(), 3, 2),
+            (np.zeros(5), 3, 2),  # every candidate tied at every step
+            # [b] outranks [a], yet the exact tie between [a, b] and [b, a] goes to [a, b]
+            ([-1e9, -1e9, np.log(0.1), np.log(0.3), np.log(0.6)], 2, 2),
+            ([-1e9, -1e9, np.log(0.1), np.log(0.3), np.log(0.6)], 3, 3),
+        ],
+    )
+    def test_cross_parent_ties_follow_full_id_order(self, log_weights, width, max_len):
+        params = prefix_free_params(log_weights)
+        config = BeamConfig(width=width, max_len=max_len)
+        features = np.zeros((3, params.dims.feature))
+        expected = beam_search(features[0], 1, params, config)
+        assert beam_block(features, 1, params, config) == [expected] * 3
+
+    def test_images_finish_on_different_steps(self):
+        params = wide_params(vocab=6, embed=4, hidden=5, feature=3, seed=10, scale=2.0)
+        params.b_out[EOS_ID] -= 1.0
+        features = np.random.default_rng(10).normal(scale=2.0, size=(8, params.dims.feature))
+        config = BeamConfig(width=3, max_len=6)
+        block = beam_block(features, 3, params, config)
+        assert block == [beam_search(feature, 3, params, config) for feature in features]
+        assert len({len(ranked[0][0]) for ranked in block}) >= 3
+
+    def test_non_finite_row_names_its_step(self):
+        params = prefix_free_params(toy_distribution())
+        features = np.zeros((4, params.dims.feature))
+        features[2, 0] = np.nan  # one image is non-finite from its first step
+        with pytest.raises(ValueError, match="non-finite log-probabilities at decode step 1"):
+            beam_block(features, 1, params, BeamConfig(width=2, max_len=3))
+        # a NaN embedding poisons each hypothesis that emits it one step later
+        params = prefix_free_params(toy_distribution())
+        params.w_embed[B] = np.nan
+        with pytest.raises(ValueError, match="non-finite log-probabilities at decode step 2"):
+            beam_block(np.zeros((3, params.dims.feature)), 1, params, BeamConfig(width=2, max_len=3))
+
+    def test_rejects_bad_start(self):
+        params = random_params()
+        with pytest.raises(IndexError):
+            beam_block(np.ones((2, params.dims.feature)), params.dims.vocab, params, BeamConfig(width=2, max_len=4))
 
 
 class TestExhaustive:

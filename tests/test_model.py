@@ -13,6 +13,7 @@ from mlcap.model import (
     LstmState,
     advance_state,
     init_params,
+    project_features,
     step_distribution,
     step_rows,
     zero_state,
@@ -237,7 +238,7 @@ class TestStepRows:
         p = wide_params(vocab=7, embed=3, hidden=4, feature=5, seed=seed)
         feature = np.random.default_rng(seed).normal(size=p.dims.feature)
         expected_state, expected = step_distribution(zero_state(p), feature, p)
-        state, rows = step_rows(feature[None, :] @ p.w_image + p.b_image, zero_state(p), p)
+        state, rows = step_rows(project_features(feature[None, :], p), zero_state(p), p)
         assert rows.shape == (1, p.dims.vocab)
         assert np.array_equal(rows[0], expected)
         assert np.array_equal(state.h, expected_state.h) and np.array_equal(state.c, expected_state.c)
@@ -249,19 +250,23 @@ class TestStepRows:
 
     @pytest.mark.parametrize("vocab, width", [(23, 64), (1000, 128)], ids=["desk", "larger"])
     def test_rows_do_not_depend_on_block_height_or_position(self, vocab, width):
-        # greedy decoding splits images into blocks of any height from 2 up, so a
-        # row must get the same bits wherever it sits. Height 1 is left out: a
-        # 1-row matmul takes another BLAS path and may round differently.
-        p = init_params(Dims(vocab, width, width, 2), 0)
+        # decoding cuts images and hypotheses into blocks of any height, a lone row
+        # included, so a row must get the same bits wherever it sits. A 1-row
+        # matmul would take another BLAS path and may round differently, so both
+        # functions run a lone row as a 2-row block.
+        p = init_params(Dims(vocab, width, width, 2 * width), 0)
         rng = np.random.default_rng(vocab)
         n = 300
         x = rng.normal(size=(n, width))
+        features = rng.normal(size=(n, p.dims.feature))
         state = LstmState(rng.normal(size=(n, width)), rng.normal(size=(n, width)))
         whole_state, whole = step_rows(x, state, p)
-        for height in range(2, n + 1):
+        projected = project_features(features, p)
+        for height in range(1, n + 1):
             start = int(rng.integers(0, n - height + 1))
             rows = slice(start, start + height)
             part_state, part = step_rows(x[rows], LstmState(state.h[rows], state.c[rows]), p)
+            assert np.array_equal(project_features(features[rows], p), projected[rows]), (height, start)
             assert np.array_equal(part, whole[rows]), (height, start)
             assert np.array_equal(part_state.h, whole_state.h[rows]), (height, start)
             assert np.array_equal(part_state.c, whole_state.c[rows]), (height, start)
