@@ -75,8 +75,10 @@ class Hypothesis:
 
 
 def _emittable_ids(vocab_size: int, exclude_ids) -> np.ndarray:
-    banned = set(int(i) for i in exclude_ids)
-    ids = np.array([t for t in range(vocab_size) if t not in banned], dtype=np.int64)
+    """The ids of ``range(vocab_size)`` that ``exclude_ids`` leaves; exclusions outside it are moot."""
+    allowed = np.ones(vocab_size, dtype=bool)
+    allowed[[i for i in map(int, exclude_ids) if 0 <= i < vocab_size]] = False
+    ids = np.flatnonzero(allowed)
     if not ids.size:
         raise ValueError("every token id is excluded from emission")
     return ids

@@ -21,12 +21,16 @@ code and the next token id, made dense by ``np.unique``. Per order, one
 ``np.unique`` counts the (sentence, gram) pairs and another finds the
 distinct (image, gram) reference pairs: ``np.maximum.at`` takes their
 reference ceilings and a bincount of their grams the document frequencies.
-Each table is sorted by sentence, so ``np.searchsorted`` finds the groups.
-The result is exact, not just close: idf is one ``math.log(m / df)`` per
-document frequency, the tf-idf products are formed elementwise as single
-roundings, and every norm, dot product and mean is a ``math.fsum`` over its
-group, which rounds the exact sum once, whatever the order of its terms.
-Nothing is kept between calls.
+A candidate row finds its ceiling by ``np.searchsorted``, and a reference row
+meets the candidate's weight for its gram through the ceiling's slot. Each
+table is sorted by sentence, so a bincount of its sentences gives the group
+sizes. The result is exact, not just close: idf is one ``math.log(m / df)``
+per document frequency, the tf-idf products are formed elementwise as single
+roundings, and every norm, dot product and per-image mean is the exact group
+sum rounded once, as ``math.fsum`` gives it, whatever the order of its terms.
+``_group_sums`` computes those sums for all groups at once in arrays and
+certifies each one; it calls ``math.fsum`` only for a group it cannot
+certify. Nothing is kept between calls.
 """
 
 from __future__ import annotations
@@ -39,6 +43,9 @@ from typing import Iterable, Sequence
 import numpy as np
 
 NGRAM_ORDERS = (1, 2, 3, 4)
+# +0.0 is every exact zero sum of math.fsum on 3.10 and 3.11, as it is of the array sums;
+# where the interpreter signs zero sums, math.fsum sums the zero groups
+_FSUM_SIGNS_ZERO = math.copysign(1.0, math.fsum([-0.0])) < 0.0
 
 
 @dataclass(frozen=True)
@@ -85,11 +92,6 @@ class MetricReport:
         return asdict(self)
 
 
-def _closest_reference_length(item: EvalItem) -> int:
-    c = len(item.candidate)
-    return min((len(ref) for ref in item.references), key=lambda r: (abs(r - c), r))
-
-
 def _bleu(matched: list[int], totals: list[int], c: int, r: int) -> list[float]:
     """BLEU-1..4 from per-order clipped matches and candidate n-gram totals."""
     scores = [0.0] * len(NGRAM_ORDERS)
@@ -113,14 +115,51 @@ def _find(sorted_keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.
     return at, found
 
 
-def _group_fsums(values: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """``math.fsum`` of each group; exact, so the order inside a group is moot."""
-    values, offsets = values.tolist(), offsets.tolist()
-    return np.array([math.fsum(values[a:b]) for a, b in zip(offsets, offsets[1:])])
+def _group_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """``math.fsum`` of each group of ``sizes[g]`` consecutive ``values``, bit for bit.
+
+    Ogita, Rump and Oishi's Sum2 over all groups at once: column k adds
+    element k of every group that has one to a running sum ``s`` by TwoSum,
+    and adds that TwoSum's error to a compensation ``c`` by a second TwoSum,
+    whose own error must be zero. Then ``s + c`` is the exact group sum, and
+    one addition rounds it as ``math.fsum`` does, ties to even included.
+    ``math.fsum`` itself sums a group whose check fails or that holds a
+    value of magnitude 2**960 or more, so non-finite values, and every run
+    that could overflow, behave exactly as it makes them.
+    """
+    order = np.argsort(-sizes)  # the groups that reach column k come first
+    firsts = (np.cumsum(sizes) - sizes)[order]
+    reach = len(sizes) - np.cumsum(np.bincount(sizes))[:-1]  # groups with more than k values
+    s, c = np.zeros(len(sizes)), np.zeros(len(sizes))
+    exact = np.ones(len(sizes), dtype=bool)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k, n in enumerate(reach.tolist()):
+            x, s_k, c_k = values[firsts[:n] + k], s[:n], c[:n]
+            t = s_k + x
+            z = t - s_k
+            err = (s_k - (t - z)) + (x - z)
+            s_k[...] = t
+            t = c_k + err
+            z = t - c_k
+            exact[:n] &= (c_k - (t - z)) + (err - z) == 0.0
+            c_k[...] = t
+        s += c
+    sums, redo = np.empty(len(sizes)), np.empty(len(sizes), dtype=bool)
+    sums[order], redo[order] = s, ~exact
+    huge = ~(np.abs(values) < 2.0**960)
+    if huge.any():
+        redo[np.repeat(np.arange(len(sizes)), sizes)[huge]] = True
+    if _FSUM_SIGNS_ZERO:
+        redo |= sums == 0.0
+    if redo.any():
+        offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        for g in np.flatnonzero(redo).tolist():
+            sums[g] = math.fsum(values[offsets[g] : offsets[g + 1]].tolist())
+    return sums
 
 
-def _score(corpus: CorpusEval) -> tuple[list[float], float]:
-    """BLEU-1..4 and the consensus score from one n-gram table per order."""
+def _score(corpus: CorpusEval) -> tuple[list[float], float, int]:
+    """BLEU-1..4, the consensus score and the candidate token count, from one n-gram table per order."""
     items = corpus.items
     m = len(items)
     # sentences run image by image: the candidate, then its references
@@ -132,7 +171,6 @@ def _score(corpus: CorpusEval) -> tuple[list[float], float]:
     is_ref[cand_sent] = False
     ref_sents = np.flatnonzero(is_ref)
     cand_of_ref = cand_sent[image_of[ref_sents]]
-    ref_offsets = np.concatenate(([0], np.cumsum(n_refs)))
     lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
     flat = list(chain.from_iterable(sentences))
     ids = {t: i for i, t in enumerate(dict.fromkeys(flat))}
@@ -140,8 +178,6 @@ def _score(corpus: CorpusEval) -> tuple[list[float], float]:
     sent_of = np.repeat(np.arange(len(sentences)), lengths)
     end_of = np.repeat(np.cumsum(lengths), lengths)
     starts, codes, n_codes = np.arange(len(tokens)), tokens, len(ids)
-    # groups are contiguous in a table sorted by sentence; these find their boundaries
-    group_ids = np.arange(len(sentences) + 1)
     matched, totals, sims_by_order = [], [], []
     for n in NGRAM_ORDERS:
         if n > 1:  # an n-gram is the code of its first n-1 tokens and its last token;
@@ -167,19 +203,30 @@ def _score(corpus: CorpusEval) -> tuple[list[float], float]:
         doc_freq = np.maximum(np.bincount(ceiling_keys % n_codes, minlength=n_codes), 1)
         idf = np.array([0.0] + [math.log(m / df) for df in range(1, int(doc_freq.max(initial=1)) + 1)])
         weights = counts * idf[doc_freq[gram]]
-        norms = np.sqrt(_group_fsums(weights * weights, np.searchsorted(sent, group_ids)))
-        at, found = _find(cand_keys, image_keys[ref])
-        products = weights[~ref][at[found]] * weights[ref][found]
-        dots = _group_fsums(products, np.searchsorted(sent[ref][found], group_ids))[ref_sents]
+        # the table is sorted by sentence, so a bincount of its sentences gives the group sizes
+        norms = np.sqrt(_group_sums(weights * weights, np.bincount(sent, minlength=len(sentences))))
+        # each reference row meets its image's candidate weight for the gram through its slot
+        in_cand = np.zeros(len(ceiling_keys), dtype=bool)
+        in_cand[at[found]] = True
+        cand_weights = np.zeros(len(ceiling_keys))
+        cand_weights[at[found]] = weights[~ref][found]
+        shared = in_cand[slot]
+        products = cand_weights[slot[shared]] * weights[ref][shared]
+        dots = _group_sums(products, np.bincount(sent[ref][shared], minlength=len(sentences))[ref_sents])
         cand_norms, ref_norms = norms[cand_of_ref], norms[ref_sents]
         both = (cand_norms != 0.0) & (ref_norms != 0.0)
         sims = np.zeros(len(ref_sents))
         sims[both] = dots[both] / (cand_norms[both] * ref_norms[both])
-        sims_by_order.append(_group_fsums(sims, ref_offsets) / n_refs)
-    c = sum(len(item.candidate) for item in items)
-    r = sum(_closest_reference_length(item) for item in items)
-    image_scores = [math.fsum(sims) / len(NGRAM_ORDERS) for sims in zip(*(s.tolist() for s in sims_by_order))]
-    return _bleu(matched, totals, c, r), math.fsum(image_scores) / m
+        sims_by_order.append(_group_sums(sims, n_refs) / n_refs)
+    orders = len(NGRAM_ORDERS)
+    image_scores = _group_sums(np.stack(sims_by_order, axis=1).ravel(), np.full(m, orders)) / orders
+    # each image's closest reference length, shorter on ties: the least (distance, length)
+    # pair, packed as distance * (longest + 1) + length
+    ref_lengths, span = lengths[ref_sents], int(lengths.max()) + 1
+    keys = np.abs(ref_lengths - lengths[cand_of_ref]) * span + ref_lengths
+    r = int((np.minimum.reduceat(keys, np.concatenate(([0], np.cumsum(n_refs)[:-1]))) % span).sum())
+    c = int(lengths[cand_sent].sum())
+    return _bleu(matched, totals, c, r), math.fsum(image_scores.tolist()) / m, c
 
 
 def cider(corpus: CorpusEval) -> float:
@@ -189,6 +236,5 @@ def cider(corpus: CorpusEval) -> float:
 
 def evaluate_corpus(corpus: CorpusEval) -> MetricReport:
     """BLEU-1..4 and the consensus score (under the ``cider`` key) in one pass."""
-    bleu, consensus = _score(corpus)
-    candidate_tokens = sum(len(item.candidate) for item in corpus.items)
+    bleu, consensus, candidate_tokens = _score(corpus)
     return MetricReport(*bleu, cider=consensus, images=len(corpus.items), candidate_tokens=candidate_tokens)

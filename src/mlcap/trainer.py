@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from itertools import chain
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -139,15 +140,15 @@ def examples_from_records(records: Iterable[ImageRecord], vocab: Vocabulary, lan
 def make_batch(examples: Sequence[Example]) -> Batch:
     if not examples:
         raise ValueError("cannot build an empty batch")
-    longest = max(len(ex.target_ids) for ex in examples)
+    lengths = np.array([len(ex.target_ids) for ex in examples])
     features = np.stack([ex.feature for ex in examples], dtype=np.float64)
     start_ids = np.array([ex.start_id for ex in examples], dtype=np.int64)
-    targets = np.full((len(examples), longest), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(examples), longest))
-    for row, ex in enumerate(examples):
-        targets[row, : len(ex.target_ids)] = ex.target_ids
-        mask[row, : len(ex.target_ids)] = 1.0
-    return Batch(features, start_ids, targets, mask)
+    real = np.arange(lengths.max()) < lengths[:, None]
+    targets = np.full(real.shape, PAD_ID, dtype=np.int64)
+    # a boolean mask fills row by row, in the order the ids are chained
+    ids = chain.from_iterable(ex.target_ids for ex in examples)
+    targets[real] = np.fromiter(ids, dtype=np.int64, count=lengths.sum())
+    return Batch(features, start_ids, targets, real.astype(np.float64))
 
 
 def row_blocks(n: int, vocab: int) -> list[slice]:

@@ -19,6 +19,7 @@ import numpy as np
 
 from mlcap.metrics import MetricReport
 from mlcap.model import LstmState, step_distribution, zero_state
+from mlcap.trainer import Batch
 from mlcap.vocab import EOS_ID, PAD_ID
 
 EXHAUSTIVE_LIMIT = 1_000_000
@@ -118,6 +119,26 @@ def _cosine(u, v):
         if gram in v:
             dot += x * v[gram]
     return dot / (nu * nv)
+
+
+def group_fsums(values, sizes):
+    """``math.fsum`` of each group of ``sizes[g]`` consecutive ``values``, one call per group."""
+    offsets = np.concatenate(([0], np.cumsum(sizes))).tolist()
+    values = np.asarray(values, dtype=np.float64).tolist()
+    return [math.fsum(values[a:b]) for a, b in zip(offsets, offsets[1:])]
+
+
+def row_loop_batch(examples):
+    """``make_batch`` one example row at a time."""
+    longest = max(len(ex.target_ids) for ex in examples)
+    features = np.stack([ex.feature for ex in examples], dtype=np.float64)
+    start_ids = np.array([ex.start_id for ex in examples], dtype=np.int64)
+    targets = np.full((len(examples), longest), PAD_ID, dtype=np.int64)
+    mask = np.zeros((len(examples), longest))
+    for row, ex in enumerate(examples):
+        targets[row, : len(ex.target_ids)] = ex.target_ids
+        mask[row, : len(ex.target_ids)] = 1.0
+    return Batch(features, start_ids, targets, mask)
 
 
 def reference_score(corpus):
@@ -278,7 +299,7 @@ def _sort_key(logprob, ids):
     return (-logprob, ids)
 
 
-def _emittable(vocab_size, exclude_ids):
+def emittable_ids(vocab_size, exclude_ids):
     return [t for t in range(vocab_size) if t not in set(int(i) for i in exclude_ids)]
 
 
@@ -294,7 +315,7 @@ def reference_beam_search(feature, start_id, params, config):
     The scalar form of the library's beam: each step builds all W x V
     candidates and sorts them by the tie rule on the full id tuples.
     """
-    emittable = _emittable(params.dims.vocab, config.exclude_ids)
+    emittable = emittable_ids(params.dims.vocab, config.exclude_ids)
     live = [_root(feature, start_id, params)]
     finished = []
     while live:
@@ -334,7 +355,7 @@ def exhaustive_decode(feature, start_id, params, max_len, exclude_ids=(PAD_ID,))
         raise ValueError(
             f"search space {params.dims.vocab}^{max_len} exceeds {EXHAUSTIVE_LIMIT} sequences"
         )
-    emittable = _emittable(params.dims.vocab, exclude_ids)
+    emittable = emittable_ids(params.dims.vocab, exclude_ids)
     best_ids, best_logprob = None, -math.inf
     stack = [_root(feature, start_id, params)]
     while stack:

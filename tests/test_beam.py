@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcap.beam import BeamConfig, beam_block, beam_search, greedy_block
+from mlcap.beam import BeamConfig, _emittable_ids, beam_block, beam_search, greedy_block
 from mlcap import trainer
 from mlcap.model import step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from oracles import exhaustive_decode, reference_beam_search
+from oracles import emittable_ids, exhaustive_decode, reference_beam_search
 from tinymodels import prefix_free_params, random_params, toy_distribution, wide_params
 
 A, B = 3, 4  # surface ids in the toy five-token table (pad, unk, eos, a, b)
@@ -131,6 +131,23 @@ class TestToyModel:
             BeamConfig(width=0)
         with pytest.raises(ValueError):
             BeamConfig(max_len=0)
+
+
+class TestEmittableIds:
+    @settings(max_examples=200, deadline=None)
+    @given(vocab=st.integers(1, 12), exclude=st.lists(st.integers(-15, 20), max_size=16))
+    def test_equals_the_vocabulary_loop(self, vocab, exclude):
+        """Duplicate, negative and out-of-range exclusions included."""
+        expected = emittable_ids(vocab, exclude)
+        if not expected:
+            with pytest.raises(ValueError, match="every token id is excluded"):
+                _emittable_ids(vocab, exclude)
+        else:
+            ids = _emittable_ids(vocab, exclude)
+            assert ids.dtype == np.int64 and ids.tolist() == expected
+
+    def test_minus_one_does_not_exclude_the_last_id(self):
+        assert _emittable_ids(4, (-1, 0, 4, 2**70)).tolist() == [1, 2, 3]
 
 
 class TestAgainstReferenceDecoders:

@@ -1,13 +1,17 @@
 """Metric tests: hand-counted cases and brute-force oracle equivalence."""
 
+import math
+from unittest import mock
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from mlcap.metrics import NGRAM_ORDERS, CorpusEval, EvalItem, cider, evaluate_corpus
-from oracles import naive_bleu, naive_cider, random_corpus, reference_score
+from mlcap import metrics
+from mlcap.metrics import NGRAM_ORDERS, CorpusEval, EvalItem, _group_sums, cider, evaluate_corpus
+from oracles import group_fsums, naive_bleu, naive_cider, random_corpus, reference_score
 
 
 def corpus_of(pairs):
@@ -180,6 +184,94 @@ class TestExactness:
         words = tuple(f"w{i}" for i in range(40))
         corpus = corpus_of(random_corpus(rng, n_images=150, vocab=words))
         assert report_bits(evaluate_corpus(corpus)) == report_bits(reference_score(corpus))
+
+
+# values whose sums tie, cancel or underflow: equal idf-squared terms, halves of an ulp of 1,
+# huge and tiny magnitudes, signed zeros and subnormals
+SUMMANDS = (
+    0.0, -0.0, 1.0, -1.0, 0.1, 2.0**-53, 3 * 2.0**-53, 2.0**53, -(2.0**53), 1e16,
+    1e300, -1e300, 1e-300, -1e-300, 5e-324, -5e-324, 2.2250738585072014e-308, 3 * 5e-324,
+    math.log(2000 / 3) ** 2, math.log(2000 / 7) ** 2, 1.7976931348623157e308, -1.7976931348623157e308,
+    2.0**970, -3 * 2.0**970,  # a half and one and a half units in the last place of the largest float
+)
+FINITE = st.one_of(
+    st.sampled_from(SUMMANDS),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1e-306, max_value=1e-306),
+)
+
+
+@st.composite
+def float_groups(draw):
+    """Groups of 0-40 finite floats; half the time drawn from a pool of at most
+    four values, so equal terms repeat and exact sums land on rounding midpoints."""
+    values = st.sampled_from(draw(st.lists(FINITE, min_size=1, max_size=4))) if draw(st.booleans()) else FINITE
+    return draw(st.lists(st.lists(values, max_size=40), max_size=8))
+
+
+def sums_or_error(fn, groups):
+    """Each group's sum as float hex, or the type of the error the sums raise."""
+    sizes = np.array([len(g) for g in groups], dtype=np.int64)
+    values = np.array([x for g in groups for x in g], dtype=np.float64)
+    try:
+        return [float(x).hex() for x in fn(values, sizes)]
+    except (ValueError, OverflowError) as err:
+        return type(err)
+
+
+class TestGroupSums:
+    """``_group_sums`` is ``math.fsum`` per group, bit for bit, including its errors."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(groups=float_groups())
+    @example(groups=[[-0.0], [], [-0.0, -0.0], [0.0, -0.0], [1.0, -1.0]])
+    @example(groups=[[1e300, -1e300, 1e-300], [1e-300, 1e300, 1e-300, -1e300]])
+    @example(groups=[[1.0, 2.0**-53], [1.0, 3 * 2.0**-53], [2.0**-53] * 40])
+    @example(groups=[[5e-324] * 7, [-5e-324, 2.2250738585072014e-308]])
+    def test_equals_fsum_per_group(self, groups):
+        assert sums_or_error(_group_sums, groups) == sums_or_error(group_fsums, groups)
+
+    @pytest.mark.parametrize(
+        "group, expected",
+        [([math.inf, 1.0], "inf"), ([-math.inf, 1.0], "-inf"), ([math.nan, 1.0], "nan")],
+    )
+    def test_non_finite_values_sum_as_fsum_does(self, group, expected):
+        assert sums_or_error(_group_sums, [[2.0], group]) == ["0x1.0000000000000p+1", expected]
+
+    @pytest.mark.parametrize(
+        "group, error",
+        [
+            ([math.inf, -math.inf], ValueError),
+            ([1e308, 1e308, -1e308], OverflowError),
+            # math.fsum's partials overflow here, though no running TwoSum sum does
+            ([1.7976931348623157e308, -3 * 2.0**970, -1.7976931348623157e308], OverflowError),
+        ],
+    )
+    def test_fsum_errors_are_raised(self, group, error):
+        with pytest.raises(error):
+            math.fsum(group)
+        assert sums_or_error(_group_sums, [[1.0], group]) is error
+
+    def test_a_compensation_that_rounds_falls_back_to_fsum(self):
+        group = [1.0, 2.0**-80, 2.0**-160, 1.0]
+        with mock.patch.object(metrics.math, "fsum", wraps=math.fsum) as fsum:
+            sums = _group_sums(np.array([3.0] + group), np.array([1, 4]))
+        fsum.assert_called_once_with(group)
+        assert sums.tolist() == [3.0, math.fsum(group)]
+
+    def test_zero_sums_go_to_fsum_where_it_signs_them(self, monkeypatch):
+        monkeypatch.setattr(metrics, "_FSUM_SIGNS_ZERO", True)
+        with mock.patch.object(metrics.math, "fsum", wraps=math.fsum) as fsum:
+            _group_sums(np.array([-0.0, 2.0, 1.0, -1.0]), np.array([1, 1, 2]))
+        assert fsum.call_args_list == [mock.call([-0.0]), mock.call([1.0, -1.0])]
+
+    def test_midpoint_ties_are_certified_without_fsum(self):
+        groups = [[1.0, 2.0**-53], [1.0, 3 * 2.0**-53], [math.log(2000 / 3) ** 2] * 9, [2.0**-53] * 40]
+        values = np.array([x for g in groups for x in g])
+        with mock.patch.object(metrics.math, "fsum", wraps=math.fsum) as fsum:
+            sums = _group_sums(values, np.array([len(g) for g in groups]))
+        fsum.assert_not_called()
+        assert sums.tolist() == group_fsums(values, [len(g) for g in groups])
 
 
 class TestInvariances:

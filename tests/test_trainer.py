@@ -18,7 +18,7 @@ from mlcap.beam import BeamConfig, beam_search
 from mlcap.data import Caption, l2_normalize_records, split_dataset, synth_generate
 from mlcap.gradcheck import gradient_check
 from mlcap.metrics import CorpusEval, cider
-from oracles import forward_sequence, textbook_adam_step
+from oracles import forward_sequence, row_loop_batch, textbook_adam_step
 from mlcap.trainer import (
     AdamState,
     Batch,
@@ -64,6 +64,19 @@ class TestBatching:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError):
             make_batch([])
+
+    @settings(max_examples=100, deadline=None)
+    @given(lengths=st.lists(st.integers(0, 9), min_size=1, max_size=12), seed=st.integers(0, 2**32 - 1))
+    def test_make_batch_equals_the_row_loop(self, lengths, seed):
+        rng = np.random.default_rng(seed)
+        examples = [
+            Example(rng.standard_normal(3), int(rng.integers(3, 9)), tuple(int(t) for t in rng.integers(0, 50, n)))
+            for n in lengths
+        ]
+        got, want = make_batch(examples), row_loop_batch(examples)
+        for field in ("features", "start_ids", "targets", "mask"):
+            a, b = getattr(got, field), getattr(want, field)
+            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
 
 
 class TestSequenceLoss:
