@@ -3,9 +3,10 @@
 There is no tape. The one trained graph, the caption loss, is written out
 forward and then backward in ``trainer.sequence_loss``; the recurrence it
 runs is ``lstm_sequence``, which returns its hidden rows together with a
-pullback that backpropagates through time by hand. The pullback reuses the
-forward's buffers, and dropping it frees every activation, which
-``sequence_loss`` does before it builds the embedding gradient. The pieces:
+pullback that backpropagates through time by hand. The run keeps its
+activations in buffers it needs anyway, and dropping the pullback frees
+them, which ``sequence_loss`` does before it builds the embedding gradient.
+The pieces:
 
 - ``lstm_cell``, the gate arithmetic of one step, shared by
   ``lstm_sequence`` and the decoder;
@@ -27,8 +28,8 @@ class NonFiniteError(ValueError):
 
 
 def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    # exp(min(x, 0)) is 1 for x >= 0 and exp(-|x|) below, so neither exp overflows
+    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
 
 
 def _gate_blocks(gates: np.ndarray, hidden: int):
@@ -64,9 +65,10 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
     step is one matmul. ``pullback(g)`` takes the gradient of the loss with
     respect to ``hidden_rows`` and returns ``(dx, dw_x, dw_h, db_gates)``,
     ``dx`` shaped like ``x``: backpropagation through time written out by
-    hand, with one matmul over all steps per weight gradient. It writes the
-    gate gradients over the forward's input projections rather than into a
-    second buffer of that size.
+    hand, with one matmul over all steps per weight gradient. One
+    [(T+1)*B,4H] buffer holds the input projections, then each step's gates
+    over its rows, then the gate gradients over the gates; the pullback
+    recomputes ``tanh`` of the cell rows rather than keeping it.
     """
     hidden = w_h.shape[0]
     if (
@@ -85,37 +87,37 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
     zx = x @ w_x
     hs = np.empty((steps * batch, hidden))  # hidden rows, time-major
     cs = np.empty((steps * batch, hidden))
-    acts = []
     h = c = np.zeros((batch, hidden))
     for s in range(steps):
         rows = slice(s * batch, (s + 1) * batch)
-        z = zx[rows] + h @ w_h if s else zx[rows].copy()
+        z = zx[rows]  # the pre-activation forms in the row, and the gates replace it
+        if s:
+            z += h @ w_h
         z += b_gates
-        h, c, gates, tanh_c = lstm_cell(z, c)
+        h, c, zx[rows], _ = lstm_cell(z, c)
         hs[rows], cs[rows] = h, c
-        acts.append((gates, tanh_c))
 
     def pullback(g: np.ndarray):
-        dz = zx  # the forward is done with the input projections; their buffer takes dz
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
+        d = np.empty((batch, 4 * hidden))  # one step's gate gradients, before they replace its gates
         for s in range(steps - 1, -1, -1):
             rows = slice(s * batch, (s + 1) * batch)
             if s:
                 dh += g[(s - 1) * batch : s * batch]
-            gates, tanh_c = acts[s]
-            i, f, o, cand = _gate_blocks(gates, hidden)
+            i, f, o, cand = _gate_blocks(zx[rows], hidden)
+            tanh_c = np.tanh(cs[rows])
             dc += dh * o * (1.0 - tanh_c * tanh_c)
             c_prev = cs[(s - 1) * batch : s * batch] if s else 0.0
-            d = dz[rows]
             d[:, :hidden] = dc * cand * i * (1.0 - i)
             d[:, hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
             d[:, 2 * hidden : 3 * hidden] = dh * tanh_c * o * (1.0 - o)
             d[:, 3 * hidden :] = dc * i * (1.0 - cand * cand)
             if s:
                 dh = d @ w_h.T
-                dc = dc * f
-        return dz @ w_x.T, x.T @ dz, hs[:-batch].T @ dz[batch:], dz.sum(axis=0)
+                dc = dc * f  # f is a view of the gates, so read it before d replaces them
+            zx[rows] = d
+        return zx @ w_x.T, x.T @ zx, hs[:-batch].T @ zx[batch:], zx.sum(axis=0)
 
     return hs[batch:], pullback
 

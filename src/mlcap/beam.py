@@ -25,8 +25,10 @@ of Show and Tell (Vinyals et al., arXiv 1411.4555): one ``step_rows`` call
 per step for every live hypothesis of every image, then ``_top`` per image,
 and per image its own finished pool and final ranking. ``greedy_block`` is
 the width-1 search for a block, with the same rule applied to each row on
-its own. ``trainer.decode_images`` runs every decode through one of the
-two. ``model.step_rows`` runs a lone row as a 2-row block, so a block row,
+its own. Both advance the image step with ``advance_state``, whose
+distribution nobody scores, so a decode runs one head per selection round.
+``trainer.decode_images`` runs every decode through one of the two.
+``model.step_rows`` runs a lone row as a 2-row block, so a block row,
 a lone image and ``beam_search`` (one hypothesis per ``step_distribution``
 call, kept as the scalar reference) give the same bits.
 """
@@ -37,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LstmState, ModelParams, project_features, step_distribution, step_rows, zero_state
+from .model import LstmState, ModelParams, advance_state, project_features, step_distribution, step_rows, zero_state
 from .vocab import EOS_ID, PAD_ID
 
 
@@ -179,7 +181,7 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
     n = features.shape[0]
     if not n:
         return []
-    state, _ = step_rows(project_features(features, params), zero_state(params, n), params)
+    state = advance_state(project_features(features, params), zero_state(params, n), params)
     state, logp = step_rows(params.w_embed[np.full(n, start_id)], state, params)
     image = np.arange(n)
     ids = np.zeros((n, 0), dtype=np.int64)
@@ -225,7 +227,7 @@ def greedy_block(features, start_id: int, params: ModelParams, config: BeamConfi
         raise IndexError(f"greedy_block: start id {start_id} out of range")
     emittable = _emittable_ids(params.dims.vocab, config.exclude_ids)
     rows = np.arange(features.shape[0])
-    state, _ = step_rows(project_features(features, params), zero_state(params, rows.size), params)
+    state = advance_state(project_features(features, params), zero_state(params, rows.size), params)
     state, logp = step_rows(params.w_embed[np.full(rows.size, start_id)], state, params)
     scores = np.zeros(rows.size)
     columns = []  # one [N] array of emitted ids per step taken, so memory follows the longest decode

@@ -11,9 +11,10 @@ candidate, with the forget-gate bias slice initialized to one.
 Parameters are plain float64 arrays. Training runs the whole
 teacher-forced recurrence as ``autodiff.lstm_sequence``; decoding steps the
 same cell (``lstm_cell``) here: ``project_features`` gives each image's
-first input row, ``step_rows`` advances a block of rows, one per sequence,
-and ``step_distribution`` is its one-row form. Decoding never runs a 1-row
-matmul, which rounds differently from a row inside a block: both functions
+first input row, ``advance_state`` advances a block of rows, one per
+sequence, ``step_rows`` advances them and scores the next id, and
+``step_distribution`` is its one-row form. Decoding never runs a 1-row
+matmul, which rounds differently from a row inside a block: these functions
 run a lone row as a 2-row block, so a row decodes to the same bits whatever
 block it sits in.
 """
@@ -106,19 +107,19 @@ def zero_state(params: ModelParams, batch: int = 1) -> LstmState:
     return LstmState(np.zeros(shape), np.zeros(shape))
 
 
-def advance_state(x: np.ndarray, state: LstmState, params: ModelParams) -> LstmState:
-    """One recurrence step on row inputs: x [B,E], state [B,H] -> [B,H]."""
-    if x.ndim != 2 or x.shape[1] != params.dims.embed:
-        raise ad.DimensionError(f"advance_state: input rows {x.shape} do not have width {params.dims.embed}")
-    z = x @ params.w_x + state.h @ params.w_h
-    z += params.b_gates
-    h, c, _, _ = ad.lstm_cell(z, state.c)
-    return LstmState(h, c)
-
-
 def _block(rows: np.ndarray) -> np.ndarray:
     """``rows`` [N,...], with a lone row duplicated into a 2-row block."""
     return np.concatenate([rows, rows]) if len(rows) == 1 else rows
+
+
+def advance_state(x: np.ndarray, state: LstmState, params: ModelParams) -> LstmState:
+    """One recurrence step on row inputs: x [B,E], state [B,H] -> [B,H]. A lone row runs as a 2-row block."""
+    if x.ndim != 2 or x.shape[1] != params.dims.embed:
+        raise ad.DimensionError(f"advance_state: input rows {x.shape} do not have width {params.dims.embed}")
+    z = _block(x) @ params.w_x + _block(state.h) @ params.w_h
+    z += params.b_gates
+    h, c, _, _ = ad.lstm_cell(z, _block(state.c))
+    return LstmState(h[: len(x)], c[: len(x)])
 
 
 def project_features(features: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -128,12 +129,11 @@ def project_features(features: np.ndarray, params: ModelParams) -> np.ndarray:
 
 def step_rows(x_rows: np.ndarray, state: LstmState, params: ModelParams) -> tuple[LstmState, np.ndarray]:
     """One decode step for a block of rows: input rows [N,E] and state
-    [N,H] to the new state and next-id log-probabilities [N,V]. A lone row
-    runs as a 2-row block."""
-    n = len(x_rows)
-    new = advance_state(_block(x_rows), LstmState(_block(state.h), _block(state.c)), params)
-    logits = new.h @ params.w_out + params.b_out
-    return LstmState(new.h[:n], new.c[:n]), ad.log_softmax(logits)[:n]
+    [N,H] to the new state and next-id log-probabilities [N,V]:
+    ``advance_state``, then the head. A lone row runs as a 2-row block."""
+    new = advance_state(x_rows, state, params)
+    logits = _block(new.h) @ params.w_out + params.b_out
+    return new, ad.log_softmax(logits)[: len(x_rows)]
 
 
 def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -> tuple[LstmState, np.ndarray]:

@@ -13,12 +13,13 @@ mean across languages is highest, earliest on ties. Adam's constants
 a finite gradient whose squared norm overflows is clipped, not zeroed.
 
 A training step keeps a bounded working set. ``BLOCK_CELLS`` caps every
-``[rows,V]`` array, in training and in decoding alike: the output
+working ``[rows,V]`` array, in training and in decoding alike: the output
 head and its cross-entropy run over ``row_blocks`` of the hidden rows, so
-no ``[T*B,V]`` logits array exists, and ``w_out``/``b_out`` accumulate per
-block. ``sequence_loss`` drops the recurrence's activations before it
-builds the dense embedding gradient, and ``adam_step`` updates each
-parameter in cache-sized slices of about ``ADAM_SLICE`` elements.
+no ``[T*B,V]`` logits array exists, and the ``w_out`` gradient adds each
+block in ``row_blocks`` chunks of its rows. ``sequence_loss`` drops the
+recurrence's activations before it builds the dense embedding gradient,
+and ``adam_step`` updates each parameter in cache-sized slices of about
+``ADAM_SLICE`` elements.
 """
 
 from __future__ import annotations
@@ -170,23 +171,29 @@ def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, p
     Returns ``(nll, dhidden, dw_out, db_out)``: each row's negative
     log-likelihood of its target, and the gradients of ``sum(weights * nll)``.
     One block buffer goes logits -> exp -> dlogits; the first block writes
-    ``dw_out`` and the later ones add theirs through one reused buffer.
+    ``dw_out`` and the later ones add theirs in ``row_blocks`` chunks of its
+    rows, through one chunk-sized buffer. A row of a matmul keeps its bits
+    however the rows are cut, so the chunks change no bit.
     """
     w_out = params.w_out
-    blocks = row_blocks(len(hidden), w_out.shape[1])
-    logits_buffer = np.empty((blocks[0].stop, w_out.shape[1]))  # the first block is the tallest
+    vocab = w_out.shape[1]
+    blocks = row_blocks(len(hidden), vocab)
+    chunks = row_blocks(w_out.shape[0], vocab)
+    logits_buffer = np.empty((blocks[0].stop, vocab))  # the first block and chunk are the tallest
+    partial = np.empty((chunks[0].stop, vocab)) if len(blocks) > 1 else None
     nll = np.empty(len(hidden))
     dhidden = np.empty_like(hidden)
     dw_out = np.empty_like(w_out)
-    partial = np.empty_like(w_out) if len(blocks) > 1 else None
     for block in blocks:
         h, t = hidden[block], targets[block]
         rows = np.arange(t.size)
         logits = np.matmul(h, w_out, out=logits_buffer[: t.size])
         logits += params.b_out
-        if not np.isfinite(logits).all():
+        top = logits.max(axis=1, keepdims=True)
+        # a NaN or infinity in a row makes its max or its min non-finite
+        if not (np.isfinite(top).all() and np.isfinite(logits.min(axis=1)).all()):
             raise ad.NonFiniteError("sequence_loss: logits must be finite")
-        logits -= logits.max(axis=1, keepdims=True)
+        logits -= top
         picked = logits[rows, t]
         exp = np.exp(logits, out=logits)
         sums = exp.sum(axis=1)
@@ -200,7 +207,8 @@ def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, p
             np.matmul(h.T, dlogits, out=dw_out)
             db_out = dlogits.sum(axis=0)
         else:
-            dw_out += np.matmul(h.T, dlogits, out=partial)
+            for chunk in chunks:
+                dw_out[chunk] += np.matmul(h[:, chunk].T, dlogits, out=partial[: chunk.stop - chunk.start])
             db_out += dlogits.sum(axis=0)
     return nll, dhidden, dw_out, db_out
 

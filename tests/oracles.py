@@ -7,7 +7,9 @@ the decoder in plain numpy; the decoders share only the model's
 ``step_distribution`` with the library, since that is what they search over.
 ``reference_score`` differs in purpose: it is the per-sentence ``Counter``
 form of the metric table, with the same rounding, so it checks exactness;
-``textbook_adam_step`` likewise rounds once per textbook operation.
+``textbook_adam_step`` likewise rounds once per textbook operation, and
+``where_sigmoid``, ``gates_list_lstm_sequence`` and ``full_partial_head``
+are the earlier forms of library code that must keep their bits.
 If the library and these disagree, trust neither and recount by hand.
 """
 
@@ -17,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from mlcap import trainer
+from mlcap.autodiff import NonFiniteError
 from mlcap.metrics import MetricReport
 from mlcap.model import LstmState, step_distribution, zero_state
 from mlcap.trainer import Batch
@@ -261,6 +265,102 @@ def forward_sequence(feature, ids, start_id, params):
         e = np.exp(logits - logits.max())
         distributions.append(e / e.sum())
     return ForwardTrace(distributions, LstmState(h, c), tuple(ids), start_id)
+
+
+# ---------------------------------------------------------------------------
+# training step
+
+
+def where_sigmoid(x):
+    """The stable sigmoid as two branches picked by ``np.where``."""
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+
+
+def gates_list_lstm_sequence(x, batch, w_x, w_h, b_gates):
+    """``lstm_sequence`` keeping each step's gates and ``tanh(c)`` as arrays of their own.
+
+    The pullback writes the gate gradients over the input projections.
+    """
+    hidden = w_h.shape[0]
+    steps = x.shape[0] // batch
+    zx = x @ w_x
+    hs = np.empty((steps * batch, hidden))
+    cs = np.empty((steps * batch, hidden))
+    acts = []
+    h = c = np.zeros((batch, hidden))
+    for s in range(steps):
+        rows = slice(s * batch, (s + 1) * batch)
+        z = zx[rows] + h @ w_h if s else zx[rows].copy()
+        z += b_gates
+        gates = np.empty_like(z)
+        gates[:, : 3 * hidden] = where_sigmoid(z[:, : 3 * hidden])
+        gates[:, 3 * hidden :] = np.tanh(z[:, 3 * hidden :])
+        i, f, o, g = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c = f * c + i * g
+        tanh_c = np.tanh(c)
+        h = o * tanh_c
+        hs[rows], cs[rows] = h, c
+        acts.append((gates, tanh_c))
+
+    def pullback(g):
+        dz = zx
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        for s in range(steps - 1, -1, -1):
+            rows = slice(s * batch, (s + 1) * batch)
+            if s:
+                dh += g[(s - 1) * batch : s * batch]
+            gates, tanh_c = acts[s]
+            i, f, o, cand = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+            dc += dh * o * (1.0 - tanh_c * tanh_c)
+            c_prev = cs[(s - 1) * batch : s * batch] if s else 0.0
+            d = dz[rows]
+            d[:, :hidden] = dc * cand * i * (1.0 - i)
+            d[:, hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
+            d[:, 2 * hidden : 3 * hidden] = dh * tanh_c * o * (1.0 - o)
+            d[:, 3 * hidden :] = dc * i * (1.0 - cand * cand)
+            if s:
+                dh = d @ w_h.T
+                dc = dc * f
+        return dz @ w_x.T, x.T @ dz, hs[:-batch].T @ dz[batch:], dz.sum(axis=0)
+
+    return hs[batch:], pullback
+
+
+def full_partial_head(hidden, targets, weights, params):
+    """``trainer._output_head`` adding each later block's ``dw_out`` through a whole [H,V] buffer."""
+    w_out = params.w_out
+    blocks = trainer.row_blocks(len(hidden), w_out.shape[1])
+    logits_buffer = np.empty((blocks[0].stop, w_out.shape[1]))
+    nll = np.empty(len(hidden))
+    dhidden = np.empty_like(hidden)
+    dw_out = np.empty_like(w_out)
+    partial = np.empty_like(w_out) if len(blocks) > 1 else None
+    for block in blocks:
+        h, t = hidden[block], targets[block]
+        rows = np.arange(t.size)
+        logits = np.matmul(h, w_out, out=logits_buffer[: t.size])
+        logits += params.b_out
+        if not np.isfinite(logits).all():
+            raise NonFiniteError("sequence_loss: logits must be finite")
+        logits -= logits.max(axis=1, keepdims=True)
+        picked = logits[rows, t]
+        exp = np.exp(logits, out=logits)
+        sums = exp.sum(axis=1)
+        nll[block] = np.log(sums) - picked
+        dlogits = exp
+        dlogits /= sums[:, None]
+        dlogits[rows, t] -= 1.0
+        dlogits *= weights[block, None]
+        np.matmul(dlogits, w_out.T, out=dhidden[block])
+        if block.start == 0:
+            np.matmul(h.T, dlogits, out=dw_out)
+            db_out = dlogits.sum(axis=0)
+        else:
+            dw_out += np.matmul(h.T, dlogits, out=partial)
+            db_out += dlogits.sum(axis=0)
+    return nll, dhidden, dw_out, db_out
 
 
 # ---------------------------------------------------------------------------

@@ -1,17 +1,22 @@
 """Hand-written gradient tests: the LSTM cell, the layers of the caption
-loss's backward pass, and finite differences."""
+loss's backward pass, their earlier forms, and finite differences."""
 
 import gc
+import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
 from mlcap import trainer
 from mlcap.gradcheck import gradient_check
 from mlcap.trainer import Batch, Example, make_batch, sequence_loss
 from mlcap.vocab import EOS_ID
+from oracles import full_partial_head, gates_list_lstm_sequence, where_sigmoid
 from tinymodels import prefix_free_params, tiny_examples, wide_params
 
 
@@ -146,6 +151,87 @@ class TestBlockedHead:
         assert grads["w_embed"].tobytes() == dw_embed.tobytes()
 
 
+class TestStableSigmoid:
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 745.0, -745.0, 746.0, -746.0, 1e308, -1e308, np.inf, -np.inf, np.nan]
+
+    @staticmethod
+    def assert_same_bits(x):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = ad._stable_sigmoid(x)
+        want = where_sigmoid(x)
+        nan = np.isnan(want)
+        assert np.array_equal(np.isnan(got), nan)
+        assert got[~nan].tobytes() == want[~nan].tobytes()
+
+    def test_edge_values_match_the_where_form(self):
+        self.assert_same_bits(np.array(self.EDGES))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        values=st.lists(st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(EDGES), max_size=40),
+        bits=st.lists(st.integers(0, 2**64 - 1), max_size=40),
+    )
+    def test_bits_match_the_where_form(self, values, bits):
+        # floats of every magnitude, and arbitrary bit patterns (NaN payloads and subnormals included)
+        self.assert_same_bits(np.array(values, dtype=np.float64))
+        self.assert_same_bits(np.array(bits, dtype=np.uint64).view(np.float64))
+
+
+class TestEarlierForms:
+    """The recurrence and the head give the bytes of their earlier forms: the
+    per-step gates list with stored ``tanh(c)``, and the whole [H,V] partial."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 8),
+        steps=st.integers(1, 6),
+        embed=st.integers(1, 8),
+        hidden=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lstm_sequence_bytes(self, batch, steps, embed, hidden, seed):
+        p = wide_params(vocab=4, embed=embed, hidden=hidden, feature=2, seed=seed % 1000, scale=1.0)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=2.0, size=((steps + 1) * batch, embed))
+        g = rng.normal(size=(steps * batch, hidden))
+        hs, pullback = ad.lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
+        want_hs, want_pullback = gates_list_lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
+        got = dict(zip(("hidden", "dx", "dw_x", "dw_h", "db_gates"), (hs, *pullback(g))))
+        want = dict(zip(got, (want_hs, *want_pullback(g))))
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 8),
+        steps=st.integers(1, 6),
+        hidden=st.integers(1, 8),
+        vocab=st.integers(2, 9),
+        block_rows=st.integers(2, 4),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    # 4 head blocks of 3, 3, 2, 2 rows; dw_out in chunks of 3, 2, 2 rows
+    @example(batch=5, steps=2, hidden=7, vocab=6, block_rows=3, seed=1)
+    def test_output_head_bytes(self, batch, steps, hidden, vocab, block_rows, seed):
+        p = wide_params(vocab=vocab, embed=2, hidden=hidden, feature=2, seed=seed % 1000, scale=1.0)
+        rng = np.random.default_rng(seed)
+        n = steps * batch
+        h = rng.normal(scale=2.0, size=(n, hidden))
+        targets = rng.integers(0, vocab, n)
+        weights = rng.integers(0, 2, n) / 3.0
+        with mock.patch.object(trainer, "BLOCK_CELLS", block_rows * vocab):
+            got = dict(zip(("nll", "dhidden", "dw_out", "db_out"), trainer._output_head(h, targets, weights, p)))
+            want = dict(zip(got, full_partial_head(h, targets, weights, p)))
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_the_example_cuts_blocks_and_ragged_chunks(self):
+        with mock.patch.object(trainer, "BLOCK_CELLS", 3 * 6):
+            assert [s.stop - s.start for s in trainer.row_blocks(10, 6)] == [3, 3, 2, 2]
+            assert [s.stop - s.start for s in trainer.row_blocks(7, 6)] == [3, 2, 2]
+
+
 class TestSoftmaxOps:
     def test_softmax_shift_invariance(self):
         rng = np.random.default_rng(0)
@@ -184,6 +270,13 @@ class TestSoftmaxOps:
 
     def test_cross_entropy_rejects_nonfinite(self):
         params = prefix_free_params(np.array([0.0, 0.0, 0.0, np.inf]))
+        with pytest.raises(ad.NonFiniteError, match="finite"):
+            sequence_loss(make_batch([Example(np.ones(2), 3, (EOS_ID,))]), params)
+
+    @pytest.mark.parametrize("bad", [-np.inf, np.nan])
+    def test_cross_entropy_rejects_minus_inf_and_nan(self, bad):
+        # one bad logit makes its row's max or min non-finite
+        params = prefix_free_params(np.array([0.0, 0.0, 0.0, bad]))
         with pytest.raises(ad.NonFiniteError, match="finite"):
             sequence_loss(make_batch([Example(np.ones(2), 3, (EOS_ID,))]), params)
 

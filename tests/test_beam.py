@@ -9,12 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mlcap import autodiff as ad
 from mlcap.beam import BeamConfig, _emittable_ids, beam_block, beam_search, greedy_block
 from mlcap import trainer
 from mlcap.model import step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
 from oracles import emittable_ids, exhaustive_decode, reference_beam_search
-from tinymodels import prefix_free_params, random_params, toy_distribution, wide_params
+from tinymodels import NEG_BIG, prefix_free_params, random_params, toy_distribution, wide_params
 
 A, B = 3, 4  # surface ids in the toy five-token table (pad, unk, eos, a, b)
 
@@ -398,6 +399,33 @@ class TestBeamBlock:
         params = random_params()
         with pytest.raises(IndexError):
             beam_block(np.ones((2, params.dims.feature)), params.dims.vocab, params, BeamConfig(width=2, max_len=4))
+
+
+class TestHeadCalls:
+    """A block decode scores one distribution per selection round: the start
+    step's, then one per token fed back. The image step advances the state only."""
+
+    @staticmethod
+    def count_heads(monkeypatch):
+        calls = []
+        log_softmax = ad.log_softmax
+        monkeypatch.setattr(ad, "log_softmax", lambda z: calls.append(len(z)) or log_softmax(z))
+        return calls
+
+    @pytest.mark.parametrize("decode, width", [(greedy_block, 1), (beam_block, 3)])
+    def test_one_head_per_round(self, decode, width, monkeypatch):
+        params = prefix_free_params(np.array([NEG_BIG, 0.0, NEG_BIG, 0.5, 0.2]))  # eos never wins
+        calls = self.count_heads(monkeypatch)
+        decoded = decode(np.ones((4, params.dims.feature)), 3, params, BeamConfig(width=width, max_len=5))
+        assert len(decoded) == 4 and len(calls) == 5
+
+    def test_greedy_rows_ending_early_take_no_extra_round(self, monkeypatch):
+        params = wide_params(vocab=6, embed=4, hidden=5, feature=3, seed=10, scale=2.0)
+        params.b_out[EOS_ID] -= 1.0
+        features = np.random.default_rng(10).normal(scale=2.0, size=(8, params.dims.feature))
+        calls = self.count_heads(monkeypatch)
+        block = greedy_block(features, 3, params, BeamConfig(width=1, max_len=6))
+        assert len(calls) == max(len(ids) for ids in block)
 
 
 class TestExhaustive:

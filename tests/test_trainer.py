@@ -18,7 +18,7 @@ from mlcap.beam import BeamConfig, beam_search
 from mlcap.data import Caption, l2_normalize_records, split_dataset, synth_generate
 from mlcap.gradcheck import gradient_check
 from mlcap.metrics import CorpusEval, cider
-from oracles import forward_sequence, row_loop_batch, textbook_adam_step
+from oracles import forward_sequence, full_partial_head, gates_list_lstm_sequence, row_loop_batch, textbook_adam_step
 from mlcap.trainer import (
     AdamState,
     Batch,
@@ -197,6 +197,42 @@ class TestSequenceLoss:
         finally:
             tracemalloc.stop()
         assert peak < logits_bytes / 2
+
+    @pytest.mark.parametrize("earlier", [None, "gates list", "whole partial"])
+    def test_step_holds_the_bptt_working_set(self, earlier, monkeypatch):
+        # the traced peak of one step stays under everything backpropagation
+        # through time needs at once: the inputs, the one gates buffer, the
+        # hidden and cell rows, every gradient, one logits block, one dw_out
+        # chunk and a few [B,4H] step scratch arrays. The earlier forms, with
+        # a gates list beside the projections or a whole [H,V] partial, go over.
+        vocab, embed, hidden, batch_size, steps = 2000, 4, 64, 32, 8
+        params = wide_params(vocab=vocab, embed=embed, hidden=hidden, feature=4, seed=3)
+        rng = np.random.default_rng(3)
+        examples = [
+            Example(rng.normal(size=4), 3, tuple(int(t) for t in rng.integers(3, vocab, steps - 1)) + (EOS_ID,))
+            for _ in range(batch_size)
+        ]
+        batch = make_batch(examples)
+        monkeypatch.setattr(trainer, "BLOCK_CELLS", 8 * vocab)  # 32 head blocks, 8 dw_out chunks
+        if earlier == "gates list":
+            monkeypatch.setattr(ad, "lstm_sequence", gates_list_lstm_sequence)
+        elif earlier == "whole partial":
+            monkeypatch.setattr(trainer, "_output_head", full_partial_head)
+        rows = (steps + 1) * batch_size
+        cells = (
+            rows * (embed + 4 * hidden + 2 * hidden)  # inputs, gates, hidden and cell rows
+            + steps * batch_size * hidden + rows * embed  # dhidden, dx
+            + sum(p.size for _, p in params.named_parameters())  # every gradient
+            + 2 * trainer.BLOCK_CELLS  # a logits block and a dw_out chunk
+            + 4 * batch_size * 4 * hidden  # step scratch
+        )
+        tracemalloc.start()
+        try:
+            sequence_loss(batch, params)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (peak < 8 * cells) == (earlier is None), (peak, 8 * cells)
 
 
 class TestAdam:
