@@ -206,6 +206,10 @@ def cmd_train(args) -> int:
     training_languages(split, config)  # refuse the inputs before anything is written
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
+    best_path, manifest_path = out_dir / "best.ckpt", out_dir / "manifest.json"
+    # a directory with a manifest holds a finished run: an earlier run's results go first
+    manifest_path.unlink(missing_ok=True)
+    best_path.unlink(missing_ok=True)
     log_path = out_dir / "train_log.tsv"
     epoch_paths: list[str] = []
 
@@ -221,9 +225,8 @@ def cmd_train(args) -> int:
             log_fh.write(line + "\n")
 
         result = run_training(split, config, log=log, save_epoch=None if args.best_only else save_epoch)
-    best_path = out_dir / "best.ckpt"
     save_checkpoint(best_path, checkpoint_from_model(result.params, result.vocab, config.as_dict(), result.best_epoch))
-    _write_manifest(args, [str(best_path), str(log_path)] + epoch_paths, out_dir / "manifest.json")
+    _write_manifest(args, [str(best_path), str(log_path)] + epoch_paths, manifest_path)
     print(f"best epoch {result.best_epoch} -> {best_path}")
     return EXIT_OK
 

@@ -16,15 +16,20 @@ in no reference counts as in one. Scores live in [0, 1]; a candidate or
 reference with an all-zero vector contributes zero for that order.
 
 Both scores come from one integer-array table per call. The tokens are
-interned once into an int64 array; an order-n gram code is the order-(n-1)
-code and the next token id, made dense by ``np.unique``. Per order, one
-``np.unique`` counts the (sentence, gram) pairs and another finds the
-distinct (image, gram) reference pairs: ``np.maximum.at`` takes their
-reference ceilings and a bincount of their grams the document frequencies.
-A candidate row finds its ceiling by ``np.searchsorted``, and a reference row
-meets the candidate's weight for its gram through the ceiling's slot. Each
-table is sorted by sentence, so a bincount of its sentences gives the group
-sizes. The result is exact, not just close: idf is one ``math.log(m / df)``
+interned once; an order-n gram code is the order-(n-1) code and the next
+token id. Per order, one sort counts the (sentence, gram) pairs, and the
+distinct (image, gram) reference pairs give the reference ceilings through
+``np.maximum.at`` and the document frequencies through a bincount of their
+grams. ``_dense`` makes codes dense as ``np.unique(return_inverse=True)``
+does, from one sort of the keys each packed with its position (``np.unique``
+takes keys too wide for that). Every packed key is formed in int64, since it
+can pass 2**31; the index arrays are held in the narrowest integer dtype that
+fits them, and each per-order array is dropped after its last reader, so a
+call's traced peak is about 52 bytes per corpus token. A candidate row finds
+its ceiling by ``np.searchsorted``, and a reference row meets the
+candidate's weight for its gram through the ceiling's slot. Each table is
+sorted by sentence, so a bincount of its sentences gives the group sizes.
+The result is exact, not just close: idf is one ``math.log(m / df)``
 per document frequency, the tf-idf products are formed elementwise as single
 roundings, and every norm, dot product and per-image mean is the exact group
 sum rounded once, as ``math.fsum`` gives it, whatever the order of its terms.
@@ -158,61 +163,129 @@ def _group_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
     return sums
 
 
+def _index_dtype(bound: int) -> type:
+    """The narrowest signed integer dtype that holds every value in 0..bound."""
+    return next(t for t in (np.int8, np.int16, np.int32, np.int64) if bound <= np.iinfo(t).max)
+
+
+def _run_starts(sorted_keys: np.ndarray) -> np.ndarray:
+    """Where each run of equal keys in ``sorted_keys`` begins."""
+    first = np.empty(len(sorted_keys), dtype=bool)
+    first[:1] = True
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=first[1:])
+    return first
+
+
+def _dense(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(keys, return_inverse=True)`` for non-negative int64 keys, which it may overwrite.
+
+    Each key is shifted left by ``len(keys).bit_length()`` bits and OR-ed
+    with its position, so one plain sort orders the keys and carries each
+    one's position along, where ``np.unique`` runs an argsort. Keys that
+    leave no room for the position bits go to ``np.unique``.
+    """
+    shift = len(keys).bit_length()
+    if not len(keys) or keys.max() >> (63 - shift):
+        return np.unique(keys, return_inverse=True)
+    keys <<= shift
+    keys |= np.arange(len(keys))
+    keys.sort()
+    positions = keys & ((1 << shift) - 1)
+    keys >>= shift
+    first = _run_starts(keys)
+    uniques = keys[first]
+    ranks = keys  # the sorted keys are no longer needed
+    ranks[...] = first
+    np.cumsum(ranks, out=ranks)
+    ranks -= 1
+    inverse = np.empty(len(keys), dtype=_index_dtype(len(uniques)))
+    inverse[positions] = ranks
+    return uniques, inverse
+
+
+def _pairs(sents: np.ndarray, codes: np.ndarray, n_codes: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One row per distinct (sentence, gram) of the given n-grams, sorted by
+    sentence: its sentence, its gram code and its count."""
+    keys = np.multiply(sents, n_codes, dtype=np.int64)
+    keys += codes
+    keys.sort()
+    at = np.flatnonzero(_run_starts(keys))
+    counts = np.diff(at, append=len(keys))
+    counts = counts.astype(_index_dtype(int(counts.max(initial=0))))
+    keys = keys[at]
+    return (keys // n_codes).astype(sents.dtype), (keys % n_codes).astype(codes.dtype), counts
+
+
 def _score(corpus: CorpusEval) -> tuple[list[float], float, int]:
     """BLEU-1..4, the consensus score and the candidate token count, from one n-gram table per order."""
     items = corpus.items
     m = len(items)
     # sentences run image by image: the candidate, then its references
     sentences = [s for item in items for s in (item.candidate, *item.references)]
+    n_sents = len(sentences)
     n_refs = np.array([len(item.references) for item in items], dtype=np.int64)
     cand_sent = np.concatenate(([0], np.cumsum(n_refs + 1)[:-1]))
-    image_of = np.repeat(np.arange(m), n_refs + 1)
-    is_ref = np.ones(len(sentences), dtype=bool)
+    image_of = np.repeat(np.arange(m, dtype=_index_dtype(m)), n_refs + 1)
+    is_ref = np.ones(n_sents, dtype=bool)
     is_ref[cand_sent] = False
     ref_sents = np.flatnonzero(is_ref)
     cand_of_ref = cand_sent[image_of[ref_sents]]
-    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=len(sentences))
-    flat = list(chain.from_iterable(sentences))
-    ids = {t: i for i, t in enumerate(dict.fromkeys(flat))}
-    tokens = np.fromiter(map(ids.__getitem__, flat), dtype=np.int64, count=len(flat))
-    sent_of = np.repeat(np.arange(len(sentences)), lengths)
-    end_of = np.repeat(np.cumsum(lengths), lengths)
-    starts, codes, n_codes = np.arange(len(tokens)), tokens, len(ids)
+    lengths = np.fromiter(map(len, sentences), dtype=np.int64, count=n_sents)
+    n_tokens = int(lengths.sum())
+    ids = {t: i for i, t in enumerate(dict.fromkeys(chain.from_iterable(sentences)))}
+    vocab = len(ids)
+    tokens = np.fromiter(map(ids.__getitem__, chain.from_iterable(sentences)), dtype=_index_dtype(vocab), count=n_tokens)
+    del ids
+    sent_of = np.repeat(np.arange(n_sents, dtype=_index_dtype(n_sents)), lengths)
+    # how many tokens of its sentence each position starts: an n-gram fits where it is at least n
+    left = (np.repeat(np.cumsum(lengths), lengths) - np.arange(n_tokens)).astype(_index_dtype(int(lengths.max(initial=0))))
+    starts, codes, n_codes = np.arange(n_tokens, dtype=_index_dtype(n_tokens)), tokens, vocab
     matched, totals, sims_by_order = [], [], []
     for n in NGRAM_ORDERS:
-        if n > 1:  # an n-gram is the code of its first n-1 tokens and its last token;
-            # keys stay below (token count) ** 2, far inside int64
-            keep = starts + (n - 1) < end_of[starts]
+        if n > 1:  # an n-gram is the code of its first n-1 tokens and its last token
+            keep = left[starts] >= n
             starts = starts[keep]
-            grams, codes = np.unique(codes[keep] * len(ids) + tokens[starts + (n - 1)], return_inverse=True)
+            keys = np.multiply(codes[keep], vocab, dtype=np.int64)
+            keys += tokens[starts + (n - 1)]
+            del keep
+            grams, codes = _dense(keys)
             n_codes = len(grams)
-        # one row per distinct (sentence, gram), sorted by sentence
-        pair_keys, counts = np.unique(sent_of[starts] * n_codes + codes, return_counts=True)
-        sent, gram = np.divmod(pair_keys, n_codes)
-        image_keys = image_of[sent] * n_codes + gram
+            del keys, grams
+        sent, gram, counts = _pairs(sent_of[starts], codes, n_codes)
         ref = is_ref[sent]
+        keys = np.multiply(image_of[sent], n_codes, dtype=np.int64)
+        keys += gram
         # the reference ceiling of each (image, gram): its largest count in one reference
-        ceiling_keys, slot = np.unique(image_keys[ref], return_inverse=True)
+        ceiling_keys, slot = _dense(keys[ref])
         ceilings = np.zeros(len(ceiling_keys), dtype=counts.dtype)
         np.maximum.at(ceilings, slot, counts[ref])
-        cand_keys, cand_counts = image_keys[~ref], counts[~ref]
-        at, found = _find(ceiling_keys, cand_keys)
+        cand_counts = counts[~ref]
+        at, found = _find(ceiling_keys, keys[~ref])
+        del keys
         matched.append(int(np.minimum(cand_counts[found], ceilings[at[found]]).sum()))
         totals.append(int(cand_counts.sum()))
+        del ceilings, cand_counts
         # images whose references hold the gram; a candidate gram in none counts as in one
         doc_freq = np.maximum(np.bincount(ceiling_keys % n_codes, minlength=n_codes), 1)
+        n_ceilings = len(ceiling_keys)
+        del ceiling_keys
         idf = np.array([0.0] + [math.log(m / df) for df in range(1, int(doc_freq.max(initial=1)) + 1)])
         weights = counts * idf[doc_freq[gram]]
+        del counts, doc_freq, gram
         # the table is sorted by sentence, so a bincount of its sentences gives the group sizes
-        norms = np.sqrt(_group_sums(weights * weights, np.bincount(sent, minlength=len(sentences))))
+        norms = np.sqrt(_group_sums(weights * weights, np.bincount(sent, minlength=n_sents)))
         # each reference row meets its image's candidate weight for the gram through its slot
-        in_cand = np.zeros(len(ceiling_keys), dtype=bool)
+        in_cand = np.zeros(n_ceilings, dtype=bool)
         in_cand[at[found]] = True
-        cand_weights = np.zeros(len(ceiling_keys))
+        cand_weights = np.zeros(n_ceilings)
         cand_weights[at[found]] = weights[~ref][found]
+        del at, found
         shared = in_cand[slot]
+        del in_cand
         products = cand_weights[slot[shared]] * weights[ref][shared]
-        dots = _group_sums(products, np.bincount(sent[ref][shared], minlength=len(sentences))[ref_sents])
+        del cand_weights, slot, weights
+        dots = _group_sums(products, np.bincount(sent[ref][shared], minlength=n_sents)[ref_sents])
+        del products, sent, ref, shared
         cand_norms, ref_norms = norms[cand_of_ref], norms[ref_sents]
         both = (cand_norms != 0.0) & (ref_norms != 0.0)
         sims = np.zeros(len(ref_sents))

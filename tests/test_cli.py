@@ -200,6 +200,24 @@ class TestTrain:
         assert code == EXIT_DIVERGED
         assert "training diverged: non-finite loss or gradient in epoch 0, batch 1" in capsys.readouterr().err
 
+    def test_failed_rerun_leaves_no_earlier_best_or_manifest(self, workdir, tmp_path, monkeypatch):
+        # a directory with a manifest always holds a finished run: a run that
+        # diverges into the directory of a good one removes that run's
+        # best.ckpt and manifest.json before its first epoch
+        out = tmp_path / "run"
+        args = [
+            "train", "--data", str(workdir["data"]), "--out", str(out), "--split", "30,5,5",
+            "--batch", "8", "--hidden", "4", "--embed", "4", "--min-count", "1",
+        ]
+        assert main(args + ["--epochs", "3"]) == EXIT_OK
+        assert (out / "best.ckpt").exists() and (out / "manifest.json").exists()
+        monkeypatch.setattr(trainer, "ADAM_ALPHA", 1e308)
+        with np.errstate(over="ignore", invalid="ignore"):
+            assert main(args + ["--epochs", "2"]) == EXIT_DIVERGED
+        assert not (out / "best.ckpt").exists()
+        assert not (out / "manifest.json").exists()
+        assert (out / "train_log.tsv").read_text() == ""
+
     def test_oversubscribed_split_fails(self, workdir, tmp_path):
         code = main(
             [

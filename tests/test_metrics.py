@@ -1,6 +1,7 @@
 """Metric tests: hand-counted cases and brute-force oracle equivalence."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlcap import metrics
-from mlcap.metrics import NGRAM_ORDERS, CorpusEval, EvalItem, _group_sums, cider, evaluate_corpus
+from mlcap.metrics import NGRAM_ORDERS, CorpusEval, EvalItem, _dense, _group_sums, cider, evaluate_corpus
 from oracles import group_fsums, naive_bleu, naive_cider, random_corpus, reference_score
 
 
@@ -184,6 +185,101 @@ class TestExactness:
         words = tuple(f"w{i}" for i in range(40))
         corpus = corpus_of(random_corpus(rng, n_images=150, vocab=words))
         assert report_bits(evaluate_corpus(corpus)) == report_bits(reference_score(corpus))
+
+
+def sparse_corpus(rng, n_images):
+    """Five one- or two-token references per image, drawn from a million
+    words, so nearly every token, gram and sentence is distinct; half the
+    candidates copy their first reference, the rest are fresh words."""
+    word = lambda: f"w{int(rng.integers(10**6))}"
+    items = []
+    for _ in range(n_images):
+        refs = [[word() for _ in range(int(rng.integers(1, 3)))] for _ in range(5)]
+        cand = list(refs[0]) if rng.random() < 0.5 else [word() for _ in range(int(rng.integers(1, 3)))]
+        items.append((cand, refs))
+    return items
+
+
+class TestWideKeys:
+    """Packed keys past 2**31: a (sentence, gram) key reaches sentences x
+    grams, and an order-2 gram key reaches the vocabulary squared. Under
+    NumPy 2 (NEP 50) an int32 index array times a Python int stays int32 and
+    wraps silently, so the table must form every key in int64."""
+
+    @pytest.fixture(scope="class")
+    def wide(self):
+        corpus = corpus_of(sparse_corpus(np.random.default_rng(2031), 8000))
+        sentences = sum(1 + len(item.references) for item in corpus.items)
+        vocab = len({t for item in corpus.items for s in (item.candidate, *item.references) for t in s})
+        assert sentences * vocab > 2**31 and vocab**2 > 2**31
+        return corpus, report_bits(reference_score(corpus))
+
+    def test_equals_the_counter_reference(self, wide):
+        corpus, expected = wide
+        assert report_bits(evaluate_corpus(corpus)) == expected
+
+    def test_np_unique_codes_give_the_same_report(self, wide, monkeypatch):
+        # the fallback's codes and inverses, in np.unique's own dtype, feed the same table
+        corpus, expected = wide
+        monkeypatch.setattr(metrics, "_dense", lambda keys: np.unique(keys, return_inverse=True))
+        assert report_bits(evaluate_corpus(corpus)) == expected
+
+
+class TestDense:
+    @settings(max_examples=200, deadline=None)
+    @given(keys=st.lists(st.one_of(st.integers(0, 40), st.integers(0, 2**63 - 1)), max_size=60))
+    def test_equals_np_unique(self, keys):
+        keys = np.array(keys, dtype=np.int64)
+        uniques, inverse = np.unique(keys, return_inverse=True)
+        got_uniques, got_inverse = _dense(keys.copy())
+        assert got_uniques.tolist() == uniques.tolist()
+        assert got_inverse.tolist() == inverse.tolist()
+
+    @pytest.mark.parametrize("largest, packed", [(2**57 - 1, True), (2**57, False)])
+    def test_keys_without_room_for_the_positions_go_to_np_unique(self, largest, packed):
+        # 40 positions take 6 bits, which leaves room for keys below 2**57
+        keys = np.array([largest] + [(7 * i) % 39 for i in range(39)], dtype=np.int64)
+        uniques, inverse = np.unique(keys, return_inverse=True)
+        with mock.patch.object(metrics.np, "unique", wraps=np.unique) as unique:
+            got_uniques, got_inverse = _dense(keys.copy())
+        assert unique.called != packed
+        assert got_uniques.tolist() == uniques.tolist()
+        assert got_inverse.tolist() == inverse.tolist()
+
+
+def zipf_corpus(rng, n_images):
+    """Captions like paper-decode's: five 8-14 token references per image
+    over a Zipf-weighted 400-word lexicon, and a candidate that copies a
+    stretch of one reference and adds up to five words."""
+    lexicon = [f"w{i}" for i in range(400)]
+    cdf = np.cumsum(1.0 / np.arange(1, len(lexicon) + 1))
+    cdf /= cdf[-1]
+    sentence = lambda n: [lexicon[min(j, len(lexicon) - 1)] for j in np.searchsorted(cdf, rng.random(n))]
+    items = []
+    for _ in range(n_images):
+        refs = [sentence(int(rng.integers(8, 15))) for _ in range(5)]
+        base = refs[int(rng.integers(5))]
+        keep = int(rng.integers(2, len(base) + 1))
+        start = int(rng.integers(0, len(base) - keep + 1))
+        items.append((base[start : start + keep] + sentence(int(rng.integers(0, 6))), refs))
+    return items
+
+
+def test_evaluate_holds_a_compact_working_set():
+    # the traced peak is about 52 bytes per corpus token (19k tokens here,
+    # and the same on paper-decode's 128k): the index arrays in the narrowest
+    # dtype that holds them, each per-order array freed after its last reader.
+    # An int64 table whose arrays lived to the end of their order took 181.
+    corpus = corpus_of(zipf_corpus(np.random.default_rng(9), 300))
+    tokens = sum(len(item.candidate) + sum(map(len, item.references)) for item in corpus.items)
+    evaluate_corpus(corpus)
+    tracemalloc.start()
+    try:
+        evaluate_corpus(corpus)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 90 * tokens, peak / tokens
 
 
 # values whose sums tie, cancel or underflow: equal idf-squared terms, halves of an ulp of 1,
