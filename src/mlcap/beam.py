@@ -7,30 +7,31 @@ emits eos. Padding and language-start ids are never emitted (unk and eos
 are). Ties are broken everywhere by the same rule: higher logprob first,
 then lexicographically smaller id tuple, which also puts a finished prefix
 ahead of its extensions. Scores are never length-normalized unless the
-optional ranking flag asks for it.
+optional ranking flag asks for it. Width 1 is greedy decoding.
 
 Selection is vectorized but exact. Each step stacks the live hypotheses'
 next-token log-probabilities into one [L, K] array over the K emittable
 ids and adds each parent's score, so every candidate score is the same
-float64 sum a scalar loop would form. ``_top`` holds the tie rule, for the
-candidates of one image: ``np.partition`` finds the ``width``-th largest
-score; every candidate scoring at least that cut is kept, so exact ties at
-the boundary all survive, and the kept candidates are ordered by (-score,
-parent's lexical rank, token id). All live hypotheses have the same length
-at a given step, so that order is the order of the full id tuples, and the
+float64 sum a scalar loop would form. ``_top`` holds the tie rule and
+selects every image's survivors at once: ``np.partition`` cuts each row at
+its own ``width``-th largest score, every candidate scoring at least its
+row's cut is kept, so exact ties at the boundary all survive, and one
+``lexsort`` orders the kept candidates by (image, -score, parent's lexical
+rank, token id). An image's top ``width`` candidates all lie at or above
+their own rows' cuts. All live hypotheses have the same length at a given
+step, so that order is the order of the full id tuples, and each image's
 first ``width`` are exactly the candidates the tie rule selects.
 
 ``beam_block`` decodes a block of images at once, as in the batched decoder
 of Show and Tell (Vinyals et al., arXiv 1411.4555): one ``step_rows`` call
-per step for every live hypothesis of every image, then ``_top`` per image,
-and per image its own finished pool and final ranking. ``greedy_block`` is
-the width-1 search for a block, with the same rule applied to each row on
-its own. Both advance the image step with ``advance_state``, whose
-distribution nobody scores, so a decode runs one head per selection round.
-``trainer.decode_images`` runs every decode through one of the two.
-``model.step_rows`` runs a lone row as a 2-row block, so a block row,
-a lone image and ``beam_search`` (one hypothesis per ``step_distribution``
-call, kept as the scalar reference) give the same bits.
+per step for every live hypothesis of every image, then one ``_top`` call,
+and per image its own finished pool and final ranking. It advances the
+image step with ``advance_state``, whose distribution nobody scores, so a
+decode runs one head per selection round. ``trainer.decode_images`` runs
+every decode through it, at every width. ``model.step_rows`` runs a lone
+row as a 2-row block, so a block row, a lone image and ``beam_search``
+(one hypothesis per ``step_distribution`` call, kept as the scalar
+reference) give the same bits.
 """
 
 from __future__ import annotations
@@ -94,26 +95,29 @@ def _root(feature, start_id: int, params: ModelParams) -> Hypothesis:
 
 def _candidates(scores: np.ndarray, logp: np.ndarray, emittable: np.ndarray, step: int) -> np.ndarray:
     """Candidate scores [L,K]: each live row's sum plus each emittable id's log-probability."""
-    candidates = scores[:, None] + logp[:, emittable]
+    candidates = scores[:, None] + logp.take(emittable, axis=1)  # C order; logp[:, emittable] comes out in F order
     if not np.isfinite(candidates).all():
         raise ValueError(f"non-finite log-probabilities at decode step {step}")
     return candidates
 
 
-def _top(candidates: np.ndarray, rank: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(parent row, emittable column) of the top ``width`` candidates of one image.
+def _top(candidates: np.ndarray, image: np.ndarray, rank: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, emittable column) of each image's top ``width`` candidates, image by image, best first.
 
-    ``rank`` is each parent row's lexical rank among its image's rows. The
-    tie rule lives here alone: higher score first, then the parent's rank,
-    then the token id (emittable ids ascend, so the column orders them).
+    ``image`` [L] gives each row's image; an image's rows are contiguous and
+    ``image`` never decreases. ``rank`` orders an image's rows lexically.
+    The tie rule lives here alone: higher score first, then the parent's
+    rank, then the token id (emittable ids ascend, so the column orders them).
     """
-    flat = candidates.ravel()
-    k = min(width, flat.size)
-    cut = np.partition(flat, flat.size - k)[flat.size - k]
-    kept = np.flatnonzero(flat >= cut)
-    parent, column = np.divmod(kept, candidates.shape[1])
-    order = np.lexsort((column, rank[parent], -flat[kept]))[:width]
-    return parent[order], column[order]
+    k = candidates.shape[1]
+    keep = min(width, k)
+    cut = np.partition(candidates, k - keep, axis=1)[:, k - keep]
+    kept = np.flatnonzero(candidates >= cut[:, None])  # 2-D np.nonzero is several times slower
+    row, column = np.divmod(kept, k)
+    order = np.lexsort((column, rank[row], -candidates.ravel()[kept], image[row]))
+    row, column, owner = row[order], column[order], image[row[order]]
+    first = np.arange(owner.size) - np.searchsorted(owner, owner) < width
+    return row[first], column[first]
 
 
 def _select(live: list[Hypothesis], emittable: np.ndarray, width: int, step: int):
@@ -122,7 +126,7 @@ def _select(live: list[Hypothesis], emittable: np.ndarray, width: int, step: int
     candidates = _candidates(scores, np.stack([h.next_logp for h in live]), emittable, step)
     rank = np.empty(len(live), dtype=np.int64)
     rank[sorted(range(len(live)), key=lambda i: live[i].ids)] = np.arange(len(live))
-    parent, column = _top(candidates, rank, width)
+    parent, column = _top(candidates, np.zeros(len(live), dtype=np.int64), rank, width)
     return [(float(candidates[p, c]), live[p], int(emittable[c])) for p, c in zip(parent, column)]
 
 
@@ -169,9 +173,9 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
 
     The beam of the whole block is held as arrays over its live rows L:
     emitted ids [L,t], sums [L], state [L,H] and each row's image. Rows of an
-    image are contiguous and in lexical order of their ids, so a row's rank
-    is its offset within the image. Each step is one ``step_rows`` call for
-    every live row of every image, then ``_top`` per image. Raises
+    image are contiguous and in lexical order of their ids, so the row index
+    serves as each row's rank. Each step is one ``step_rows`` call for
+    every live row of every image, then one ``_top`` call. Raises
     ``ValueError`` when a live row has non-finite log-probabilities.
     """
     features = np.asarray(features, dtype=np.float64)
@@ -189,16 +193,9 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
     finished: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in range(n)]
     for step in range(1, config.max_len + 1):
         candidates = _candidates(scores, logp, emittable, step)
-        edges = np.searchsorted(image, np.arange(n + 1)).tolist()  # image k owns rows edges[k]:edges[k+1]
-        parents, columns = [], []
-        for lo, hi in zip(edges, edges[1:]):
-            if lo == hi:
-                continue
-            parent, column = _top(candidates[lo:hi], np.arange(hi - lo), config.width)
-            order = np.lexsort((column, parent))  # survivors in lexical order of their ids
-            parents.append(lo + parent[order])
-            columns.append(column[order])
-        parent, column = np.concatenate(parents), np.concatenate(columns)
+        parent, column = _top(candidates, image, np.arange(len(image)), config.width)
+        order = np.lexsort((column, parent))  # survivors in lexical order of their ids
+        parent, column = parent[order], column[order]
         scores, image = candidates[parent, column], image[parent]
         tokens = emittable[column]
         ids = np.concatenate([ids[parent], tokens[:, None]], axis=1)
@@ -211,39 +208,3 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
         image, ids, scores, rows = image[live], ids[live], scores[live], parent[live]
         state, logp = step_rows(params.w_embed[tokens[live]], LstmState(state.h[rows], state.c[rows]), params)
     return [_ranked(pool, config) for pool in finished]
-
-
-def greedy_block(features, start_id: int, params: ModelParams, config: BeamConfig) -> list[list[int]]:
-    """Width-1 decodes of every row of ``features`` [N,D], as id lists.
-
-    Each row keeps ``_select``'s rule: its candidates score the row's sum
-    so far plus each emittable id's log-probability, the highest wins, and
-    ties go to the lowest id. A row ends at eos or at ``max_len`` emitted
-    ids; ended rows keep stepping with the block until every row has ended.
-    Raises ``ValueError`` when a live row has non-finite log-probabilities.
-    """
-    features = np.asarray(features, dtype=np.float64)
-    if not 0 <= start_id < params.dims.vocab:
-        raise IndexError(f"greedy_block: start id {start_id} out of range")
-    emittable = _emittable_ids(params.dims.vocab, config.exclude_ids)
-    rows = np.arange(features.shape[0])
-    state = advance_state(project_features(features, params), zero_state(params, rows.size), params)
-    state, logp = step_rows(params.w_embed[np.full(rows.size, start_id)], state, params)
-    scores = np.zeros(rows.size)
-    columns = []  # one [N] array of emitted ids per step taken, so memory follows the longest decode
-    lengths = np.full(rows.size, config.max_len)
-    live = np.ones(rows.size, dtype=bool)
-    for step in range(1, config.max_len + 1):
-        candidates = scores[:, None] + logp[:, emittable]
-        if not np.isfinite(candidates[live]).all():
-            raise ValueError(f"non-finite log-probabilities at decode step {step}")
-        best = candidates.argmax(axis=1)  # the first maximum: emittable ids ascend
-        scores = candidates[rows, best]
-        tokens = emittable[best]
-        columns.append(tokens)
-        lengths[live & (tokens == EOS_ID)] = step
-        live &= tokens != EOS_ID
-        if not live.any() or step == config.max_len:
-            break
-        state, logp = step_rows(params.w_embed[tokens], state, params)
-    return [row[:n].tolist() for row, n in zip(np.stack(columns, axis=1), lengths)]

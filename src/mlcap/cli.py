@@ -16,6 +16,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import sys
 from dataclasses import fields
 from pathlib import Path
@@ -207,9 +208,11 @@ def cmd_train(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     best_path, manifest_path = out_dir / "best.ckpt", out_dir / "manifest.json"
-    # a directory with a manifest holds a finished run: an earlier run's results go first
-    manifest_path.unlink(missing_ok=True)
-    best_path.unlink(missing_ok=True)
+    # a directory with a manifest holds a finished run: an earlier run's results,
+    # its epoch checkpoints too, go first (the manifest before anything else)
+    earlier = [path for path in out_dir.glob("epoch_*.ckpt") if re.fullmatch(r"epoch_[0-9]{3,}\.ckpt", path.name)]
+    for path in [manifest_path, best_path, *earlier]:
+        path.unlink(missing_ok=True)
     log_path = out_dir / "train_log.tsv"
     epoch_paths: list[str] = []
 

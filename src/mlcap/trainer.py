@@ -34,7 +34,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import DimensionError
-from .beam import BeamConfig, beam_block, greedy_block
+from .beam import BeamConfig, beam_block
 from .data import DatasetSplit, ImageRecord, corpus_from_records, l2_normalize_records, lowercase_records
 from .metrics import CorpusEval, cider
 from .model import Dims, ModelParams, init_params
@@ -378,21 +378,16 @@ def decode_images(
     """Decode each image of ``features`` ([N,D], or N D-vectors) in ``language``, as surface tokens.
 
     Padding and every start id are barred from emission. The images decode
-    in ``row_blocks`` slices, one block call each: at ``width`` 1 as
-    ``greedy_block`` rows, of at most ``max(2, BLOCK_CELLS // V)`` images;
-    wider as ``beam_block`` beams, of at most ``max(2, BLOCK_CELLS // (V *
-    width))`` images, so every live hypothesis of a block steps in one
-    ``step_rows`` call. A block decodes each image as it would alone.
+    as ``beam_block`` beams in ``row_blocks`` slices of at most ``max(2,
+    BLOCK_CELLS // (V * width))`` images, one block call each, so every live
+    hypothesis of a block steps in one ``step_rows`` call. Width 1 is
+    greedy decoding. A block decodes each image as it would alone.
     """
     features = np.asarray(features, dtype=np.float64)
     config = BeamConfig(width=width, max_len=max_len, exclude_ids=(PAD_ID,) + vocab.start_ids, length_norm=length_norm)
     start_id = vocab.start_id(language)
-    if width == 1:
-        blocks = row_blocks(len(features), params.dims.vocab)
-        decoded = [ids for block in blocks for ids in greedy_block(features[block], start_id, params, config)]
-    else:
-        blocks = row_blocks(len(features), params.dims.vocab * width)
-        decoded = [ranked[0][0] for block in blocks for ranked in beam_block(features[block], start_id, params, config)]
+    blocks = row_blocks(len(features), params.dims.vocab * width)
+    decoded = [ranked[0][0] for block in blocks for ranked in beam_block(features[block], start_id, params, config)]
     return [vocab.decode(ids) for ids in decoded]
 
 

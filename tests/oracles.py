@@ -8,8 +8,9 @@ the decoder in plain numpy; the decoders share only the model's
 ``reference_score`` differs in purpose: it is the per-sentence ``Counter``
 form of the metric table, with the same rounding, so it checks exactness;
 ``textbook_adam_step`` likewise rounds once per textbook operation, and
-``where_sigmoid``, ``gates_list_lstm_sequence`` and ``full_partial_head``
-are the earlier forms of library code that must keep their bits.
+``where_sigmoid``, ``gates_list_lstm_sequence``, ``full_partial_head``
+and ``per_image_top`` are the earlier forms of library code that must keep
+their bits.
 If the library and these disagree, trust neither and recount by hand.
 """
 
@@ -407,6 +408,22 @@ def _root(feature, start_id, params):
     state, _ = step_distribution(zero_state(params), np.asarray(feature, dtype=np.float64), params)
     state, logp = step_distribution(state, int(start_id), params)
     return _Hyp((), 0.0, state, logp)
+
+
+def per_image_top(candidates, rank, width):
+    """(parent row, emittable column) of the top ``width`` candidates of one image.
+
+    The earlier, one-image form of ``beam._top``: one flat cut at the
+    ``width``-th largest score keeps every tie, then one ``lexsort`` by
+    (-score, parent's rank, column) puts the kept candidates in tie-rule order.
+    """
+    flat = candidates.ravel()
+    k = min(width, flat.size)
+    cut = np.partition(flat, flat.size - k)[flat.size - k]
+    kept = np.flatnonzero(flat >= cut)
+    parent, column = np.divmod(kept, candidates.shape[1])
+    order = np.lexsort((column, rank[parent], -flat[kept]))[:width]
+    return parent[order], column[order]
 
 
 def reference_beam_search(feature, start_id, params, config):

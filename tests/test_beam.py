@@ -10,11 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
-from mlcap.beam import BeamConfig, _emittable_ids, beam_block, beam_search, greedy_block
+from mlcap.beam import BeamConfig, _emittable_ids, _top, beam_block, beam_search
 from mlcap import trainer
 from mlcap.model import step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from oracles import emittable_ids, exhaustive_decode, reference_beam_search
+from oracles import emittable_ids, exhaustive_decode, per_image_top, reference_beam_search
 from tinymodels import NEG_BIG, prefix_free_params, random_params, toy_distribution, wide_params
 
 A, B = 3, 4  # surface ids in the toy five-token table (pad, unk, eos, a, b)
@@ -236,12 +236,46 @@ def draw_model(data, vocab):
     return params
 
 
+class TestTop:
+    """``_top`` selects every image's survivors at once, as the one-image form does image by image."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_matches_the_per_image_selection(self, data):
+        heights = data.draw(st.lists(st.integers(1, 4), min_size=1, max_size=6), label="rows per image")
+        k = data.draw(st.integers(1, 6), label="K")
+        width = data.draw(st.integers(1, 7), label="width")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        grid = rng.choice([0.0, -0.5, -1.0, -1.5, -2.0], size=data.draw(st.integers(1, 5), label="grid size"))
+        candidates = rng.choice(grid, size=(sum(heights), k))  # a small grid: ties everywhere
+        # ended images leave gaps in the image ids; rank is any lexical order of an image's rows
+        image = np.repeat(np.cumsum(rng.integers(1, 4, size=len(heights))), heights)
+        edges = np.concatenate([[0], np.cumsum(heights)])
+        rank = np.concatenate([rng.permutation(h) for h in heights])
+        row, column = _top(candidates, image, rank, width)
+        expected_rows, expected_columns = [], []
+        for lo, hi in zip(edges, edges[1:]):
+            parent, col = per_image_top(candidates[lo:hi], rank[lo:hi], width)
+            expected_rows.append(lo + parent)
+            expected_columns.append(col)
+        npt.assert_array_equal(row, np.concatenate(expected_rows))
+        npt.assert_array_equal(column, np.concatenate(expected_columns))
+
+
+def width_one_ids(features, start, params, config):
+    """Width-1 ``beam_block`` decodes of every row of ``features``, as id lists."""
+    assert config.width == 1
+    block = beam_block(features, start, params, config)
+    assert all(len(ranked) == 1 for ranked in block)
+    return [ranked[0][0] for ranked in block]
+
+
 class TestGreedyBlock:
-    """``greedy_block`` decodes a block of rows as width-1 beams, row by row."""
+    """Width-1 ``beam_block`` decodes a block of rows greedily, row by row."""
 
     @staticmethod
     def assert_rows_match(features, start, params, config):
-        block = greedy_block(features, start, params, config)
+        block = width_one_ids(features, start, params, config)
         assert len(block) == len(features)
         for row, ids in zip(features, block):
             assert ids == beam_search(row, start, params, config)[0][0]
@@ -277,23 +311,23 @@ class TestGreedyBlock:
         # memory follows the steps taken, not max_len: every row here ends at eos within 8 steps
         params = wide_params(vocab=6, embed=4, hidden=5, feature=3, seed=13, scale=2.0)
         features = np.random.default_rng(13).normal(scale=2.0, size=(8, params.dims.feature))
-        small = greedy_block(features, 3, params, BeamConfig(width=1, max_len=40))
+        small = width_one_ids(features, 3, params, BeamConfig(width=1, max_len=40))
         assert all(ids[-1] == EOS_ID for ids in small) and len({len(ids) for ids in small}) > 1
-        assert greedy_block(features, 3, params, BeamConfig(width=1, max_len=10**12)) == small
+        assert width_one_ids(features, 3, params, BeamConfig(width=1, max_len=10**12)) == small
 
     def test_non_finite_logprobs_raise(self):
         params = random_params(seed=5)
         params.w_out[:] = np.nan
         with pytest.raises(ValueError, match="non-finite log-probabilities at decode step 1"):
-            greedy_block(np.ones((3, params.dims.feature)), 3, params, BeamConfig(width=1, max_len=4))
+            width_one_ids(np.ones((3, params.dims.feature)), 3, params, BeamConfig(width=1, max_len=4))
 
     def test_rejects_bad_features_and_start(self):
         params = random_params()
         config = BeamConfig(width=1, max_len=4)
         with pytest.raises(ValueError):
-            greedy_block(np.ones(params.dims.feature), 3, params, config)
+            width_one_ids(np.ones(params.dims.feature), 3, params, config)
         with pytest.raises(IndexError):
-            greedy_block(np.ones((2, params.dims.feature)), params.dims.vocab, params, config)
+            width_one_ids(np.ones((2, params.dims.feature)), params.dims.vocab, params, config)
 
 
 class TestBeamBlock:
@@ -346,7 +380,7 @@ class TestBeamBlock:
     def test_a_set_decodes_each_image_as_alone(self, data):
         vocab = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y", "z"))], min_count=1)
         params = draw_model(data, len(vocab))
-        width = data.draw(st.integers(2, 6), label="width")
+        width = data.draw(st.integers(1, 6), label="width")
         max_len = data.draw(st.integers(1, 4), label="max_len")
         images = data.draw(st.integers(1, 8), label="images")
         rows_per_block = data.draw(st.integers(2, 8), label="rows per block")
@@ -412,7 +446,7 @@ class TestHeadCalls:
         monkeypatch.setattr(ad, "log_softmax", lambda z: calls.append(len(z)) or log_softmax(z))
         return calls
 
-    @pytest.mark.parametrize("decode, width", [(greedy_block, 1), (beam_block, 3)])
+    @pytest.mark.parametrize("decode, width", [(beam_block, 1), (beam_block, 3)])
     def test_one_head_per_round(self, decode, width, monkeypatch):
         params = prefix_free_params(np.array([NEG_BIG, 0.0, NEG_BIG, 0.5, 0.2]))  # eos never wins
         calls = self.count_heads(monkeypatch)
@@ -424,8 +458,8 @@ class TestHeadCalls:
         params.b_out[EOS_ID] -= 1.0
         features = np.random.default_rng(10).normal(scale=2.0, size=(8, params.dims.feature))
         calls = self.count_heads(monkeypatch)
-        block = greedy_block(features, 3, params, BeamConfig(width=1, max_len=6))
-        assert len(calls) == max(len(ids) for ids in block)
+        block = beam_block(features, 3, params, BeamConfig(width=1, max_len=6))
+        assert len(calls) == max(len(ranked[0][0]) for ranked in block)
 
 
 class TestExhaustive:

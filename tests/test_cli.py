@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -217,6 +218,29 @@ class TestTrain:
         assert not (out / "best.ckpt").exists()
         assert not (out / "manifest.json").exists()
         assert (out / "train_log.tsv").read_text() == ""
+
+    @pytest.mark.parametrize(
+        "second_flags, epoch_files",
+        [([], {"epoch_000.ckpt", "epoch_001.ckpt"}), (["--best-only"], set())],
+        ids=["with-epochs", "best-only"],
+    )
+    def test_rerun_leaves_only_its_own_files(self, workdir, tmp_path, second_flags, epoch_files):
+        out = tmp_path / "run"
+        args = [
+            "train", "--data", str(workdir["data"]), "--out", str(out), "--split", "30,5,5",
+            "--batch", "8", "--hidden", "4", "--embed", "4", "--min-count", "1",
+        ]
+        assert main(args + ["--epochs", "3"]) == EXIT_OK
+        assert (out / "epoch_002.ckpt").exists()
+        # only the names save_epoch writes are the run's: these are someone else's
+        bystanders = ["epoch_1.ckpt", "epoch_002.ckpt.bak", "epoch_abc.ckpt", "notes.txt"]
+        for name in bystanders:
+            (out / name).write_bytes(b"kept")
+        assert main(args + ["--epochs", "2"] + second_flags) == EXIT_OK
+        own = {"best.ckpt", "train_log.tsv", "manifest.json"} | epoch_files
+        assert {p.name for p in out.iterdir()} == own | set(bystanders)
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert {Path(p).name for p in manifest["outputs"]} == own - {"manifest.json"}
 
     def test_oversubscribed_split_fails(self, workdir, tmp_path):
         code = main(

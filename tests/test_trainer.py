@@ -585,20 +585,20 @@ class TestDecodeHelpers:
     def test_greedy_decode_images_matches_per_image_beams(self, n, monkeypatch):
         vocab = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y"))], min_count=1)
         params = wide_params(vocab=len(vocab), embed=8, hidden=8, feature=3, seed=n, scale=2.0)
-        blocks, greedy_block = [], trainer.greedy_block
+        blocks, beam_block = [], trainer.beam_block
 
         def spy(features, *args):
-            blocks.append(greedy_block(features, *args))
+            blocks.append(beam_block(features, *args))
             return blocks[-1]
 
         monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * len(vocab))  # 2-row blocks, one of 3 for odd n
-        monkeypatch.setattr(trainer, "greedy_block", spy)
+        monkeypatch.setattr(trainer, "beam_block", spy)
         features = np.random.default_rng(n).normal(scale=2.0, size=(n, params.dims.feature))
         decoded = trainer.decode_images(params, vocab, features, "jp", 1, 6)
         config = BeamConfig(width=1, max_len=6, exclude_ids=(PAD_ID,) + vocab.start_ids)
-        expected = [beam_search(f, vocab.start_id("jp"), params, config)[0][0] for f in features]
-        assert [ids for block in blocks for ids in block] == expected
-        assert decoded == [vocab.decode(ids) for ids in expected]
+        expected = [beam_search(f, vocab.start_id("jp"), params, config) for f in features]
+        assert [ranked for block in blocks for ranked in block] == expected
+        assert decoded == [vocab.decode(ranked[0][0]) for ranked in expected]
         heights = sorted(len(block) for block in blocks)
         assert heights == ([1] if n == 1 else [2] * (n // 2 - n % 2) + [3] * (n % 2))
 
