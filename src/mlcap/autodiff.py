@@ -18,6 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
+# cells of each [rows,H] array in one coefficient pass of the pullback: every
+# step at once at H=64, B=32, one step at a time (in cache) at H=512, B=128
+PASS_CELLS = 2**15
+
 
 class DimensionError(ValueError):
     """Operand shapes do not fit the requested operation."""
@@ -27,9 +31,16 @@ class NonFiniteError(ValueError):
     """A computation met NaN or infinite values where it needs finite ones."""
 
 
-def _stable_sigmoid(x: np.ndarray) -> np.ndarray:
-    # exp(min(x, 0)) is 1 for x >= 0 and exp(-|x|) below, so neither exp overflows
-    return np.exp(np.minimum(x, 0.0)) / (1.0 + np.exp(-np.abs(x)))
+def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    # exp(min(x, 0)) is 1 for x >= 0 and exp(-|x|) below, so neither exp overflows;
+    # each of the two temporaries is written over by the rest of its chain
+    denominator = np.abs(x)
+    np.negative(denominator, out=denominator)
+    np.exp(denominator, out=denominator)
+    denominator += 1.0
+    numerator = np.minimum(x, 0.0)
+    np.exp(numerator, out=numerator)
+    return np.divide(numerator, denominator, out=out)
 
 
 def _gate_blocks(gates: np.ndarray, hidden: int):
@@ -42,18 +53,48 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray):
 
     ``z`` [B,4H] is the packed pre-activation, blocks in the order input,
     forget, output, candidate; ``c_prev`` [B,H] is the previous cell. The
-    returned ``gates`` [B,4H] hold sigmoid of the first three blocks and
-    tanh of the candidate; ``tanh_c`` is tanh of the new cell. The last
-    two are what backpropagation through the step needs.
+    gates are written over ``z``, which is returned as ``gates``: sigmoid of
+    the first three blocks and tanh of the candidate. ``tanh_c`` is tanh of
+    the new cell.
     """
     hidden = c_prev.shape[1]
-    gates = np.empty_like(z)
-    gates[:, : 3 * hidden] = _stable_sigmoid(z[:, : 3 * hidden])
-    gates[:, 3 * hidden :] = np.tanh(z[:, 3 * hidden :])
-    i, f, o, g = _gate_blocks(gates, hidden)
+    _stable_sigmoid(z[:, : 3 * hidden], out=z[:, : 3 * hidden])
+    np.tanh(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
+    i, f, o, g = _gate_blocks(z, hidden)
     c = f * c_prev + i * g
     tanh_c = np.tanh(c)
-    return o * tanh_c, c, gates, tanh_c
+    return o * tanh_c, c, z, tanh_c
+
+
+def _coefficients(gates, cells, hidden, prev_cells, forget, k_o) -> None:
+    """Turn a run of rows' gates and cells, in place, into what a step back through time multiplies by.
+
+    ``gates`` [R,4H] become ``(1-i)·(g·i)``, ``(1-f)·f·c_prev``, scratch and
+    ``(1-g²)·i``; ``cells`` [R,H] become ``(1-tanh_c²)·o``; ``forget`` and
+    ``k_o`` [R,H] receive ``f`` and ``(1-o)·h``, with ``h`` the rows'
+    ``hidden`` rows, ``o·tanh_c``. ``prev_cells`` are the cells one step
+    before the rows; the first rows it lacks are the first step's, whose
+    previous cell is zero.
+    """
+    i, f, o, cand = _gate_blocks(gates, cells.shape[1])
+    forget[...] = f
+    gi = np.multiply(cand, i, out=k_o)  # k_o is scratch until its own coefficient
+    cand *= cand
+    np.subtract(1.0, cand, out=cand)
+    cand *= i
+    np.subtract(1.0, i, out=i)
+    i *= gi
+    np.subtract(1.0, forget, out=k_o)
+    k_o *= forget
+    first = len(f) - len(prev_cells)
+    f[:first] = 0.0
+    np.multiply(k_o[first:], prev_cells, out=f[first:])
+    tanh_c = np.tanh(cells, out=cells)
+    tanh_c *= tanh_c
+    np.subtract(1.0, tanh_c, out=cells)
+    cells *= o
+    np.subtract(1.0, o, out=k_o)
+    k_o *= hidden
 
 
 def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b_gates: np.ndarray):
@@ -65,10 +106,14 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
     step is one matmul. ``pullback(g)`` takes the gradient of the loss with
     respect to ``hidden_rows`` and returns ``(dx, dw_x, dw_h, db_gates)``,
     ``dx`` shaped like ``x``: backpropagation through time written out by
-    hand, with one matmul over all steps per weight gradient. One
-    [(T+1)*B,4H] buffer holds the input projections, then each step's gates
-    over its rows, then the gate gradients over the gates; the pullback
-    recomputes ``tanh`` of the cell rows rather than keeping it.
+    hand, with one matmul over all steps per weight gradient.
+
+    One [(T+1)*B,4H] buffer holds the input projections, then each step's
+    gates over its rows. The pullback turns the gates and the cell rows
+    into ``_coefficients`` in passes of ``PASS_CELLS // H`` rows (whole
+    steps, at least one), last rows first; each step of a pass is then a
+    few multiplies that write its gate gradients over its coefficients,
+    and one matmul for the previous step's hidden gradient.
     """
     hidden = w_h.shape[0]
     if (
@@ -94,29 +139,32 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
         if s:
             z += h @ w_h
         z += b_gates
-        h, c, zx[rows], _ = lstm_cell(z, c)
+        h, c, _, _ = lstm_cell(z, c)
         hs[rows], cs[rows] = h, c
 
     def pullback(g: np.ndarray):
+        span = batch * min(steps, max(1, PASS_CELLS // (batch * hidden)))
+        forget, k_o = np.empty((span, hidden)), np.empty((span, hidden))
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
-        d = np.empty((batch, 4 * hidden))  # one step's gate gradients, before they replace its gates
-        for s in range(steps - 1, -1, -1):
-            rows = slice(s * batch, (s + 1) * batch)
-            if s:
-                dh += g[(s - 1) * batch : s * batch]
-            i, f, o, cand = _gate_blocks(zx[rows], hidden)
-            tanh_c = np.tanh(cs[rows])
-            dc += dh * o * (1.0 - tanh_c * tanh_c)
-            c_prev = cs[(s - 1) * batch : s * batch] if s else 0.0
-            d[:, :hidden] = dc * cand * i * (1.0 - i)
-            d[:, hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
-            d[:, 2 * hidden : 3 * hidden] = dh * tanh_c * o * (1.0 - o)
-            d[:, 3 * hidden :] = dc * i * (1.0 - cand * cand)
-            if s:
-                dh = d @ w_h.T
-                dc = dc * f  # f is a view of the gates, so read it before d replaces them
-            zx[rows] = d
+        carry = np.empty((batch, hidden))
+        for top in range(len(cs), 0, -span):
+            lo = max(0, top - span)
+            _coefficients(
+                zx[lo:top], cs[lo:top], hs[lo:top], cs[max(0, lo - batch) : top - batch], forget[: top - lo], k_o[: top - lo]
+            )
+            for r in range(top - batch, lo - 1, -batch):  # each step's first row, last step first
+                rows, local = slice(r, r + batch), slice(r - lo, r - lo + batch)
+                if r:
+                    dh += g[r - batch : r]
+                dc += np.multiply(dh, cs[rows], out=carry)
+                d = zx[rows]
+                blocks = d.reshape(batch, 4, hidden)
+                np.multiply(blocks, dc[:, None, :], out=blocks)
+                np.multiply(dh, k_o[local], out=d[:, 2 * hidden : 3 * hidden])
+                if r:
+                    np.matmul(d, w_h.T, out=dh)
+                    dc *= forget[local]
         return zx @ w_x.T, x.T @ zx, hs[:-batch].T @ zx[batch:], zx.sum(axis=0)
 
     return hs[batch:], pullback

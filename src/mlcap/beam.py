@@ -9,10 +9,11 @@ then lexicographically smaller id tuple, which also puts a finished prefix
 ahead of its extensions. Scores are never length-normalized unless the
 optional ranking flag asks for it. Width 1 is greedy decoding.
 
-Selection is vectorized but exact. Each step stacks the live hypotheses'
-next-token log-probabilities into one [L, K] array over the K emittable
-ids and adds each parent's score, so every candidate score is the same
-float64 sum a scalar loop would form. ``_top`` holds the tie rule and
+Selection is vectorized but exact. Each step adds each live hypothesis's
+score to its next-token log-probabilities, in place, so every candidate
+score is the same float64 sum a scalar loop would form. The [L, V] result
+keeps a column per token id, with the barred ids' columns set to -inf
+rather than the emittable columns gathered out. ``_top`` holds the tie rule and
 selects every image's survivors at once: ``np.partition`` cuts each row at
 its own ``width``-th largest score, every candidate scoring at least its
 row's cut is kept, so exact ties at the boundary all survive, and one
@@ -77,14 +78,13 @@ class Hypothesis:
     next_logp: np.ndarray
 
 
-def _emittable_ids(vocab_size: int, exclude_ids) -> np.ndarray:
-    """The ids of ``range(vocab_size)`` that ``exclude_ids`` leaves; exclusions outside it are moot."""
+def _barred_ids(vocab_size: int, exclude_ids) -> np.ndarray:
+    """The ids of ``range(vocab_size)`` in ``exclude_ids``, ascending; exclusions outside it are moot."""
     allowed = np.ones(vocab_size, dtype=bool)
     allowed[[i for i in map(int, exclude_ids) if 0 <= i < vocab_size]] = False
-    ids = np.flatnonzero(allowed)
-    if not ids.size:
+    if not allowed.any():
         raise ValueError("every token id is excluded from emission")
-    return ids
+    return np.flatnonzero(~allowed)
 
 
 def _root(feature, start_id: int, params: ModelParams) -> Hypothesis:
@@ -93,24 +93,33 @@ def _root(feature, start_id: int, params: ModelParams) -> Hypothesis:
     return Hypothesis(ids=(), logprob=0.0, state=state, next_logp=logp)
 
 
-def _candidates(scores: np.ndarray, logp: np.ndarray, emittable: np.ndarray, step: int) -> np.ndarray:
-    """Candidate scores [L,K]: each live row's sum plus each emittable id's log-probability."""
-    candidates = scores[:, None] + logp.take(emittable, axis=1)  # C order; logp[:, emittable] comes out in F order
-    if not np.isfinite(candidates).all():
+def _candidates(scores: np.ndarray, logp: np.ndarray, barred: np.ndarray, step: int) -> np.ndarray:
+    """Candidate scores [L,V], written over ``logp``: each live row's sum plus each id's log-probability.
+
+    The ``barred`` ids' columns become -inf, so every column stays a token
+    id; only the other columns must be finite.
+    """
+    logp += scores[:, None]
+    logp[:, barred] = 0.0
+    if not np.isfinite(logp).all():
         raise ValueError(f"non-finite log-probabilities at decode step {step}")
-    return candidates
+    logp[:, barred] = -np.inf
+    return logp
 
 
-def _top(candidates: np.ndarray, image: np.ndarray, rank: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
-    """(row, emittable column) of each image's top ``width`` candidates, image by image, best first.
+def _top(
+    candidates: np.ndarray, image: np.ndarray, rank: np.ndarray, width: int, emittable: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each image's top ``width`` candidates, image by image, best first.
 
     ``image`` [L] gives each row's image; an image's rows are contiguous and
     ``image`` never decreases. ``rank`` orders an image's rows lexically.
-    The tie rule lives here alone: higher score first, then the parent's
-    rank, then the token id (emittable ids ascend, so the column orders them).
+    ``emittable`` columns of each row are finite and the rest are -inf, so
+    a row keeps at most that many. The tie rule lives here alone: higher
+    score first, then the parent's rank, then the token id (the column).
     """
     k = candidates.shape[1]
-    keep = min(width, k)
+    keep = min(width, emittable)
     cut = np.partition(candidates, k - keep, axis=1)[:, k - keep]
     kept = np.flatnonzero(candidates >= cut[:, None])  # 2-D np.nonzero is several times slower
     row, column = np.divmod(kept, k)
@@ -120,14 +129,14 @@ def _top(candidates: np.ndarray, image: np.ndarray, rank: np.ndarray, width: int
     return row[first], column[first]
 
 
-def _select(live: list[Hypothesis], emittable: np.ndarray, width: int, step: int):
-    """The top ``width`` (logprob, parent, token) extensions of ``live``."""
+def _select(live: list[Hypothesis], barred: np.ndarray, width: int, step: int):
+    """The top ``width`` (logprob, parent, token) extensions of ``live``; ``barred`` ids are never emitted."""
     scores = np.array([h.logprob for h in live])
-    candidates = _candidates(scores, np.stack([h.next_logp for h in live]), emittable, step)
+    candidates = _candidates(scores, np.stack([h.next_logp for h in live]), barred, step)
     rank = np.empty(len(live), dtype=np.int64)
     rank[sorted(range(len(live)), key=lambda i: live[i].ids)] = np.arange(len(live))
-    parent, column = _top(candidates, np.zeros(len(live), dtype=np.int64), rank, width)
-    return [(float(candidates[p, c]), live[p], int(emittable[c])) for p, c in zip(parent, column)]
+    parent, column = _top(candidates, np.zeros(len(live), dtype=np.int64), rank, width, candidates.shape[1] - barred.size)
+    return [(float(candidates[p, c]), live[p], int(c)) for p, c in zip(parent, column)]
 
 
 def _ranked(finished: list[tuple[tuple[int, ...], float]], config: BeamConfig) -> list[tuple[list[int], float]]:
@@ -150,13 +159,13 @@ def beam_search(feature, start_id: int, params: ModelParams, config: BeamConfig)
     competes at the final ranking. Raises ``ValueError`` when a live
     hypothesis has non-finite log-probabilities.
     """
-    emittable = _emittable_ids(params.dims.vocab, config.exclude_ids)
+    barred = _barred_ids(params.dims.vocab, config.exclude_ids)
     live = [_root(feature, start_id, params)]
     finished: list[tuple[tuple[int, ...], float]] = []
     step = 0
     while live:
         step += 1
-        survivors = _select(live, emittable, config.width, step)
+        survivors = _select(live, barred, config.width, step)
         live = []
         for logprob, hyp, tok in survivors:
             ids = hyp.ids + (tok,)
@@ -181,7 +190,8 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
     features = np.asarray(features, dtype=np.float64)
     if not 0 <= start_id < params.dims.vocab:
         raise IndexError(f"beam_block: start id {start_id} out of range")
-    emittable = _emittable_ids(params.dims.vocab, config.exclude_ids)
+    barred = _barred_ids(params.dims.vocab, config.exclude_ids)
+    emittable = params.dims.vocab - barred.size
     n = features.shape[0]
     if not n:
         return []
@@ -192,12 +202,11 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
     scores = np.zeros(n)
     finished: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in range(n)]
     for step in range(1, config.max_len + 1):
-        candidates = _candidates(scores, logp, emittable, step)
-        parent, column = _top(candidates, image, np.arange(len(image)), config.width)
-        order = np.lexsort((column, parent))  # survivors in lexical order of their ids
-        parent, column = parent[order], column[order]
-        scores, image = candidates[parent, column], image[parent]
-        tokens = emittable[column]
+        candidates = _candidates(scores, logp, barred, step)
+        parent, tokens = _top(candidates, image, np.arange(len(image)), config.width, emittable)
+        order = np.lexsort((tokens, parent))  # survivors in lexical order of their ids
+        parent, tokens = parent[order], tokens[order]
+        scores, image = candidates[parent, tokens], image[parent]
         ids = np.concatenate([ids[parent], tokens[:, None]], axis=1)
         ended = (tokens == EOS_ID) | (step == config.max_len)
         for row in np.flatnonzero(ended):

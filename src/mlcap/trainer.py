@@ -138,17 +138,23 @@ def examples_from_records(records: Iterable[ImageRecord], vocab: Vocabulary, lan
     return examples
 
 
-def make_batch(examples: Sequence[Example]) -> Batch:
+def _columns(examples: Sequence[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each example's start id and target length, and every target id chained in order."""
+    start_ids = np.array([ex.start_id for ex in examples], dtype=np.int64)
+    lengths = np.array([len(ex.target_ids) for ex in examples])
+    ids = np.fromiter(chain.from_iterable(ex.target_ids for ex in examples), dtype=np.int64, count=lengths.sum())
+    return start_ids, lengths, ids
+
+
+def make_batch(examples: Sequence[Example], columns: tuple[np.ndarray, ...] | None = None) -> Batch:
+    """Stack ``examples``; ``columns`` are their ``_columns``, if the caller holds them already."""
     if not examples:
         raise ValueError("cannot build an empty batch")
-    lengths = np.array([len(ex.target_ids) for ex in examples])
-    features = np.stack([ex.feature for ex in examples], dtype=np.float64)
-    start_ids = np.array([ex.start_id for ex in examples], dtype=np.int64)
+    start_ids, lengths, ids = _columns(examples) if columns is None else columns
+    features = np.array([ex.feature for ex in examples], dtype=np.float64)
     real = np.arange(lengths.max()) < lengths[:, None]
     targets = np.full(real.shape, PAD_ID, dtype=np.int64)
-    # a boolean mask fills row by row, in the order the ids are chained
-    ids = chain.from_iterable(ex.target_ids for ex in examples)
-    targets[real] = np.fromiter(ids, dtype=np.int64, count=lengths.sum())
+    targets[real] = ids  # a boolean mask fills row by row, in the order the ids are chained
     return Batch(features, start_ids, targets, real.astype(np.float64))
 
 
@@ -190,8 +196,8 @@ def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, p
         logits = np.matmul(h, w_out, out=logits_buffer[: t.size])
         logits += params.b_out
         top = logits.max(axis=1, keepdims=True)
-        # a NaN or infinity in a row makes its max or its min non-finite
-        if not (np.isfinite(top).all() and np.isfinite(logits.min(axis=1)).all()):
+        # a NaN or +inf makes its row's max non-finite, and a -inf the block's min
+        if not (np.isfinite(top).all() and math.isfinite(logits.min())):
             raise ad.NonFiniteError("sequence_loss: logits must be finite")
         logits -= top
         picked = logits[rows, t]
@@ -249,8 +255,10 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
     dx, dw_x, dw_h, db_gates = lstm_pullback(dhidden)
     del hidden, lstm_pullback, dhidden  # free the activations before the dense w_embed gradient
     dimage = dx[:batch_size]
-    dw_embed = np.zeros_like(params.w_embed)
-    np.add.at(dw_embed, ids, dx[batch_size:])
+    # each id's rows summed in order from zero, as np.add.at would, through one flat bincount
+    embed = params.dims.embed
+    cells = (ids[:, None] * embed + np.arange(embed)).ravel()
+    dw_embed = np.bincount(cells, dx[batch_size:].ravel(), vocab * embed).reshape(vocab, embed)
     grads = {
         "w_embed": dw_embed,
         "w_image": batch.features.T @ dimage,
@@ -286,11 +294,12 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     outside the square root. Each parameter is updated in slices along its
     first axis, of about ``ADAM_SLICE`` elements and at least one row, so
     every operand stays in cache. The moments update in place and the step
-    is built in two slice-sized scratch buffers, one rounding per operation
-    in the textbook order, so the arrays match the out-of-place update bit
-    for bit.
+    is built in two scratch buffers, shaped once per parameter, one
+    rounding per operation in the textbook order, so the arrays match the
+    out-of-place update bit for bit.
     """
-    for name, p in params.named_parameters():
+    named = params.named_parameters()
+    for name, p in named:
         if name not in grads:
             raise ValueError(f"adam_step: missing gradient for {name!r}")
         if grads[name].shape != p.shape:
@@ -301,14 +310,15 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     correction1 = 1.0 - ADAM_BETA1**state.t
     correction2 = 1.0 - ADAM_BETA2**state.t
     # a slice holds whole rows, so one row wider than ADAM_SLICE is a slice of its own
-    width = max(ADAM_SLICE, max(p.size // len(p) for _, p in params.named_parameters()))
+    width = max(ADAM_SLICE, max(p.size // len(p) for _, p in named))
     buffers = np.empty(width), np.empty(width)
-    for name, whole in params.named_parameters():
-        rows = max(1, ADAM_SLICE // (whole.size // len(whole)))
+    for name, whole in named:
+        row = whole.size // len(whole)
+        rows = max(1, ADAM_SLICE // row)
+        scratch = [buf[: rows * row].reshape((rows,) + whole.shape[1:]) for buf in buffers]
         for lo in range(0, len(whole), rows):
-            part = slice(lo, lo + rows)
-            p, g, m, v = whole[part], grads[name][part], state.m[name][part], state.v[name][part]
-            step, denom = (buf[: p.size].reshape(p.shape) for buf in buffers)
+            p, g, m, v = (a[lo : lo + rows] for a in (whole, grads[name], state.m[name], state.v[name]))
+            step, denom = (buf[: len(p)] for buf in scratch)
             m *= ADAM_BETA1
             m += np.multiply(g, 1.0 - ADAM_BETA1, out=step)
             v *= ADAM_BETA2
@@ -347,16 +357,22 @@ def train_epoch(
 ) -> float:
     """One shuffled pass; returns the token-weighted mean NLL per token.
 
-    Raises ``DivergenceError`` before any update that a non-finite loss or
+    The start ids and target ids of every example are gathered once, in
+    shuffled order (``_columns``), and ``make_batch`` builds each batch
+    from a run of them and its own examples' features. Raises
+    ``DivergenceError`` before any update that a non-finite loss or
     gradient would poison.
     """
     if not examples:
         raise ValueError("train_epoch: no training examples")
-    order = rng.permutation(len(examples))
+    shuffled = [examples[i] for i in rng.permutation(len(examples)).tolist()]
+    start_ids, lengths, ids = _columns(shuffled)
+    offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
     nll_sum = 0.0
     token_sum = 0
-    for index, lo in enumerate(range(0, len(order), config.batch_size)):
-        batch = make_batch([examples[i] for i in order[lo : lo + config.batch_size]])
+    for index, lo in enumerate(range(0, len(shuffled), config.batch_size)):
+        part = slice(lo, min(lo + config.batch_size, len(shuffled)))
+        batch = make_batch(shuffled[part], (start_ids[part], lengths[part], ids[offsets[lo] : offsets[part.stop]]))
         try:
             loss, grads = sequence_loss(batch, params, config.loss_mode)
         except ad.NonFiniteError as exc:

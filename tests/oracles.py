@@ -10,7 +10,9 @@ form of the metric table, with the same rounding, so it checks exactness;
 ``textbook_adam_step`` likewise rounds once per textbook operation, and
 ``where_sigmoid``, ``gates_list_lstm_sequence``, ``full_partial_head``
 and ``per_image_top`` are the earlier forms of library code that must keep
-their bits.
+their bits. ``step_products_lstm_sequence`` is the recurrence's earlier
+arithmetic, which the library's gradients must stay close to, and
+``separate_coefficients_lstm_sequence`` a layout its memory bound rules out.
 If the library and these disagree, trust neither and recount by hand.
 """
 
@@ -146,6 +148,27 @@ def row_loop_batch(examples):
     return Batch(features, start_ids, targets, mask)
 
 
+def batch_loop_epoch(examples, params, adam, config, rng):
+    """``train_epoch`` with each shuffled batch built by ``make_batch`` from its own examples.
+
+    The plain per-batch loop: the same shuffle, then ``make_batch`` ->
+    ``sequence_loss`` -> ``adam_step`` batch by batch.
+    """
+    order = rng.permutation(len(examples))
+    nll_sum = 0.0
+    token_sum = 0
+    for lo in range(0, len(order), config.batch_size):
+        batch = trainer.make_batch([examples[i] for i in order[lo : lo + config.batch_size]])
+        loss, grads = trainer.sequence_loss(batch, params, config.loss_mode)
+        if config.clip:
+            trainer.clip_gradients(grads)
+        trainer.adam_step(params, grads, adam)
+        n = batch.token_count
+        nll_sum += loss * (n if config.loss_mode == "mean" else 1.0)
+        token_sum += n
+    return nll_sum / token_sum
+
+
 def reference_score(corpus):
     """``evaluate_corpus``'s report from per-sentence ``Counter`` tables.
 
@@ -278,11 +301,10 @@ def where_sigmoid(x):
     return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
-def gates_list_lstm_sequence(x, batch, w_x, w_h, b_gates):
-    """``lstm_sequence`` keeping each step's gates and ``tanh(c)`` as arrays of their own.
-
-    The pullback writes the gate gradients over the input projections.
-    """
+def _gates_forward(x, batch, w_x, w_h, b_gates):
+    """The teacher-forced forward run, keeping each step's gates and ``tanh(c)`` as arrays of
+    their own: ``(zx, hs, cs, acts)`` with ``zx`` the input projections and ``acts[s]`` the
+    pair of step ``s``."""
     hidden = w_h.shape[0]
     steps = x.shape[0] // batch
     zx = x @ w_x
@@ -303,6 +325,19 @@ def gates_list_lstm_sequence(x, batch, w_x, w_h, b_gates):
         h = o * tanh_c
         hs[rows], cs[rows] = h, c
         acts.append((gates, tanh_c))
+    return zx, hs, cs, acts
+
+
+def gates_list_lstm_sequence(x, batch, w_x, w_h, b_gates):
+    """``lstm_sequence`` keeping each step's gates and ``tanh(c)`` as arrays of their own.
+
+    The pullback forms each step's coefficients from them as it reaches
+    the step, in the library's arithmetic, and writes the gate gradients
+    over the input projections.
+    """
+    hidden = w_h.shape[0]
+    steps = x.shape[0] // batch
+    zx, hs, cs, acts = _gates_forward(x, batch, w_x, w_h, b_gates)
 
     def pullback(g):
         dz = zx
@@ -314,9 +349,43 @@ def gates_list_lstm_sequence(x, batch, w_x, w_h, b_gates):
                 dh += g[(s - 1) * batch : s * batch]
             gates, tanh_c = acts[s]
             i, f, o, cand = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+            c_prev = cs[(s - 1) * batch : s * batch] if s else np.zeros((batch, hidden))
+            dc = dc + dh * ((1.0 - tanh_c * tanh_c) * o)
+            d = dz[rows]
+            d[:, :hidden] = (1.0 - i) * (cand * i) * dc
+            d[:, hidden : 2 * hidden] = (1.0 - f) * f * c_prev * dc
+            d[:, 2 * hidden : 3 * hidden] = dh * ((1.0 - o) * hs[rows])
+            d[:, 3 * hidden :] = (1.0 - cand * cand) * i * dc
+            if s:
+                dh = d @ w_h.T
+                dc = dc * f
+        return dz @ w_x.T, x.T @ dz, hs[:-batch].T @ dz[batch:], dz.sum(axis=0)
+
+    return hs[batch:], pullback
+
+
+def step_products_lstm_sequence(x, batch, w_x, w_h, b_gates):
+    """``lstm_sequence`` before its coefficient pass: each step multiplies
+    its gate gradients out from the gates, ``dc·g·i·(1-i)`` left to right,
+    with ``tanh(c)`` recomputed from the cell rows."""
+    hidden = w_h.shape[0]
+    steps = x.shape[0] // batch
+    zx, hs, cs, acts = _gates_forward(x, batch, w_x, w_h, b_gates)
+    for s, (gates, _) in enumerate(acts):
+        zx[s * batch : (s + 1) * batch] = gates
+
+    def pullback(g):
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        d = np.empty((batch, 4 * hidden))
+        for s in range(steps - 1, -1, -1):
+            rows = slice(s * batch, (s + 1) * batch)
+            if s:
+                dh += g[(s - 1) * batch : s * batch]
+            i, f, o, cand = (zx[rows][:, k * hidden : (k + 1) * hidden] for k in range(4))
+            tanh_c = np.tanh(cs[rows])
             dc += dh * o * (1.0 - tanh_c * tanh_c)
             c_prev = cs[(s - 1) * batch : s * batch] if s else 0.0
-            d = dz[rows]
             d[:, :hidden] = dc * cand * i * (1.0 - i)
             d[:, hidden : 2 * hidden] = dc * c_prev * f * (1.0 - f)
             d[:, 2 * hidden : 3 * hidden] = dh * tanh_c * o * (1.0 - o)
@@ -324,6 +393,45 @@ def gates_list_lstm_sequence(x, batch, w_x, w_h, b_gates):
             if s:
                 dh = d @ w_h.T
                 dc = dc * f
+            zx[rows] = d
+        return zx @ w_x.T, x.T @ zx, hs[:-batch].T @ zx[batch:], zx.sum(axis=0)
+
+    return hs[batch:], pullback
+
+
+def separate_coefficients_lstm_sequence(x, batch, w_x, w_h, b_gates):
+    """``lstm_sequence`` whose pullback keeps its coefficients beside the
+    gates instead of over them: a second [steps·B,4H] block and whole
+    [steps·B,H] arrays of ``o(1-tanh_c²)`` and ``f``."""
+    hidden = w_h.shape[0]
+    steps = x.shape[0] // batch
+    zx, hs, cs, acts = _gates_forward(x, batch, w_x, w_h, b_gates)
+    gates = np.concatenate([gates for gates, _ in acts])
+    del acts
+
+    def pullback(g):
+        i, f, o, cand = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
+        c_prev = np.concatenate((np.zeros((batch, hidden)), cs[:-batch]))
+        tanh_c = np.tanh(cs)
+        coefficients = np.concatenate(
+            ((1.0 - i) * (cand * i), (1.0 - f) * f * c_prev, (1.0 - o) * hs, (1.0 - cand * cand) * i), axis=1
+        )
+        cell = (1.0 - tanh_c * tanh_c) * o
+        forget = f.copy()
+        dz = zx
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        for s in range(steps - 1, -1, -1):
+            rows = slice(s * batch, (s + 1) * batch)
+            if s:
+                dh += g[(s - 1) * batch : s * batch]
+            dc = dc + dh * cell[rows]
+            d = dz[rows]
+            d[...] = coefficients[rows] * np.tile(dc, 4)
+            d[:, 2 * hidden : 3 * hidden] = dh * coefficients[rows, 2 * hidden : 3 * hidden]
+            if s:
+                dh = d @ w_h.T
+                dc = dc * forget[rows]
         return dz @ w_x.T, x.T @ dz, hs[:-batch].T @ dz[batch:], dz.sum(axis=0)
 
     return hs[batch:], pullback

@@ -16,7 +16,7 @@ from mlcap import trainer
 from mlcap.gradcheck import gradient_check
 from mlcap.trainer import Batch, Example, make_batch, sequence_loss
 from mlcap.vocab import EOS_ID
-from oracles import full_partial_head, gates_list_lstm_sequence, where_sigmoid
+from oracles import full_partial_head, gates_list_lstm_sequence, step_products_lstm_sequence, where_sigmoid
 from tinymodels import prefix_free_params, tiny_examples, wide_params
 
 
@@ -67,11 +67,13 @@ class TestOps:
         npt.assert_allclose(grads["b_out"], g.sum(axis=0), rtol=0, atol=1e-13)
 
     def test_sigmoid_tanh_values(self):
-        # the cell applies sigmoid to the i|f|o blocks and tanh to the candidate
+        # the cell applies sigmoid to the i|f|o blocks and tanh to the candidate,
+        # writing the gates over the pre-activation
         z = np.array([[0.0, 1.0, -1.0, 0.5]])
         c_prev = np.array([[2.0]])
-        h, c, gates, tanh_c = ad.lstm_cell(z, c_prev)
         sig = 1.0 / (1.0 + np.exp(-z[0, :3]))
+        h, c, gates, tanh_c = ad.lstm_cell(z, c_prev)
+        assert gates is z
         npt.assert_allclose(gates[0], np.append(sig, np.tanh(0.5)))
         npt.assert_allclose(c, sig[1] * 2.0 + sig[0] * np.tanh(0.5))
         npt.assert_allclose(tanh_c, np.tanh(c))
@@ -180,7 +182,32 @@ class TestStableSigmoid:
 
 class TestEarlierForms:
     """The recurrence and the head give the bytes of their earlier forms: the
-    per-step gates list with stored ``tanh(c)``, and the whole [H,V] partial."""
+    per-step gates list with stored ``tanh(c)``, restated in the coefficient
+    arithmetic, and the whole [H,V] partial. The recurrence's gradients stay
+    within rounding of its earlier arithmetic, the per-step products."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        batch=st.integers(1, 8),
+        steps=st.integers(1, 6),
+        embed=st.integers(1, 8),
+        hidden=st.integers(1, 8),
+        pass_steps=st.integers(1, 6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_lstm_sequence_bytes(self, batch, steps, embed, hidden, pass_steps, seed):
+        # coefficient passes of pass_steps steps each, so runs cut into passes are covered
+        p = wide_params(vocab=4, embed=embed, hidden=hidden, feature=2, seed=seed % 1000, scale=1.0)
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=2.0, size=((steps + 1) * batch, embed))
+        g = rng.normal(size=(steps * batch, hidden))
+        with mock.patch.object(ad, "PASS_CELLS", pass_steps * batch * hidden):
+            hs, pullback = ad.lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
+            got = dict(zip(("hidden", "dx", "dw_x", "dw_h", "db_gates"), (hs, *pullback(g))))
+        want_hs, want_pullback = gates_list_lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
+        want = dict(zip(got, (want_hs, *want_pullback(g))))
+        for name in got:
+            assert got[name].tobytes() == want[name].tobytes(), name
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -190,17 +217,19 @@ class TestEarlierForms:
         hidden=st.integers(1, 8),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_lstm_sequence_bytes(self, batch, steps, embed, hidden, seed):
+    def test_lstm_sequence_gradients_stay_close_to_the_step_products(self, batch, steps, embed, hidden, seed):
+        # the coefficients regroup each gate gradient's products, so every
+        # gradient moves by rounding only: within 1e-12 of its largest entry;
+        # the forward is the same arithmetic, bit for bit
         p = wide_params(vocab=4, embed=embed, hidden=hidden, feature=2, seed=seed % 1000, scale=1.0)
         rng = np.random.default_rng(seed)
         x = rng.normal(scale=2.0, size=((steps + 1) * batch, embed))
         g = rng.normal(size=(steps * batch, hidden))
         hs, pullback = ad.lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
-        want_hs, want_pullback = gates_list_lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
-        got = dict(zip(("hidden", "dx", "dw_x", "dw_h", "db_gates"), (hs, *pullback(g))))
-        want = dict(zip(got, (want_hs, *want_pullback(g))))
-        for name in got:
-            assert got[name].tobytes() == want[name].tobytes(), name
+        want_hs, want_pullback = step_products_lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
+        assert hs.tobytes() == want_hs.tobytes()
+        for name, got, want in zip(("dx", "dw_x", "dw_h", "db_gates"), pullback(g), want_pullback(g)):
+            npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=name)
 
     @settings(max_examples=80, deadline=None)
     @given(

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
-from mlcap.beam import BeamConfig, _emittable_ids, _top, beam_block, beam_search
+from mlcap.beam import BeamConfig, _barred_ids, _top, beam_block, beam_search
 from mlcap import trainer
 from mlcap.model import step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
@@ -135,6 +135,8 @@ class TestToyModel:
 
 
 class TestEmittableIds:
+    """``_barred_ids`` bars exactly the ids the vocabulary loop does not emit."""
+
     @settings(max_examples=200, deadline=None)
     @given(vocab=st.integers(1, 12), exclude=st.lists(st.integers(-15, 20), max_size=16))
     def test_equals_the_vocabulary_loop(self, vocab, exclude):
@@ -142,13 +144,13 @@ class TestEmittableIds:
         expected = emittable_ids(vocab, exclude)
         if not expected:
             with pytest.raises(ValueError, match="every token id is excluded"):
-                _emittable_ids(vocab, exclude)
+                _barred_ids(vocab, exclude)
         else:
-            ids = _emittable_ids(vocab, exclude)
-            assert ids.dtype == np.int64 and ids.tolist() == expected
+            ids = _barred_ids(vocab, exclude)
+            assert ids.dtype == np.int64 and ids.tolist() == sorted(set(range(vocab)) - set(expected))
 
     def test_minus_one_does_not_exclude_the_last_id(self):
-        assert _emittable_ids(4, (-1, 0, 4, 2**70)).tolist() == [1, 2, 3]
+        assert _barred_ids(4, (-1, 0, 4, 2**70)).tolist() == [0]
 
 
 class TestAgainstReferenceDecoders:
@@ -248,16 +250,20 @@ class TestTop:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         grid = rng.choice([0.0, -0.5, -1.0, -1.5, -2.0], size=data.draw(st.integers(1, 5), label="grid size"))
         candidates = rng.choice(grid, size=(sum(heights), k))  # a small grid: ties everywhere
+        # barred ids are -inf columns among the emittable ones, never selected, even when width exceeds the rest
+        barred = data.draw(st.sets(st.integers(0, k - 1), max_size=k - 1), label="barred columns")
+        allowed = np.array([c for c in range(k) if c not in barred])
+        candidates[:, sorted(barred)] = -np.inf
         # ended images leave gaps in the image ids; rank is any lexical order of an image's rows
         image = np.repeat(np.cumsum(rng.integers(1, 4, size=len(heights))), heights)
         edges = np.concatenate([[0], np.cumsum(heights)])
         rank = np.concatenate([rng.permutation(h) for h in heights])
-        row, column = _top(candidates, image, rank, width)
+        row, column = _top(candidates, image, rank, width, allowed.size)
         expected_rows, expected_columns = [], []
         for lo, hi in zip(edges, edges[1:]):
-            parent, col = per_image_top(candidates[lo:hi], rank[lo:hi], width)
+            parent, col = per_image_top(candidates[lo:hi, allowed], rank[lo:hi], width)
             expected_rows.append(lo + parent)
-            expected_columns.append(col)
+            expected_columns.append(allowed[col])
         npt.assert_array_equal(row, np.concatenate(expected_rows))
         npt.assert_array_equal(column, np.concatenate(expected_columns))
 

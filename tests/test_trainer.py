@@ -5,6 +5,7 @@ import json
 import math
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import numpy.testing as npt
@@ -18,7 +19,15 @@ from mlcap.beam import BeamConfig, beam_search
 from mlcap.data import Caption, l2_normalize_records, split_dataset, synth_generate
 from mlcap.gradcheck import gradient_check
 from mlcap.metrics import CorpusEval, cider
-from oracles import forward_sequence, full_partial_head, gates_list_lstm_sequence, row_loop_batch, textbook_adam_step
+from oracles import (
+    batch_loop_epoch,
+    forward_sequence,
+    full_partial_head,
+    gates_list_lstm_sequence,
+    row_loop_batch,
+    separate_coefficients_lstm_sequence,
+    textbook_adam_step,
+)
 from mlcap.trainer import (
     AdamState,
     Batch,
@@ -198,13 +207,14 @@ class TestSequenceLoss:
             tracemalloc.stop()
         assert peak < logits_bytes / 2
 
-    @pytest.mark.parametrize("earlier", [None, "gates list", "whole partial"])
+    @pytest.mark.parametrize("earlier", [None, "gates list", "whole partial", "separate coefficients"])
     def test_step_holds_the_bptt_working_set(self, earlier, monkeypatch):
         # the traced peak of one step stays under everything backpropagation
         # through time needs at once: the inputs, the one gates buffer, the
         # hidden and cell rows, every gradient, one logits block, one dw_out
         # chunk and a few [B,4H] step scratch arrays. The earlier forms, with
-        # a gates list beside the projections or a whole [H,V] partial, go over.
+        # a gates list beside the projections, a whole [H,V] partial, or the
+        # pullback's coefficients in arrays of their own beside the gates, go over.
         vocab, embed, hidden, batch_size, steps = 2000, 4, 64, 32, 8
         params = wide_params(vocab=vocab, embed=embed, hidden=hidden, feature=4, seed=3)
         rng = np.random.default_rng(3)
@@ -218,6 +228,8 @@ class TestSequenceLoss:
             monkeypatch.setattr(ad, "lstm_sequence", gates_list_lstm_sequence)
         elif earlier == "whole partial":
             monkeypatch.setattr(trainer, "_output_head", full_partial_head)
+        elif earlier == "separate coefficients":
+            monkeypatch.setattr(ad, "lstm_sequence", separate_coefficients_lstm_sequence)
         rows = (steps + 1) * batch_size
         cells = (
             rows * (embed + 4 * hidden + 2 * hidden)  # inputs, gates, hidden and cell rows
@@ -415,6 +427,59 @@ class TestTrainEpoch:
         assert caught.value.batch == 1 and len(updated) == 1
         for (name, p), kept in zip(params.named_parameters(), updated[0]):
             assert p.tobytes() == kept.tobytes(), name
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        longest=st.integers(1, 6),
+        extra=st.lists(st.integers(1, 6), max_size=9),
+        batch_size=st.integers(2, 5),
+        loss_mode=st.sampled_from(trainer.LOSS_MODES),
+        clip=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_epoch_equals_the_batch_loop(self, longest, extra, batch_size, loss_mode, clip, seed):
+        # every length 1..longest, both languages' start ids and a short last
+        # batch: the epoch's batches train the bytes the per-batch make_batch
+        # loop trains, in the parameters and both Adam moments
+        rng = np.random.default_rng(seed)
+        lengths = list(range(1, longest + 1)) + [min(n, longest) for n in extra]
+        if len(lengths) % batch_size == 0:
+            lengths.append(longest)
+        examples = [
+            Example(rng.normal(size=2), 3 + k % 2, tuple(int(t) for t in rng.integers(5, 9, n - 1)) + (EOS_ID,))
+            for k, n in enumerate(lengths)
+        ]
+        config = TrainConfig(epochs=1, batch_size=batch_size, hidden=3, embed=2, min_count=1, loss_mode=loss_mode, clip=clip)
+        batches = []
+
+        def spy(batch, params, mode):
+            batches.append(batch)
+            return sequence_loss(batch, params, mode)
+
+        runs = []
+        for epoch in (train_epoch, batch_loop_epoch):
+            params = wide_params(vocab=9, embed=2, hidden=3, feature=2, seed=seed % 1000)
+            adam = AdamState.for_params(params)
+            shuffle = np.random.default_rng(seed)
+            with mock.patch.object(trainer, "sequence_loss", spy):
+                losses = [epoch(examples, params, adam, config, shuffle) for _ in range(2)]
+            runs.append((losses, params, adam))
+        (losses, params, adam), (want_losses, want_params, want_adam) = runs
+        assert losses == want_losses and adam.t == want_adam.t
+        for name, p in params.named_parameters():
+            assert p.tobytes() == getattr(want_params, name).tobytes(), name
+            assert adam.m[name].tobytes() == want_adam.m[name].tobytes(), name
+            assert adam.v[name].tobytes() == want_adam.v[name].tobytes(), name
+        # each batch of the first epoch is the row loop's batch of its examples
+        order = np.random.default_rng(seed).permutation(len(examples))
+        shuffled = [examples[i] for i in order]
+        starts = range(0, len(shuffled), batch_size)
+        assert len(batches) == 4 * len(starts)  # two epochs of each loop
+        for lo, got in zip(starts, batches):
+            want = row_loop_batch(shuffled[lo : lo + batch_size])
+            for field in ("features", "start_ids", "targets", "mask"):
+                a, b = getattr(got, field), getattr(want, field)
+                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
 
     def test_requires_examples(self):
         params = random_params()
