@@ -49,21 +49,19 @@ def _gate_blocks(gates: np.ndarray, hidden: int):
 
 
 def lstm_cell(z: np.ndarray, c_prev: np.ndarray):
-    """One LSTM step on plain arrays: ``(h, c, gates, tanh_c)``.
+    """One LSTM step on plain arrays: the new ``(h, c)``.
 
     ``z`` [B,4H] is the packed pre-activation, blocks in the order input,
     forget, output, candidate; ``c_prev`` [B,H] is the previous cell. The
-    gates are written over ``z``, which is returned as ``gates``: sigmoid of
-    the first three blocks and tanh of the candidate. ``tanh_c`` is tanh of
-    the new cell.
+    gates are written over ``z``: sigmoid of the first three blocks and tanh
+    of the candidate.
     """
     hidden = c_prev.shape[1]
     _stable_sigmoid(z[:, : 3 * hidden], out=z[:, : 3 * hidden])
     np.tanh(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
     i, f, o, g = _gate_blocks(z, hidden)
     c = f * c_prev + i * g
-    tanh_c = np.tanh(c)
-    return o * tanh_c, c, z, tanh_c
+    return o * np.tanh(c), c
 
 
 def _coefficients(gates, cells, hidden, prev_cells, forget, k_o) -> None:
@@ -139,7 +137,7 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
         if s:
             z += h @ w_h
         z += b_gates
-        h, c, _, _ = lstm_cell(z, c)
+        h, c = lstm_cell(z, c)
         hs[rows], cs[rows] = h, c
 
     def pullback(g: np.ndarray):

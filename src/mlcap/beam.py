@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import LstmState, ModelParams, advance_state, project_features, step_distribution, step_rows, zero_state
+from .model import ModelParams, advance_state, project_features, step_distribution, step_rows, zero_state
 from .vocab import EOS_ID, PAD_ID
 
 
@@ -67,14 +67,14 @@ class BeamConfig:
 class Hypothesis:
     """A live decode: emitted ids, their total logprob, and model state.
 
-    ``state`` is the decoder state after consuming the feature, the start
+    ``state`` is the decoder's ``(h, c)`` after consuming the feature, the start
     token, and every emitted id; ``next_logp`` caches the distribution over
     the next id.
     """
 
     ids: tuple[int, ...]
     logprob: float
-    state: LstmState
+    state: tuple[np.ndarray, np.ndarray]
     next_logp: np.ndarray
 
 
@@ -215,5 +215,5 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
         if not live.any():
             break
         image, ids, scores, rows = image[live], ids[live], scores[live], parent[live]
-        state, logp = step_rows(params.w_embed[tokens[live]], LstmState(state.h[rows], state.c[rows]), params)
+        state, logp = step_rows(params.w_embed[tokens[live]], (state[0][rows], state[1][rows]), params)
     return [_ranked(pool, config) for pool in finished]

@@ -38,6 +38,7 @@ from .data import (
     save_dataset,
     split_dataset,
     synth_generate,
+    text_lines,
 )
 from .metrics import CorpusEval, evaluate_corpus
 from .rng import substream
@@ -265,17 +266,16 @@ def cmd_caption(args) -> int:
 
 def _read_candidates(path, lowercase: bool) -> dict[str, list[str]]:
     candidates: dict[str, list[str]] = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise DatasetError(f"{path}:{lineno}: expected 'image_id<TAB>tokens'")
-            image_id, text = line.split("\t", 1)
-            if image_id in candidates:
-                raise DatasetError(f"{path}:{lineno}: duplicate candidate for {image_id!r}")
-            candidates[image_id] = (text.lower() if lowercase else text).split()
+    for lineno, line in text_lines(path):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        if "\t" not in line:
+            raise DatasetError(f"{path}:{lineno}: expected 'image_id<TAB>tokens'")
+        image_id, text = line.split("\t", 1)
+        if image_id in candidates:
+            raise DatasetError(f"{path}:{lineno}: duplicate candidate for {image_id!r}")
+        candidates[image_id] = (text.lower() if lowercase else text).split()
     if not candidates:
         raise DatasetError(f"{path}: no candidates found")
     return candidates

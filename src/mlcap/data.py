@@ -24,6 +24,7 @@ import os
 import struct
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
+from fractions import Fraction
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -86,6 +87,17 @@ def _parse_captions(raw, where: str) -> tuple[Caption, ...]:
     return tuple(captions)
 
 
+def text_lines(path):
+    """``(line number, line)`` for each line of a UTF-8 text file; a line that is not UTF-8 raises ``DatasetError``."""
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
+        for lineno, line in enumerate(fh, start=1):
+            try:
+                line.encode("utf-8")  # a byte that did not decode became a lone surrogate, which does not encode
+            except UnicodeEncodeError as exc:
+                raise DatasetError(f"{path}:{lineno}: not UTF-8 text (byte 0x{ord(line[exc.start]) - 0xDC00:02x})") from None
+            yield lineno, line
+
+
 def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True) -> list[ImageRecord]:
     """Read and validate a JSONL dataset.
 
@@ -99,44 +111,43 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
     records: list[ImageRecord] = []
     seen_ids: set[str] = set()
     feature_dim: int | None = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            if not line.strip():
-                continue
-            where = f"{path}:{lineno}"
-            try:
-                obj = json.loads(line, parse_int=float)  # an integer past the float range reads as inf
-            except json.JSONDecodeError as exc:
-                raise DatasetError(f"{where}: invalid JSON ({exc.msg})") from exc
-            if not isinstance(obj, dict):
-                raise DatasetError(f"{where}: each line must be a JSON object")
-            image_id = obj.get("image_id")
-            if not isinstance(image_id, str) or not image_id:
-                raise DatasetError(f"{where}: missing or empty 'image_id'")
-            # caption output is one 'image_id<TAB>tokens' line per image
-            if any(c in image_id for c in "\t\n\r"):
-                raise DatasetError(f"{where}: image_id {image_id!r} holds a tab or line break")
-            if image_id in seen_ids:
-                raise DatasetError(f"{where}: duplicate image_id {image_id!r}")
-            seen_ids.add(image_id)
-            raw_feature = obj.get("feature")
-            if not isinstance(raw_feature, list) or not raw_feature:
-                raise DatasetError(f"{where}: image_id {image_id!r} needs a non-empty 'feature' list")
-            if not all(type(x) is float for x in raw_feature):
-                raise DatasetError(f"{where}: image_id {image_id!r} has a non-numeric feature")
-            feature = np.asarray(raw_feature, dtype=np.float64)
-            if not np.isfinite(feature).all():
-                raise DatasetError(f"{where}: image_id {image_id!r} feature must be finite")
-            if feature_dim is None:
-                feature_dim = feature.size
-            elif feature.size != feature_dim:
-                raise DatasetError(
-                    f"{where}: image_id {image_id!r} feature width {feature.size} != {feature_dim}"
-                )
-            captions = _parse_captions(obj.get("captions", []), where)
-            if require_captions and not captions:
-                raise DatasetError(f"{where}: image_id {image_id!r} has no captions")
-            records.append(ImageRecord(image_id, feature, captions))
+    for lineno, line in text_lines(path):
+        if not line.strip():
+            continue
+        where = f"{path}:{lineno}"
+        try:
+            obj = json.loads(line, parse_int=float)  # an integer past the float range reads as inf
+        except json.JSONDecodeError as exc:
+            raise DatasetError(f"{where}: invalid JSON ({exc.msg})") from exc
+        if not isinstance(obj, dict):
+            raise DatasetError(f"{where}: each line must be a JSON object")
+        image_id = obj.get("image_id")
+        if not isinstance(image_id, str) or not image_id:
+            raise DatasetError(f"{where}: missing or empty 'image_id'")
+        # caption output is one 'image_id<TAB>tokens' line per image
+        if any(c in image_id for c in "\t\n\r"):
+            raise DatasetError(f"{where}: image_id {image_id!r} holds a tab or line break")
+        if image_id in seen_ids:
+            raise DatasetError(f"{where}: duplicate image_id {image_id!r}")
+        seen_ids.add(image_id)
+        raw_feature = obj.get("feature")
+        if not isinstance(raw_feature, list) or not raw_feature:
+            raise DatasetError(f"{where}: image_id {image_id!r} needs a non-empty 'feature' list")
+        if not all(type(x) is float for x in raw_feature):
+            raise DatasetError(f"{where}: image_id {image_id!r} has a non-numeric feature")
+        feature = np.asarray(raw_feature, dtype=np.float64)
+        if not np.isfinite(feature).all():
+            raise DatasetError(f"{where}: image_id {image_id!r} feature must be finite")
+        if feature_dim is None:
+            feature_dim = feature.size
+        elif feature.size != feature_dim:
+            raise DatasetError(
+                f"{where}: image_id {image_id!r} feature width {feature.size} != {feature_dim}"
+            )
+        captions = _parse_captions(obj.get("captions", []), where)
+        if require_captions and not captions:
+            raise DatasetError(f"{where}: image_id {image_id!r} has no captions")
+        records.append(ImageRecord(image_id, feature, captions))
     if not records:
         raise DatasetError(f"{path}: dataset is empty")
     return lowercase_records(records) if lowercase else records
@@ -203,7 +214,9 @@ def split_dataset(records: Sequence[ImageRecord], parts, seed) -> DatasetSplit:
     (fractions of the record count, floored). Leftover records are dropped.
     """
     parts, total = check_split(parts), len(records)
-    counts = parts if all(isinstance(p, int) for p in parts) else tuple(int(f * total) for f in parts)
+    # a fraction counts the share it was written as (0.29 of 100 is 29), not how f * total rounds
+    shares = parts if all(isinstance(p, int) for p in parts) else [Fraction(f).limit_denominator(10**9) * total for f in parts]
+    counts = tuple(map(math.floor, shares))
     if sum(counts) > total:
         raise ValueError(f"split {counts} asks for more than the {total} records available")
     n_train, n_val, n_test = counts

@@ -66,7 +66,7 @@ def reference_sequence_check():
     """
     dims = Dims(vocab=10, embed=6, hidden=8, feature=5)
     rng = np.random.default_rng(REFERENCE_MODEL_SEED)
-    # b_gates is drawn first, then the rest in PARAM_ORDER
+    # b_gates is drawn first, then the rest in param_shapes order
     b_gates = rng.uniform(-0.5, 0.5, 4 * dims.hidden)
     b_gates[dims.hidden : 2 * dims.hidden] += 1.0
     arrays = {

@@ -17,17 +17,19 @@ reference with an all-zero vector contributes zero for that order.
 
 Both scores come from one integer-array table per call. The tokens are
 interned once; an order-n gram code is the order-(n-1) code and the next
-token id. Per order, one sort counts the (sentence, gram) pairs, and the
-distinct (image, gram) reference pairs give the reference ceilings through
-``np.maximum.at`` and the document frequencies through a bincount of their
-grams. ``_dense`` makes codes dense as ``np.unique(return_inverse=True)``
+token id. Per order, one sort counts the (sentence, gram) pairs, and
+``_dense`` gives every (image, gram) row, candidate or reference, a slot:
+the reference ceilings come through ``np.maximum.at`` over the reference
+rows' slots (a slot no reference holds keeps ceiling 0), and the document
+frequencies are a bincount of the grams of the slots whose ceiling is not
+0. ``_dense`` makes codes dense as ``np.unique(return_inverse=True)``
 does, from one sort of the keys each packed with its position (``np.unique``
 takes keys too wide for that). Every packed key is formed in int64, since it
 can pass 2**31; the index arrays are held in the narrowest integer dtype that
 fits them, and each per-order array is dropped after its last reader, so a
-call's traced peak is about 52 bytes per corpus token. A candidate row finds
-its ceiling by ``np.searchsorted``, and a reference row meets the
-candidate's weight for its gram through the ceiling's slot. Each table is
+call's traced peak is about 50 bytes per corpus token. A candidate row reads
+its ceiling and writes its weight through its own slot, and a reference row
+meets the candidate's weight for its gram through the same slot. Each table is
 sorted by sentence, so a bincount of its sentences gives the group sizes.
 The result is exact, not just close: idf is one ``math.log(m / df)``
 per document frequency, the tf-idf products are formed elementwise as single
@@ -110,14 +112,6 @@ def _bleu(matched: list[int], totals: list[int], c: int, r: int) -> list[float]:
         log_precision_sum += math.log(hits / total)
         scores[k] = brevity * math.exp(log_precision_sum / (k + 1))
     return scores
-
-
-def _find(sorted_keys: np.ndarray, queries: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Where each query sits in ``sorted_keys``, and whether it is there."""
-    at = np.searchsorted(sorted_keys, queries)
-    found = at < len(sorted_keys)
-    found[found] = sorted_keys[at[found]] == queries[found]
-    return at, found
 
 
 def _group_sums(values: np.ndarray, sizes: np.ndarray) -> np.ndarray:
@@ -255,35 +249,36 @@ def _score(corpus: CorpusEval) -> tuple[list[float], float, int]:
         ref = is_ref[sent]
         keys = np.multiply(image_of[sent], n_codes, dtype=np.int64)
         keys += gram
-        # the reference ceiling of each (image, gram): its largest count in one reference
-        ceiling_keys, slot = _dense(keys[ref])
-        ceilings = np.zeros(len(ceiling_keys), dtype=counts.dtype)
-        np.maximum.at(ceilings, slot, counts[ref])
+        # one slot per (image, gram) whose ceiling is the gram's largest count in one of the
+        # image's references, 0 where no reference holds it
+        groups, slot = _dense(keys)
+        cand_slot, ref_slot = slot[~ref], slot[ref]
+        del keys, slot
+        ceilings = np.zeros(len(groups), dtype=counts.dtype)
+        np.maximum.at(ceilings, ref_slot, counts[ref])
         cand_counts = counts[~ref]
-        at, found = _find(ceiling_keys, keys[~ref])
-        del keys
-        matched.append(int(np.minimum(cand_counts[found], ceilings[at[found]]).sum()))
+        matched.append(int(np.minimum(cand_counts, ceilings[cand_slot]).sum()))
         totals.append(int(cand_counts.sum()))
-        del ceilings, cand_counts
+        del cand_counts
         # images whose references hold the gram; a candidate gram in none counts as in one
-        doc_freq = np.maximum(np.bincount(ceiling_keys % n_codes, minlength=n_codes), 1)
-        n_ceilings = len(ceiling_keys)
-        del ceiling_keys
+        doc_freq = np.maximum(np.bincount(groups[ceilings != 0] % n_codes, minlength=n_codes), 1)
+        n_groups = len(groups)
+        del groups, ceilings
         idf = np.array([0.0] + [math.log(m / df) for df in range(1, int(doc_freq.max(initial=1)) + 1)])
         weights = counts * idf[doc_freq[gram]]
         del counts, doc_freq, gram
         # the table is sorted by sentence, so a bincount of its sentences gives the group sizes
         norms = np.sqrt(_group_sums(weights * weights, np.bincount(sent, minlength=n_sents)))
-        # each reference row meets its image's candidate weight for the gram through its slot
-        in_cand = np.zeros(n_ceilings, dtype=bool)
-        in_cand[at[found]] = True
-        cand_weights = np.zeros(n_ceilings)
-        cand_weights[at[found]] = weights[~ref][found]
-        del at, found
-        shared = in_cand[slot]
+        # each reference row meets its image's candidate weight for the gram through their slot
+        in_cand = np.zeros(n_groups, dtype=bool)
+        in_cand[cand_slot] = True
+        cand_weights = np.zeros(n_groups)
+        cand_weights[cand_slot] = weights[~ref]
+        del cand_slot
+        shared = in_cand[ref_slot]
         del in_cand
-        products = cand_weights[slot[shared]] * weights[ref][shared]
-        del cand_weights, slot, weights
+        products = cand_weights[ref_slot[shared]] * weights[ref][shared]
+        del cand_weights, ref_slot, weights
         dots = _group_sums(products, np.bincount(sent[ref][shared], minlength=n_sents)[ref_sents])
         del products, sent, ref, shared
         cand_norms, ref_norms = norms[cand_of_ref], norms[ref_sents]

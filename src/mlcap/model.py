@@ -10,9 +10,10 @@ candidate, with the forget-gate bias slice initialized to one.
 
 Parameters are plain float64 arrays. Training runs the whole
 teacher-forced recurrence as ``autodiff.lstm_sequence``; decoding steps the
-same cell (``lstm_cell``) here: ``project_features`` gives each image's
-first input row, ``advance_state`` advances a block of rows, one per
-sequence, ``step_rows`` advances them and scores the next id, and
+same cell (``lstm_cell``) here, on a decode state that is the ``(h, c)``
+pair of [rows,H] arrays: ``project_features`` gives each image's first
+input row, ``advance_state`` advances a block of rows, one per sequence,
+``step_rows`` advances them and scores the next id, and
 ``step_distribution`` is its one-row form. Decoding never runs a 1-row
 matmul, which rounds differently from a row inside a block: these functions
 run a lone row as a 2-row block, so a row decodes to the same bits whatever
@@ -26,8 +27,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-
-PARAM_ORDER = ("w_embed", "w_image", "b_image", "w_x", "w_h", "b_gates", "w_out", "b_out")
 
 INIT_SCALE = 0.08
 
@@ -49,14 +48,6 @@ class Dims:
 
 
 @dataclass
-class LstmState:
-    """Hidden and cell activations, one [B,H] row per sequence."""
-
-    h: np.ndarray
-    c: np.ndarray
-
-
-@dataclass
 class ModelParams:
     """All trainable arrays, in the fixed order used for Adam and storage."""
 
@@ -71,11 +62,11 @@ class ModelParams:
     b_out: np.ndarray    # [V]
 
     def named_parameters(self) -> list[tuple[str, np.ndarray]]:
-        return [(name, getattr(self, name)) for name in PARAM_ORDER]
+        return [(name, getattr(self, name)) for name in param_shapes(self.dims)]
 
 
 def param_shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
-    """The shape of every parameter, in ``PARAM_ORDER``."""
+    """The shape of every parameter, in the fixed order used for Adam and storage."""
     v, e, h, d = dims.vocab, dims.embed, dims.hidden, dims.feature
     return {
         "w_embed": (v, e),
@@ -101,10 +92,10 @@ def init_params(dims: Dims, seed) -> ModelParams:
     return ModelParams(dims, **arrays)
 
 
-def zero_state(params: ModelParams, batch: int = 1) -> LstmState:
-    """All-zero [batch,H] start state."""
+def zero_state(params: ModelParams, batch: int = 1) -> tuple[np.ndarray, np.ndarray]:
+    """All-zero [batch,H] start state ``(h, c)``."""
     shape = (batch, params.dims.hidden)
-    return LstmState(np.zeros(shape), np.zeros(shape))
+    return np.zeros(shape), np.zeros(shape)
 
 
 def _block(rows: np.ndarray) -> np.ndarray:
@@ -112,14 +103,15 @@ def _block(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows, rows]) if len(rows) == 1 else rows
 
 
-def advance_state(x: np.ndarray, state: LstmState, params: ModelParams) -> LstmState:
-    """One recurrence step on row inputs: x [B,E], state [B,H] -> [B,H]. A lone row runs as a 2-row block."""
+def advance_state(x: np.ndarray, state, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+    """One recurrence step on row inputs: x [B,E], state ``(h, c)`` [B,H] -> [B,H]. A lone row runs as a 2-row block."""
     if x.ndim != 2 or x.shape[1] != params.dims.embed:
         raise ad.DimensionError(f"advance_state: input rows {x.shape} do not have width {params.dims.embed}")
-    z = _block(x) @ params.w_x + _block(state.h) @ params.w_h
+    h, c = state
+    z = _block(x) @ params.w_x + _block(h) @ params.w_h
     z += params.b_gates
-    h, c, _, _ = ad.lstm_cell(z, _block(state.c))
-    return LstmState(h[: len(x)], c[: len(x)])
+    h, c = ad.lstm_cell(z, _block(c))
+    return h[: len(x)], c[: len(x)]
 
 
 def project_features(features: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -127,20 +119,20 @@ def project_features(features: np.ndarray, params: ModelParams) -> np.ndarray:
     return (_block(features) @ params.w_image + params.b_image)[: len(features)]
 
 
-def step_rows(x_rows: np.ndarray, state: LstmState, params: ModelParams) -> tuple[LstmState, np.ndarray]:
+def step_rows(x_rows: np.ndarray, state, params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """One decode step for a block of rows: input rows [N,E] and state
-    [N,H] to the new state and next-id log-probabilities [N,V]:
+    ``(h, c)`` [N,H] to the new state and next-id log-probabilities [N,V]:
     ``advance_state``, then the head. A lone row runs as a 2-row block."""
-    new = advance_state(x_rows, state, params)
-    logits = _block(new.h) @ params.w_out + params.b_out
-    return new, ad.log_softmax(logits)[: len(x_rows)]
+    h, c = advance_state(x_rows, state, params)
+    logits = _block(h) @ params.w_out + params.b_out
+    return (h, c), ad.log_softmax(logits)[: len(x_rows)]
 
 
-def step_distribution(state: LstmState, token_or_feature, params: ModelParams) -> tuple[LstmState, np.ndarray]:
+def step_distribution(state, token_or_feature, params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
     """Advance one decode step and return log-probabilities for the next id.
 
     The input is either an integer token id (embedded) or a 1-D feature
-    vector (projected). The state is a single [1,H] row and the returned
+    vector (projected). The state is one ``(h, c)`` pair of [1,H] rows and the returned
     log-probabilities are a 1-D [V] array: ``step_rows`` on one row.
     """
     if isinstance(token_or_feature, (int, np.integer)):

@@ -222,7 +222,7 @@ def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, p
 def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tuple[float, dict[str, np.ndarray]]:
     """Teacher-forced NLL of all unmasked target positions, and its gradients.
 
-    Returns ``(loss, grads)`` with ``grads`` keyed by ``PARAM_ORDER``. The
+    Returns ``(loss, grads)`` with ``grads`` keyed in ``param_shapes`` order. The
     image feature is the first input step (its output distribution is not
     scored), the start token the second; thereafter each target token is
     also the next input. Padding rows advance the state but their positions

@@ -25,7 +25,7 @@ import numpy as np
 from mlcap import trainer
 from mlcap.autodiff import NonFiniteError
 from mlcap.metrics import MetricReport
-from mlcap.model import LstmState, step_distribution, zero_state
+from mlcap.model import step_distribution, zero_state
 from mlcap.trainer import Batch
 from mlcap.vocab import EOS_ID, PAD_ID
 
@@ -251,7 +251,7 @@ class ForwardTrace(NamedTuple):
     """Teacher-forced pass record: one probability row per scored target."""
 
     distributions: list
-    final_state: LstmState
+    final_state: tuple  # (h, c)
     ids: tuple
     start_id: int
 
@@ -288,7 +288,7 @@ def forward_sequence(feature, ids, start_id, params):
         logits = (h @ p["w_out"] + p["b_out"])[0]
         e = np.exp(logits - logits.max())
         distributions.append(e / e.sum())
-    return ForwardTrace(distributions, LstmState(h, c), tuple(ids), start_id)
+    return ForwardTrace(distributions, (h, c), tuple(ids), start_id)
 
 
 # ---------------------------------------------------------------------------

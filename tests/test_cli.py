@@ -582,6 +582,29 @@ class TestEvaluate:
         assert "repeats a language code" in capsys.readouterr().err
         assert not report.exists()
 
+    def test_crlf_candidates_score_as_lf_candidates(self, workdir, tmp_path, capsys):
+        en = self._reference_candidates(workdir, tmp_path, "en")
+        crlf = tmp_path / "crlf.tsv"
+        crlf.write_bytes(en.read_bytes().replace(b"\n", b"\r\n"))
+        reports = []
+        for cands in (en, crlf):
+            assert main(["evaluate", "--data", str(workdir["data"]), "--cands", str(cands), "--langs", "en"]) == EXIT_OK
+            reports.append(capsys.readouterr().out)
+        assert reports[1] == reports[0]
+
+    @pytest.mark.parametrize("line", [1, 2])
+    def test_candidates_that_are_not_utf8_name_file_and_line(self, workdir, tmp_path, capsys, line):
+        # line 1 starts with a UTF-16 byte-order mark; line 2 of a CRLF file holds a Latin-1 byte
+        lines = self._reference_candidates(workdir, tmp_path, "en").read_bytes().splitlines(keepends=True)
+        lines[line - 1] = b"\xff\xfe" + lines[line - 1] if line == 1 else lines[line - 1].replace(b"\t", b"\tcaf\xe9 ")
+        bad = tmp_path / "bad.tsv"
+        bad.write_bytes(b"".join(lines).replace(b"\n", b"\r\n"))
+        report = tmp_path / "report.json"
+        code = main(["evaluate", "--data", str(workdir["data"]), "--cands", str(bad), "--langs", "en", "--out", str(report)])
+        assert code == EXIT_DATA
+        assert f"{bad}:{line}: not UTF-8 text" in capsys.readouterr().err
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.tsv", "ref_en.tsv"]
+
     def test_unknown_image_id_fails(self, workdir, tmp_path):
         bad = tmp_path / "bad.tsv"
         bad.write_text("no-such-image\ta red circle\n")

@@ -266,8 +266,8 @@ def zipf_corpus(rng, n_images):
 
 
 def test_evaluate_holds_a_compact_working_set():
-    # the traced peak is about 52 bytes per corpus token (19k tokens here,
-    # and the same on paper-decode's 128k): the index arrays in the narrowest
+    # the traced peak is about 50 bytes per corpus token (48 on the 19k tokens
+    # here, 51 on paper-decode's 128k): the index arrays in the narrowest
     # dtype that holds them, each per-order array freed after its last reader.
     # An int64 table whose arrays lived to the end of their order took 181.
     corpus = corpus_of(zipf_corpus(np.random.default_rng(9), 300))

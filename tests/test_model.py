@@ -10,7 +10,6 @@ from mlcap import autodiff as ad
 from mlcap.gradcheck import gradient_check
 from mlcap.model import (
     Dims,
-    LstmState,
     advance_state,
     init_params,
     project_features,
@@ -91,17 +90,17 @@ class TestLstmStep:
         rng = np.random.default_rng(7)
         p = random_params(seed=7)
         x = rng.normal(size=(3, p.dims.embed))
-        state = LstmState(rng.normal(size=(3, p.dims.hidden)), rng.normal(size=(3, p.dims.hidden)))
-        new = advance_state(x, state, p)
-        h_ref, c_ref = np_lstm_step(x, state.h, state.c, p)
-        npt.assert_allclose(new.h, h_ref, atol=1e-14)
-        npt.assert_allclose(new.c, c_ref, atol=1e-14)
+        h, c = rng.normal(size=(3, p.dims.hidden)), rng.normal(size=(3, p.dims.hidden))
+        new_h, new_c = advance_state(x, (h, c), p)
+        h_ref, c_ref = np_lstm_step(x, h, c, p)
+        npt.assert_allclose(new_h, h_ref, atol=1e-14)
+        npt.assert_allclose(new_c, c_ref, atol=1e-14)
 
     def test_zero_params_give_zero_hidden_state(self):
         p = prefix_free_params(np.zeros(5))
-        state = advance_state(np.ones((1, p.dims.embed)), zero_state(p), p)
-        assert state.h.shape == (1, p.dims.hidden)
-        npt.assert_array_equal(state.h, 0.0)
+        h, _ = advance_state(np.ones((1, p.dims.embed)), zero_state(p), p)
+        assert h.shape == (1, p.dims.hidden)
+        npt.assert_array_equal(h, 0.0)
 
     def test_embedding_dimension_mismatch(self):
         p = random_params()
@@ -146,11 +145,11 @@ class TestLstmStep:
         state = advance_state(x[:batch], zero_state(p, batch), p)
         for t in range(steps):
             state = advance_state(x[(t + 1) * batch : (t + 2) * batch], state, p)
-            rows = fused[t * batch : (t + 1) * batch]
+            rows, (h, _) = fused[t * batch : (t + 1) * batch], state
             if batch == 1:
-                npt.assert_allclose(rows, state.h, rtol=0, atol=1e-12)
+                npt.assert_allclose(rows, h, rtol=0, atol=1e-12)
             else:
-                assert np.array_equal(rows, state.h), (batch, t)
+                assert np.array_equal(rows, h), (batch, t)
 
     def test_fused_run_rejects_ragged_steps(self):
         p = random_params()
@@ -167,7 +166,7 @@ class TestForwardSequence:
         for dist in trace.distributions:
             assert dist.shape == (p.dims.vocab,)
             npt.assert_allclose(dist.sum(), 1.0, atol=1e-12)
-        assert trace.final_state.h.shape == (1, p.dims.hidden)
+        assert trace.final_state[0].shape == (1, p.dims.hidden)
 
     def test_matches_step_distribution_composition(self):
         p = random_params(seed=5)
@@ -181,10 +180,10 @@ class TestForwardSequence:
         for tok in (start,) + ids[:-1]:
             state, logp = step_distribution(state, tok, p)
             composed.append(np.exp(logp))
-        assert state.h.shape == (1, p.dims.hidden)
+        assert state[0].shape == (1, p.dims.hidden)
         for traced, stepped in zip(trace.distributions, composed):
             npt.assert_allclose(traced, stepped, atol=1e-12)
-        npt.assert_allclose(trace.final_state.h, state.h, atol=1e-12)
+        npt.assert_allclose(trace.final_state[0], state[0], atol=1e-12)
 
     def test_rejects_empty_sequence(self):
         p = random_params()
@@ -209,7 +208,7 @@ class TestStepDistribution:
         state, logp = step_distribution(zero_state(p), 3, p)
         npt.assert_allclose(np.exp(logp).sum(), 1.0, atol=1e-12)
         assert isinstance(logp, np.ndarray) and logp.shape == (p.dims.vocab,)
-        assert state.h.shape == (1, p.dims.hidden)
+        assert state[0].shape == (1, p.dims.hidden)
 
     def test_prefix_free_model_ignores_input(self):
         scores = np.array([-50.0, 0.0, 1.0, 2.0, -3.0])
@@ -241,12 +240,12 @@ class TestStepRows:
         state, rows = step_rows(project_features(feature[None, :], p), zero_state(p), p)
         assert rows.shape == (1, p.dims.vocab)
         assert np.array_equal(rows[0], expected)
-        assert np.array_equal(state.h, expected_state.h) and np.array_equal(state.c, expected_state.c)
+        assert all(map(np.array_equal, state, expected_state))
         for tok in range(p.dims.vocab):
             expected_next, expected = step_distribution(state, tok, p)
             after, rows = step_rows(p.w_embed[[tok]], state, p)
             assert np.array_equal(rows[0], expected)
-            assert np.array_equal(after.h, expected_next.h) and np.array_equal(after.c, expected_next.c)
+            assert all(map(np.array_equal, after, expected_next))
 
     @pytest.mark.parametrize("vocab, width", [(23, 64), (1000, 128)], ids=["desk", "larger"])
     def test_rows_do_not_depend_on_block_height_or_position(self, vocab, width):
@@ -259,20 +258,20 @@ class TestStepRows:
         n = 300
         x = rng.normal(size=(n, width))
         features = rng.normal(size=(n, p.dims.feature))
-        state = LstmState(rng.normal(size=(n, width)), rng.normal(size=(n, width)))
-        whole_state, whole = step_rows(x, state, p)
+        h, c = rng.normal(size=(n, width)), rng.normal(size=(n, width))
+        (whole_h, whole_c), whole = step_rows(x, (h, c), p)
         projected = project_features(features, p)
         for height in range(1, n + 1):
             start = int(rng.integers(0, n - height + 1))
             rows = slice(start, start + height)
-            part_state, part = step_rows(x[rows], LstmState(state.h[rows], state.c[rows]), p)
+            (part_h, part_c), part = step_rows(x[rows], (h[rows], c[rows]), p)
             assert np.array_equal(project_features(features[rows], p), projected[rows]), (height, start)
             assert np.array_equal(part, whole[rows]), (height, start)
-            assert np.array_equal(part_state.h, whole_state.h[rows]), (height, start)
-            assert np.array_equal(part_state.c, whole_state.c[rows]), (height, start)
+            assert np.array_equal(part_h, whole_h[rows]), (height, start)
+            assert np.array_equal(part_c, whole_c[rows]), (height, start)
 
     def test_rows_normalize(self):
         p = random_params(seed=6)
         state, rows = step_rows(p.w_embed[[3, 4, 5]], zero_state(p, 3), p)
-        assert rows.shape == (3, p.dims.vocab) and state.h.shape == (3, p.dims.hidden)
+        assert rows.shape == (3, p.dims.vocab) and state[0].shape == (3, p.dims.hidden)
         npt.assert_allclose(np.exp(rows).sum(axis=1), 1.0, atol=1e-12)
