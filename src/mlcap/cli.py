@@ -43,7 +43,7 @@ from .data import (
 from .metrics import CorpusEval, evaluate_corpus
 from .rng import substream
 from .trainer import CLIP_NORM, DivergenceError, TrainConfig, decode_images, run_training, training_languages
-from .vocab import build_vocab
+from .vocab import build_vocab, check_language
 
 
 class UsageError(ValueError):
@@ -78,10 +78,13 @@ _tolerance = _checked(float, lambda v: math.isfinite(v) and v > 0, "must be fini
 
 
 def _langs(text: str) -> tuple[str, ...]:
-    """Comma-separated codes, each non-empty and without whitespace, as a dataset's ``lang`` must be."""
+    """Comma-separated codes, each one a dataset's ``lang`` could hold (``vocab.check_language``)."""
     langs = [x.strip() for x in text.split(",")]
-    if any(x.split() != [x] for x in langs):
-        raise argparse.ArgumentTypeError(f"needs non-empty codes without whitespace, got {text!r}")
+    try:
+        for code in langs:
+            check_language(code)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"got {text!r}: {exc}") from None
     if len(set(langs)) != len(langs):
         raise argparse.ArgumentTypeError(f"repeats a language code: {text!r}")
     return tuple(langs)

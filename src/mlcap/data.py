@@ -3,9 +3,9 @@
 Datasets are JSON Lines: one object per image with an ``image_id``, a fixed
 width ``feature`` vector of JSON numbers, and a ``captions`` list of
 ``{lang, tokens}`` objects. An ``image_id`` holds no tab or line break
-(caption output is tab-separated lines), a ``lang`` is non-empty and holds
-no comma or whitespace (``--langs`` lists codes comma-separated), and
-tokens are non-empty and hold no whitespace.
+(caption output is tab-separated lines); every ``lang`` and token follows
+``vocab.check_language`` and ``vocab.check_tokens``, and so does a
+checkpoint's vocabulary. No string holds a lone surrogate.
 Checkpoints are a single binary file: the ``MLCAP1`` magic, an 8-byte
 little-endian header length, a JSON header (dimensions, vocabulary, array
 manifest, training config, epoch), then the raw little-endian float64 array
@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from .model import Dims, ModelParams, param_shapes
-from .vocab import Vocabulary
+from .vocab import Vocabulary, check_language, check_tokens
 
 MAGIC = b"MLCAP1"
 FORMAT_VERSION = 1
@@ -72,18 +72,15 @@ def _parse_captions(raw, where: str) -> tuple[Caption, ...]:
     for j, entry in enumerate(raw):
         if not isinstance(entry, dict) or not isinstance(entry.get("lang"), str):
             raise DatasetError(f"{where}: captions[{j}] needs a string 'lang'")
-        # --langs lists codes comma-separated, so a code it cannot name is refused here
-        lang = entry["lang"]
-        if lang.split() != [lang] or "," in lang:
-            raise DatasetError(f"{where}: captions[{j}] lang {lang!r} must be non-empty, without comma or whitespace")
         tokens = entry.get("tokens")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise DatasetError(f"{where}: captions[{j}] needs 'tokens' as a list of strings")
-        # captions are written space-joined and read back split on whitespace
-        bad = [t for t in tokens if t.split() != [t]]
-        if bad:
-            raise DatasetError(f"{where}: captions[{j}] tokens must be non-empty and hold no whitespace, got {bad[0]!r}")
-        captions.append(Caption(lang, tuple(tokens)))
+        try:
+            check_language(entry["lang"])
+            check_tokens(tokens)
+        except ValueError as exc:
+            raise DatasetError(f"{where}: captions[{j}] {exc}") from None
+        captions.append(Caption(entry["lang"], tuple(tokens)))
     return tuple(captions)
 
 
@@ -102,10 +99,11 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
     """Read and validate a JSONL dataset.
 
     Features must be finite JSON numbers, one width across the file; image
-    ids must be unique and hold no tab or line break; caption tokens must be
-    non-empty strings without whitespace, and a caption ``lang`` a non-empty
-    code without commas or whitespace. With ``require_captions`` off
-    (caption-generation inputs), records may omit captions entirely.
+    ids must be unique and hold no tab or line break; caption tokens and
+    each caption ``lang`` must pass ``check_tokens`` and ``check_language``;
+    no string may be a JSON escape of a lone surrogate. With
+    ``require_captions`` off (caption-generation inputs), records may omit
+    captions entirely.
     ``lowercase`` lowercases the tokens after they pass those checks.
     """
     records: list[ImageRecord] = []
@@ -121,6 +119,11 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
             raise DatasetError(f"{where}: invalid JSON ({exc.msg})") from exc
         if not isinstance(obj, dict):
             raise DatasetError(f"{where}: each line must be a JSON object")
+        if "\\u" in line:  # a JSON escape can spell a lone surrogate, which no UTF-8 output can hold
+            try:
+                json.dumps([obj.get("image_id"), obj.get("captions")], ensure_ascii=False).encode("utf-8")
+            except UnicodeEncodeError as exc:
+                raise DatasetError(f"{where}: holds a lone surrogate {exc.object[exc.start]!r}, which is not text") from None
         image_id = obj.get("image_id")
         if not isinstance(image_id, str) or not image_id:
             raise DatasetError(f"{where}: missing or empty 'image_id'")
@@ -291,8 +294,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Check every declared length against the file size before reading or
-    allocating anything, then read each array from the file into its own buffer."""
+    """Check every declared length against the file size, and the vocabulary
+    against the dataset's text rules, before reading or allocating anything,
+    then read each array from the file into its own buffer."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
@@ -314,6 +318,11 @@ def load_checkpoint(path) -> Checkpoint:
         try:
             dims = Dims(**header["dims"])
             vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["languages"])
+            # captions are written from these tokens, so they follow the dataset's text rules
+            for language in vocab.languages:
+                check_language(language)
+            check_tokens(vocab.id_to_token[vocab.first_surface_id :])
+            "".join(vocab.id_to_token).encode("utf-8")  # a lone surrogate raises, as on a dataset line
             manifest = header["arrays"]
             config = header["config"]
             epoch = header["epoch"]

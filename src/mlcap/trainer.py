@@ -138,19 +138,13 @@ def examples_from_records(records: Iterable[ImageRecord], vocab: Vocabulary, lan
     return examples
 
 
-def _columns(examples: Sequence[Example]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Each example's start id and target length, and every target id chained in order."""
+def make_batch(examples: Sequence[Example]) -> Batch:
+    """Stack ``examples`` into one ``Batch``, each target row padded to the longest."""
+    if not examples:
+        raise ValueError("cannot build an empty batch")
     start_ids = np.array([ex.start_id for ex in examples], dtype=np.int64)
     lengths = np.array([len(ex.target_ids) for ex in examples])
     ids = np.fromiter(chain.from_iterable(ex.target_ids for ex in examples), dtype=np.int64, count=lengths.sum())
-    return start_ids, lengths, ids
-
-
-def make_batch(examples: Sequence[Example], columns: tuple[np.ndarray, ...] | None = None) -> Batch:
-    """Stack ``examples``; ``columns`` are their ``_columns``, if the caller holds them already."""
-    if not examples:
-        raise ValueError("cannot build an empty batch")
-    start_ids, lengths, ids = _columns(examples) if columns is None else columns
     features = np.array([ex.feature for ex in examples], dtype=np.float64)
     real = np.arange(lengths.max()) < lengths[:, None]
     targets = np.full(real.shape, PAD_ID, dtype=np.int64)
@@ -357,22 +351,16 @@ def train_epoch(
 ) -> float:
     """One shuffled pass; returns the token-weighted mean NLL per token.
 
-    The start ids and target ids of every example are gathered once, in
-    shuffled order (``_columns``), and ``make_batch`` builds each batch
-    from a run of them and its own examples' features. Raises
-    ``DivergenceError`` before any update that a non-finite loss or
+    Raises ``DivergenceError`` before any update that a non-finite loss or
     gradient would poison.
     """
     if not examples:
         raise ValueError("train_epoch: no training examples")
     shuffled = [examples[i] for i in rng.permutation(len(examples)).tolist()]
-    start_ids, lengths, ids = _columns(shuffled)
-    offsets = np.concatenate(([0], np.cumsum(lengths))).tolist()
     nll_sum = 0.0
     token_sum = 0
     for index, lo in enumerate(range(0, len(shuffled), config.batch_size)):
-        part = slice(lo, min(lo + config.batch_size, len(shuffled)))
-        batch = make_batch(shuffled[part], (start_ids[part], lengths[part], ids[offsets[lo] : offsets[part.stop]]))
+        batch = make_batch(shuffled[lo : lo + config.batch_size])
         try:
             loss, grads = sequence_loss(batch, params, config.loss_mode)
         except ad.NonFiniteError as exc:

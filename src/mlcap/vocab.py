@@ -25,6 +25,27 @@ def start_token(language: str) -> str:
     return f"<{language}>"
 
 
+def check_language(code: str) -> None:
+    """Raise ``ValueError`` unless ``code`` can name a language.
+
+    A code is non-empty and holds no comma or whitespace (``--langs`` lists
+    codes comma-separated), and its start token is not a control token, so
+    ``pad``, ``unk`` and ``eos`` are refused.
+    """
+    if code.split() != [code] or "," in code:
+        raise ValueError(f"lang {code!r} must be non-empty, without comma or whitespace")
+    if start_token(code) in (PAD_TOKEN, UNK_TOKEN, EOS_TOKEN):
+        raise ValueError(f"lang {code!r} is reserved: its start token {start_token(code)} is a control token")
+
+
+def check_tokens(tokens: Iterable[str]) -> None:
+    """Raise ``ValueError`` unless every surface token is non-empty and holds
+    no whitespace: captions are written space-joined and read back split on whitespace."""
+    bad = [t for t in tokens if t.split() != [t]]
+    if bad:
+        raise ValueError(f"tokens must be non-empty and hold no whitespace, got {bad[0]!r}")
+
+
 class Vocabulary:
     """Bijective token/id table plus the language start-id map."""
 

@@ -47,15 +47,20 @@ def replay_logprob(feature, start_id, params, ids):
     return total
 
 
-class TestToyModel:
-    """Prefix-independent p = (pad 0, unk 0, eos .2, a .5, b .3)."""
+def one_image_block(feature, start_id, params, config):
+    """``beam_block`` on a block of one image, the decoder ``decode_images`` runs."""
+    return beam_block(feature[None], start_id, params, config)[0]
+
+
+class ToyCases:
+    """Hand cases on the prefix-independent p = (pad 0, unk 0, eos .2, a .5, b .3), decoded by ``decode``."""
 
     def setup_method(self):
         self.params = prefix_free_params(toy_distribution())
         self.feature = np.zeros(self.params.dims.feature)
 
     def test_width3_maxlen2_ranking(self):
-        results = beam_search(self.feature, 1, self.params, BeamConfig(width=3, max_len=2))
+        results = self.decode(self.feature, 1, self.params, BeamConfig(width=3, max_len=2))
         ids = [r[0] for r in results]
         assert ids == [[A, A], [EOS_ID], [A, B]]
         npt.assert_allclose(results[0][1], math.log(0.25), atol=1e-9)
@@ -63,27 +68,27 @@ class TestToyModel:
         npt.assert_allclose(results[2][1], math.log(0.15), atol=1e-9)
 
     def test_maxlen_cap_finishes_without_eos(self):
-        results = beam_search(self.feature, 1, self.params, BeamConfig(width=2, max_len=1))
+        results = self.decode(self.feature, 1, self.params, BeamConfig(width=2, max_len=1))
         assert results[0][0] == [A]
         npt.assert_allclose(results[0][1], math.log(0.5), atol=1e-9)
 
     def test_equal_score_ties_prefer_smaller_id_tuple(self):
         # p(a) = p(b) makes [a] and [b] exact ties; a has the smaller id
         p = prefix_free_params([-1e9, -1e9, np.log(0.2), np.log(0.4), np.log(0.4)])
-        results = beam_search(self.feature, 1, p, BeamConfig(width=2, max_len=1))
+        results = self.decode(self.feature, 1, p, BeamConfig(width=2, max_len=1))
         assert [r[0] for r in results] == [[A], [B]]
 
     def test_finished_pool_rejoins_at_final_ranking(self):
         # eos dominates: the pool entry must still be ranked against later,
         # longer hypotheses rather than stopping the search
         p = prefix_free_params([-1e9, -1e9, np.log(0.9), np.log(0.06), np.log(0.04)])
-        results = beam_search(self.feature, 1, p, BeamConfig(width=2, max_len=3))
+        results = self.decode(self.feature, 1, p, BeamConfig(width=2, max_len=3))
         assert results[0][0] == [EOS_ID]
         assert results[1][0] == [A, EOS_ID]
 
     def test_length_norm_changes_ranking_only(self):
-        plain = beam_search(self.feature, 1, self.params, BeamConfig(width=5, max_len=2))
-        normed = beam_search(
+        plain = self.decode(self.feature, 1, self.params, BeamConfig(width=5, max_len=2))
+        normed = self.decode(
             self.feature, 1, self.params, BeamConfig(width=5, max_len=2, length_norm=True)
         )
         assert [r[0] for r in plain[:2]] == [[A, A], [EOS_ID]]
@@ -93,45 +98,57 @@ class TestToyModel:
 
     def test_unk_is_emittable_when_probable(self):
         p = prefix_free_params([-1e9, np.log(0.7), np.log(0.3), -1e9, -1e9])
-        results = beam_search(self.feature, 2, p, BeamConfig(width=1, max_len=2))
+        results = self.decode(self.feature, 2, p, BeamConfig(width=1, max_len=2))
         assert results[0][0] == [1, 1]
 
     def test_excluded_ids_never_emitted(self):
         config = BeamConfig(width=4, max_len=3, exclude_ids=(PAD_ID, A))
-        for ids, _ in beam_search(self.feature, 1, self.params, config):
+        for ids, _ in self.decode(self.feature, 1, self.params, config):
             assert A not in ids and PAD_ID not in ids
-
-    def test_eos_cannot_be_excluded(self):
-        with pytest.raises(ValueError, match="eos"):
-            BeamConfig(width=2, exclude_ids=(EOS_ID,))
 
     def test_all_tied_candidates_keep_lexically_smallest(self):
         # a uniform model ties every candidate at every step, so the
         # partition cut must keep all of them for the id-tuple rule to pick
         p = prefix_free_params(np.zeros(5))
-        results = beam_search(self.feature, 1, p, BeamConfig(width=3, max_len=1))
+        results = self.decode(self.feature, 1, p, BeamConfig(width=3, max_len=1))
         assert [r[0] for r in results] == [[1], [EOS_ID], [A]]
-        results = beam_search(self.feature, 1, p, BeamConfig(width=3, max_len=2))
+        results = self.decode(self.feature, 1, p, BeamConfig(width=3, max_len=2))
         assert [r[0] for r in results] == [[EOS_ID], [1, 1], [1, EOS_ID]]
 
     def test_cross_parent_ties_follow_full_id_order(self):
         # [b] outranks [a] after one step, but the exact tie between [a, b]
         # and [b, a] must still go to the lexically smaller [a, b]
         p = prefix_free_params([-1e9, -1e9, np.log(0.1), np.log(0.3), np.log(0.6)])
-        results = beam_search(self.feature, 1, p, BeamConfig(width=2, max_len=2))
+        results = self.decode(self.feature, 1, p, BeamConfig(width=2, max_len=2))
         assert [r[0] for r in results] == [[B, B], [A, B]]
 
     def test_non_finite_logprobs_raise(self):
         p = prefix_free_params(toy_distribution())
         p.w_out[:] = np.nan
         with pytest.raises(ValueError, match="non-finite log-probabilities at decode step 1"):
-            beam_search(self.feature, 1, p, BeamConfig(width=2, max_len=3))
+            self.decode(self.feature, 1, p, BeamConfig(width=2, max_len=3))
+
+
+class TestToyModel(ToyCases):
+    """The hand cases on scalar ``beam_search``, and the config checks."""
+
+    decode = staticmethod(beam_search)
+
+    def test_eos_cannot_be_excluded(self):
+        with pytest.raises(ValueError, match="eos"):
+            BeamConfig(width=2, exclude_ids=(EOS_ID,))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BeamConfig(width=0)
         with pytest.raises(ValueError):
             BeamConfig(max_len=0)
+
+
+class TestToyModelBlock(ToyCases):
+    """The hand cases on a one-image ``beam_block``."""
+
+    decode = staticmethod(one_image_block)
 
 
 class TestEmittableIds:

@@ -22,7 +22,7 @@ from mlcap.data import (
 )
 from mlcap.vocab import EOS_ID
 from oracles import forward_sequence
-from tinymodels import claim_dims, rewrite_checkpoint_header
+from tinymodels import break_surface_tokens, claim_dims, rewrite_checkpoint_header
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +42,16 @@ def workdir(tmp_path_factory):
     )
     assert code == EXIT_OK
     return {"root": root, "data": data, "run": out}
+
+
+def retag_jp(workdir, path, code):
+    """The shared dataset, written to ``path`` with every jp caption tagged ``code``."""
+    def retag(caption):
+        return Caption(code, caption.tokens) if caption.language == "jp" else caption
+
+    records = load_dataset(workdir["data"])
+    save_dataset([ImageRecord(r.image_id, r.feature, tuple(map(retag, r.captions))) for r in records], path)
+    return path
 
 
 def fail_writes_to(monkeypatch, name):
@@ -136,6 +146,13 @@ class TestBuildVocab:
             ["build-vocab", "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "v"), "--min-count", "0"]
         )
         assert code == EXIT_USAGE
+
+    def test_lang_whose_start_token_is_a_control_token_is_data_error(self, workdir, tmp_path, capsys):
+        data = retag_jp(workdir, tmp_path / "tagged.jsonl", "pad")
+        out = tmp_path / "vocab.tsv"
+        assert main(["build-vocab", "--data", str(data), "--out", str(out)]) == EXIT_DATA
+        assert "tagged.jsonl:1: captions[1] lang 'pad' is reserved" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unmatched_language_filter_fails(self, workdir, tmp_path):
         code = main(
@@ -291,17 +308,41 @@ class TestTrain:
 
     def test_caption_language_that_langs_cannot_name_is_data_error(self, workdir, tmp_path, capsys):
         # a code holding a comma would train, then no --langs could name it
-        def retag(caption):
-            return Caption("jp,x", caption.tokens) if caption.language == "jp" else caption
-
-        data = tmp_path / "tagged.jsonl"
-        records = load_dataset(workdir["data"])
-        save_dataset([ImageRecord(r.image_id, r.feature, tuple(map(retag, r.captions))) for r in records], data)
+        data = retag_jp(workdir, tmp_path / "tagged.jsonl", "jp,x")
         out = tmp_path / "r"
         code = main(["train", "--data", str(data), "--out", str(out), "--split", "30,5,5", "--min-count", "1"])
         assert code == EXIT_DATA
         assert "tagged.jsonl:1: captions[1] lang 'jp,x' must be non-empty" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("lang", ["pad", "unk", "eos"])
+    def test_lang_whose_start_token_is_a_control_token_is_data_error(self, workdir, tmp_path, capsys, lang):
+        data = retag_jp(workdir, tmp_path / "tagged.jsonl", lang)
+        out = tmp_path / "r"
+        code = main(["train", "--data", str(data), "--out", str(out), "--split", "30,5,5", "--min-count", "1"])
+        assert code == EXIT_DATA
+        assert f"tagged.jsonl:1: captions[1] lang '{lang}' is reserved" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_lone_surrogate_in_a_token_names_file_and_line(self, workdir, tmp_path, capsys):
+        # the escape parses to a lone surrogate, which no checkpoint header can be encoded with
+        lines = workdir["data"].read_text(encoding="utf-8").splitlines()
+        row = json.loads(lines[1])
+        row["captions"][0]["tokens"][-1] = "SURROGATE"
+        lines[1] = json.dumps(row).replace("SURROGATE", "circ\\ud800le")
+        data = tmp_path / "escaped.jsonl"
+        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        out = tmp_path / "r"
+        out.mkdir()
+        code = main(
+            [
+                "train", "--data", str(data), "--out", str(out), "--split", "30,5,5", "--epochs", "1",
+                "--hidden", "4", "--embed", "4", "--min-count", "1",
+            ]
+        )
+        assert code == EXIT_DATA
+        assert f"{data}:2: holds a lone surrogate" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
 
 class TestCaption:
@@ -429,6 +470,14 @@ class TestCaption:
         assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
         assert "tokens and languages must be strings" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
+
+    def test_vocabulary_token_holding_a_line_break_is_data_error(self, workdir, tmp_path, capsys):
+        # each caption line would split into three, which evaluate then refuses
+        bad = tmp_path / "broken_tokens.ckpt"
+        rewrite_checkpoint_header(workdir["run"] / "best.ckpt", bad, break_surface_tokens)
+        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
+        assert "tokens must be non-empty and hold no whitespace" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken_tokens.ckpt"]
 
     def test_non_object_config_is_data_error(self, workdir, tmp_path, capsys):
         bad = tmp_path / "list_config.ckpt"
@@ -716,8 +765,11 @@ class TestParsing:
         ("synth", "--n", "0", "must be >= 1"),
         ("synth", "--seed", "-1", "must be >= 0"),
         ("synth", "--langs", "en,en", "repeats a language code"),
-        ("synth", "--langs", "en,", "needs non-empty codes without whitespace"),
-        ("synth", "--langs", "en,j\tp", "needs non-empty codes without whitespace"),
+        ("synth", "--langs", "en,", "lang '' must be non-empty, without comma or whitespace"),
+        ("synth", "--langs", "en,j\tp", "must be non-empty, without comma or whitespace"),
+        # the start tokens <pad>, <unk> and <eos> are control tokens
+        *[("synth", "--langs", f"{code},en", f"lang {code!r} is reserved") for code in ("pad", "unk", "eos")],
+        ("train", "--langs", "en,eos", "lang 'eos' is reserved"),
         ("build-vocab", "--min-count", "0", "must be >= 1"),
         ("build-vocab", "--langs", "en,en", "repeats a language code"),
         *[

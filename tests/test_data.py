@@ -32,11 +32,18 @@ from oracles import forward_sequence
 from mlcap.cli import EXIT_DATA, main
 from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import build_vocab
-from tinymodels import claim_dims, random_params, rewrite_checkpoint_header
+from tinymodels import break_surface_tokens, claim_dims, random_params, rewrite_checkpoint_header
 
 
 def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+
+
+def rename_language(header, old, new):
+    """A checkpoint header edit: language ``old`` becomes ``new``, start token included."""
+    vocab = header["vocab"]
+    vocab["languages"][vocab["languages"].index(old)] = new
+    vocab["tokens"][vocab["tokens"].index(f"<{old}>")] = f"<{new}>"
 
 
 def good_row(i=0, langs=("en",)):
@@ -143,6 +150,28 @@ class TestLoadDataset:
         p = tmp_path / "d.jsonl"
         write_jsonl(p, [good_row(0), good_row(1, langs=("en", lang))])
         with pytest.raises(DatasetError, match=r":2: captions\[1\] lang .* must be non-empty, without comma or whitespace"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("code", ["pad", "unk", "eos"])
+    def test_lang_whose_start_token_is_a_control_token_rejected(self, tmp_path, code):
+        p = tmp_path / "d.jsonl"
+        write_jsonl(p, [good_row(0), good_row(1, langs=("en", code))])
+        with pytest.raises(DatasetError, match=rf":2: captions\[1\] lang '{code}' is reserved: its start token <{code}>"):
+            load_dataset(p)
+
+    @pytest.mark.parametrize("field", ["token", "image_id", "lang"])
+    def test_lone_surrogate_escape_rejected_with_file_and_line(self, tmp_path, field):
+        # json.loads turns the escape into a lone surrogate, which no UTF-8 output can hold
+        row = good_row(1)
+        if field == "token":
+            row["captions"][0]["tokens"][1] = "SURROGATE"
+        elif field == "image_id":
+            row["image_id"] = "SURROGATE"
+        else:
+            row["captions"][0]["lang"] = "SURROGATE"
+        p = tmp_path / "d.jsonl"
+        p.write_text(json.dumps(good_row(0)) + "\n" + json.dumps(row).replace("SURROGATE", "circ\\ud800le") + "\n")
+        with pytest.raises(DatasetError, match=r"d\.jsonl:2: holds a lone surrogate '\\ud800'"):
             load_dataset(p)
 
     def test_missing_captions_rejected_unless_allowed(self, tmp_path):
@@ -434,6 +463,26 @@ class TestCheckpoint:
         bad = tmp_path / "int_token.ckpt"
         rewrite_checkpoint_header(path, bad, lambda header: header["vocab"]["tokens"].__setitem__(-1, 5))
         with pytest.raises(CheckpointError, match="tokens and languages must be strings"):
+            load_checkpoint(bad)
+
+    @pytest.mark.parametrize(
+        "edit, rule",
+        [
+            (break_surface_tokens, "tokens must be non-empty and hold no whitespace"),
+            (lambda header: header["vocab"]["tokens"].__setitem__(-1, ""), "tokens must be non-empty"),
+            (lambda header: header["vocab"]["tokens"].__setitem__(-1, "New York"), "hold no whitespace, got 'New York'"),
+            (lambda header: rename_language(header, "en", "e n"), "lang 'e n' must be non-empty, without comma or whitespace"),
+            (lambda header: rename_language(header, "en", "e,n"), "lang 'e,n' must be non-empty, without comma or whitespace"),
+            (lambda header: header["vocab"]["tokens"].__setitem__(-1, "circ\ud800le"), "surrogates not allowed"),
+        ],
+        ids=["line-break", "empty", "space", "lang-space", "lang-comma", "lone-surrogate"],
+    )
+    def test_vocabulary_must_follow_the_dataset_text_rules(self, tmp_path, edit, rule):
+        # captions are written from the vocabulary's tokens, one tab-separated line per image
+        _, _, _, path = self.roundtrip(tmp_path)
+        bad = tmp_path / "vocab.ckpt"
+        rewrite_checkpoint_header(path, bad, edit)
+        with pytest.raises(CheckpointError, match=rule):
             load_checkpoint(bad)
 
     @pytest.mark.parametrize("epoch", [2.7, True, -1, "3"])

@@ -96,3 +96,11 @@ def claim_dims(header, **dims):
     header["dims"].update(dims)
     shapes = param_shapes(Dims(**header["dims"]))
     header["arrays"] = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
+
+
+def break_surface_tokens(header):
+    """A checkpoint header edit: every surface token ``t`` becomes ``t\\nX\\tt``,
+    so each caption line written from it would split into three."""
+    vocab = header["vocab"]
+    first = 3 + len(vocab["languages"])
+    vocab["tokens"][first:] = [f"{t}\nX\t{t}" for t in vocab["tokens"][first:]]
