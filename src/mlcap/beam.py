@@ -29,10 +29,10 @@ per step for every live hypothesis of every image, then one ``_top`` call,
 and per image its own finished pool and final ranking. It advances the
 image step with ``advance_state``, whose distribution nobody scores, so a
 decode runs one head per selection round. ``trainer.decode_images`` runs
-every decode through it, at every width. ``model.step_rows`` runs a lone
-row as a 2-row block, so a block row, a lone image and ``beam_search``
-(one hypothesis per ``step_distribution`` call, kept as the scalar
-reference) give the same bits.
+every decode through it, at every width. A lone row runs as a 2-row block
+(``model.step_rows``), so an image decodes alone as in a block. Its yardstick
+is ``tests/oracles.reference_beam_search``; ``beam_search`` and its helpers
+are kept only because ``perfbench/`` calls them, until ROADMAP item 1a.
 """
 
 from __future__ import annotations
@@ -151,13 +151,13 @@ def _ranked(finished: list[tuple[tuple[int, ...], float]], config: BeamConfig) -
 
 
 def beam_search(feature, start_id: int, params: ModelParams, config: BeamConfig) -> list[tuple[list[int], float]]:
-    """Top ``config.width`` decodes as (ids, logprob), best first.
+    """``beam_block`` on one image, one hypothesis per ``step_distribution`` call.
 
-    Every live hypothesis is scored against the full vocabulary each step;
-    the global top ``width`` candidates survive. Hypotheses that emit eos or
-    reach ``max_len`` emitted tokens move to the finished pool, which only
-    competes at the final ranking. Raises ``ValueError`` when a live
-    hypothesis has non-finite log-probabilities.
+    Kept, with ``_root``, ``_select`` and ``Hypothesis``, only because
+    ``perfbench/`` calls it; they go with ROADMAP item 1a. No decode runs
+    it: ``beam_block`` is the decoder, and its yardstick in the tests is
+    ``tests/oracles.reference_beam_search``. Raises ``ValueError`` when a
+    live hypothesis has non-finite log-probabilities.
     """
     barred = _barred_ids(params.dims.vocab, config.exclude_ids)
     live = [_root(feature, start_id, params)]
@@ -178,14 +178,14 @@ def beam_search(feature, start_id: int, params: ModelParams, config: BeamConfig)
 
 
 def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig) -> list[list[tuple[list[int], float]]]:
-    """``beam_search`` for every row of ``features`` [N,D]: one result list per image.
+    """Each image's top ``config.width`` decodes as (ids, logprob), best first: a list per row of ``features`` [N,D].
 
-    The beam of the whole block is held as arrays over its live rows L:
-    emitted ids [L,t], sums [L], state [L,H] and each row's image. Rows of an
-    image are contiguous and in lexical order of their ids, so the row index
-    serves as each row's rank. Each step is one ``step_rows`` call for
-    every live row of every image, then one ``_top`` call. Raises
-    ``ValueError`` when a live row has non-finite log-probabilities.
+    Each image keeps its top ``width`` candidates per step, and a finished one
+    waits in its image's pool for the final ranking. The beam is held as
+    arrays over live rows L: ids [L,t], sums [L], state [L,H] and image [L].
+    An image's rows are contiguous and in lexical order of their ids, so the
+    row index is the rank. Each step is one ``step_rows`` call for every live
+    row, then one ``_top`` call; a non-finite row raises ``ValueError``.
     """
     features = np.asarray(features, dtype=np.float64)
     if not 0 <= start_id < params.dims.vocab:

@@ -24,16 +24,15 @@ from pathlib import Path
 from . import __version__, gradcheck
 from .beam import BeamConfig
 from .data import (
+    Checkpoint,
     CheckpointError,
     DatasetError,
     atomic_open,
     check_split,
-    checkpoint_from_model,
     corpus_from_records,
     l2_normalize_records,
     load_checkpoint,
     load_dataset,
-    model_from_checkpoint,
     save_checkpoint,
     save_dataset,
     split_dataset,
@@ -222,7 +221,7 @@ def cmd_train(args) -> int:
 
     def save_epoch(params, vocab, epoch):
         path = out_dir / f"epoch_{epoch:03d}.ckpt"
-        save_checkpoint(path, checkpoint_from_model(params, vocab, config.as_dict(), epoch))
+        save_checkpoint(path, Checkpoint(params, vocab, config.as_dict(), epoch))
         epoch_paths.append(str(path))
 
     with log_path.open("w", encoding="utf-8") as log_fh:
@@ -232,7 +231,7 @@ def cmd_train(args) -> int:
             log_fh.write(line + "\n")
 
         result = run_training(split, config, log=log, save_epoch=None if args.best_only else save_epoch)
-    save_checkpoint(best_path, checkpoint_from_model(result.params, result.vocab, config.as_dict(), result.best_epoch))
+    save_checkpoint(best_path, Checkpoint(result.params, result.vocab, config.as_dict(), result.best_epoch))
     _write_manifest(args, [str(best_path), str(log_path)] + epoch_paths, manifest_path)
     print(f"best epoch {result.best_epoch} -> {best_path}")
     return EXIT_OK
@@ -243,8 +242,7 @@ def cmd_caption(args) -> int:
     l2norm = ckpt.config.get("feature_l2norm", False)  # checkpoints made outside `mlcap train` may lack it
     if not isinstance(l2norm, bool):
         raise CheckpointError(f"{args.ckpt}: config.feature_l2norm must be true or false, got {l2norm!r}")
-    params = model_from_checkpoint(ckpt)
-    vocab = ckpt.vocab
+    params, vocab = ckpt.params, ckpt.vocab
     try:
         vocab.start_id(args.lang)
     except ValueError as exc:

@@ -249,12 +249,12 @@ class Checkpoint:
 
 
 def checkpoint_from_model(params: ModelParams, vocab: Vocabulary, config: dict, epoch: int) -> Checkpoint:
-    """A checkpoint holding ``params`` itself; save it before the arrays change."""
+    """A checkpoint holding ``params`` itself; kept only because ``perfbench/`` calls it (ROADMAP item 1a)."""
     return Checkpoint(params, vocab, dict(config), int(epoch))
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> ModelParams:
-    """The checkpoint's own ``ModelParams``, not a copy."""
+    """The checkpoint's own ``ModelParams``; kept only because ``perfbench/`` calls it (ROADMAP item 1a)."""
     return ckpt.params
 
 

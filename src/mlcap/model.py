@@ -13,11 +13,11 @@ teacher-forced recurrence as ``autodiff.lstm_sequence``; decoding steps the
 same cell (``lstm_cell``) here, on a decode state that is the ``(h, c)``
 pair of [rows,H] arrays: ``project_features`` gives each image's first
 input row, ``advance_state`` advances a block of rows, one per sequence,
-``step_rows`` advances them and scores the next id, and
-``step_distribution`` is its one-row form. Decoding never runs a 1-row
-matmul, which rounds differently from a row inside a block: these functions
-run a lone row as a 2-row block, so a row decodes to the same bits whatever
-block it sits in.
+and ``step_rows`` advances them and scores the next id. Its one-row form
+``step_distribution`` is kept only because ``perfbench/`` calls it; it goes
+with ROADMAP item 1a. Decoding never runs a 1-row matmul, which rounds
+differently from a row inside a block: these functions run a lone row as a
+2-row block, so a row decodes to the same bits whatever block it sits in.
 """
 
 from __future__ import annotations
@@ -129,11 +129,11 @@ def step_rows(x_rows: np.ndarray, state, params: ModelParams) -> tuple[tuple[np.
 
 
 def step_distribution(state, token_or_feature, params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """Advance one decode step and return log-probabilities for the next id.
+    """``step_rows`` on one row, for a token id (embedded) or a 1-D feature (projected).
 
-    The input is either an integer token id (embedded) or a 1-D feature
-    vector (projected). The state is one ``(h, c)`` pair of [1,H] rows and the returned
-    log-probabilities are a 1-D [V] array: ``step_rows`` on one row.
+    The state is one ``(h, c)`` pair of [1,H] rows and the log-probabilities
+    are a 1-D [V] array. Kept only because ``perfbench/`` calls it; it goes
+    with ROADMAP item 1a. No decode runs it, and the tests step ``step_rows``.
     """
     if isinstance(token_or_feature, (int, np.integer)):
         tok = int(token_or_feature)

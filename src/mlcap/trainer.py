@@ -75,7 +75,7 @@ class TrainConfig:
     batch_size: int = 128
     hidden: int = 512
     embed: int = 512
-    beam: int = BeamConfig.width
+    beam: int = BeamConfig.width  # no decode reads it; kept only because perfbench/ passes it, until ROADMAP item 1a
     val_beam: int = 1
     max_len: int = BeamConfig.max_len
     seed: int = 42
@@ -398,7 +398,7 @@ def decode_images(
 def generate_caption(
     params: ModelParams, vocab: Vocabulary, feature, language: str, width: int, max_len: int
 ) -> list[str]:
-    """Decode one image in one language: ``decode_images`` on one row."""
+    """``decode_images`` on one row, kept only because ``perfbench/`` calls it; it goes with ROADMAP item 1a."""
     return decode_images(params, vocab, [feature], language, width, max_len)[0]
 
 

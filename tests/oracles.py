@@ -4,7 +4,8 @@ only as test oracles.
 Written independently of the library code, favoring obviousness over speed:
 explicit loops, plain dicts, no shared helpers. ``forward_sequence`` restates
 the decoder in plain numpy; the decoders share only the model's
-``step_distribution`` with the library, since that is what they search over.
+``project_features``, ``advance_state`` and ``step_rows`` with the library,
+since that is what they search over, and step one hypothesis per call.
 ``reference_score`` differs in purpose: it is the per-sentence ``Counter``
 form of the metric table, with the same rounding, so it checks exactness;
 ``textbook_adam_step`` likewise rounds once per textbook operation, and
@@ -25,7 +26,7 @@ import numpy as np
 from mlcap import trainer
 from mlcap.autodiff import NonFiniteError
 from mlcap.metrics import MetricReport
-from mlcap.model import step_distribution, zero_state
+from mlcap.model import advance_state, project_features, step_rows, zero_state
 from mlcap.trainer import Batch
 from mlcap.vocab import EOS_ID, PAD_ID
 
@@ -149,21 +150,22 @@ def row_loop_batch(examples):
 
 
 def batch_loop_epoch(examples, params, adam, config, rng):
-    """``train_epoch`` with each shuffled batch built by ``make_batch`` from its own examples.
-
-    The plain per-batch loop: the same shuffle, then ``make_batch`` ->
-    ``sequence_loss`` -> ``adam_step`` batch by batch.
-    """
+    """``train_epoch`` restated: the same shuffle, then per batch ``row_loop_batch``
+    -> ``sequence_loss`` -> ``textbook_adam_step``, written back into ``params``."""
     order = rng.permutation(len(examples))
     nll_sum = 0.0
     token_sum = 0
     for lo in range(0, len(order), config.batch_size):
-        batch = trainer.make_batch([examples[i] for i in order[lo : lo + config.batch_size]])
+        batch = row_loop_batch([examples[i] for i in order[lo : lo + config.batch_size]])
         loss, grads = trainer.sequence_loss(batch, params, config.loss_mode)
         if config.clip:
             trainer.clip_gradients(grads)
-        trainer.adam_step(params, grads, adam)
-        n = batch.token_count
+        adam.t += 1
+        arrays = dict(params.named_parameters())
+        textbook_adam_step(arrays, grads, adam.m, adam.v, adam.t)
+        for name, array in arrays.items():
+            setattr(params, name, array)
+        n = int(batch.mask.sum())
         nll_sum += loss * (n if config.loss_mode == "mean" else 1.0)
         token_sum += n
     return nll_sum / token_sum
@@ -512,10 +514,30 @@ def emittable_ids(vocab_size, exclude_ids):
     return [t for t in range(vocab_size) if t not in set(int(i) for i in exclude_ids)]
 
 
-def _root(feature, start_id, params):
-    state, _ = step_distribution(zero_state(params), np.asarray(feature, dtype=np.float64), params)
-    state, logp = step_distribution(state, int(start_id), params)
-    return _Hyp((), 0.0, state, logp)
+def decode_step(state, tok, params):
+    """One hypothesis fed ``tok``: its next state and its next-id log-probabilities [V]."""
+    state, logp = step_rows(params.w_embed[[tok]], state, params)
+    return state, logp[0]
+
+
+def decode_start(feature, start_id, params):
+    """The state after the image step and the start token, and the first distribution."""
+    image = project_features(np.asarray(feature, dtype=np.float64)[None, :], params)
+    return decode_step(advance_state(image, zero_state(params), params), int(start_id), params)
+
+
+def greedy_decode(feature, start_id, params, max_len, exclude_ids=(PAD_ID,)):
+    """Argmax at every step, lowest id on ties, as (ids, summed logprob)."""
+    emittable = emittable_ids(params.dims.vocab, exclude_ids)
+    state, logp = decode_start(feature, start_id, params)
+    ids, total = [], 0.0
+    while True:
+        tok = min(emittable, key=lambda i: (-logp[i], i))
+        ids.append(tok)
+        total += float(logp[tok])
+        if tok == EOS_ID or len(ids) >= max_len:
+            return ids, total
+        state, logp = decode_step(state, tok, params)
 
 
 def per_image_top(candidates, rank, width):
@@ -541,7 +563,7 @@ def reference_beam_search(feature, start_id, params, config):
     candidates and sorts them by the tie rule on the full id tuples.
     """
     emittable = emittable_ids(params.dims.vocab, config.exclude_ids)
-    live = [_root(feature, start_id, params)]
+    live = [_Hyp((), 0.0, *decode_start(feature, start_id, params))]
     finished = []
     while live:
         candidates = []
@@ -555,7 +577,7 @@ def reference_beam_search(feature, start_id, params, config):
             if tok == EOS_ID or len(ids) >= config.max_len:
                 finished.append((ids, logprob))
             else:
-                state, logp = step_distribution(hyp.state, tok, params)
+                state, logp = decode_step(hyp.state, tok, params)
                 live.append(_Hyp(ids, logprob, state, logp))
 
     def rank_key(item):
@@ -582,7 +604,7 @@ def exhaustive_decode(feature, start_id, params, max_len, exclude_ids=(PAD_ID,))
         )
     emittable = emittable_ids(params.dims.vocab, exclude_ids)
     best_ids, best_logprob = None, -math.inf
-    stack = [_root(feature, start_id, params)]
+    stack = [_Hyp((), 0.0, *decode_start(feature, start_id, params))]
     while stack:
         hyp = stack.pop()
         for tok in emittable:
@@ -592,6 +614,6 @@ def exhaustive_decode(feature, start_id, params, max_len, exclude_ids=(PAD_ID,))
                 if best_ids is None or _sort_key(logprob, ids) < _sort_key(best_logprob, best_ids):
                     best_ids, best_logprob = ids, logprob
             else:
-                state, logp = step_distribution(hyp.state, tok, params)
+                state, logp = decode_step(hyp.state, tok, params)
                 stack.append(_Hyp(ids, logprob, state, logp))
     return list(best_ids), best_logprob

@@ -12,31 +12,30 @@ import pytest
 
 from mlcap import trainer
 from mlcap.gradcheck import gradient_check, reference_sequence_check
-from mlcap.beam import BeamConfig, beam_search
+from mlcap.beam import BeamConfig, beam_block
 from mlcap.cli import main as cli_main
 from mlcap.data import (
-    checkpoint_from_model,
+    Checkpoint,
     load_checkpoint,
-    model_from_checkpoint,
     save_checkpoint,
     split_dataset,
     synth_generate,
 )
 from mlcap.metrics import CorpusEval, cider, evaluate_corpus
-from mlcap.model import Dims, init_params, step_distribution, zero_state
+from mlcap.model import Dims, init_params
 from mlcap.rng import substream
 from mlcap.trainer import (
     AdamState,
     TrainConfig,
     adam_step,
+    decode_images,
     examples_from_records,
-    generate_caption,
     make_batch,
     run_training,
     sequence_loss,
 )
-from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from oracles import exhaustive_decode, forward_sequence, naive_bleu, naive_cider, random_corpus
+from mlcap.vocab import build_vocab
+from oracles import exhaustive_decode, forward_sequence, greedy_decode, naive_bleu, naive_cider, random_corpus
 from tinymodels import prefix_free_params, random_params
 
 
@@ -68,14 +67,8 @@ def bilingual():
         return run_training(split, config)
 
     def decode(result, lang):
-        pairs = []
-        for rec in split.test:
-            tokens = generate_caption(
-                result.params, result.vocab, rec.feature, lang, width=5, max_len=30
-            )
-            refs = [c.tokens for c in rec.captions if c.language == lang]
-            pairs.append((tokens, refs))
-        return pairs
+        cands = decode_images(result.params, result.vocab, [rec.feature for rec in split.test], lang, 5, 30)
+        return [(cand, [c.tokens for c in rec.captions if c.language == lang]) for cand, rec in zip(cands, split.test)]
 
     started = time.perf_counter()
     unified = train(None)
@@ -102,19 +95,7 @@ class TestGradientSuite:
 
 
 class TestBeamOracle:
-    @staticmethod
-    def _greedy(feature, start_id, params, config):
-        emittable = [i for i in range(params.dims.vocab) if i not in config.exclude_ids]
-        state, _ = step_distribution(zero_state(params), feature, params)
-        state, logp = step_distribution(state, start_id, params)
-        ids, total = [], 0.0
-        while True:
-            best = min(emittable, key=lambda i: (-logp[i], i))
-            ids.append(best)
-            total += float(logp[best])
-            if best == EOS_ID or len(ids) >= config.max_len:
-                return ids, total
-            state, logp = step_distribution(state, best, params)
+    """One-image ``beam_block`` decodes, the decoder ``mlcap caption`` runs."""
 
     def test_saturated_beam_equals_exhaustive_and_width_one_equals_greedy(self, capsys):
         started = time.perf_counter()
@@ -125,13 +106,13 @@ class TestBeamOracle:
             params = random_params(vocab=4, embed=3, hidden=4, feature=2, seed=seed)
             feature = np.random.default_rng(1000 + seed).normal(size=2)
             config = BeamConfig(width=4 ** max_len, max_len=max_len)
-            top = beam_search(feature, 3, params, config)[0]
+            top = beam_block(feature[None], 3, params, config)[0][0]
             exact = exhaustive_decode(feature, 3, params, max_len)
             if top[0] != exact[0] or top[1] != exact[1]:
                 worst = f"seed {seed}: beam {top} != exhaustive {exact}"
                 break
-            single = beam_search(feature, 3, params, BeamConfig(width=1, max_len=max_len))[0]
-            greedy = self._greedy(feature, 3, params, config)
+            single = beam_block(feature[None], 3, params, BeamConfig(width=1, max_len=max_len))[0][0]
+            greedy = greedy_decode(feature, 3, params, max_len, config.exclude_ids)
             if single[0] != greedy[0] or abs(single[1] - greedy[1]) > 1e-12:
                 worst = f"seed {seed}: width-1 {single} != greedy {greedy}"
                 break
@@ -249,12 +230,9 @@ class TestDeterminismAndPersistence:
         )
 
         ckpt = load_checkpoint(tmp_path / "a" / "best.ckpt")
-        params = model_from_checkpoint(ckpt)
-        save_checkpoint(
-            tmp_path / "again.ckpt",
-            checkpoint_from_model(params, ckpt.vocab, ckpt.config, ckpt.epoch),
-        )
-        reloaded = model_from_checkpoint(load_checkpoint(tmp_path / "again.ckpt"))
+        params = ckpt.params
+        save_checkpoint(tmp_path / "again.ckpt", Checkpoint(params, ckpt.vocab, ckpt.config, ckpt.epoch))
+        reloaded = load_checkpoint(tmp_path / "again.ckpt").params
         vocab = ckpt.vocab
         bit_exact = True
         for rec in synth_generate(5, substream(12, "synth"), ["en", "jp"]):

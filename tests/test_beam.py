@@ -12,38 +12,27 @@ from hypothesis import strategies as st
 from mlcap import autodiff as ad
 from mlcap.beam import BeamConfig, _barred_ids, _top, beam_block, beam_search
 from mlcap import trainer
-from mlcap.model import step_distribution, zero_state
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from oracles import emittable_ids, exhaustive_decode, per_image_top, reference_beam_search
+from oracles import (
+    decode_start,
+    decode_step,
+    emittable_ids,
+    exhaustive_decode,
+    greedy_decode,
+    per_image_top,
+    reference_beam_search,
+)
 from tinymodels import NEG_BIG, prefix_free_params, random_params, toy_distribution, wide_params
 
 A, B = 3, 4  # surface ids in the toy five-token table (pad, unk, eos, a, b)
 
 
-def greedy_decode(feature, start_id, params, max_len, exclude_ids=(PAD_ID,)):
-    """Reference greedy decoder: argmax at every step, lowest id on ties."""
-    state, _ = step_distribution(zero_state(params), feature, params)
-    state, logp = step_distribution(state, start_id, params)
-    banned = list(exclude_ids)
-    ids, total = [], 0.0
-    while True:
-        scores = logp.copy()
-        scores[banned] = -np.inf
-        tok = int(np.argmax(scores))
-        ids.append(tok)
-        total += float(logp[tok])
-        if tok == EOS_ID or len(ids) >= max_len:
-            return ids, total
-        state, logp = step_distribution(state, tok, params)
-
-
 def replay_logprob(feature, start_id, params, ids):
-    state, _ = step_distribution(zero_state(params), feature, params)
-    state, logp = step_distribution(state, start_id, params)
+    state, logp = decode_start(feature, start_id, params)
     total = 0.0
     for tok in ids:
         total = total + float(logp[tok])
-        state, logp = step_distribution(state, tok, params)
+        state, logp = decode_step(state, tok, params)
     return total
 
 
@@ -170,14 +159,17 @@ class TestEmittableIds:
         assert _barred_ids(4, (-1, 0, 4, 2**70)).tolist() == [0]
 
 
-class TestAgainstReferenceDecoders:
+class ReferenceCases:
+    """``decode`` against greedy, full enumeration, replay and the tuple-sort reference.
+    Hypothesis ties a ``@given`` test to one class, so each subclass wraps the property."""
+
     @pytest.mark.parametrize("seed", range(6))
     def test_width_one_equals_greedy(self, seed):
         params = random_params(vocab=6, embed=3, hidden=4, feature=2, seed=seed)
         rng = np.random.default_rng(100 + seed)
         feature = rng.normal(size=params.dims.feature)
         start = 3
-        results = beam_search(feature, start, params, BeamConfig(width=1, max_len=4))
+        results = self.decode(feature, start, params, BeamConfig(width=1, max_len=4))
         greedy_ids, greedy_lp = greedy_decode(feature, start, params, max_len=4)
         assert results[0][0] == greedy_ids
         npt.assert_allclose(results[0][1], greedy_lp, atol=1e-12)
@@ -190,7 +182,7 @@ class TestAgainstReferenceDecoders:
         start = 3
         max_len = 3
         width = params.dims.vocab**max_len
-        beam_ids, beam_lp = beam_search(feature, start, params, BeamConfig(width=width, max_len=max_len))[0]
+        beam_ids, beam_lp = self.decode(feature, start, params, BeamConfig(width=width, max_len=max_len))[0]
         exact_ids, exact_lp = exhaustive_decode(feature, start, params, max_len)
         assert beam_ids == exact_ids
         assert beam_lp == exact_lp
@@ -200,12 +192,10 @@ class TestAgainstReferenceDecoders:
         params = random_params(vocab=7, embed=3, hidden=4, feature=3, seed=300 + seed)
         rng = np.random.default_rng(seed)
         feature = rng.normal(size=params.dims.feature)
-        for ids, logprob in beam_search(feature, 3, params, BeamConfig(width=3, max_len=5)):
+        for ids, logprob in self.decode(feature, 3, params, BeamConfig(width=3, max_len=5)):
             npt.assert_allclose(replay_logprob(feature, 3, params, ids), logprob, atol=1e-12)
 
-    @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_tuple_sort_reference(self, data):
+    def matches_tuple_sort_reference(self, data):
         vocab = data.draw(st.integers(3, 8), label="vocab")
         kind = data.draw(st.sampled_from(["random", "flat", "prefix-free"]), label="model")
         if kind == "prefix-free":
@@ -228,16 +218,38 @@ class TestAgainstReferenceDecoders:
         )
         feature = np.linspace(-1.0, 1.0, params.dims.feature)
         start = data.draw(st.integers(0, vocab - 1), label="start")
-        assert beam_search(feature, start, params, config) == reference_beam_search(
+        assert self.decode(feature, start, params, config) == reference_beam_search(
             feature, start, params, config
         )
 
     def test_decode_is_deterministic(self):
         params = random_params(seed=77)
         feature = np.linspace(-1, 1, params.dims.feature)
-        first = beam_search(feature, 3, params, BeamConfig(width=3, max_len=6))
-        second = beam_search(feature, 3, params, BeamConfig(width=3, max_len=6))
+        first = self.decode(feature, 3, params, BeamConfig(width=3, max_len=6))
+        second = self.decode(feature, 3, params, BeamConfig(width=3, max_len=6))
         assert first == second
+
+
+class TestAgainstReferenceDecoders(ReferenceCases):
+    """The reference checks on scalar ``beam_search``."""
+
+    decode = staticmethod(beam_search)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_sort_reference(self, data):
+        self.matches_tuple_sort_reference(data)
+
+
+class TestAgainstReferenceDecodersBlock(ReferenceCases):
+    """The reference checks on a one-image ``beam_block``."""
+
+    decode = staticmethod(one_image_block)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_tuple_sort_reference(self, data):
+        self.matches_tuple_sort_reference(data)
 
 
 def draw_model(data, vocab):
@@ -301,7 +313,7 @@ class TestGreedyBlock:
         block = width_one_ids(features, start, params, config)
         assert len(block) == len(features)
         for row, ids in zip(features, block):
-            assert ids == beam_search(row, start, params, config)[0][0]
+            assert ids == reference_beam_search(row, start, params, config)[0][0]
             assert ids == greedy_decode(row, start, params, config.max_len, config.exclude_ids)[0]
         return block
 
@@ -354,7 +366,7 @@ class TestGreedyBlock:
 
 
 class TestBeamBlock:
-    """``beam_block`` decodes a block of images as ``beam_search`` decodes each alone."""
+    """``beam_block`` decodes a block of images as the reference beam decodes each alone."""
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -377,7 +389,6 @@ class TestBeamBlock:
         block = beam_block(features, start, params, config)
         assert len(block) == images
         for feature, ranked in zip(features, block):
-            assert ranked == beam_search(feature, start, params, config)
             assert ranked == reference_beam_search(feature, start, params, config)
 
     @settings(max_examples=40, deadline=None)
@@ -428,7 +439,7 @@ class TestBeamBlock:
         params = prefix_free_params(log_weights)
         config = BeamConfig(width=width, max_len=max_len)
         features = np.zeros((3, params.dims.feature))
-        expected = beam_search(features[0], 1, params, config)
+        expected = reference_beam_search(features[0], 1, params, config)
         assert beam_block(features, 1, params, config) == [expected] * 3
 
     def test_images_finish_on_different_steps(self):
@@ -437,7 +448,7 @@ class TestBeamBlock:
         features = np.random.default_rng(10).normal(scale=2.0, size=(8, params.dims.feature))
         config = BeamConfig(width=3, max_len=6)
         block = beam_block(features, 3, params, config)
-        assert block == [beam_search(feature, 3, params, config) for feature in features]
+        assert block == [reference_beam_search(feature, 3, params, config) for feature in features]
         assert len({len(ranked[0][0]) for ranked in block}) >= 3
 
     def test_non_finite_row_names_its_step(self):

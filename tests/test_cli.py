@@ -13,16 +13,16 @@ from mlcap.trainer import TrainConfig
 from mlcap.cli import EXIT_DATA, EXIT_DIVERGED, EXIT_GRADCHECK, EXIT_OK, EXIT_USAGE, main
 from mlcap.data import (
     Caption,
+    Checkpoint,
     ImageRecord,
     load_checkpoint,
     load_dataset,
-    model_from_checkpoint,
     save_checkpoint,
     save_dataset,
 )
-from mlcap.vocab import EOS_ID
+from mlcap.vocab import EOS_ID, build_vocab
 from oracles import forward_sequence
-from tinymodels import break_surface_tokens, claim_dims, rewrite_checkpoint_header
+from tinymodels import NEG_BIG, break_surface_tokens, claim_dims, prefix_free_params, rewrite_checkpoint_header
 
 
 @pytest.fixture(scope="module")
@@ -200,7 +200,7 @@ class TestTrain:
 
     def test_checkpoint_restores_a_working_model(self, workdir):
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
-        params = model_from_checkpoint(ckpt)
+        params = ckpt.params
         feature = np.zeros(params.dims.feature)
         trace = forward_sequence(feature, (EOS_ID,), ckpt.vocab.start_id("en"), params)
         assert len(trace.distributions) == 1
@@ -360,6 +360,27 @@ class TestCaption:
         assert len(lines) == 40
         ids = [line.split("\t", 1)[0] for line in lines]
         assert ids == [r.image_id for r in load_dataset(workdir["data"])]
+
+    def test_length_norm_reaches_the_decoder(self, workdir, tmp_path):
+        # p(eos) = .45 and p(a) = .55 at every step: at --max-len 2 the raw sums rank
+        # [eos], the empty caption, first, and the per-token means rank [a, a] first
+        records = load_dataset(workdir["data"])
+        features = [r.feature for r in records]
+        vocab = build_vocab([("en", ("a",))], min_count=1)
+        params = prefix_free_params([NEG_BIG, NEG_BIG, np.log(0.45), NEG_BIG, np.log(0.55)], feature=features[0].size)
+        save_checkpoint(tmp_path / "flat.ckpt", Checkpoint(params, vocab, {}, 0))
+        out = tmp_path / "cap.tsv"
+        code = main(
+            [
+                "caption", "--ckpt", str(tmp_path / "flat.ckpt"), "--data", str(workdir["data"]),
+                "--out", str(out), "--lang", "en", "--beam", "2", "--max-len", "2", "--length-norm",
+            ]
+        )
+        assert code == EXIT_OK
+        normed = trainer.decode_images(params, vocab, features, "en", 2, 2, length_norm=True)
+        assert normed == [["a", "a"]] * 40 and trainer.decode_images(params, vocab, features, "en", 2, 2) == [[]] * 40
+        assert out.read_text() == "".join(f"{r.image_id}\t{' '.join(tokens)}\n" for r, tokens in zip(records, normed))
+        assert json.loads((tmp_path / "cap.tsv.manifest.json").read_text())["options"]["length_norm"] is True
 
     def test_unknown_language_is_usage_error(self, workdir, tmp_path):
         code = main(

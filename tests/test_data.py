@@ -14,6 +14,7 @@ from hypothesis.extra.numpy import arrays
 
 from mlcap.data import (
     Caption,
+    Checkpoint,
     CheckpointError,
     DatasetError,
     ImageRecord,
@@ -306,7 +307,7 @@ class TestCheckpoint:
         vocab = build_vocab(corpus, min_count=1)
         params = random_params(vocab=len(vocab), seed=13)
         config = {"epochs": 2, "seed": 42, "languages": ["en", "jp"]}
-        ckpt = checkpoint_from_model(params, vocab, config, epoch=1)
+        ckpt = Checkpoint(params, vocab, config, epoch=1)
         path = tmp_path / "model.ckpt"
         save_checkpoint(path, ckpt)
         return params, vocab, config, path
@@ -317,7 +318,7 @@ class TestCheckpoint:
         assert loaded.epoch == 1 and loaded.config == config
         assert (loaded.vocab.id_to_token, loaded.vocab.languages) == (vocab.id_to_token, vocab.languages)
         assert loaded.params.dims == params.dims
-        rebuilt = model_from_checkpoint(loaded)
+        rebuilt = loaded.params
         for (name, array), (_, back) in zip(params.named_parameters(), rebuilt.named_parameters()):
             assert back.dtype == np.float64 and back.tobytes() == array.tobytes(), name
         feature = np.ones(params.dims.feature)
@@ -339,11 +340,11 @@ class TestCheckpoint:
         params = ModelParams(dims, **drawn)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "model.ckpt"
-            save_checkpoint(path, checkpoint_from_model(params, vocab, {"seed": 1}, epoch))
+            save_checkpoint(path, Checkpoint(params, vocab, {"seed": 1}, epoch))
             loaded = load_checkpoint(path)
         assert (loaded.params.dims, loaded.config, loaded.epoch) == (params.dims, {"seed": 1}, epoch)
         assert (loaded.vocab.id_to_token, loaded.vocab.languages) == (vocab.id_to_token, vocab.languages)
-        for name, array in model_from_checkpoint(loaded).named_parameters():
+        for name, array in loaded.params.named_parameters():
             assert array.tobytes() == drawn[name].tobytes(), name
 
     def test_checkpoint_holds_the_given_arrays(self):
@@ -364,7 +365,7 @@ class TestCheckpoint:
         # an object array cannot be written as float64: the save raises mid-file
         broken = ModelParams(**{**vars(params), "w_out": np.full(params.w_out.shape, object(), dtype=object)})
         with pytest.raises(TypeError):
-            save_checkpoint(path, checkpoint_from_model(broken, vocab, config, epoch=2))
+            save_checkpoint(path, Checkpoint(broken, vocab, config, epoch=2))
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 

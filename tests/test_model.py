@@ -168,18 +168,17 @@ class TestForwardSequence:
             npt.assert_allclose(dist.sum(), 1.0, atol=1e-12)
         assert trace.final_state[0].shape == (1, p.dims.hidden)
 
-    def test_matches_step_distribution_composition(self):
+    def test_matches_step_rows_composition(self):
         p = random_params(seed=5)
         ids = (5, 4, 4, 2)
         feature = np.linspace(-1.0, 1.0, p.dims.feature)
         start = 3
         trace = forward_sequence(feature, ids, start, p)
-        state = zero_state(p)
-        state, _ = step_distribution(state, feature, p)
+        state = advance_state(project_features(feature[None, :], p), zero_state(p), p)
         composed = []
         for tok in (start,) + ids[:-1]:
-            state, logp = step_distribution(state, tok, p)
-            composed.append(np.exp(logp))
+            state, logp = step_rows(p.w_embed[[tok]], state, p)
+            composed.append(np.exp(logp[0]))
         assert state[0].shape == (1, p.dims.hidden)
         for traced, stepped in zip(trace.distributions, composed):
             npt.assert_allclose(traced, stepped, atol=1e-12)

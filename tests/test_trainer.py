@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
 from mlcap import trainer
-from mlcap.beam import BeamConfig, beam_search
+from mlcap.beam import BeamConfig
 from mlcap.data import Caption, l2_normalize_records, split_dataset, synth_generate
 from mlcap.gradcheck import gradient_check
 from mlcap.metrics import CorpusEval, cider
@@ -24,6 +24,7 @@ from oracles import (
     forward_sequence,
     full_partial_head,
     gates_list_lstm_sequence,
+    reference_beam_search,
     row_loop_batch,
     separate_coefficients_lstm_sequence,
     textbook_adam_step,
@@ -37,7 +38,6 @@ from mlcap.trainer import (
     adam_step,
     clip_gradients,
     examples_from_records,
-    generate_caption,
     make_batch,
     run_training,
     sequence_loss,
@@ -439,8 +439,8 @@ class TestTrainEpoch:
     )
     def test_epoch_equals_the_batch_loop(self, longest, extra, batch_size, loss_mode, clip, seed):
         # every length 1..longest, both languages' start ids and a short last
-        # batch: the epoch's batches train the bytes the per-batch make_batch
-        # loop trains, in the parameters and both Adam moments
+        # batch: the epoch trains the bytes that the restated loop (row-loop
+        # batches, textbook Adam) trains, in the parameters and both Adam moments
         rng = np.random.default_rng(seed)
         lengths = list(range(1, longest + 1)) + [min(n, longest) for n in extra]
         if len(lengths) % batch_size == 0:
@@ -617,13 +617,11 @@ class TestRunTraining:
 
 
 class TestDecodeHelpers:
-    def test_generate_caption_returns_surface_tokens(self):
+    def test_decode_images_returns_surface_tokens(self):
         result = run_training(
             TestRunTraining().small_split(), TestRunTraining().small_config(epochs=1)
         )
-        tokens = generate_caption(
-            result.params, result.vocab, np.ones(16), "en", width=2, max_len=6
-        )
+        [tokens] = trainer.decode_images(result.params, result.vocab, [np.ones(16)], "en", 2, 6)
         for tok in tokens:
             assert not tok.startswith("<") or tok == "<unk>"
 
@@ -640,7 +638,7 @@ class TestDecodeHelpers:
             for rec in records:
                 refs = [c.tokens for c in rec.captions if c.language == lang]
                 if refs:
-                    cand = generate_caption(result.params, result.vocab, rec.feature, lang, width, 8)
+                    [cand] = trainer.decode_images(result.params, result.vocab, [rec.feature], lang, width, 8)
                     pairs.append((cand, refs))
             per_language.append(cider(CorpusEval.from_pairs(pairs)))
         expected = math.fsum(per_language) / 2
@@ -661,7 +659,7 @@ class TestDecodeHelpers:
         features = np.random.default_rng(n).normal(scale=2.0, size=(n, params.dims.feature))
         decoded = trainer.decode_images(params, vocab, features, "jp", 1, 6)
         config = BeamConfig(width=1, max_len=6, exclude_ids=(PAD_ID,) + vocab.start_ids)
-        expected = [beam_search(f, vocab.start_id("jp"), params, config) for f in features]
+        expected = [reference_beam_search(f, vocab.start_id("jp"), params, config) for f in features]
         assert [ranked for block in blocks for ranked in block] == expected
         assert decoded == [vocab.decode(ranked[0][0]) for ranked in expected]
         heights = sorted(len(block) for block in blocks)
@@ -682,7 +680,7 @@ class TestDecodeHelpers:
         features = np.random.default_rng(n).normal(scale=2.0, size=(n, params.dims.feature))
         decoded = trainer.decode_images(params, vocab, features, "jp", 3, 6)
         config = BeamConfig(width=3, max_len=6, exclude_ids=(PAD_ID,) + vocab.start_ids)
-        expected = [beam_search(f, vocab.start_id("jp"), params, config) for f in features]
+        expected = [reference_beam_search(f, vocab.start_id("jp"), params, config) for f in features]
         assert [ranked for block in blocks for ranked in block] == expected
         assert decoded == [vocab.decode(ranked[0][0]) for ranked in expected]
         heights = sorted(len(block) for block in blocks)
