@@ -31,7 +31,7 @@ class NonFiniteError(ValueError):
     """A computation met NaN or infinite values where it needs finite ones."""
 
 
-def _stable_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _stable_sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
     # exp(min(x, 0)) is 1 for x >= 0 and exp(-|x|) below, so neither exp overflows;
     # each of the two temporaries is written over by the rest of its chain
     denominator = np.abs(x)

@@ -11,17 +11,8 @@ optional ranking flag asks for it. Width 1 is greedy decoding.
 
 Selection is vectorized but exact. Each step adds each live hypothesis's
 score to its next-token log-probabilities, in place, so every candidate
-score is the same float64 sum a scalar loop would form. The [L, V] result
-keeps a column per token id, with the barred ids' columns set to -inf
-rather than the emittable columns gathered out. ``_top`` holds the tie rule and
-selects every image's survivors at once: ``np.partition`` cuts each row at
-its own ``width``-th largest score, every candidate scoring at least its
-row's cut is kept, so exact ties at the boundary all survive, and one
-``lexsort`` orders the kept candidates by (image, -score, parent's lexical
-rank, token id). An image's top ``width`` candidates all lie at or above
-their own rows' cuts. All live hypotheses have the same length at a given
-step, so that order is the order of the full id tuples, and each image's
-first ``width`` are exactly the candidates the tie rule selects.
+score is the same float64 sum a scalar loop would form, and ``_top`` applies
+the tie rule to every image's candidates at once.
 
 ``beam_block`` decodes a block of images at once, as in the batched decoder
 of Show and Tell (Vinyals et al., arXiv 1411.4555): one ``step_rows`` call
@@ -107,35 +98,39 @@ def _candidates(scores: np.ndarray, logp: np.ndarray, barred: np.ndarray, step: 
     return logp
 
 
-def _top(
-    candidates: np.ndarray, image: np.ndarray, rank: np.ndarray, width: int, emittable: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """(row, column) of each image's top ``width`` candidates, image by image, best first.
+def _top(candidates: np.ndarray, image: np.ndarray, width: int, emittable: int) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) of each image's top ``width`` candidates, in row-major order.
 
     ``image`` [L] gives each row's image; an image's rows are contiguous and
-    ``image`` never decreases. ``rank`` orders an image's rows lexically.
-    ``emittable`` columns of each row are finite and the rest are -inf, so
-    a row keeps at most that many. The tie rule lives here alone: higher
-    score first, then the parent's rank, then the token id (the column).
+    in lexical order of their ids, and ``image`` never decreases.
+    ``emittable`` columns of each row are finite and the rest are -inf.
+    ``np.partition`` cuts each row at its own ``min(width, emittable)``-th
+    largest score and keeps every candidate at or above the cut, ties
+    included; an image's top ``width`` all lie there. The kept cells come in
+    (row, column) order, the lexical order of their id tuples, as every live
+    row has the same length; so one stable sort on (image, -score) puts them
+    in tie-rule order, and each image keeps its first ``width``. Row-major
+    order is also the lexical order of the survivors' new ids.
     """
     k = candidates.shape[1]
     keep = min(width, emittable)
     cut = np.partition(candidates, k - keep, axis=1)[:, k - keep]
     kept = np.flatnonzero(candidates >= cut[:, None])  # 2-D np.nonzero is several times slower
-    row, column = np.divmod(kept, k)
-    order = np.lexsort((column, rank[row], -candidates.ravel()[kept], image[row]))
-    row, column, owner = row[order], column[order], image[row[order]]
-    first = np.arange(owner.size) - np.searchsorted(owner, owner) < width
-    return row[first], column[first]
+    owner = image[kept // k]  # already sorted, as ``kept`` and ``image`` are
+    order = np.lexsort((-candidates.ravel()[kept], owner))
+    chosen = np.zeros(kept.size, dtype=bool)
+    chosen[order[np.arange(order.size) - np.searchsorted(owner, owner) < width]] = True
+    return np.divmod(kept[chosen], k)
 
 
 def _select(live: list[Hypothesis], barred: np.ndarray, width: int, step: int):
-    """The top ``width`` (logprob, parent, token) extensions of ``live``; ``barred`` ids are never emitted."""
+    """The top ``width`` (logprob, parent, token) extensions of ``live``; ``barred`` ids are never emitted.
+
+    ``live`` is in lexical order of its ids, and so are the extensions.
+    """
     scores = np.array([h.logprob for h in live])
     candidates = _candidates(scores, np.stack([h.next_logp for h in live]), barred, step)
-    rank = np.empty(len(live), dtype=np.int64)
-    rank[sorted(range(len(live)), key=lambda i: live[i].ids)] = np.arange(len(live))
-    parent, column = _top(candidates, np.zeros(len(live), dtype=np.int64), rank, width, candidates.shape[1] - barred.size)
+    parent, column = _top(candidates, np.zeros(len(live), dtype=np.int64), width, candidates.shape[1] - barred.size)
     return [(float(candidates[p, c]), live[p], int(c)) for p, c in zip(parent, column)]
 
 
@@ -183,9 +178,10 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
     Each image keeps its top ``width`` candidates per step, and a finished one
     waits in its image's pool for the final ranking. The beam is held as
     arrays over live rows L: ids [L,t], sums [L], state [L,H] and image [L].
-    An image's rows are contiguous and in lexical order of their ids, so the
-    row index is the rank. Each step is one ``step_rows`` call for every live
-    row, then one ``_top`` call; a non-finite row raises ``ValueError``.
+    An image's rows are contiguous and in lexical order of their ids, the
+    order in which ``_top`` returns them. Each step is one ``step_rows`` call
+    for every live row, then one ``_top`` call; a non-finite row raises
+    ``ValueError``.
     """
     features = np.asarray(features, dtype=np.float64)
     if not 0 <= start_id < params.dims.vocab:
@@ -203,9 +199,7 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
     finished: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in range(n)]
     for step in range(1, config.max_len + 1):
         candidates = _candidates(scores, logp, barred, step)
-        parent, tokens = _top(candidates, image, np.arange(len(image)), config.width, emittable)
-        order = np.lexsort((tokens, parent))  # survivors in lexical order of their ids
-        parent, tokens = parent[order], tokens[order]
+        parent, tokens = _top(candidates, image, config.width, emittable)
         scores, image = candidates[parent, tokens], image[parent]
         ids = np.concatenate([ids[parent], tokens[:, None]], axis=1)
         ended = (tokens == EOS_ID) | (step == config.max_len)

@@ -351,8 +351,9 @@ def train_epoch(
 ) -> float:
     """One shuffled pass; returns the token-weighted mean NLL per token.
 
-    Raises ``DivergenceError`` before any update that a non-finite loss or
-    gradient would poison.
+    Each run of ``batch_size`` shuffled examples goes to ``make_batch`` as it
+    comes, so nothing epoch-sized is built. Raises ``DivergenceError``
+    before any update that a non-finite loss or gradient would poison.
     """
     if not examples:
         raise ValueError("train_epoch: no training examples")

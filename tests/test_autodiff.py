@@ -158,7 +158,7 @@ class TestStableSigmoid:
     def assert_same_bits(x):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = ad._stable_sigmoid(x)
+            got = ad._stable_sigmoid(x, out=np.empty_like(x))
         want = where_sigmoid(x)
         nan = np.isnan(want)
         assert np.array_equal(np.isnan(got), nan)

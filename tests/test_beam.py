@@ -283,16 +283,16 @@ class TestTop:
         barred = data.draw(st.sets(st.integers(0, k - 1), max_size=k - 1), label="barred columns")
         allowed = np.array([c for c in range(k) if c not in barred])
         candidates[:, sorted(barred)] = -np.inf
-        # ended images leave gaps in the image ids; rank is any lexical order of an image's rows
+        # ended images leave gaps in the image ids; each image's rows are in lexical order of their ids
         image = np.repeat(np.cumsum(rng.integers(1, 4, size=len(heights))), heights)
         edges = np.concatenate([[0], np.cumsum(heights)])
-        rank = np.concatenate([rng.permutation(h) for h in heights])
-        row, column = _top(candidates, image, rank, width, allowed.size)
+        row, column = _top(candidates, image, width, allowed.size)
         expected_rows, expected_columns = [], []
         for lo, hi in zip(edges, edges[1:]):
-            parent, col = per_image_top(candidates[lo:hi, allowed], rank[lo:hi], width)
-            expected_rows.append(lo + parent)
-            expected_columns.append(allowed[col])
+            parent, col = per_image_top(candidates[lo:hi, allowed], np.arange(hi - lo), width)
+            order = np.lexsort((col, parent))  # _top returns its cells in (row, column) order
+            expected_rows.append(lo + parent[order])
+            expected_columns.append(allowed[col[order]])
         npt.assert_array_equal(row, np.concatenate(expected_rows))
         npt.assert_array_equal(column, np.concatenate(expected_columns))
 

@@ -154,6 +154,24 @@ class TestBuildVocab:
         assert "tagged.jsonl:1: captions[1] lang 'pad' is reserved" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_lowercase_merges_case_variants(self, tmp_path):
+        # "Cat" and "cat" each occur once: only their lowercased form reaches --min-count 2
+        data = tmp_path / "cased.jsonl"
+        rows = [
+            {"image_id": "i0", "feature": [0.0], "captions": [{"lang": "en", "tokens": ["a", "Cat"]}]},
+            {"image_id": "i1", "feature": [1.0], "captions": [{"lang": "en", "tokens": ["a", "cat"]}]},
+        ]
+        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        tables = {}
+        for name, extra in (("cased", []), ("lowered", ["--lowercase"])):
+            out = tmp_path / f"{name}.tsv"
+            assert main(["build-vocab", "--data", str(data), "--out", str(out), "--min-count", "2", *extra]) == EXIT_OK
+            tables[name] = [line.split("\t")[1] for line in out.read_text().splitlines()]
+        assert not {"Cat", "cat"} & set(tables["cased"])
+        assert "cat" in tables["lowered"]
+        assert not any(ch.isupper() for token in tables["lowered"] for ch in token)
+        assert json.loads((tmp_path / "lowered.tsv.manifest.json").read_text())["options"]["lowercase"] is True
+
     def test_unmatched_language_filter_fails(self, workdir, tmp_path):
         code = main(
             ["build-vocab", "--data", str(workdir["data"]), "--out", str(tmp_path / "v"), "--langs", "xx"]
@@ -360,6 +378,20 @@ class TestCaption:
         assert len(lines) == 40
         ids = [line.split("\t", 1)[0] for line in lines]
         assert ids == [r.image_id for r in load_dataset(workdir["data"])]
+
+    def test_features_is_an_alias_for_data(self, workdir, tmp_path):
+        written = []
+        for flag in ("--data", "--features"):
+            out = tmp_path / f"cap{flag}.tsv"
+            code = main(
+                [
+                    "caption", "--ckpt", str(workdir["run"] / "best.ckpt"), flag, str(workdir["data"]),
+                    "--out", str(out), "--lang", "en", "--beam", "2", "--max-len", "6",
+                ]
+            )
+            assert code == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] and written[1] == written[0]
 
     def test_length_norm_reaches_the_decoder(self, workdir, tmp_path):
         # p(eos) = .45 and p(a) = .55 at every step: at --max-len 2 the raw sums rank

@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from mlcap.data import (
-    Caption,
     Checkpoint,
     CheckpointError,
     DatasetError,
