@@ -4,8 +4,8 @@ Datasets are JSON Lines: one object per image with an ``image_id``, a fixed
 width ``feature`` vector of JSON numbers, and a ``captions`` list of
 ``{lang, tokens}`` objects. An ``image_id`` holds no tab or line break
 (caption output is tab-separated lines); every ``lang`` and token follows
-``vocab.check_language`` and ``vocab.check_tokens``, and so does a
-checkpoint's vocabulary. No string holds a lone surrogate.
+``vocab.check_language`` and ``vocab.check_tokens``, and so does every
+``Vocabulary``, a checkpoint's too. No string holds a lone surrogate.
 Checkpoints are a single binary file: the ``MLCAP1`` magic, an 8-byte
 little-endian header length, a JSON header (dimensions, vocabulary, array
 manifest, training config, epoch), then the raw little-endian float64 array
@@ -317,12 +317,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: format version {header.get('version')!r} unsupported (expected {FORMAT_VERSION})")
         try:
             dims = Dims(**header["dims"])
-            vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["languages"])
-            # captions are written from these tokens, so they follow the dataset's text rules
-            for language in vocab.languages:
-                check_language(language)
-            check_tokens(vocab.id_to_token[vocab.first_surface_id :])
-            "".join(vocab.id_to_token).encode("utf-8")  # a lone surrogate raises, as on a dataset line
+            vocab = Vocabulary(header["vocab"]["tokens"], header["vocab"]["languages"])  # applies the text rules
             manifest = header["arrays"]
             config = header["config"]
             epoch = header["epoch"]

@@ -2,8 +2,8 @@
 
 Each (image, caption, language) pair is an independent training example;
 languages mix freely inside a batch, distinguished only by their start
-token. A batch pads captions to the longest one and masks the padding out
-of the loss, which averages over unmasked target positions by default (an
+token. A batch pads captions to the longest one with the padding id, which
+the loss skips: it averages over the real target positions by default (an
 optional mode keeps the raw sum). Every epoch reshuffles with its own rng
 stream, decodes each language's validation images with ``decode_images``
 (the one decoder entry, shared with ``mlcap caption``) and scores them with
@@ -39,7 +39,7 @@ from .data import DatasetSplit, ImageRecord, corpus_from_records, l2_normalize_r
 from .metrics import CorpusEval, cider
 from .model import Dims, ModelParams, init_params
 from .rng import substream
-from .vocab import PAD_ID, Vocabulary, build_vocab
+from .vocab import PAD_ID, Vocabulary, build_vocab, check_collisions
 
 CLIP_NORM = 5.0
 ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8  # Kingma & Ba; read at each adam_step
@@ -115,16 +115,15 @@ class Example:
 
 @dataclass
 class Batch:
-    """Row-stacked examples padded to a common length with a loss mask."""
+    """Row-stacked examples padded to a common length with ``PAD_ID``."""
 
     features: np.ndarray   # [B, D] float64
     start_ids: np.ndarray  # [B] int64
-    targets: np.ndarray    # [B, T] int64, padded with pad_id
-    mask: np.ndarray       # [B, T] float64, 1 on real target positions
+    targets: np.ndarray    # [B, T] int64, PAD_ID past each caption's eos
 
     @property
     def token_count(self) -> int:
-        return int(round(self.mask.sum()))
+        return int(np.count_nonzero(self.targets != PAD_ID))
 
 
 def examples_from_records(records: Iterable[ImageRecord], vocab: Vocabulary, languages: Sequence[str]) -> list[Example]:
@@ -149,7 +148,7 @@ def make_batch(examples: Sequence[Example]) -> Batch:
     real = np.arange(lengths.max()) < lengths[:, None]
     targets = np.full(real.shape, PAD_ID, dtype=np.int64)
     targets[real] = ids  # a boolean mask fills row by row, in the order the ids are chained
-    return Batch(features, start_ids, targets, real.astype(np.float64))
+    return Batch(features, start_ids, targets)
 
 
 def row_blocks(n: int, vocab: int) -> list[slice]:
@@ -214,22 +213,22 @@ def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, p
 
 
 def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tuple[float, dict[str, np.ndarray]]:
-    """Teacher-forced NLL of all unmasked target positions, and its gradients.
+    """Teacher-forced NLL of every target position that is not ``PAD_ID``, and its gradients.
 
     Returns ``(loss, grads)`` with ``grads`` keyed in ``param_shapes`` order. The
     image feature is the first input step (its output distribution is not
     scored), the start token the second; thereafter each target token is
-    also the next input. Padding rows advance the state but their positions
-    are masked out of the loss. The forward pass runs first, then the
-    backward pass in reverse, by hand; the output head runs over row blocks
-    of at most ``BLOCK_CELLS`` logits. Raises ``NonFiniteError`` on
-    non-finite logits and ``IndexError`` on an id outside the vocabulary.
+    also the next input. Padding advances the state but is not scored. The
+    forward pass runs first, then the backward pass in reverse, by hand; the
+    output head runs over row blocks of at most ``BLOCK_CELLS`` logits.
+    Raises ``NonFiniteError`` on non-finite logits and ``IndexError`` on an
+    id outside the vocabulary.
     """
     if mode not in LOSS_MODES:
         raise ValueError(f"loss mode must be one of {LOSS_MODES}, got {mode!r}")
     token_count = batch.token_count
     if token_count == 0:
-        raise ValueError("sequence_loss: batch mask selects no target positions")
+        raise ValueError("sequence_loss: batch holds only padding, no target positions")
     vocab = params.dims.vocab
     for ids in (batch.start_ids, batch.targets):
         if ids.size and (ids.min() < 0 or ids.max() >= vocab):
@@ -242,7 +241,7 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
         np.concatenate((batch.features @ params.w_image + params.b_image, params.w_embed[ids])),
         batch_size, params.w_x, params.w_h, params.b_gates,
     )
-    weights = batch.mask.T.ravel()
+    weights = batch.targets.T.ravel() != PAD_ID
     scale = 1.0 / token_count if mode == "mean" else 1.0
     nll, dhidden, dw_out, db_out = _output_head(hidden, batch.targets.T.ravel(), weights * scale, params)
     loss = (nll * weights).sum() * scale
@@ -445,7 +444,8 @@ def training_languages(split: DatasetSplit, config: TrainConfig) -> list[str]:
     """The languages ``run_training`` trains on.
 
     Raises ValueError unless the split has training images and both training
-    and validation captions in each of those languages.
+    and validation captions in each of those languages, or if a training
+    token (after ``config.lowercase``) is spelled like a control token.
     """
     if not split.train:
         raise ValueError("run_training: empty training split")
@@ -463,6 +463,8 @@ def training_languages(split: DatasetSplit, config: TrainConfig) -> list[str]:
         missing = [lang for lang in languages if lang not in present]
         if missing:
             raise ValueError(f"run_training: no {what} in languages {missing}")
+    tokens = {t for r in split.train for c in r.captions if c.language in languages for t in c.tokens}
+    check_collisions({t.lower() for t in tokens} if config.lowercase else tokens, languages)
     return languages
 
 

@@ -46,8 +46,15 @@ def check_tokens(tokens: Iterable[str]) -> None:
         raise ValueError(f"tokens must be non-empty and hold no whitespace, got {bad[0]!r}")
 
 
+def check_collisions(tokens: Iterable[str], languages: Iterable[str]) -> None:
+    """Raise ``ValueError`` if a surface token is spelled like a control token of a table over ``languages``."""
+    clashes = sorted({PAD_TOKEN, UNK_TOKEN, EOS_TOKEN, *map(start_token, languages)}.intersection(tokens))
+    if clashes:
+        raise ValueError(f"surface tokens collide with control tokens: {clashes}")
+
+
 class Vocabulary:
-    """Bijective token/id table plus the language start-id map."""
+    """Bijective token/id table plus the language start-id map, held to the dataset's text rules."""
 
     def __init__(self, tokens: Sequence[str], languages: Sequence[str]):
         tokens = list(tokens)
@@ -61,6 +68,10 @@ class Vocabulary:
             raise ValueError(f"vocabulary must begin with {expected}")
         if len(set(tokens)) != len(tokens):
             raise ValueError("vocabulary tokens must be unique")
+        for language in languages:
+            check_language(language)
+        check_tokens(tokens[len(expected) :])
+        "".join(tokens).encode("utf-8")  # a lone surrogate raises, as on a dataset line
         self.id_to_token: tuple[str, ...] = tuple(tokens)
         self.token_to_id: dict[str, int] = {t: i for i, t in enumerate(tokens)}
         self.languages: tuple[str, ...] = tuple(languages)
@@ -122,13 +133,10 @@ def build_vocab(corpus: Iterable[tuple[str, Sequence[str]]], min_count: int) -> 
     if not pairs:
         raise ValueError("cannot build a vocabulary from an empty corpus")
     languages = sorted({lang for lang, _ in pairs})
-    reserved = {PAD_TOKEN, UNK_TOKEN, EOS_TOKEN} | {start_token(l) for l in languages}
     counts: Counter[str] = Counter()
     for _, tokens in pairs:
         counts.update(tokens)
-    clashes = sorted(reserved & set(counts))
-    if clashes:
-        raise ValueError(f"surface tokens collide with control tokens: {clashes}")
+    check_collisions(counts, languages)
     surface = sorted((t for t, c in counts.items() if c >= min_count), key=lambda t: (-counts[t], t))
     tokens = [PAD_TOKEN, UNK_TOKEN, EOS_TOKEN] + [start_token(l) for l in languages] + surface
     return Vocabulary(tokens, languages)

@@ -142,11 +142,9 @@ def row_loop_batch(examples):
     features = np.stack([ex.feature for ex in examples], dtype=np.float64)
     start_ids = np.array([ex.start_id for ex in examples], dtype=np.int64)
     targets = np.full((len(examples), longest), PAD_ID, dtype=np.int64)
-    mask = np.zeros((len(examples), longest))
     for row, ex in enumerate(examples):
         targets[row, : len(ex.target_ids)] = ex.target_ids
-        mask[row, : len(ex.target_ids)] = 1.0
-    return Batch(features, start_ids, targets, mask)
+    return Batch(features, start_ids, targets)
 
 
 def batch_loop_epoch(examples, params, adam, config, rng):
@@ -156,7 +154,8 @@ def batch_loop_epoch(examples, params, adam, config, rng):
     nll_sum = 0.0
     token_sum = 0
     for lo in range(0, len(order), config.batch_size):
-        batch = row_loop_batch([examples[i] for i in order[lo : lo + config.batch_size]])
+        chosen = [examples[i] for i in order[lo : lo + config.batch_size]]
+        batch = row_loop_batch(chosen)
         loss, grads = trainer.sequence_loss(batch, params, config.loss_mode)
         if config.clip:
             trainer.clip_gradients(grads)
@@ -165,7 +164,7 @@ def batch_loop_epoch(examples, params, adam, config, rng):
         textbook_adam_step(arrays, grads, adam.m, adam.v, adam.t)
         for name, array in arrays.items():
             setattr(params, name, array)
-        n = int(batch.mask.sum())
+        n = sum(len(ex.target_ids) for ex in chosen)
         nll_sum += loss * (n if config.loss_mode == "mean" else 1.0)
         token_sum += n
     return nll_sum / token_sum

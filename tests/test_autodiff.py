@@ -15,7 +15,7 @@ from mlcap import autodiff as ad
 from mlcap import trainer
 from mlcap.gradcheck import gradient_check
 from mlcap.trainer import Batch, Example, make_batch, sequence_loss
-from mlcap.vocab import EOS_ID
+from mlcap.vocab import EOS_ID, PAD_ID
 from oracles import full_partial_head, gates_list_lstm_sequence, step_products_lstm_sequence, where_sigmoid
 from tinymodels import prefix_free_params, tiny_examples, wide_params
 
@@ -33,7 +33,7 @@ def restated_head(batch, params):
     """The summed loss's head restated on top of ``lstm_sequence``.
 
     Returns the hidden rows H, the logits gradient G = (softmax - onehot)
-    times the mask, the token ids fed to the recurrence, and the gradient
+    with the padded rows zeroed, the token ids fed to the recurrence, and the gradient
     of its rows of input.
     """
     b = batch.start_ids.size
@@ -43,7 +43,7 @@ def restated_head(batch, params):
     g = softmax(hs @ params.w_out + params.b_out)
     targets = batch.targets.T.ravel()
     g[np.arange(targets.size), targets] -= 1.0
-    g *= batch.mask.T.ravel()[:, None]
+    g *= (targets != PAD_ID)[:, None]
     dx = pullback(g @ params.w_out.T)[0]
     return hs, g, ids, dx[b:]
 
@@ -291,7 +291,7 @@ class TestSoftmaxOps:
     def test_cross_entropy_target_out_of_range(self):
         params = prefix_free_params(np.zeros(4))
         for bad in (4, -1):
-            batch = Batch(np.zeros((1, 2)), np.array([3]), np.array([[2, bad]]), np.ones((1, 2)))
+            batch = Batch(np.zeros((1, 2)), np.array([3]), np.array([[2, bad]]))
             with pytest.raises(IndexError):
                 sequence_loss(batch, params)
 
@@ -378,7 +378,7 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("seed", range(5))
     def test_random_composed_graphs(self, seed):
-        # the whole caption loss at random sizes, ragged masks and both
+        # the whole caption loss at random sizes, ragged padding and both
         # modes; scale 1 keeps every coordinate above the noise floor at
         # these sizes (checked over 40 seeds, worst 1e-6)
         rng = np.random.default_rng(seed)
@@ -393,12 +393,13 @@ class TestGradientCheck:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_cross_entropy_rows_fd(self, seed):
-        # the masked cross-entropy rows, through the head, with a random mask
+        # the cross-entropy rows through the head, with padding written over random target cells
         rng = np.random.default_rng(10 + seed)
         params = wide_params(vocab=6, embed=3, hidden=3, feature=2, seed=10 + seed)
         batch = ragged_batch(params, rng, count=4)
-        batch.mask *= rng.integers(0, 2, size=batch.mask.shape)
-        batch.mask[0, 0] = 1.0
+        padded = rng.integers(0, 2, size=batch.targets.shape) == 0
+        padded[0, 0] = False
+        batch.targets[padded] = PAD_ID
         f = lambda: sequence_loss(batch, params, mode="sum")
         inputs = {"w_out": params.w_out, "b_out": params.b_out}
         assert gradient_check(f, inputs) < 1e-7

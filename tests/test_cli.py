@@ -15,6 +15,7 @@ from mlcap.data import (
     Caption,
     Checkpoint,
     ImageRecord,
+    l2_normalize_records,
     load_checkpoint,
     load_dataset,
     save_checkpoint,
@@ -22,7 +23,7 @@ from mlcap.data import (
 )
 from mlcap.vocab import EOS_ID, build_vocab
 from oracles import forward_sequence
-from tinymodels import NEG_BIG, break_surface_tokens, claim_dims, prefix_free_params, rewrite_checkpoint_header
+from tinymodels import NEG_BIG, break_surface_tokens, claim_dims, prefix_free_params, rewrite_checkpoint_header, wide_params
 
 
 @pytest.fixture(scope="module")
@@ -44,14 +45,34 @@ def workdir(tmp_path_factory):
     return {"root": root, "data": data, "run": out}
 
 
+@pytest.fixture(scope="module")
+def speaker(workdir):
+    """A hand-built checkpoint over the shared run's vocabulary whose captions
+    differ from image to image, where the shared run's are all empty."""
+    vocab = load_checkpoint(workdir["run"] / "best.ckpt").vocab
+    width = load_dataset(workdir["data"])[0].feature.size
+    params = wide_params(vocab=len(vocab), embed=8, hidden=8, feature=width, seed=2, scale=1.0)
+    params.w_image *= 4.0  # so that the image, more than the prefix, picks each word
+    path = workdir["root"] / "speaker.ckpt"
+    save_checkpoint(path, Checkpoint(params, vocab, {}, 0))
+    return path
+
+
+def rewrite_captions(workdir, path, edit):
+    """The shared dataset, written to ``path`` with every caption passed through ``edit``."""
+    records = load_dataset(workdir["data"])
+    save_dataset([ImageRecord(r.image_id, r.feature, tuple(map(edit, r.captions))) for r in records], path)
+    return path
+
+
 def retag_jp(workdir, path, code):
     """The shared dataset, written to ``path`` with every jp caption tagged ``code``."""
-    def retag(caption):
-        return Caption(code, caption.tokens) if caption.language == "jp" else caption
+    return rewrite_captions(workdir, path, lambda c: Caption(code, c.tokens) if c.language == "jp" else c)
 
-    records = load_dataset(workdir["data"])
-    save_dataset([ImageRecord(r.image_id, r.feature, tuple(map(retag, r.captions))) for r in records], path)
-    return path
+
+def with_token_in_every_en_caption(workdir, path, token):
+    """The shared dataset, written to ``path`` with ``token`` ending every en caption."""
+    return rewrite_captions(workdir, path, lambda c: Caption("en", c.tokens + (token,)) if c.language == "en" else c)
 
 
 def fail_writes_to(monkeypatch, name):
@@ -90,6 +111,14 @@ class TestSynth:
         assert manifest["command"] == "synth"
         assert manifest["options"]["seed"] == 3
         assert str(out) in manifest["outputs"]
+
+    def test_rerun_over_an_existing_file_writes_the_same_bytes(self, tmp_path):
+        out = tmp_path / "d.jsonl"
+        written = []
+        for _ in range(2):
+            assert main(["synth", "--out", str(out), "--n", "7", "--seed", "3"]) == EXIT_OK
+            written.append(out.read_bytes())
+        assert written[0] and written[1] == written[0]
 
     def test_language_override(self, tmp_path):
         out = tmp_path / "d.jsonl"
@@ -206,15 +235,32 @@ class TestTrain:
         assert {p.name for p in out.glob("epoch_*.ckpt")} == {"epoch_000.ckpt", "epoch_001.ckpt"}
 
     def test_reruns_are_byte_identical(self, workdir, tmp_path):
+        # every checkpoint, each epoch's as well as the best
         args = [
             "train", "--data", str(workdir["data"]), "--split", "30,5,5",
             "--epochs", "2", "--batch", "8", "--hidden", "10", "--embed", "8",
-            "--min-count", "1", "--seed", "4", "--best-only",
+            "--min-count", "1", "--seed", "4",
         ]
         a, b = tmp_path / "a", tmp_path / "b"
         assert main(args + ["--out", str(a)]) == EXIT_OK
         assert main(args + ["--out", str(b)]) == EXIT_OK
-        assert (a / "best.ckpt").read_bytes() == (b / "best.ckpt").read_bytes()
+        names = sorted(p.name for p in a.glob("*.ckpt"))
+        assert names == ["best.ckpt", "epoch_000.ckpt", "epoch_001.ckpt"]
+        assert sorted(p.name for p in b.glob("*.ckpt")) == names
+        for name in names:
+            assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+    def test_wider_validation_beam_trains_end_to_end(self, workdir, tmp_path):
+        out = tmp_path / "run"
+        code = main(
+            [
+                "train", "--data", str(workdir["data"]), "--out", str(out), "--split", "30,5,5",
+                "--epochs", "1", "--batch", "8", "--hidden", "4", "--embed", "4", "--min-count", "1",
+                "--val-beam", "2",
+            ]
+        )
+        assert code == EXIT_OK
+        assert load_checkpoint(out / "best.ckpt").config["val_beam"] == 2
 
     def test_checkpoint_restores_a_working_model(self, workdir):
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
@@ -298,14 +344,34 @@ class TestTrain:
         assert "no validation captions" in capsys.readouterr().err
         assert not list(out.glob("*.ckpt"))
 
-    @pytest.mark.parametrize("extra", [["--split", "30,0,5"], ["--split", "30,5,5", "--langs", "xx"]])
-    def test_refused_run_leaves_no_out_directory(self, workdir, tmp_path, extra):
+    # a token spelled like a control token, in every en caption, or None for the shared data as it is
+    REFUSED = [
+        (None, ["--split", "30,0,5"]),
+        (None, ["--split", "30,5,5", "--langs", "xx"]),
+        ("<en>", ["--split", "30,5,5"]),
+        ("<EN>", ["--split", "30,5,5", "--lowercase"]),
+    ]
+
+    @pytest.mark.parametrize("token, extra", REFUSED, ids=["extra0", "extra1", "control-token", "lowercased-control-token"])
+    def test_refused_run_leaves_no_out_directory(self, workdir, tmp_path, capsys, token, extra):
+        data = workdir["data"] if token is None else with_token_in_every_en_caption(workdir, tmp_path / "d.jsonl", token)
         out = tmp_path / "r"
-        code = main(
-            ["train", "--data", str(workdir["data"]), "--out", str(out), "--epochs", "1", "--min-count", "1"] + extra
-        )
+        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1", "--min-count", "1"] + extra)
         assert code == EXIT_DATA
         assert not out.exists()
+        if token is not None:
+            assert "surface tokens collide with control tokens: ['<en>']" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("token, extra", REFUSED[2:], ids=["control-token", "lowercased-control-token"])
+    def test_refused_run_leaves_the_earlier_run_as_it_was(self, workdir, tmp_path, token, extra):
+        out = tmp_path / "run"
+        args = ["train", "--out", str(out), "--epochs", "1", "--hidden", "4", "--embed", "4", "--min-count", "1"]
+        assert main(args + ["--data", str(workdir["data"]), "--split", "30,5,5"]) == EXIT_OK
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert {"best.ckpt", "epoch_000.ckpt", "manifest.json"} <= set(before) and before["train_log.tsv"]
+        data = with_token_in_every_en_caption(workdir, tmp_path / "d.jsonl", token)
+        assert main(args + ["--data", str(data)] + extra) == EXIT_DATA
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_manifest_records_protocol_defaults(self, workdir, tmp_path, monkeypatch):
         # with only --data and --out given, the parsed config is TrainConfig's defaults
@@ -378,6 +444,55 @@ class TestCaption:
         assert len(lines) == 40
         ids = [line.split("\t", 1)[0] for line in lines]
         assert ids == [r.image_id for r in load_dataset(workdir["data"])]
+
+    @pytest.mark.parametrize("beam", ["1", "2"])
+    def test_repeats_and_lone_images_get_the_same_lines(self, workdir, speaker, tmp_path, beam):
+        # the full file twice, then each of its first three images alone: the
+        # block an image decodes in does not change its line
+        runs = [("a", workdir["data"]), ("b", workdir["data"])]
+        for index, record in enumerate(load_dataset(workdir["data"])[:3]):
+            save_dataset([record], tmp_path / f"{index}.jsonl")
+            runs.append((str(index), tmp_path / f"{index}.jsonl"))
+        written = []
+        for name, data in runs:
+            code = main(
+                [
+                    "caption", "--ckpt", str(speaker), "--data", str(data), "--out", str(tmp_path / f"{name}.tsv"),
+                    "--lang", "en", "--beam", beam, "--max-len", "8",
+                ]
+            )
+            assert code == EXIT_OK
+            written.append((tmp_path / f"{name}.tsv").read_text())
+        full, again, *alone = written
+        captions = [line.split("\t")[1] for line in full.splitlines()]
+        assert len(set(captions) - {""}) >= 2, captions  # the model says something, and not one thing
+        assert again == full
+        assert alone == full.splitlines(keepends=True)[:3]
+
+    def test_checkpoint_feature_l2norm_is_reapplied(self, workdir, speaker, tmp_path):
+        # a normalized run records the flag, and caption normalizes the features it is given
+        out = tmp_path / "run"
+        args = ["--split", "30,5,5", "--epochs", "1", "--hidden", "4", "--embed", "4", "--min-count", "1", "--feature-l2norm"]
+        assert main(["train", "--data", str(workdir["data"]), "--out", str(out), *args]) == EXIT_OK
+        assert load_checkpoint(out / "best.ckpt").config["feature_l2norm"] is True
+        scaled, normalized = tmp_path / "scaled.jsonl", tmp_path / "normalized.jsonl"
+        records = [ImageRecord(r.image_id, 4.0 * r.feature, r.captions) for r in load_dataset(workdir["data"])]
+        save_dataset(records, scaled)
+        save_dataset(l2_normalize_records(records), normalized)
+        flagged = tmp_path / "flagged.ckpt"
+        rewrite_checkpoint_header(speaker, flagged, lambda header: header.update(config={"feature_l2norm": True}))
+        written = {}
+        for ckpt, data in ((flagged, scaled), (speaker, normalized), (speaker, scaled)):
+            target = tmp_path / f"{ckpt.stem}-{data.stem}.tsv"
+            code = main(
+                [
+                    "caption", "--ckpt", str(ckpt), "--data", str(data), "--out", str(target),
+                    "--lang", "en", "--beam", "1", "--max-len", "8",
+                ]
+            )
+            assert code == EXIT_OK
+            written[ckpt.stem, data.stem] = target.read_bytes()
+        assert written["flagged", "scaled"] == written["speaker", "normalized"] != written["speaker", "scaled"]
 
     def test_features_is_an_alias_for_data(self, workdir, tmp_path):
         written = []
@@ -653,6 +768,17 @@ class TestEvaluate:
             assert 0.5 < scores["cider"] <= 1.0
         assert report["overall"]["images"] == 80
 
+    def test_repeated_report_has_the_same_bytes(self, workdir, tmp_path):
+        en = self._reference_candidates(workdir, tmp_path, "en")
+        written = []
+        for name in ("a.json", "b.json"):
+            code = main(
+                ["evaluate", "--data", str(workdir["data"]), "--cands", str(en), "--langs", "en", "--out", str(tmp_path / name)]
+            )
+            assert code == EXIT_OK
+            written.append((tmp_path / name).read_bytes())
+        assert json.loads(written[0])["overall"]["images"] == 40 and written[1] == written[0]
+
     def test_failed_report_write_leaves_the_previous_report(self, workdir, tmp_path, monkeypatch):
         en = self._reference_candidates(workdir, tmp_path, "en")
         report_path = tmp_path / "report.json"
@@ -779,6 +905,27 @@ class TestGradcheck:
         assert main(["gradcheck", "--tolerance", tolerance]) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == "" and "argument --tolerance: must be finite and positive" in err
+
+
+class TestChain:
+    def test_leaves_no_partial_file(self, tmp_path):
+        # every atomic write renames or removes its <path>.partial
+        data, run, cands = tmp_path / "d.jsonl", tmp_path / "run", tmp_path / "cap.tsv"
+        commands = [
+            ["synth", "--out", str(data), "--n", "12", "--seed", "2"],
+            ["build-vocab", "--data", str(data), "--out", str(tmp_path / "vocab.tsv"), "--min-count", "1"],
+            [
+                "train", "--data", str(data), "--out", str(run), "--split", "8,2,2", "--epochs", "2",
+                "--hidden", "4", "--embed", "4", "--min-count", "1",
+            ],
+            ["caption", "--ckpt", str(run / "best.ckpt"), "--data", str(data), "--out", str(cands), "--lang", "en"],
+            ["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en", "--out", str(tmp_path / "r.json")],
+        ]
+        for args in commands:
+            assert main(args) == EXIT_OK, args[0]
+        names = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
+        assert {"vocab.tsv", "run/epoch_001.ckpt", "cap.tsv", "r.json.manifest.json"} <= names
+        assert not [name for name in names if name.endswith(".partial")]
 
 
 class TestParsing:

@@ -65,9 +65,7 @@ class TestBatching:
         f = np.zeros(2)
         batch = make_batch([Example(f, 3, (5, 2)), Example(f, 4, (6, 7, 8, 2))])
         assert batch.targets.shape == (2, 4)
-        npt.assert_array_equal(batch.targets[0], [5, 2, PAD_ID, PAD_ID])
-        npt.assert_array_equal(batch.mask[0], [1, 1, 0, 0])
-        npt.assert_array_equal(batch.mask[1], 1.0)
+        npt.assert_array_equal(batch.targets, [[5, 2, PAD_ID, PAD_ID], [6, 7, 8, 2]])
         assert batch.token_count == 6
 
     def test_empty_batch_rejected(self):
@@ -83,7 +81,7 @@ class TestBatching:
             for n in lengths
         ]
         got, want = make_batch(examples), row_loop_batch(examples)
-        for field in ("features", "start_ids", "targets", "mask"):
+        for field in ("features", "start_ids", "targets"):
             a, b = getattr(got, field), getattr(want, field)
             assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
 
@@ -163,10 +161,9 @@ class TestSequenceLoss:
         batch = Batch(
             features=np.zeros((1, params.dims.feature)),
             start_ids=np.array([3]),
-            targets=np.array([[2]]),
-            mask=np.zeros((1, 1)),
+            targets=np.array([[PAD_ID]]),
         )
-        with pytest.raises(ValueError, match="mask"):
+        with pytest.raises(ValueError, match="only padding"):
             sequence_loss(batch, params)
 
     def test_bad_mode_rejected(self):
@@ -477,7 +474,7 @@ class TestTrainEpoch:
         assert len(batches) == 4 * len(starts)  # two epochs of each loop
         for lo, got in zip(starts, batches):
             want = row_loop_batch(shuffled[lo : lo + batch_size])
-            for field in ("features", "start_ids", "targets", "mask"):
+            for field in ("features", "start_ids", "targets"):
                 a, b = getattr(got, field), getattr(want, field)
                 assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
 

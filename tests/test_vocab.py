@@ -122,3 +122,17 @@ class TestVocabularyValidation:
     def test_rejects_unsorted_languages(self):
         with pytest.raises(ValueError, match="sorted"):
             Vocabulary(["<pad>", "<unk>", "<eos>", "<jp>", "<en>"], ["jp", "en"])
+
+    @pytest.mark.parametrize(
+        "tokens, languages, rule",
+        [
+            (["<pad>", "<unk>", "<eos>", "<e n>"], ["e n"], "lang 'e n' must be non-empty, without comma or whitespace"),
+            (["<pad>", "<unk>", "<eos>", "<en>", "New York"], ["en"], "hold no whitespace, got 'New York'"),
+            (["<pad>", "<unk>", "<eos>", "<en>", "circ\ud800le"], ["en"], "surrogates not allowed"),
+        ],
+        ids=["language", "surface-token", "lone-surrogate"],
+    )
+    def test_refuses_what_a_caption_line_cannot_carry(self, tokens, languages, rule):
+        # captions are written from the table's tokens, one tab-separated UTF-8 line per image
+        with pytest.raises(ValueError, match=rule):
+            Vocabulary(tokens, languages)

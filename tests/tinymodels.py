@@ -44,7 +44,7 @@ def wide_params(vocab=6, embed=3, hidden=4, feature=2, seed=0, scale=0.5):
 
 def tiny_examples(params, rng, count=4, max_tokens=3):
     """Random training examples sized for the given model; lengths vary, so
-    a batch of them is padded and its mask has zeros."""
+    a batch of them holds padding."""
     out = []
     for _ in range(count):
         n = int(rng.integers(1, max_tokens + 1))
