@@ -33,6 +33,7 @@ from .data import (
     l2_normalize_records,
     load_checkpoint,
     load_dataset,
+    lowercase_records,
     save_checkpoint,
     save_dataset,
     split_dataset,
@@ -189,8 +190,8 @@ def _write_manifest(args: argparse.Namespace, outputs: list[str], path=None) -> 
 
 
 def cmd_build_vocab(args) -> int:
-    records = load_dataset(args.data, lowercase=args.lowercase)
-    corpus = corpus_from_records(records, args.langs)
+    records = load_dataset(args.data)
+    corpus = corpus_from_records(lowercase_records(records) if args.lowercase else records, args.langs)
     if not corpus:
         raise DatasetError(f"no captions found for languages {args.langs}")
     vocab = build_vocab(corpus, args.min_count)
@@ -286,8 +287,8 @@ def cmd_evaluate(args) -> int:
     cand_paths = [p.strip() for p in args.cands.split(",") if p.strip()]
     if args.langs is None or len(args.langs) != len(cand_paths):
         raise UsageError("--cands and --langs must list the same number of entries")
-    records = load_dataset(args.data, lowercase=args.lowercase)
-    by_id = {rec.image_id: rec for rec in records}
+    records = load_dataset(args.data)
+    by_id = {rec.image_id: rec for rec in (lowercase_records(records) if args.lowercase else records)}
     report: dict = {"per_language": {}}
     pooled = []
     for lang, path in zip(args.langs, cand_paths):

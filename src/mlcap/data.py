@@ -95,7 +95,7 @@ def text_lines(path):
             yield lineno, line
 
 
-def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True) -> list[ImageRecord]:
+def load_dataset(path, *, require_captions: bool = True) -> list[ImageRecord]:
     """Read and validate a JSONL dataset.
 
     Features must be finite JSON numbers, one width across the file; image
@@ -104,7 +104,6 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
     no string may be a JSON escape of a lone surrogate. With
     ``require_captions`` off (caption-generation inputs), records may omit
     captions entirely.
-    ``lowercase`` lowercases the tokens after they pass those checks.
     """
     records: list[ImageRecord] = []
     seen_ids: set[str] = set()
@@ -153,7 +152,7 @@ def load_dataset(path, *, lowercase: bool = False, require_captions: bool = True
         records.append(ImageRecord(image_id, feature, captions))
     if not records:
         raise DatasetError(f"{path}: dataset is empty")
-    return lowercase_records(records) if lowercase else records
+    return records
 
 
 def save_dataset(records: Iterable[ImageRecord], path) -> None:
@@ -294,9 +293,9 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Check every declared length against the file size, and the vocabulary
-    against the dataset's text rules, before reading or allocating anything,
-    then read each array from the file into its own buffer."""
+    """Check the header (the int version 1, positive int dims, the manifest, a dims.vocab-long
+    vocabulary under the dataset's text rules, an object config, an int epoch >= 0) and every length
+    against the file size before reading or allocating anything, then read each array into its own buffer."""
     with open(path, "rb") as fh:
         size = os.fstat(fh.fileno()).st_size
         if fh.read(len(MAGIC)) != MAGIC:
@@ -313,7 +312,7 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: unreadable header ({exc})") from exc
         if not isinstance(header, dict):
             raise CheckpointError(f"{path}: header must be a JSON object")
-        if header.get("version") != FORMAT_VERSION:
+        if type(header.get("version")) is not int or header["version"] != FORMAT_VERSION:  # True == 1.0 == 1
             raise CheckpointError(f"{path}: format version {header.get('version')!r} unsupported (expected {FORMAT_VERSION})")
         try:
             dims = Dims(**header["dims"])

@@ -22,8 +22,11 @@ from mlcap.data import (
     save_dataset,
 )
 from mlcap.vocab import EOS_ID, build_vocab
+from malformed import CANDIDATES, CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, write_valid_files
 from oracles import forward_sequence
-from tinymodels import NEG_BIG, break_surface_tokens, claim_dims, prefix_free_params, rewrite_checkpoint_header, wide_params
+from tinymodels import NEG_BIG, prefix_free_params, wide_params
+
+TABLES = {"dataset": DATASETS, "checkpoint": CHECKPOINTS, "candidates": CANDIDATES}
 
 
 @pytest.fixture(scope="module")
@@ -58,6 +61,79 @@ def speaker(workdir):
     return path
 
 
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    return write_valid_files(tmp_path_factory.mktemp("valid"))
+
+
+def reader_args(command, valid, folder, **given):
+    """``command`` reading the valid files, or the ``given`` file of a kind, and writing into ``folder``."""
+    files = {**valid, **given}
+    args = {
+        "build-vocab": ["--data", files["dataset"], "--out", folder / "vocab.tsv", "--min-count", "1"],
+        "train": [
+            "--data", files["dataset"], "--out", folder / "run", "--split", "1,1,1", "--epochs", "1",
+            "--hidden", "4", "--embed", "4", "--min-count", "1",
+        ],
+        "caption": ["--ckpt", files["checkpoint"], "--data", files["dataset"], "--out", folder / "cap.tsv", "--lang", "en"],
+        "evaluate": ["--data", files["dataset"], "--cands", files["candidates"], "--langs", "en", "--out", folder / "report.json"],
+    }[command]
+    return [command, *map(str, args)]
+
+
+def check_row(kind, row, command, valid, folder, capsys):
+    """``command`` refuses the row's file with exit 3 and the row's message,
+    and creates no file or directory; or it runs, if the row says it accepts the file."""
+    case = TABLES[kind][row]
+    path = forge(case, valid[kind], folder)
+    before = sorted(folder.rglob("*"))
+    code = main(reader_args(command, valid, folder, **{kind: path}))
+    err = capsys.readouterr().err
+    if command in case.accepted_by:
+        assert code == EXIT_OK, err
+    else:
+        assert code == EXIT_DATA and f"{path}{case.message}" in err, err
+        assert sorted(folder.rglob("*")) == before
+
+
+def row_checks(kind, command, *rows, ids=None):
+    """A test of ``command`` on rows of ``kind``'s table: a case per row, named by ``ids``, or one case for all."""
+    if ids:
+
+        @pytest.mark.parametrize("row", rows, ids=ids)
+        def test(self, valid, tmp_path, capsys, row):
+            check_row(kind, row, command, valid, tmp_path, capsys)
+
+    else:
+
+        def test(self, valid, tmp_path, capsys):
+            for row in rows:
+                check_row(kind, row, command, valid, tmp_path, capsys)
+
+    return test
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "train", "caption", "evaluate"])
+def test_every_reader_runs_on_the_valid_files(valid, tmp_path, command):
+    assert main(reader_args(command, valid, tmp_path)) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["build-vocab", "train", "caption", "evaluate"])
+@pytest.mark.parametrize("row", DATASETS)
+def test_every_dataset_reader_refuses_each_malformed_dataset(valid, tmp_path, capsys, row, command):
+    check_row("dataset", row, command, valid, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", CHECKPOINTS)
+def test_caption_refuses_each_malformed_checkpoint(valid, tmp_path, capsys, row):
+    check_row("checkpoint", row, "caption", valid, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("row", CANDIDATES)
+def test_evaluate_refuses_each_malformed_candidates_file(valid, tmp_path, capsys, row):
+    check_row("candidates", row, "evaluate", valid, tmp_path, capsys)
+
+
 def rewrite_captions(workdir, path, edit):
     """The shared dataset, written to ``path`` with every caption passed through ``edit``."""
     records = load_dataset(workdir["data"])
@@ -65,9 +141,9 @@ def rewrite_captions(workdir, path, edit):
     return path
 
 
-def retag_jp(workdir, path, code):
-    """The shared dataset, written to ``path`` with every jp caption tagged ``code``."""
-    return rewrite_captions(workdir, path, lambda c: Caption(code, c.tokens) if c.language == "jp" else c)
+def spoken(path):
+    """The distinct non-empty captions of a caption TSV."""
+    return {line.split("\t")[1] for line in path.read_text().splitlines()} - {""}
 
 
 def with_token_in_every_en_caption(workdir, path, token):
@@ -176,12 +252,8 @@ class TestBuildVocab:
         )
         assert code == EXIT_USAGE
 
-    def test_lang_whose_start_token_is_a_control_token_is_data_error(self, workdir, tmp_path, capsys):
-        data = retag_jp(workdir, tmp_path / "tagged.jsonl", "pad")
-        out = tmp_path / "vocab.tsv"
-        assert main(["build-vocab", "--data", str(data), "--out", str(out)]) == EXIT_DATA
-        assert "tagged.jsonl:1: captions[1] lang 'pad' is reserved" in capsys.readouterr().err
-        assert not out.exists()
+    # names that tests of these rows had before the tables
+    test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks("dataset", "build-vocab", "lang-pad")
 
     def test_lowercase_merges_case_variants(self, tmp_path):
         # "Cat" and "cat" each occur once: only their lowercased form reaches --min-count 2
@@ -201,11 +273,12 @@ class TestBuildVocab:
         assert not any(ch.isupper() for token in tables["lowered"] for ch in token)
         assert json.loads((tmp_path / "lowered.tsv.manifest.json").read_text())["options"]["lowercase"] is True
 
-    def test_unmatched_language_filter_fails(self, workdir, tmp_path):
-        code = main(
-            ["build-vocab", "--data", str(workdir["data"]), "--out", str(tmp_path / "v"), "--langs", "xx"]
-        )
+    def test_unmatched_language_filter_fails(self, workdir, tmp_path, capsys):
+        out = tmp_path / "v"
+        code = main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out), "--langs", "xx"])
         assert code == EXIT_DATA
+        assert "no captions found for languages ('xx',)" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestTrain:
@@ -390,52 +463,20 @@ class TestTrain:
         assert options["split"] == [30, 5, 5] and options["loss_mode"] == "mean"
         assert "beam" not in options and options["languages"] is None
 
-    def test_caption_language_that_langs_cannot_name_is_data_error(self, workdir, tmp_path, capsys):
-        # a code holding a comma would train, then no --langs could name it
-        data = retag_jp(workdir, tmp_path / "tagged.jsonl", "jp,x")
-        out = tmp_path / "r"
-        code = main(["train", "--data", str(data), "--out", str(out), "--split", "30,5,5", "--min-count", "1"])
-        assert code == EXIT_DATA
-        assert "tagged.jsonl:1: captions[1] lang 'jp,x' must be non-empty" in capsys.readouterr().err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("lang", ["pad", "unk", "eos"])
-    def test_lang_whose_start_token_is_a_control_token_is_data_error(self, workdir, tmp_path, capsys, lang):
-        data = retag_jp(workdir, tmp_path / "tagged.jsonl", lang)
-        out = tmp_path / "r"
-        code = main(["train", "--data", str(data), "--out", str(out), "--split", "30,5,5", "--min-count", "1"])
-        assert code == EXIT_DATA
-        assert f"tagged.jsonl:1: captions[1] lang '{lang}' is reserved" in capsys.readouterr().err
-        assert not out.exists()
-
-    def test_lone_surrogate_in_a_token_names_file_and_line(self, workdir, tmp_path, capsys):
-        # the escape parses to a lone surrogate, which no checkpoint header can be encoded with
-        lines = workdir["data"].read_text(encoding="utf-8").splitlines()
-        row = json.loads(lines[1])
-        row["captions"][0]["tokens"][-1] = "SURROGATE"
-        lines[1] = json.dumps(row).replace("SURROGATE", "circ\\ud800le")
-        data = tmp_path / "escaped.jsonl"
-        data.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        out = tmp_path / "r"
-        out.mkdir()
-        code = main(
-            [
-                "train", "--data", str(data), "--out", str(out), "--split", "30,5,5", "--epochs", "1",
-                "--hidden", "4", "--embed", "4", "--min-count", "1",
-            ]
-        )
-        assert code == EXIT_DATA
-        assert f"{data}:2: holds a lone surrogate" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+    # names that tests of these rows had before the tables
+    test_caption_language_that_langs_cannot_name_is_data_error = row_checks("dataset", "train", "lang-comma")
+    test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks(
+        "dataset", "train", "lang-pad", "lang-unk", "lang-eos", ids=["pad", "unk", "eos"]
+    )
+    test_lone_surrogate_in_a_token_names_file_and_line = row_checks("dataset", "train", "surrogate-token")
 
 
 class TestCaption:
-    def test_one_line_per_record(self, workdir, tmp_path):
+    def test_one_line_per_record(self, workdir, speaker, tmp_path):
         out = tmp_path / "cap.tsv"
         code = main(
             [
-                "caption", "--ckpt", str(workdir["run"] / "best.ckpt"),
-                "--data", str(workdir["data"]), "--out", str(out),
+                "caption", "--ckpt", str(speaker), "--data", str(workdir["data"]), "--out", str(out),
                 "--lang", "en", "--beam", "2", "--max-len", "6",
             ]
         )
@@ -444,6 +485,7 @@ class TestCaption:
         assert len(lines) == 40
         ids = [line.split("\t", 1)[0] for line in lines]
         assert ids == [r.image_id for r in load_dataset(workdir["data"])]
+        assert len(spoken(out)) >= 2
 
     @pytest.mark.parametrize("beam", ["1", "2"])
     def test_repeats_and_lone_images_get_the_same_lines(self, workdir, speaker, tmp_path, beam):
@@ -494,19 +536,19 @@ class TestCaption:
             written[ckpt.stem, data.stem] = target.read_bytes()
         assert written["flagged", "scaled"] == written["speaker", "normalized"] != written["speaker", "scaled"]
 
-    def test_features_is_an_alias_for_data(self, workdir, tmp_path):
+    def test_features_is_an_alias_for_data(self, workdir, speaker, tmp_path):
         written = []
         for flag in ("--data", "--features"):
             out = tmp_path / f"cap{flag}.tsv"
             code = main(
                 [
-                    "caption", "--ckpt", str(workdir["run"] / "best.ckpt"), flag, str(workdir["data"]),
+                    "caption", "--ckpt", str(speaker), flag, str(workdir["data"]),
                     "--out", str(out), "--lang", "en", "--beam", "2", "--max-len", "6",
                 ]
             )
             assert code == EXIT_OK
             written.append(out.read_bytes())
-        assert written[0] and written[1] == written[0]
+        assert len(spoken(out)) >= 2 and written[1] == written[0]
 
     def test_length_norm_reaches_the_decoder(self, workdir, tmp_path):
         # p(eos) = .45 and p(a) = .55 at every step: at --max-len 2 the raw sums rank
@@ -539,43 +581,34 @@ class TestCaption:
         )
         assert code == EXIT_USAGE
 
-    def test_feature_width_mismatch_is_data_error(self, workdir, tmp_path):
+    def test_feature_width_mismatch_is_data_error(self, workdir, tmp_path, capsys):
         records = load_dataset(workdir["data"])
         bad = tmp_path / "bad.jsonl"
-        shrunk = [
-            type(records[0])(r.image_id, r.feature[:4], r.captions) for r in records[:2]
-        ]
-        save_dataset(shrunk, bad)
-        code = main(
-            [
-                "caption", "--ckpt", str(workdir["run"] / "best.ckpt"),
-                "--data", str(bad), "--out", str(tmp_path / "c"), "--lang", "en",
-            ]
-        )
-        assert code == EXIT_DATA
+        save_dataset([ImageRecord(r.image_id, r.feature[:4], r.captions) for r in records[:2]], bad)
+        assert self.caption_with(workdir, tmp_path, workdir["run"] / "best.ckpt", bad) == EXIT_DATA
+        assert "error: feature width 4 does not match model width 16" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    def test_image_id_holding_a_tab_is_data_error(self, workdir, tmp_path, capsys):
-        # evaluate splits each caption line at its first tab, so an id 'a<TAB>x'
-        # would read back as image 'a' with a leading token 'x'
-        records = load_dataset(workdir["data"])
-        bad_id = records[1].image_id + "\tx"
-        records[1] = ImageRecord(bad_id, records[1].feature, records[1].captions)
-        data = tmp_path / "tabbed.jsonl"
-        save_dataset(records, data)
-        out = tmp_path / "cap.tsv"
-        code = main(
-            [
-                "caption", "--ckpt", str(workdir["run"] / "best.ckpt"), "--data", str(data),
-                "--out", str(out), "--lang", "en",
-            ]
-        )
-        assert code == EXIT_DATA
-        assert f"tabbed.jsonl:2: image_id {bad_id!r} holds a tab or line break" in capsys.readouterr().err
-        assert not out.exists()
-        cands = tmp_path / "cands.tsv"
-        cands.write_text(f"{records[0].image_id}\ta red circle\n")
-        assert main(["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en"]) == EXIT_DATA
+    # names that tests of these rows had before the tables
+    def test_image_id_holding_a_tab_is_data_error(self, valid, tmp_path, capsys):
+        for command in ("caption", "evaluate"):
+            check_row("dataset", "id-tab", command, valid, tmp_path, capsys)
+
+    test_non_number_feature_is_data_error = row_checks("dataset", "caption", "feature-string")
+    test_non_finite_checkpoint_is_data_error = row_checks("checkpoint", "caption", "non-finite-array")
+    test_manifest_entry_without_name_is_data_error = row_checks("checkpoint", "caption", "manifest-entry-without-name")
+    test_vocabulary_shorter_than_dims_is_data_error = row_checks("checkpoint", "caption", "vocab-short")
+    test_non_int_dims_is_data_error = row_checks("checkpoint", "caption", "dims-float")
+    test_non_string_vocabulary_token_is_data_error = row_checks("checkpoint", "caption", "token-not-a-string")
+    test_vocabulary_token_holding_a_line_break_is_data_error = row_checks("checkpoint", "caption", "token-line-break")
+    test_non_object_config_is_data_error = row_checks("checkpoint", "caption", "config-not-an-object")
+    test_non_bool_feature_l2norm_is_data_error = row_checks(
+        "checkpoint", "caption", "l2norm-string", "l2norm-int", "l2norm-null", ids=["no", "1", "None"]
+    )
+    test_array_shape_disagreeing_with_dims_is_data_error = row_checks("checkpoint", "caption", "array-shape")
+    test_forged_lengths_are_data_errors = row_checks(
+        "checkpoint", "caption", "cut-half", f"header-length-{2**63 - 1}", "huge-hidden", ids=["truncated", "header_length", "huge_dims"]
+    )
 
     @pytest.mark.parametrize("flag", ["--beam", "--max-len"])
     def test_bad_decode_flag_is_usage_error_before_reading_files(self, tmp_path, flag):
@@ -589,91 +622,24 @@ class TestCaption:
         assert code == EXIT_USAGE
         assert not (tmp_path / "c").exists()
 
-    def caption_with(self, workdir, tmp_path, ckpt_path):
+    def caption_with(self, workdir, tmp_path, ckpt_path, data=None):
         return main(
             [
-                "caption", "--ckpt", str(ckpt_path), "--data", str(workdir["data"]),
+                "caption", "--ckpt", str(ckpt_path), "--data", str(data or workdir["data"]),
                 "--out", str(tmp_path / "c"), "--lang", "en",
             ]
         )
 
-    def test_non_finite_checkpoint_is_data_error(self, workdir, tmp_path, capsys):
-        ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
-        ckpt.params.w_out[:] = np.nan
-        bad = tmp_path / "nan.ckpt"
-        save_checkpoint(bad, ckpt)
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "array 'w_out' holds non-finite values" in capsys.readouterr().err
-
-    def test_manifest_entry_without_name_is_data_error(self, workdir, tmp_path, capsys):
-        bad = tmp_path / "noname.ckpt"
-        rewrite_checkpoint_header(
-            workdir["run"] / "best.ckpt", bad, lambda header: header["arrays"][2].pop("name")
-        )
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "invalid array manifest" in capsys.readouterr().err
-
-    def test_vocabulary_shorter_than_dims_is_data_error(self, workdir, tmp_path, capsys):
-        bad = tmp_path / "short_vocab.ckpt"
-        rewrite_checkpoint_header(
-            workdir["run"] / "best.ckpt", bad, lambda header: header["vocab"]["tokens"].__delitem__(slice(8, None))
-        )
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "header lists 8 vocabulary tokens" in capsys.readouterr().err
-        assert not (tmp_path / "c").exists()
-
-    def test_non_int_dims_is_data_error(self, workdir, tmp_path, capsys):
-        bad = tmp_path / "float_dims.ckpt"
-        rewrite_checkpoint_header(
-            workdir["run"] / "best.ckpt", bad, lambda header: header["dims"].update(hidden=10.0)
-        )
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "dims.hidden must be a positive int, got 10.0" in capsys.readouterr().err
-
-    def test_non_string_vocabulary_token_is_data_error(self, workdir, tmp_path, capsys):
-        bad = tmp_path / "int_token.ckpt"
-        rewrite_checkpoint_header(
-            workdir["run"] / "best.ckpt", bad, lambda header: header["vocab"]["tokens"].__setitem__(-1, 5)
-        )
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "tokens and languages must be strings" in capsys.readouterr().err
-        assert not (tmp_path / "c").exists()
-
-    def test_vocabulary_token_holding_a_line_break_is_data_error(self, workdir, tmp_path, capsys):
-        # each caption line would split into three, which evaluate then refuses
-        bad = tmp_path / "broken_tokens.ckpt"
-        rewrite_checkpoint_header(workdir["run"] / "best.ckpt", bad, break_surface_tokens)
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "tokens must be non-empty and hold no whitespace" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["broken_tokens.ckpt"]
-
-    def test_non_object_config_is_data_error(self, workdir, tmp_path, capsys):
-        bad = tmp_path / "list_config.ckpt"
-        rewrite_checkpoint_header(
-            workdir["run"] / "best.ckpt", bad, lambda header: header.update(config=["x"])
-        )
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "config must be a JSON object" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("value", ["no", 1, None])
-    def test_non_bool_feature_l2norm_is_data_error(self, workdir, tmp_path, capsys, value):
-        # otherwise a truthy non-bool would silently normalize every feature
-        bad = tmp_path / "l2norm.ckpt"
-        rewrite_checkpoint_header(
-            workdir["run"] / "best.ckpt", bad, lambda header: header["config"].update(feature_l2norm=value)
-        )
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert f"config.feature_l2norm must be true or false, got {value!r}" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["l2norm.ckpt"]
-
-    def test_missing_feature_l2norm_means_false(self, workdir, tmp_path):
-        best = workdir["run"] / "best.ckpt"
-        bare = tmp_path / "bare.ckpt"
-        rewrite_checkpoint_header(best, bare, lambda header: header["config"].clear())
-        (tmp_path / "with_config").mkdir()
-        assert self.caption_with(workdir, tmp_path / "with_config", best) == EXIT_OK
-        assert self.caption_with(workdir, tmp_path, bare) == EXIT_OK
-        assert (tmp_path / "c").read_bytes() == (tmp_path / "with_config" / "c").read_bytes()
+    def test_missing_feature_l2norm_means_false(self, workdir, speaker, tmp_path):
+        # normalizing the 4x-scaled features changes the speaker's lines
+        scaled, ckpt = tmp_path / "scaled.jsonl", tmp_path / "speaker.ckpt"
+        save_dataset([ImageRecord(r.image_id, 4.0 * r.feature, r.captions) for r in load_dataset(workdir["data"])], scaled)
+        written = []
+        for config in ({}, {"feature_l2norm": False}, {"feature_l2norm": True}):
+            rewrite_checkpoint_header(speaker, ckpt, lambda header: header.update(config=config))
+            assert self.caption_with(workdir, tmp_path, ckpt, scaled) == EXIT_OK
+            written.append((tmp_path / "c").read_bytes())
+        assert written[0] == written[1] != written[2]
 
     def test_decode_failure_leaves_no_output_behind(self, workdir, tmp_path, monkeypatch, capsys):
         def fail(*args, **kwargs):
@@ -691,42 +657,6 @@ class TestCaption:
         assert self.caption_with(workdir, tmp_path, workdir["run"] / "best.ckpt") == EXIT_DATA
         assert existing.read_bytes() == b"img-0\tan older caption\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "fresh"]
-
-    def test_array_shape_disagreeing_with_dims_is_data_error(self, workdir, tmp_path, capsys):
-        ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
-        ckpt.params.w_out = np.zeros((ckpt.params.dims.hidden + 1, ckpt.params.dims.vocab))
-        bad = tmp_path / "shape.ckpt"
-        save_checkpoint(bad, ckpt)
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "does not match" in capsys.readouterr().err
-
-    @pytest.mark.parametrize("forge", ["truncated", "header_length", "huge_dims"])
-    def test_forged_lengths_are_data_errors(self, workdir, tmp_path, capsys, forge):
-        best = workdir["run"] / "best.ckpt"
-        blob = best.read_bytes()
-        bad = tmp_path / "forged.ckpt"
-        if forge == "truncated":
-            bad.write_bytes(blob[: len(blob) // 2])
-        elif forge == "header_length":
-            bad.write_bytes(blob[:6] + (2**63 - 1).to_bytes(8, "little") + blob[14:])
-        else:
-            rewrite_checkpoint_header(best, bad, lambda header: claim_dims(header, hidden=10**400))
-        assert self.caption_with(workdir, tmp_path, bad) == EXIT_DATA
-        assert "truncated inside" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) == ["forged.ckpt"]
-
-    def test_non_number_feature_is_data_error(self, workdir, tmp_path, capsys):
-        data = tmp_path / "strings.jsonl"
-        data.write_text('{"image_id": "i0", "feature": ["1.5", true, 2]}\n')
-        code = main(
-            [
-                "caption", "--ckpt", str(workdir["run"] / "best.ckpt"), "--data", str(data),
-                "--out", str(tmp_path / "c"), "--lang", "en",
-            ]
-        )
-        assert code == EXIT_DATA
-        assert "strings.jsonl:1: image_id 'i0' has a non-numeric feature" in capsys.readouterr().err
-        assert not (tmp_path / "c").exists()
 
     def test_missing_checkpoint_is_data_error(self, workdir, tmp_path):
         code = main(
@@ -820,35 +750,21 @@ class TestEvaluate:
             reports.append(capsys.readouterr().out)
         assert reports[1] == reports[0]
 
-    @pytest.mark.parametrize("line", [1, 2])
-    def test_candidates_that_are_not_utf8_name_file_and_line(self, workdir, tmp_path, capsys, line):
-        # line 1 starts with a UTF-16 byte-order mark; line 2 of a CRLF file holds a Latin-1 byte
-        lines = self._reference_candidates(workdir, tmp_path, "en").read_bytes().splitlines(keepends=True)
-        lines[line - 1] = b"\xff\xfe" + lines[line - 1] if line == 1 else lines[line - 1].replace(b"\t", b"\tcaf\xe9 ")
-        bad = tmp_path / "bad.tsv"
-        bad.write_bytes(b"".join(lines).replace(b"\n", b"\r\n"))
+    def test_language_without_references_is_data_error(self, valid, tmp_path, capsys):
         report = tmp_path / "report.json"
-        code = main(["evaluate", "--data", str(workdir["data"]), "--cands", str(bad), "--langs", "en", "--out", str(report)])
+        code = main(["evaluate", "--data", str(valid["dataset"]), "--cands", str(valid["candidates"]), "--langs", "de", "--out", str(report)])
         assert code == EXIT_DATA
-        assert f"{bad}:{line}: not UTF-8 text" in capsys.readouterr().err
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["bad.tsv", "ref_en.tsv"]
+        assert f"{valid['candidates']}: image 'synth-000000' has no 'de' references" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
-    def test_unknown_image_id_fails(self, workdir, tmp_path):
-        bad = tmp_path / "bad.tsv"
-        bad.write_text("no-such-image\ta red circle\n")
-        code = main(["evaluate", "--data", str(workdir["data"]), "--cands", str(bad), "--langs", "en"])
-        assert code == EXIT_DATA
-
-    def test_reference_token_holding_whitespace_is_data_error(self, tmp_path, capsys):
-        # "New York" as one token cannot match a caption read back split on
-        # whitespace, so the exact caption would score BLEU-2..4 of zero
-        data = tmp_path / "refs.jsonl"
-        row = {"image_id": "i0", "feature": [0.0], "captions": [{"lang": "en", "tokens": ["a", "New York", "cab"]}]}
-        data.write_text(json.dumps(row) + "\n")
-        cands = tmp_path / "cands.tsv"
-        cands.write_text("i0\ta New York cab\n")
-        assert main(["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en"]) == EXIT_DATA
-        assert "refs.jsonl:1: captions[0] tokens must be non-empty and hold no whitespace" in capsys.readouterr().err
+    # names that tests of these rows had before the tables
+    test_candidates_that_are_not_utf8_name_file_and_line = row_checks(
+        "candidates", "evaluate", "utf16-bom", "latin1-crlf", ids=["1", "2"]
+    )
+    test_unknown_image_id_fails = row_checks("candidates", "evaluate", "unknown-image")
+    # "New York" as one token cannot match a caption read back split on
+    # whitespace, so the exact caption would score BLEU-2..4 of zero
+    test_reference_token_holding_whitespace_is_data_error = row_checks("dataset", "evaluate", "token-space")
 
     def test_lowercase_applies_to_candidates_too(self, tmp_path, capsys):
         # exact candidates score the same with and without the flag

@@ -1,7 +1,6 @@
 """Dataset parsing/validation, splits, checkpoint round trips, synth data."""
 
 import json
-import struct
 import tempfile
 from pathlib import Path
 
@@ -22,28 +21,88 @@ from mlcap.data import (
     l2_normalize_records,
     load_checkpoint,
     load_dataset,
+    lowercase_records,
     model_from_checkpoint,
     save_checkpoint,
     save_dataset,
     split_dataset,
     synth_generate,
 )
+from malformed import CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, write_valid_files
 from oracles import forward_sequence
-from mlcap.cli import EXIT_DATA, main
 from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import build_vocab
-from tinymodels import break_surface_tokens, claim_dims, random_params, rewrite_checkpoint_header
+from tinymodels import random_params
+
+
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
+    return write_valid_files(tmp_path_factory.mktemp("valid"))
 
 
 def write_jsonl(path, rows):
     path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
 
 
-def rename_language(header, old, new):
-    """A checkpoint header edit: language ``old`` becomes ``new``, start token included."""
-    vocab = header["vocab"]
-    vocab["languages"][vocab["languages"].index(old)] = new
-    vocab["tokens"][vocab["tokens"].index(f"<{old}>")] = f"<{new}>"
+def assert_refused(error, load, path, case):
+    with pytest.raises(error) as refused:
+        load(path)
+    assert f"{path}{case.message}" in str(refused.value)
+
+
+def check_dataset_row(row, valid, folder):
+    """``load_dataset`` refuses the row's file with its message; with
+    ``require_captions`` off, as ``caption`` reads, it loads a row ``caption`` accepts."""
+    case = DATASETS[row]
+    path = forge(case, valid["dataset"], folder)
+    assert_refused(DatasetError, load_dataset, path, case)
+    if "caption" in case.accepted_by:
+        assert load_dataset(path, require_captions=False)[1].captions == ()
+    else:
+        assert_refused(DatasetError, lambda p: load_dataset(p, require_captions=False), path, case)
+
+
+def check_checkpoint_row(row, valid, folder):
+    """``load_checkpoint`` refuses the row's file with its message, or loads a row it accepts."""
+    case = CHECKPOINTS[row]
+    path = forge(case, valid["checkpoint"], folder)
+    if "load_checkpoint" in case.accepted_by:
+        load_checkpoint(path)
+    else:
+        assert_refused(CheckpointError, load_checkpoint, path, case)
+
+
+def row_checks(kind, *rows, ids=None):
+    """A loader test of rows of ``kind``'s table: a case per row, named by ``ids``, or one case for all."""
+    check = {"dataset": check_dataset_row, "checkpoint": check_checkpoint_row}[kind]
+    if ids:
+
+        @pytest.mark.parametrize("row", rows, ids=ids)
+        def test(self, valid, tmp_path, row):
+            check(row, valid, tmp_path)
+
+    else:
+
+        def test(self, valid, tmp_path):
+            for row in rows:
+                check(row, valid, tmp_path)
+
+    return test
+
+
+@pytest.mark.parametrize("row", DATASETS)
+def test_load_dataset_refuses_each_malformed_dataset(valid, tmp_path, row):
+    check_dataset_row(row, valid, tmp_path)
+
+
+@pytest.mark.parametrize("row", CHECKPOINTS)
+def test_load_checkpoint_refuses_each_malformed_checkpoint(valid, tmp_path, row):
+    check_checkpoint_row(row, valid, tmp_path)
+
+
+def test_the_valid_files_load(valid):
+    assert len(load_dataset(valid["dataset"])) == 3
+    assert load_checkpoint(valid["checkpoint"]).epoch == 1
 
 
 def good_row(i=0, langs=("en",)):
@@ -80,130 +139,13 @@ class TestLoadDataset:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["d.jsonl"]
 
-    def test_error_names_line_number(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        p.write_text(json.dumps(good_row(0)) + "\n{not json\n")
-        with pytest.raises(DatasetError, match=r":2"):
-            load_dataset(p)
-
-    def test_duplicate_image_id(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        write_jsonl(p, [good_row(0), good_row(0)])
-        with pytest.raises(DatasetError, match="duplicate"):
-            load_dataset(p)
-
-    def test_feature_width_mismatch_names_image(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        bad = good_row(1)
-        bad["feature"] = [1.0]
-        write_jsonl(p, [good_row(0), bad])
-        with pytest.raises(DatasetError, match="img-1"):
-            load_dataset(p)
-
-    def test_nonfinite_feature_rejected(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        row = good_row(0)
-        row["feature"] = [1.0, float("nan"), 0.0]
-        p.write_text(json.dumps(row).replace("NaN", "1e999") + "\n")
-        with pytest.raises(DatasetError):
-            load_dataset(p)
-
-    @pytest.mark.parametrize("entry", ['"1.5"', "true", "null", "[1.0]", "{}"])
-    def test_non_number_feature_entry_rejected(self, tmp_path, entry):
-        p = tmp_path / "d.jsonl"
-        row = json.dumps(good_row(1)).replace('"feature": [0.1, ', f'"feature": [{entry}, ')
-        p.write_text(json.dumps(good_row(0)) + "\n" + row + "\n")
-        with pytest.raises(DatasetError, match=r":2: image_id 'img-1' has a non-numeric feature"):
-            load_dataset(p)
-
-    def test_integer_beyond_float_range_rejected(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        row = good_row(0)
-        row["feature"] = [10**400, 1.0, 0.0]
-        write_jsonl(p, [row])
-        with pytest.raises(DatasetError, match=r":1: image_id 'img-0' feature must be finite"):
-            load_dataset(p)
-
-    @pytest.mark.parametrize("token", ["New York", "", "cab\n", "\u3000"])
-    def test_token_that_does_not_survive_a_whitespace_split_rejected(self, tmp_path, token):
-        # captions are written space-joined and read back split on whitespace
-        p = tmp_path / "d.jsonl"
-        row = good_row(0)
-        row["captions"][0]["tokens"] = ["a", token, "cab"]
-        write_jsonl(p, [good_row(1), row])
-        with pytest.raises(DatasetError, match=r":2: captions\[0\] tokens must be non-empty and hold no whitespace"):
-            load_dataset(p, require_captions=False)
-
-    @pytest.mark.parametrize("image_id", ["img-1\tx", "img-1\nx", "img-1\r"])
-    def test_image_id_holding_a_tab_or_line_break_rejected(self, tmp_path, image_id):
-        # caption output is one 'image_id<TAB>tokens' line per image
-        p = tmp_path / "d.jsonl"
-        row = good_row(1)
-        row["image_id"] = image_id
-        write_jsonl(p, [good_row(0), row])
-        with pytest.raises(DatasetError, match=r":2: image_id .* holds a tab or line break"):
-            load_dataset(p, require_captions=False)
-
-    @pytest.mark.parametrize("lang", ["", "jp,x", "j p", "en\n"])
-    def test_lang_that_a_langs_flag_cannot_name_rejected(self, tmp_path, lang):
-        # --langs splits its value at commas and strips whitespace
-        p = tmp_path / "d.jsonl"
-        write_jsonl(p, [good_row(0), good_row(1, langs=("en", lang))])
-        with pytest.raises(DatasetError, match=r":2: captions\[1\] lang .* must be non-empty, without comma or whitespace"):
-            load_dataset(p)
-
-    @pytest.mark.parametrize("code", ["pad", "unk", "eos"])
-    def test_lang_whose_start_token_is_a_control_token_rejected(self, tmp_path, code):
-        p = tmp_path / "d.jsonl"
-        write_jsonl(p, [good_row(0), good_row(1, langs=("en", code))])
-        with pytest.raises(DatasetError, match=rf":2: captions\[1\] lang '{code}' is reserved: its start token <{code}>"):
-            load_dataset(p)
-
-    @pytest.mark.parametrize("field", ["token", "image_id", "lang"])
-    def test_lone_surrogate_escape_rejected_with_file_and_line(self, tmp_path, field):
-        # json.loads turns the escape into a lone surrogate, which no UTF-8 output can hold
-        row = good_row(1)
-        if field == "token":
-            row["captions"][0]["tokens"][1] = "SURROGATE"
-        elif field == "image_id":
-            row["image_id"] = "SURROGATE"
-        else:
-            row["captions"][0]["lang"] = "SURROGATE"
-        p = tmp_path / "d.jsonl"
-        p.write_text(json.dumps(good_row(0)) + "\n" + json.dumps(row).replace("SURROGATE", "circ\\ud800le") + "\n")
-        with pytest.raises(DatasetError, match=r"d\.jsonl:2: holds a lone surrogate '\\ud800'"):
-            load_dataset(p)
-
-    def test_missing_captions_rejected_unless_allowed(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        row = {"image_id": "x", "feature": [1.0]}
-        write_jsonl(p, [row])
-        with pytest.raises(DatasetError, match="captions"):
-            load_dataset(p)
-        records = load_dataset(p, require_captions=False)
-        assert records[0].captions == ()
-
-    def test_bad_caption_shape(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        row = good_row(0)
-        row["captions"] = [{"lang": "en", "tokens": "a cat"}]
-        write_jsonl(p, [row])
-        with pytest.raises(DatasetError, match="tokens"):
-            load_dataset(p)
-
     def test_lowercase_flag(self, tmp_path):
         p = tmp_path / "d.jsonl"
         row = good_row(0)
         row["captions"][0]["tokens"] = ["A", "Cat"]
         write_jsonl(p, [row])
-        assert load_dataset(p, lowercase=True)[0].captions[0].tokens == ("a", "cat")
+        assert lowercase_records(load_dataset(p))[0].captions[0].tokens == ("a", "cat")
         assert load_dataset(p)[0].captions[0].tokens == ("A", "Cat")
-
-    def test_empty_file_rejected(self, tmp_path):
-        p = tmp_path / "d.jsonl"
-        p.write_text("")
-        with pytest.raises(DatasetError, match="empty"):
-            load_dataset(p)
 
     def test_crlf_lines_load_as_lf_lines(self, tmp_path):
         lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
@@ -214,26 +156,35 @@ class TestLoadDataset:
             (r.image_id, r.feature.tobytes(), r.captions) for r in b
         ]
 
-    @pytest.mark.parametrize(
-        "raw, line",
-        [
-            (b"\xff\xfe" + json.dumps(good_row(0)).encode() + b"\n", 1),  # a UTF-16 byte-order mark
-            (
-                json.dumps(good_row(0)).encode() + b"\r\n" + json.dumps(good_row(1)).encode().replace(b"img-1", b"caf\xe9") + b"\r\n",
-                2,  # a Latin-1 byte on the second line of a CRLF file
-            ),
-        ],
-        ids=["bom", "latin1-crlf"],
+    # names that tests of these rows had before the tables
+    test_error_names_line_number = row_checks("dataset", "invalid-json")
+    test_duplicate_image_id = row_checks("dataset", "duplicate-id")
+    test_feature_width_mismatch_names_image = row_checks("dataset", "feature-width")
+    test_nonfinite_feature_rejected = row_checks("dataset", "feature-1e999")
+    test_non_number_feature_entry_rejected = row_checks(
+        "dataset", "feature-string", "feature-bool", "feature-null", "feature-list", "feature-object",
+        ids=['"1.5"', "true", "null", "[1.0]", "{}"],
     )
-    def test_bytes_that_are_not_utf8_name_file_and_line(self, tmp_path, capsys, raw, line):
-        p = tmp_path / "d.jsonl"
-        p.write_bytes(raw)
-        with pytest.raises(DatasetError, match=rf"d\.jsonl:{line}: not UTF-8 text"):
-            load_dataset(p)
-        out = tmp_path / "run"
-        assert main(["train", "--data", str(p), "--out", str(out)]) == EXIT_DATA
-        assert f"{p}:{line}: not UTF-8 text" in capsys.readouterr().err
-        assert sorted(path.name for path in tmp_path.iterdir()) == ["d.jsonl"]
+    test_integer_beyond_float_range_rejected = row_checks("dataset", "feature-10e400")
+    test_token_that_does_not_survive_a_whitespace_split_rejected = row_checks(
+        "dataset", "token-space", "token-empty", "token-line-feed", "token-ideographic-space", ids=["New York", "", "cab\n", "\u3000"]
+    )
+    test_image_id_holding_a_tab_or_line_break_rejected = row_checks(
+        "dataset", "id-tab", "id-line-feed", "id-carriage-return", ids=["img-1\tx", "img-1\nx", "img-1\r"]
+    )
+    test_lang_that_a_langs_flag_cannot_name_rejected = row_checks(
+        "dataset", "lang-empty", "lang-comma", "lang-space", "lang-line-feed", ids=["", "jp,x", "j p", "en\n"]
+    )
+    test_lang_whose_start_token_is_a_control_token_rejected = row_checks(
+        "dataset", "lang-pad", "lang-unk", "lang-eos", ids=["pad", "unk", "eos"]
+    )
+    test_lone_surrogate_escape_rejected_with_file_and_line = row_checks(
+        "dataset", "surrogate-token", "surrogate-id", "surrogate-lang", ids=["token", "image_id", "lang"]
+    )
+    test_missing_captions_rejected_unless_allowed = row_checks("dataset", "no-captions")
+    test_bad_caption_shape = row_checks("dataset", "tokens-not-a-list")
+    test_empty_file_rejected = row_checks("dataset", "empty-file")
+    test_bytes_that_are_not_utf8_name_file_and_line = row_checks("dataset", "utf16-bom", "latin1-crlf", ids=["bom", "latin1-crlf"])
 
 
 class TestHelpers:
@@ -368,21 +319,6 @@ class TestCheckpoint:
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == ["model.ckpt"]
 
-    def test_bad_magic(self, tmp_path):
-        p = tmp_path / "x.ckpt"
-        p.write_bytes(b"NOTFMT" + b"\x00" * 16)
-        with pytest.raises(CheckpointError, match="magic"):
-            load_checkpoint(p)
-
-    def test_truncation_detected(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        blob = path.read_bytes()
-        for cut in (4, 10, len(blob) // 2, len(blob) - 3):
-            p = tmp_path / f"cut{cut}.ckpt"
-            p.write_bytes(blob[:cut])
-            with pytest.raises(CheckpointError, match="truncated|magic"):
-                load_checkpoint(p)
-
     def test_every_prefix_is_a_checkpoint_error(self, tmp_path):
         _, _, _, path = self.roundtrip(tmp_path)
         blob = path.read_bytes()
@@ -391,55 +327,6 @@ class TestCheckpoint:
             cut.write_bytes(blob[:size])
             with pytest.raises(CheckpointError):
                 load_checkpoint(cut)
-
-    @pytest.mark.parametrize("length", [2**63 - 1, 2**64 - 1])
-    def test_forged_header_length_refused(self, tmp_path, length):
-        _, _, _, path = self.roundtrip(tmp_path)
-        blob = path.read_bytes()
-        bad = tmp_path / "long_header.ckpt"
-        bad.write_bytes(blob[:6] + struct.pack("<Q", length) + blob[14:])
-        with pytest.raises(CheckpointError, match="truncated inside header"):
-            load_checkpoint(bad)
-
-    @pytest.mark.parametrize("width", [10**6, 10**10, 10**400], ids=["terabytes", "past-int64", "past-float"])
-    def test_consistent_dims_claiming_huge_arrays_refused(self, tmp_path, width):
-        # a tiny file whose header is self-consistent but declares arrays far
-        # larger than the file: refused before anything is allocated
-        _, _, _, path = self.roundtrip(tmp_path)
-        bad = tmp_path / "huge.ckpt"
-        rewrite_checkpoint_header(path, bad, lambda header: claim_dims(header, embed=width, hidden=width, feature=width))
-        with pytest.raises(CheckpointError, match="truncated inside array 'w_embed'"):
-            load_checkpoint(bad)
-
-    def test_trailing_garbage_detected(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        p = tmp_path / "pad.ckpt"
-        p.write_bytes(path.read_bytes() + b"\x00\x01")
-        with pytest.raises(CheckpointError, match="trailing"):
-            load_checkpoint(p)
-
-    def test_version_mismatch_refused(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        p = tmp_path / "v2.ckpt"
-        rewrite_checkpoint_header(path, p, lambda header: header.update(version=2))
-        with pytest.raises(CheckpointError, match="version"):
-            load_checkpoint(p)
-
-    def test_header_must_be_an_object(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        blob = path.read_bytes()
-        (length,) = struct.unpack_from("<Q", blob, 6)
-        bad = tmp_path / "list_header.ckpt"
-        bad.write_bytes(blob[:6] + struct.pack("<Q", 3) + b"[1]" + blob[14 + length :])
-        with pytest.raises(CheckpointError, match="header must be a JSON object"):
-            load_checkpoint(bad)
-
-    def test_manifest_entry_without_name_refused(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        bad = tmp_path / "noname.ckpt"
-        rewrite_checkpoint_header(path, bad, lambda header: header["arrays"][0].pop("name"))
-        with pytest.raises(CheckpointError, match="manifest"):
-            load_checkpoint(bad)
 
     def test_float_manifest_shape_reads_the_shapes_dims_imply(self, tmp_path):
         # [4.0, 16] == [4, 16] passes the manifest check, so the arrays take
@@ -450,66 +337,30 @@ class TestCheckpoint:
         for (name, array), (_, back) in zip(params.named_parameters(), load_checkpoint(odd).params.named_parameters()):
             assert back.shape == array.shape and back.tobytes() == array.tobytes(), name
 
-    @pytest.mark.parametrize("edit", [list.pop, lambda tokens: tokens.append("zzz")], ids=["short", "long"])
-    def test_vocabulary_length_must_follow_dims(self, tmp_path, edit):
-        _, _, _, path = self.roundtrip(tmp_path)
-        bad = tmp_path / "vocab.ckpt"
-        rewrite_checkpoint_header(path, bad, lambda header: edit(header["vocab"]["tokens"]))
-        with pytest.raises(CheckpointError, match="vocabulary tokens but dims.vocab"):
-            load_checkpoint(bad)
-
-    def test_non_string_vocabulary_token_refused(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        bad = tmp_path / "int_token.ckpt"
-        rewrite_checkpoint_header(path, bad, lambda header: header["vocab"]["tokens"].__setitem__(-1, 5))
-        with pytest.raises(CheckpointError, match="tokens and languages must be strings"):
-            load_checkpoint(bad)
-
-    @pytest.mark.parametrize(
-        "edit, rule",
-        [
-            (break_surface_tokens, "tokens must be non-empty and hold no whitespace"),
-            (lambda header: header["vocab"]["tokens"].__setitem__(-1, ""), "tokens must be non-empty"),
-            (lambda header: header["vocab"]["tokens"].__setitem__(-1, "New York"), "hold no whitespace, got 'New York'"),
-            (lambda header: rename_language(header, "en", "e n"), "lang 'e n' must be non-empty, without comma or whitespace"),
-            (lambda header: rename_language(header, "en", "e,n"), "lang 'e,n' must be non-empty, without comma or whitespace"),
-            (lambda header: header["vocab"]["tokens"].__setitem__(-1, "circ\ud800le"), "surrogates not allowed"),
-        ],
+    # names that tests of these rows had before the tables
+    test_bad_magic = row_checks("checkpoint", "bad-magic")
+    test_truncation_detected = row_checks("checkpoint", "cut-4", "cut-10", "cut-half", "cut-3-short")
+    test_forged_header_length_refused = row_checks(
+        "checkpoint", f"header-length-{2**63 - 1}", f"header-length-{2**64 - 1}", ids=[str(2**63 - 1), str(2**64 - 1)]
+    )
+    test_consistent_dims_claiming_huge_arrays_refused = row_checks(
+        "checkpoint", "huge-dims-terabytes", "huge-dims-past-int64", "huge-dims-past-float", ids=["terabytes", "past-int64", "past-float"]
+    )
+    test_trailing_garbage_detected = row_checks("checkpoint", "trailing-bytes")
+    test_version_mismatch_refused = row_checks("checkpoint", "version-2")
+    test_header_must_be_an_object = row_checks("checkpoint", "header-not-an-object")
+    test_manifest_entry_without_name_refused = row_checks("checkpoint", "manifest-entry-without-name")
+    test_vocabulary_length_must_follow_dims = row_checks("checkpoint", "vocab-short", "vocab-long", ids=["short", "long"])
+    test_non_string_vocabulary_token_refused = row_checks("checkpoint", "token-not-a-string")
+    test_vocabulary_must_follow_the_dataset_text_rules = row_checks(
+        "checkpoint", "token-line-break", "token-empty", "token-space", "lang-space", "lang-comma", "token-lone-surrogate",
         ids=["line-break", "empty", "space", "lang-space", "lang-comma", "lone-surrogate"],
     )
-    def test_vocabulary_must_follow_the_dataset_text_rules(self, tmp_path, edit, rule):
-        # captions are written from the vocabulary's tokens, one tab-separated line per image
-        _, _, _, path = self.roundtrip(tmp_path)
-        bad = tmp_path / "vocab.ckpt"
-        rewrite_checkpoint_header(path, bad, edit)
-        with pytest.raises(CheckpointError, match=rule):
-            load_checkpoint(bad)
-
-    @pytest.mark.parametrize("epoch", [2.7, True, -1, "3"])
-    def test_epoch_must_be_a_non_negative_int(self, tmp_path, epoch):
-        _, _, _, path = self.roundtrip(tmp_path)
-        bad = tmp_path / "epoch.ckpt"
-        rewrite_checkpoint_header(path, bad, lambda header: header.update(epoch=epoch))
-        with pytest.raises(CheckpointError, match="epoch must be an integer >= 0"):
-            load_checkpoint(bad)
-
-    def test_array_shape_must_follow_dims(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        ckpt = load_checkpoint(path)
-        ckpt.params.w_out = np.zeros((ckpt.params.dims.hidden, ckpt.params.dims.vocab + 1))
-        bad = tmp_path / "shape.ckpt"
-        save_checkpoint(bad, ckpt)
-        with pytest.raises(CheckpointError, match="w_out"):
-            load_checkpoint(bad)
-
-    def test_non_finite_array_refused(self, tmp_path):
-        _, _, _, path = self.roundtrip(tmp_path)
-        ckpt = load_checkpoint(path)
-        ckpt.params.b_gates[3] = np.nan
-        bad = tmp_path / "nan.ckpt"
-        save_checkpoint(bad, ckpt)
-        with pytest.raises(CheckpointError, match="'b_gates' holds non-finite"):
-            load_checkpoint(bad)
+    test_epoch_must_be_a_non_negative_int = row_checks(
+        "checkpoint", "epoch-float", "epoch-true", "epoch-negative", "epoch-string", ids=["2.7", "True", "-1", "3"]
+    )
+    test_array_shape_must_follow_dims = row_checks("checkpoint", "array-shape")
+    test_non_finite_array_refused = row_checks("checkpoint", "non-finite-array")
 
 
 class TestSynth:

@@ -1,11 +1,8 @@
-"""Small model builders and checkpoint edits shared across test modules."""
-
-import json
-import struct
+"""Small model builders shared across test modules."""
 
 import numpy as np
 
-from mlcap.model import Dims, ModelParams, init_params, param_shapes
+from mlcap.model import Dims, ModelParams, init_params
 from mlcap.trainer import Example
 from mlcap.vocab import EOS_ID
 
@@ -79,28 +76,3 @@ def prefix_free_params(log_weights, embed=2, hidden=2, feature=2):
 def toy_distribution():
     """Token scores for (pad, unk, eos, a, b) with p = (0, 0, .2, .5, .3)."""
     return np.array([NEG_BIG, NEG_BIG, np.log(0.2), np.log(0.5), np.log(0.3)])
-
-
-def rewrite_checkpoint_header(src, dst, edit):
-    """Copy a checkpoint file, passing its JSON header through ``edit``."""
-    blob = src.read_bytes()
-    (length,) = struct.unpack_from("<Q", blob, 6)
-    header = json.loads(blob[14 : 14 + length])
-    edit(header)
-    text = json.dumps(header).encode("utf-8")
-    dst.write_bytes(blob[:6] + struct.pack("<Q", len(text)) + text + blob[14 + length :])
-
-
-def claim_dims(header, **dims):
-    """A checkpoint header edit: new dims and the array manifest they imply."""
-    header["dims"].update(dims)
-    shapes = param_shapes(Dims(**header["dims"]))
-    header["arrays"] = [{"name": name, "shape": list(shape)} for name, shape in shapes.items()]
-
-
-def break_surface_tokens(header):
-    """A checkpoint header edit: every surface token ``t`` becomes ``t\\nX\\tt``,
-    so each caption line written from it would split into three."""
-    vocab = header["vocab"]
-    first = 3 + len(vocab["languages"])
-    vocab["tokens"][first:] = [f"{t}\nX\t{t}" for t in vocab["tokens"][first:]]
