@@ -18,6 +18,8 @@ import struct
 from functools import partial
 from typing import Callable, NamedTuple
 
+import pytest
+
 from mlcap.data import Checkpoint, corpus_from_records, save_checkpoint, save_dataset, synth_generate
 from mlcap.model import Dims, param_shapes
 from mlcap.vocab import build_vocab
@@ -36,8 +38,10 @@ class Case(NamedTuple):
     accepted_by: tuple = ()
 
 
-def write_valid_files(folder):
+@pytest.fixture(scope="module")
+def valid(tmp_path_factory):
     """The valid dataset, checkpoint and candidates every row is forged from, by kind."""
+    folder = tmp_path_factory.mktemp("valid")
     paths = {"dataset": folder / "valid.jsonl", "checkpoint": folder / "valid.ckpt", "candidates": folder / "valid.tsv"}
     save_dataset(RECORDS, paths["dataset"])
     save_checkpoint(paths["checkpoint"], Checkpoint(PARAMS, VOCAB, {"feature_l2norm": False}, 1))

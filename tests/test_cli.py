@@ -22,11 +22,12 @@ from mlcap.data import (
     save_dataset,
 )
 from mlcap.vocab import EOS_ID, build_vocab
-from malformed import CANDIDATES, CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, write_valid_files
+from malformed import CANDIDATES, CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, valid
 from oracles import forward_sequence
 from tinymodels import NEG_BIG, prefix_free_params, wide_params
 
 TABLES = {"dataset": DATASETS, "checkpoint": CHECKPOINTS, "candidates": CANDIDATES}
+READERS = {"dataset": ["build-vocab", "train", "caption", "evaluate"], "checkpoint": ["caption"], "candidates": ["evaluate"]}
 
 
 @pytest.fixture(scope="module")
@@ -61,11 +62,6 @@ def speaker(workdir):
     return path
 
 
-@pytest.fixture(scope="module")
-def valid(tmp_path_factory):
-    return write_valid_files(tmp_path_factory.mktemp("valid"))
-
-
 def reader_args(command, valid, folder, **given):
     """``command`` reading the valid files, or the ``given`` file of a kind, and writing into ``folder``."""
     files = {**valid, **given}
@@ -96,8 +92,13 @@ def check_row(kind, row, command, valid, folder, capsys):
         assert sorted(folder.rglob("*")) == before
 
 
+NAMED = set()  # (kind, row, command) triples that a test named below runs; the table test runs every other one
+
+
 def row_checks(kind, command, *rows, ids=None):
     """A test of ``command`` on rows of ``kind``'s table: a case per row, named by ``ids``, or one case for all."""
+    assert NAMED.isdisjoint((kind, row, command) for row in rows), "a row runs under one name"
+    NAMED.update((kind, row, command) for row in rows)
     if ids:
 
         @pytest.mark.parametrize("row", rows, ids=ids)
@@ -113,25 +114,9 @@ def row_checks(kind, command, *rows, ids=None):
     return test
 
 
-@pytest.mark.parametrize("command", ["build-vocab", "train", "caption", "evaluate"])
+@pytest.mark.parametrize("command", READERS["dataset"])
 def test_every_reader_runs_on_the_valid_files(valid, tmp_path, command):
     assert main(reader_args(command, valid, tmp_path)) == EXIT_OK
-
-
-@pytest.mark.parametrize("command", ["build-vocab", "train", "caption", "evaluate"])
-@pytest.mark.parametrize("row", DATASETS)
-def test_every_dataset_reader_refuses_each_malformed_dataset(valid, tmp_path, capsys, row, command):
-    check_row("dataset", row, command, valid, tmp_path, capsys)
-
-
-@pytest.mark.parametrize("row", CHECKPOINTS)
-def test_caption_refuses_each_malformed_checkpoint(valid, tmp_path, capsys, row):
-    check_row("checkpoint", row, "caption", valid, tmp_path, capsys)
-
-
-@pytest.mark.parametrize("row", CANDIDATES)
-def test_evaluate_refuses_each_malformed_candidates_file(valid, tmp_path, capsys, row):
-    check_row("candidates", row, "evaluate", valid, tmp_path, capsys)
 
 
 def rewrite_captions(workdir, path, edit):
@@ -252,7 +237,7 @@ class TestBuildVocab:
         )
         assert code == EXIT_USAGE
 
-    # names that tests of these rows had before the tables
+    # ids these rows ran under before the tables; the table test at the end runs every other row
     test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks("dataset", "build-vocab", "lang-pad")
 
     def test_lowercase_merges_case_variants(self, tmp_path):
@@ -463,7 +448,7 @@ class TestTrain:
         assert options["split"] == [30, 5, 5] and options["loss_mode"] == "mean"
         assert "beam" not in options and options["languages"] is None
 
-    # names that tests of these rows had before the tables
+    # ids these rows ran under before the tables; the table test at the end runs every other row
     test_caption_language_that_langs_cannot_name_is_data_error = row_checks("dataset", "train", "lang-comma")
     test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks(
         "dataset", "train", "lang-pad", "lang-unk", "lang-eos", ids=["pad", "unk", "eos"]
@@ -589,11 +574,8 @@ class TestCaption:
         assert "error: feature width 4 does not match model width 16" in capsys.readouterr().err
         assert not (tmp_path / "c").exists()
 
-    # names that tests of these rows had before the tables
-    def test_image_id_holding_a_tab_is_data_error(self, valid, tmp_path, capsys):
-        for command in ("caption", "evaluate"):
-            check_row("dataset", "id-tab", command, valid, tmp_path, capsys)
-
+    # ids these rows ran under before the tables; the table test at the end runs every other row
+    test_image_id_holding_a_tab_is_data_error = row_checks("dataset", "caption", "id-tab")
     test_non_number_feature_is_data_error = row_checks("dataset", "caption", "feature-string")
     test_non_finite_checkpoint_is_data_error = row_checks("checkpoint", "caption", "non-finite-array")
     test_manifest_entry_without_name_is_data_error = row_checks("checkpoint", "caption", "manifest-entry-without-name")
@@ -757,7 +739,7 @@ class TestEvaluate:
         assert f"{valid['candidates']}: image 'synth-000000' has no 'de' references" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
-    # names that tests of these rows had before the tables
+    # ids these rows ran under before the tables; the table test at the end runs every other row
     test_candidates_that_are_not_utf8_name_file_and_line = row_checks(
         "candidates", "evaluate", "utf16-bom", "latin1-crlf", ids=["1", "2"]
     )
@@ -918,3 +900,12 @@ class TestParsing:
         assert out == ""
         assert f"mlcap {command}: error: argument {flag}: " in err and rule in err
         assert list(tmp_path.iterdir()) == []
+
+
+# the table test: every row, through every command that reads its kind, that no test named above runs
+@pytest.mark.parametrize(
+    "kind, row, command",
+    [(kind, row, command) for kind, table in TABLES.items() for row in table for command in READERS[kind] if (kind, row, command) not in NAMED],
+)
+def test_every_reader_refuses_each_malformed_file(valid, tmp_path, capsys, kind, row, command):
+    check_row(kind, row, command, valid, tmp_path, capsys)

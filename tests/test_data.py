@@ -28,16 +28,11 @@ from mlcap.data import (
     split_dataset,
     synth_generate,
 )
-from malformed import CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, write_valid_files
+from malformed import CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, valid
 from oracles import forward_sequence
 from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import build_vocab
 from tinymodels import random_params
-
-
-@pytest.fixture(scope="module")
-def valid(tmp_path_factory):
-    return write_valid_files(tmp_path_factory.mktemp("valid"))
 
 
 def write_jsonl(path, rows):
@@ -72,9 +67,15 @@ def check_checkpoint_row(row, valid, folder):
         assert_refused(CheckpointError, load_checkpoint, path, case)
 
 
+CHECKS = {"dataset": check_dataset_row, "checkpoint": check_checkpoint_row}
+NAMED = set()  # (kind, row) pairs that a test named below runs; the table test runs every other row
+
+
 def row_checks(kind, *rows, ids=None):
     """A loader test of rows of ``kind``'s table: a case per row, named by ``ids``, or one case for all."""
-    check = {"dataset": check_dataset_row, "checkpoint": check_checkpoint_row}[kind]
+    assert NAMED.isdisjoint((kind, row) for row in rows), "a row runs under one name"
+    NAMED.update((kind, row) for row in rows)
+    check = CHECKS[kind]
     if ids:
 
         @pytest.mark.parametrize("row", rows, ids=ids)
@@ -88,16 +89,6 @@ def row_checks(kind, *rows, ids=None):
                 check(row, valid, tmp_path)
 
     return test
-
-
-@pytest.mark.parametrize("row", DATASETS)
-def test_load_dataset_refuses_each_malformed_dataset(valid, tmp_path, row):
-    check_dataset_row(row, valid, tmp_path)
-
-
-@pytest.mark.parametrize("row", CHECKPOINTS)
-def test_load_checkpoint_refuses_each_malformed_checkpoint(valid, tmp_path, row):
-    check_checkpoint_row(row, valid, tmp_path)
 
 
 def test_the_valid_files_load(valid):
@@ -156,7 +147,7 @@ class TestLoadDataset:
             (r.image_id, r.feature.tobytes(), r.captions) for r in b
         ]
 
-    # names that tests of these rows had before the tables
+    # ids these rows ran under before the tables; the table test at the end runs every other row
     test_error_names_line_number = row_checks("dataset", "invalid-json")
     test_duplicate_image_id = row_checks("dataset", "duplicate-id")
     test_feature_width_mismatch_names_image = row_checks("dataset", "feature-width")
@@ -337,7 +328,7 @@ class TestCheckpoint:
         for (name, array), (_, back) in zip(params.named_parameters(), load_checkpoint(odd).params.named_parameters()):
             assert back.shape == array.shape and back.tobytes() == array.tobytes(), name
 
-    # names that tests of these rows had before the tables
+    # ids these rows ran under before the tables; the table test at the end runs every other row
     test_bad_magic = row_checks("checkpoint", "bad-magic")
     test_truncation_detected = row_checks("checkpoint", "cut-4", "cut-10", "cut-half", "cut-3-short")
     test_forged_header_length_refused = row_checks(
@@ -409,3 +400,11 @@ class TestSynth:
             synth_generate(0, seed=0, languages=["en"])
         with pytest.raises(ValueError, match="duplicate"):
             synth_generate(3, seed=0, languages=["en", "en"])
+
+
+# the table test: every row that no test named above runs
+@pytest.mark.parametrize(
+    "kind, row", [(kind, row) for kind, table in [("dataset", DATASETS), ("checkpoint", CHECKPOINTS)] for row in table if (kind, row) not in NAMED]
+)
+def test_loaders_refuse_each_malformed_file(valid, tmp_path, kind, row):
+    CHECKS[kind](row, valid, tmp_path)
