@@ -8,10 +8,10 @@ activations in buffers it needs anyway, and dropping the pullback frees
 them, which ``sequence_loss`` does before it builds the embedding gradient.
 The pieces:
 
-- ``lstm_cell``, the gate arithmetic of one step, shared by
-  ``lstm_sequence`` and the decoder;
-- ``lstm_sequence``, a whole teacher-forced LSTM run from the zero state;
-- ``log_softmax``, the decoder's normalisation.
+- ``lstm_cell``, the gate arithmetic of one step, shared by ``lstm_sequence``
+  and the decoder, whose step holds at most two [rows,V] arrays, as
+  ``model.step_rows`` normalises its logits in place;
+- ``lstm_sequence``, a whole teacher-forced LSTM run from the zero state.
 """
 
 from __future__ import annotations
@@ -166,9 +166,3 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
         return zx @ w_x.T, x.T @ zx, hs[:-batch].T @ zx[batch:], zx.sum(axis=0)
 
     return hs[batch:], pullback
-
-
-def log_softmax(z: np.ndarray) -> np.ndarray:
-    """Log of softmax along the last axis, computed with max subtraction."""
-    shifted = z - z.max(axis=-1, keepdims=True)
-    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))

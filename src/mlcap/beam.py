@@ -12,7 +12,8 @@ optional ranking flag asks for it. Width 1 is greedy decoding.
 Selection is vectorized but exact. Each step adds each live hypothesis's
 score to its next-token log-probabilities, in place, so every candidate
 score is the same float64 sum a scalar loop would form, and ``_top`` applies
-the tie rule to every image's candidates at once.
+the tie rule to every image's candidates at once. A step frees them before
+the next ``step_rows``, so it holds at most two [rows,V] arrays.
 
 ``beam_block`` decodes a block of images at once, as in the batched decoder
 of Show and Tell (Vinyals et al., arXiv 1411.4555): one ``step_rows`` call
@@ -201,6 +202,7 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
         candidates = _candidates(scores, logp, barred, step)
         parent, tokens = _top(candidates, image, config.width, emittable)
         scores, image = candidates[parent, tokens], image[parent]
+        del candidates, logp  # the next step_rows must not run beside them
         ids = np.concatenate([ids[parent], tokens[:, None]], axis=1)
         ended = (tokens == EOS_ID) | (step == config.max_len)
         for row in np.flatnonzero(ended):

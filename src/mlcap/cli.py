@@ -266,8 +266,8 @@ def cmd_caption(args) -> int:
     return EXIT_OK
 
 
-def _read_candidates(path, lowercase: bool) -> dict[str, list[str]]:
-    candidates: dict[str, list[str]] = {}
+def _read_candidates(path, lowercase: bool) -> dict[str, tuple[int, list[str]]]:
+    candidates: dict[str, tuple[int, list[str]]] = {}
     for lineno, line in text_lines(path):
         line = line.rstrip("\n")
         if not line:
@@ -277,7 +277,7 @@ def _read_candidates(path, lowercase: bool) -> dict[str, list[str]]:
         image_id, text = line.split("\t", 1)
         if image_id in candidates:
             raise DatasetError(f"{path}:{lineno}: duplicate candidate for {image_id!r}")
-        candidates[image_id] = (text.lower() if lowercase else text).split()
+        candidates[image_id] = lineno, (text.lower() if lowercase else text).split()
     if not candidates:
         raise DatasetError(f"{path}: no candidates found")
     return candidates
@@ -293,13 +293,13 @@ def cmd_evaluate(args) -> int:
     pooled = []
     for lang, path in zip(args.langs, cand_paths):
         pairs = []
-        for image_id, tokens in _read_candidates(path, args.lowercase).items():
+        for image_id, (lineno, tokens) in _read_candidates(path, args.lowercase).items():
             rec = by_id.get(image_id)
             if rec is None:
-                raise DatasetError(f"{path}: candidate {image_id!r} is not in the reference data")
+                raise DatasetError(f"{path}:{lineno}: candidate {image_id!r} is not in the reference data")
             refs = [c.tokens for c in rec.captions if c.language == lang]
             if not refs:
-                raise DatasetError(f"{path}: image {image_id!r} has no {lang!r} references")
+                raise DatasetError(f"{path}:{lineno}: image {image_id!r} has no {lang!r} references")
             pairs.append((tokens, refs))
         pooled.extend(pairs)
         report["per_language"][lang] = evaluate_corpus(CorpusEval.from_pairs(pairs)).as_dict()

@@ -13,11 +13,11 @@ teacher-forced recurrence as ``autodiff.lstm_sequence``; decoding steps the
 same cell (``lstm_cell``) here, on a decode state that is the ``(h, c)``
 pair of [rows,H] arrays: ``project_features`` gives each image's first
 input row, ``advance_state`` advances a block of rows, one per sequence,
-and ``step_rows`` advances them and scores the next id. Its one-row form
-``step_distribution`` is kept only because ``perfbench/`` calls it; it goes
-with ROADMAP item 1a. Decoding never runs a 1-row matmul, which rounds
-differently from a row inside a block: these functions run a lone row as a
-2-row block, so a row decodes to the same bits whatever block it sits in.
+and ``step_rows`` advances them and scores the next id: a decode step holds
+at most two [rows,V] arrays. Its one-row form ``step_distribution`` is kept
+only because ``perfbench/`` calls it; it goes with ROADMAP item 1a. A 1-row
+matmul rounds differently from a row inside a block, so these functions run
+a lone row as a 2-row block: a row decodes to the same bits in any block.
 """
 
 from __future__ import annotations
@@ -120,12 +120,15 @@ def project_features(features: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def step_rows(x_rows: np.ndarray, state, params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:
-    """One decode step for a block of rows: input rows [N,E] and state
-    ``(h, c)`` [N,H] to the new state and next-id log-probabilities [N,V]:
-    ``advance_state``, then the head. A lone row runs as a 2-row block."""
+    """One decode step for a block of rows: input rows [N,E] and state ``(h, c)``
+    [N,H] to the new state and next-id log-probabilities [N,V], normalised in
+    place. A lone row runs as a 2-row block."""
     h, c = advance_state(x_rows, state, params)
-    logits = _block(h) @ params.w_out + params.b_out
-    return (h, c), ad.log_softmax(logits)[: len(x_rows)]
+    logp = _block(h) @ params.w_out
+    logp += params.b_out
+    logp -= logp.max(axis=1, keepdims=True)
+    logp -= np.log(np.exp(logp).sum(axis=1, keepdims=True))
+    return (h, c), logp[: len(x_rows)]
 
 
 def step_distribution(state, token_or_feature, params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:

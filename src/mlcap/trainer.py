@@ -16,10 +16,10 @@ A training step keeps a bounded working set. ``BLOCK_CELLS`` caps every
 working ``[rows,V]`` array, in training and in decoding alike: the output
 head and its cross-entropy run over ``row_blocks`` of the hidden rows, so
 no ``[T*B,V]`` logits array exists, and the ``w_out`` gradient adds each
-block in ``row_blocks`` chunks of its rows. ``sequence_loss`` drops the
-recurrence's activations before it builds the dense embedding gradient,
-and ``adam_step`` updates each parameter in cache-sized slices of about
-``ADAM_SLICE`` elements.
+block in ``row_blocks`` chunks of its rows; a decode step holds two at
+most. ``sequence_loss`` drops the recurrence's activations before it builds
+the dense embedding gradient, and ``adam_step`` updates each parameter in
+cache-sized slices of about ``ADAM_SLICE`` elements.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from .vocab import PAD_ID, Vocabulary, build_vocab, check_collisions
 CLIP_NORM = 5.0
 ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8  # Kingma & Ba; read at each adam_step
 LOSS_MODES = ("mean", "sum")
-BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a head or decode block: 16 MB
+BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a head or decode block: 16 MB; a decode step holds two
 ADAM_SLICE = 2**15  # elements per Adam slice; at paper scale 2**15 beat 2**18, 2**21 and whole arrays
 
 
@@ -267,17 +267,20 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
 
 @dataclass
 class AdamState:
-    """First/second moment accumulators per parameter plus the step count."""
+    """Moment accumulators per parameter, ``adam_step``'s two scratch buffers and the step count."""
 
     m: dict[str, np.ndarray]
     v: dict[str, np.ndarray]
+    scratch: tuple[np.ndarray, np.ndarray]
     t: int = 0
 
     @classmethod
     def for_params(cls, params: ModelParams) -> "AdamState":
-        m = {name: np.zeros_like(p) for name, p in params.named_parameters()}
-        v = {name: np.zeros_like(p) for name, p in params.named_parameters()}
-        return cls(m=m, v=v)
+        named = params.named_parameters()
+        zeros = lambda: {name: np.zeros_like(p) for name, p in named}
+        # a slice holds whole rows, so one row wider than ADAM_SLICE is a slice of its own
+        width = max(ADAM_SLICE, max(p.size // len(p) for _, p in named))
+        return cls(m=zeros(), v=zeros(), scratch=(np.empty(width), np.empty(width)))
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState) -> None:
@@ -287,7 +290,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     outside the square root. Each parameter is updated in slices along its
     first axis, of about ``ADAM_SLICE`` elements and at least one row, so
     every operand stays in cache. The moments update in place and the step
-    is built in two scratch buffers, shaped once per parameter, one
+    is built in ``state.scratch``, shaped once per parameter, one
     rounding per operation in the textbook order, so the arrays match the
     out-of-place update bit for bit.
     """
@@ -302,13 +305,10 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
     state.t += 1
     correction1 = 1.0 - ADAM_BETA1**state.t
     correction2 = 1.0 - ADAM_BETA2**state.t
-    # a slice holds whole rows, so one row wider than ADAM_SLICE is a slice of its own
-    width = max(ADAM_SLICE, max(p.size // len(p) for _, p in named))
-    buffers = np.empty(width), np.empty(width)
     for name, whole in named:
         row = whole.size // len(whole)
         rows = max(1, ADAM_SLICE // row)
-        scratch = [buf[: rows * row].reshape((rows,) + whole.shape[1:]) for buf in buffers]
+        scratch = [buf[: rows * row].reshape((rows,) + whole.shape[1:]) for buf in state.scratch]
         for lo in range(0, len(whole), rows):
             p, g, m, v = (a[lo : lo + rows] for a in (whole, grads[name], state.m[name], state.v[name]))
             step, denom = (buf[: len(p)] for buf in scratch)

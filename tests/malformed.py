@@ -259,5 +259,5 @@ CANDIDATES = table(
     Case("no-tab", lambda blob: blob.replace(b"synth-000001\t", b"synth-000001 "), ":2: expected 'image_id<TAB>tokens'"),
     Case("duplicate", lambda blob: line(1, blob.splitlines()[0])(blob), ":2: duplicate candidate for 'synth-000000'"),
     Case("blank-lines", lambda blob: b"\n\n", ": no candidates found"),
-    Case("unknown-image", lambda blob: blob.replace(b"synth-000000", b"no-such-image"), ": candidate 'no-such-image' is not in the reference data"),
+    Case("unknown-image", lambda blob: blob.replace(b"synth-000000", b"no-such-image"), ":1: candidate 'no-such-image' is not in the reference data"),
 )

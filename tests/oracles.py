@@ -9,10 +9,11 @@ since that is what they search over, and step one hypothesis per call.
 ``reference_score`` differs in purpose: it is the per-sentence ``Counter``
 form of the metric table, with the same rounding, so it checks exactness;
 ``textbook_adam_step`` likewise rounds once per textbook operation, and
-``where_sigmoid``, ``gates_list_lstm_sequence``, ``full_partial_head``
-and ``per_image_top`` are the earlier forms of library code that must keep
-their bits. ``step_products_lstm_sequence`` is the recurrence's earlier
-arithmetic, which the library's gradients must stay close to, and
+``where_sigmoid``, ``gates_list_lstm_sequence``, ``full_partial_head``,
+``per_image_top`` and ``log_softmax`` (the decoder's normalisation, which
+``step_rows`` does in place) are the earlier forms of library code that
+must keep their bits. ``step_products_lstm_sequence`` is the recurrence's
+earlier arithmetic, which the library's gradients must stay close to, and
 ``separate_coefficients_lstm_sequence`` a layout its memory bound rules out.
 If the library and these disagree, trust neither and recount by hand.
 """
@@ -507,6 +508,12 @@ class _Hyp(NamedTuple):
 def _sort_key(logprob, ids):
     """The documented tie rule: higher logprob first, then smaller id tuple."""
     return (-logprob, ids)
+
+
+def log_softmax(z):
+    """Log of softmax along the last axis, computed with max subtraction."""
+    shifted = z - z.max(axis=-1, keepdims=True)
+    return shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
 
 
 def emittable_ids(vocab_size, exclude_ids):

@@ -1,6 +1,7 @@
 """Beam search against hand-enumerated cases, greedy, and full enumeration."""
 
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcap import autodiff as ad
+from mlcap import beam, trainer
 from mlcap.beam import BeamConfig, _barred_ids, _top, beam_block, beam_search
-from mlcap import trainer
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
 from oracles import (
     decode_start,
@@ -476,8 +476,8 @@ class TestHeadCalls:
     @staticmethod
     def count_heads(monkeypatch):
         calls = []
-        log_softmax = ad.log_softmax
-        monkeypatch.setattr(ad, "log_softmax", lambda z: calls.append(len(z)) or log_softmax(z))
+        step_rows = beam.step_rows
+        monkeypatch.setattr(beam, "step_rows", lambda x, *rest: calls.append(len(x)) or step_rows(x, *rest))
         return calls
 
     @pytest.mark.parametrize("decode, width", [(beam_block, 1), (beam_block, 3)])
@@ -494,6 +494,22 @@ class TestHeadCalls:
         calls = self.count_heads(monkeypatch)
         block = beam_block(features, 3, params, BeamConfig(width=1, max_len=6))
         assert len(calls) == max(len(ranked[0][0]) for ranked in block)
+
+
+class TestWorkingSet:
+    def test_a_block_holds_two_candidate_arrays_at_most(self):
+        # a step holds the logits and exp's temporary, then the candidates and
+        # _top's partition copy; never the previous step's candidates beside them
+        images, width, vocab = 4, 5, 4000
+        params = wide_params(vocab=vocab, embed=4, hidden=4, feature=3, seed=0)
+        features = np.random.default_rng(0).normal(size=(images, 3))
+        tracemalloc.start()
+        try:
+            beam_block(features, 3, params, BeamConfig(width=width, max_len=4))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.5 * images * width * vocab * 8 + 2**17
 
 
 class TestExhaustive:

@@ -736,7 +736,7 @@ class TestEvaluate:
         report = tmp_path / "report.json"
         code = main(["evaluate", "--data", str(valid["dataset"]), "--cands", str(valid["candidates"]), "--langs", "de", "--out", str(report)])
         assert code == EXIT_DATA
-        assert f"{valid['candidates']}: image 'synth-000000' has no 'de' references" in capsys.readouterr().err
+        assert f"{valid['candidates']}:1: image 'synth-000000' has no 'de' references" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
     # ids these rows ran under before the tables; the table test at the end runs every other row

@@ -10,6 +10,7 @@ from mlcap import autodiff as ad
 from mlcap.gradcheck import gradient_check
 from mlcap.model import (
     Dims,
+    _block,
     advance_state,
     init_params,
     project_features,
@@ -17,7 +18,7 @@ from mlcap.model import (
     step_rows,
     zero_state,
 )
-from oracles import forward_sequence
+from oracles import forward_sequence, log_softmax
 from tinymodels import prefix_free_params, random_params, wide_params
 
 
@@ -217,7 +218,7 @@ class TestStepDistribution:
         _, c = step_distribution(state, 4, p)
         npt.assert_array_equal(a, b)
         npt.assert_array_equal(a, c)
-        npt.assert_allclose(a, ad.log_softmax(scores), atol=1e-12)
+        npt.assert_allclose(a, log_softmax(scores), atol=1e-12)
 
     def test_rejects_out_of_range_token(self):
         p = random_params()
@@ -268,6 +269,23 @@ class TestStepRows:
             assert np.array_equal(part, whole[rows]), (height, start)
             assert np.array_equal(part_h, whole_h[rows]), (height, start)
             assert np.array_equal(part_c, whole_c[rows]), (height, start)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        height=st.integers(1, 12),
+        seed=st.integers(0, 2**16),
+        shift=st.sampled_from([0.0, 100.0]),
+        big=st.lists(st.sampled_from([0.0, 0.0, 1e9, -1e9]), min_size=7, max_size=7),
+    )
+    def test_rows_are_the_oracle_log_softmax_bit_for_bit(self, height, seed, shift, big):
+        # the head normalises in place, in log_softmax's order of operations
+        p = wide_params(vocab=7, embed=3, hidden=4, feature=5, seed=seed, scale=2.0)
+        p.b_out += shift + np.array(big)
+        rng = np.random.default_rng(seed)
+        x, h, c = (rng.normal(size=(height, n)) for n in (3, 4, 4))
+        (new_h, _), rows = step_rows(x, (h, c), p)
+        want = log_softmax(_block(new_h) @ p.w_out + p.b_out)[:height]
+        assert rows.shape == want.shape and rows.tobytes() == want.tobytes()
 
     def test_rows_normalize(self):
         p = random_params(seed=6)
