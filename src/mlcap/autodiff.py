@@ -1,16 +1,14 @@
 """Hand-written gradients for the caption decoder, on plain float64 arrays.
 
-There is no tape. The one trained graph, the caption loss, is written out
-forward and then backward in ``trainer.sequence_loss``; the recurrence it
-runs is ``lstm_sequence``, which returns its hidden rows together with a
-pullback that backpropagates through time by hand. The run keeps its
-activations in buffers it needs anyway, and dropping the pullback frees
-them, which ``sequence_loss`` does before it builds the embedding gradient.
-The pieces:
+The one trained graph, the caption loss, is written out forward and then
+backward in ``trainer.sequence_loss``; the recurrence it runs is
+``lstm_sequence``, which returns its hidden rows together with a pullback
+that backpropagates through time by hand. The run keeps its activations in
+buffers it needs anyway, and dropping the pullback frees them, which
+``sequence_loss`` does before it builds the embedding gradient. The pieces:
 
 - ``lstm_cell``, the gate arithmetic of one step, shared by ``lstm_sequence``
-  and the decoder, whose step holds at most two [rows,V] arrays, as
-  ``model.step_rows`` normalises its logits in place;
+  and the decoder;
 - ``lstm_sequence``, a whole teacher-forced LSTM run from the zero state.
 """
 

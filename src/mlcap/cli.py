@@ -193,7 +193,7 @@ def cmd_build_vocab(args) -> int:
     records = load_dataset(args.data)
     corpus = corpus_from_records(lowercase_records(records) if args.lowercase else records, args.langs)
     if not corpus:
-        raise DatasetError(f"no captions found for languages {args.langs}")
+        raise DatasetError(f"{args.data}: no captions found for languages {args.langs}")
     vocab = build_vocab(corpus, args.min_count)
     out = Path(args.out)
     with atomic_open(out, "w", encoding="utf-8") as fh:
@@ -252,7 +252,7 @@ def cmd_caption(args) -> int:
     # load_dataset guarantees one feature width per file
     width = records[0].feature.size
     if width != params.dims.feature:
-        raise DatasetError(f"feature width {width} does not match model width {params.dims.feature}")
+        raise DatasetError(f"{args.data}: feature width {width} does not match model width {params.dims.feature} of {args.ckpt}")
     if l2norm:
         records = l2_normalize_records(records)
     features = [rec.feature for rec in records]

@@ -262,6 +262,15 @@ def _sigmoid(v):
     return 1.0 / (1.0 + np.exp(-v))
 
 
+def lstm_step(x, h, c, params):
+    """One recurrence step on rows, restated in numpy: gates [i, f, o, g]."""
+    n = params.dims.hidden
+    z = x @ params.w_x + h @ params.w_h + params.b_gates
+    i, f, o = _sigmoid(z[:, :n]), _sigmoid(z[:, n : 2 * n]), _sigmoid(z[:, 2 * n : 3 * n])
+    c = f * c + i * np.tanh(z[:, 3 * n :])
+    return o * np.tanh(c), c
+
+
 def forward_sequence(feature, ids, start_id, params):
     """Score a caption against a feature, restated step by step in numpy.
 
@@ -272,22 +281,13 @@ def forward_sequence(feature, ids, start_id, params):
         raise ValueError("forward_sequence: sequence must contain at least the eos id")
     if not 0 <= start_id < params.dims.vocab:
         raise IndexError(f"forward_sequence: start id {start_id} out of range")
-    p = dict(params.named_parameters())
-    n = params.dims.hidden
-
-    def step(x, h, c):
-        z = x @ p["w_x"] + h @ p["w_h"] + p["b_gates"]
-        i, f, o = _sigmoid(z[:, :n]), _sigmoid(z[:, n : 2 * n]), _sigmoid(z[:, 2 * n : 3 * n])
-        c = f * c + i * np.tanh(z[:, 3 * n :])
-        return o * np.tanh(c), c
-
-    h = c = np.zeros((1, n))
-    image = np.asarray(feature, dtype=np.float64)[None, :] @ p["w_image"] + p["b_image"]
-    h, c = step(image, h, c)
+    h = c = np.zeros((1, params.dims.hidden))
+    image = np.asarray(feature, dtype=np.float64)[None, :] @ params.w_image + params.b_image
+    h, c = lstm_step(image, h, c, params)
     distributions = []
     for tok in (start_id,) + tuple(ids[:-1]):
-        h, c = step(p["w_embed"][[tok]], h, c)
-        logits = (h @ p["w_out"] + p["b_out"])[0]
+        h, c = lstm_step(params.w_embed[[tok]], h, c, params)
+        logits = (h @ params.w_out + params.b_out)[0]
         e = np.exp(logits - logits.max())
         distributions.append(e / e.sum())
     return ForwardTrace(distributions, (h, c), tuple(ids), start_id)

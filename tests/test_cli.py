@@ -262,7 +262,7 @@ class TestBuildVocab:
         out = tmp_path / "v"
         code = main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out), "--langs", "xx"])
         assert code == EXIT_DATA
-        assert "no captions found for languages ('xx',)" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: {workdir['data']}: no captions found for languages ('xx',)\n"
         assert not out.exists()
 
 
@@ -571,7 +571,8 @@ class TestCaption:
         bad = tmp_path / "bad.jsonl"
         save_dataset([ImageRecord(r.image_id, r.feature[:4], r.captions) for r in records[:2]], bad)
         assert self.caption_with(workdir, tmp_path, workdir["run"] / "best.ckpt", bad) == EXIT_DATA
-        assert "error: feature width 4 does not match model width 16" in capsys.readouterr().err
+        err = f"error: {bad}: feature width 4 does not match model width 16 of {workdir['run'] / 'best.ckpt'}\n"
+        assert capsys.readouterr().err == err
         assert not (tmp_path / "c").exists()
 
     # ids these rows ran under before the tables; the table test at the end runs every other row

@@ -3,6 +3,7 @@
 import json
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -328,8 +329,18 @@ class TestCheckpoint:
         for (name, array), (_, back) in zip(params.named_parameters(), load_checkpoint(odd).params.named_parameters()):
             assert back.shape == array.shape and back.tobytes() == array.tobytes(), name
 
+    def test_file_that_shrinks_after_the_size_check_is_refused(self, valid, tmp_path, monkeypatch):
+        # every length passes against the size fstat gave, then the reads come up 8 bytes
+        # short: without the byte count, b_out would keep np.empty's garbage
+        blob = valid["checkpoint"].read_bytes()
+        path = tmp_path / "shrunk.ckpt"
+        path.write_bytes(blob[:-8])
+        monkeypatch.setattr("mlcap.data.os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=len(blob))))
+        with pytest.raises(CheckpointError) as refused:
+            load_checkpoint(path)
+        assert str(refused.value) == f"{path}: truncated inside array 'b_out'"
+
     # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_bad_magic = row_checks("checkpoint", "bad-magic")
     test_truncation_detected = row_checks("checkpoint", "cut-4", "cut-10", "cut-half", "cut-3-short")
     test_forged_header_length_refused = row_checks(
         "checkpoint", f"header-length-{2**63 - 1}", f"header-length-{2**64 - 1}", ids=[str(2**63 - 1), str(2**64 - 1)]
@@ -337,12 +348,7 @@ class TestCheckpoint:
     test_consistent_dims_claiming_huge_arrays_refused = row_checks(
         "checkpoint", "huge-dims-terabytes", "huge-dims-past-int64", "huge-dims-past-float", ids=["terabytes", "past-int64", "past-float"]
     )
-    test_trailing_garbage_detected = row_checks("checkpoint", "trailing-bytes")
-    test_version_mismatch_refused = row_checks("checkpoint", "version-2")
-    test_header_must_be_an_object = row_checks("checkpoint", "header-not-an-object")
-    test_manifest_entry_without_name_refused = row_checks("checkpoint", "manifest-entry-without-name")
     test_vocabulary_length_must_follow_dims = row_checks("checkpoint", "vocab-short", "vocab-long", ids=["short", "long"])
-    test_non_string_vocabulary_token_refused = row_checks("checkpoint", "token-not-a-string")
     test_vocabulary_must_follow_the_dataset_text_rules = row_checks(
         "checkpoint", "token-line-break", "token-empty", "token-space", "lang-space", "lang-comma", "token-lone-surrogate",
         ids=["line-break", "empty", "space", "lang-space", "lang-comma", "lone-surrogate"],

@@ -18,24 +18,8 @@ from mlcap.model import (
     step_rows,
     zero_state,
 )
-from oracles import forward_sequence, log_softmax
+from oracles import forward_sequence, log_softmax, lstm_step
 from tinymodels import prefix_free_params, random_params, wide_params
-
-
-def np_sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
-def np_lstm_step(x, h, c, params):
-    """Straight-line numpy re-statement of one recurrence step."""
-    hh = params.dims.hidden
-    z = x @ params.w_x + h @ params.w_h + params.b_gates
-    i = np_sigmoid(z[..., 0:hh])
-    f = np_sigmoid(z[..., hh : 2 * hh])
-    o = np_sigmoid(z[..., 2 * hh : 3 * hh])
-    g = np.tanh(z[..., 3 * hh : 4 * hh])
-    c_new = f * c + i * g
-    return o * np.tanh(c_new), c_new
 
 
 class TestDims:
@@ -93,7 +77,7 @@ class TestLstmStep:
         x = rng.normal(size=(3, p.dims.embed))
         h, c = rng.normal(size=(3, p.dims.hidden)), rng.normal(size=(3, p.dims.hidden))
         new_h, new_c = advance_state(x, (h, c), p)
-        h_ref, c_ref = np_lstm_step(x, h, c, p)
+        h_ref, c_ref = lstm_step(x, h, c, p)
         npt.assert_allclose(new_h, h_ref, atol=1e-14)
         npt.assert_allclose(new_c, c_ref, atol=1e-14)
 
