@@ -184,12 +184,22 @@ def lowercase_records(records: Sequence[ImageRecord]) -> list[ImageRecord]:
 
 
 def l2_normalize_records(records: Sequence[ImageRecord]) -> list[ImageRecord]:
-    """Records with unit-norm features; zero vectors pass through."""
+    """Records with unit-norm features; an all-zero feature passes through.
+
+    A feature whose squared norm is a normal float comes out as
+    ``feature / np.linalg.norm(feature)``. One whose squared norm overflows
+    or underflows is divided by its largest ``|x|`` first, so it comes out
+    unit-norm too, not zeroed or unchanged."""
     out = []
     for rec in records:
-        norm = float(np.linalg.norm(rec.feature))
-        feature = rec.feature / norm if norm > 0 else rec.feature
-        out.append(ImageRecord(rec.image_id, feature, rec.captions))
+        feature = rec.feature
+        with np.errstate(over="ignore"):
+            norm = float(np.linalg.norm(feature))
+        if math.isinf(norm) or norm * norm < np.finfo(float).tiny:  # the square left the normal range
+            peak = float(np.abs(feature).max(initial=0.0))
+            feature = feature / peak if peak > 0 else feature
+            norm = float(np.linalg.norm(feature))
+        out.append(ImageRecord(rec.image_id, feature / norm if norm > 0 else feature, rec.captions))
     return out
 
 

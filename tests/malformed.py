@@ -9,7 +9,8 @@ readers that load the file all the same. A reader is a command, or
 ``load_checkpoint`` for a checkpoint whose check lives in ``caption``;
 ``caption`` reads datasets with ``load_dataset(require_captions=False)``.
 ``test_data.py`` runs each row through the loader and ``test_cli.py``
-through every command that reads its kind.
+through every command that reads its kind. ``write_jsonl`` writes a
+dataset file from JSON rows given in the test.
 """
 
 import json
@@ -47,6 +48,10 @@ def valid(tmp_path_factory):
     save_checkpoint(paths["checkpoint"], Checkpoint(PARAMS, VOCAB, {"feature_l2norm": False}, 1))
     paths["candidates"].write_text("".join(f"{r.image_id}\t{' '.join(r.captions[0].tokens)}\n" for r in RECORDS))
     return paths
+
+
+def write_jsonl(path, rows):
+    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
 
 
 def forge(case, valid, folder):

@@ -22,12 +22,32 @@ from mlcap.data import (
     save_dataset,
 )
 from mlcap.vocab import EOS_ID, build_vocab
-from malformed import CANDIDATES, CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, valid
+from malformed import CANDIDATES, CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, valid, write_jsonl
 from oracles import forward_sequence
 from tinymodels import NEG_BIG, prefix_free_params, wide_params
 
 TABLES = {"dataset": DATASETS, "checkpoint": CHECKPOINTS, "candidates": CANDIDATES}
 READERS = {"dataset": ["build-vocab", "train", "caption", "evaluate"], "checkpoint": ["caption"], "candidates": ["evaluate"]}
+# the tiny run most tests make; a test passes only the flags it is about
+TINY = {
+    "build-vocab": {"min-count": 1},
+    "train": {"split": "30,5,5", "epochs": 1, "batch": 8, "hidden": 4, "embed": 4, "min-count": 1},
+    "caption": {"lang": "en"},
+    "evaluate": {"langs": "en"},
+}
+SHARED_RUN = {"epochs": 2, "hidden": 10, "embed": 8, "seed": 4}  # the shared run's train flags
+
+
+def run(command, **flags):
+    """``main`` on ``command`` with its tiny-run flags, each replaced by the ``flags`` entry of its name:
+    ``min_count=2`` is ``--min-count 2`` and ``best_only=True`` is ``--best-only``."""
+    given = {}
+    for name, value in [*TINY.get(command, {}).items(), *flags.items()]:
+        given[f"--{name.replace('_', '-')}"] = value
+    argv = [command]
+    for flag, value in given.items():
+        argv += [flag] if value is True else [flag, str(value)]
+    return main(argv)
 
 
 @pytest.fixture(scope="module")
@@ -35,17 +55,9 @@ def workdir(tmp_path_factory):
     """A synthetic dataset plus one tiny trained run, shared across tests."""
     root = tmp_path_factory.mktemp("cli")
     data = root / "data.jsonl"
-    assert main(["synth", "--out", str(data), "--n", "40", "--seed", "11"]) == EXIT_OK
+    assert run("synth", out=data, n=40, seed=11) == EXIT_OK
     out = root / "run"
-    code = main(
-        [
-            "train", "--data", str(data), "--out", str(out),
-            "--split", "30,5,5", "--epochs", "2", "--batch", "8",
-            "--hidden", "10", "--embed", "8", "--min-count", "1",
-            "--seed", "4", "--best-only",
-        ]
-    )
-    assert code == EXIT_OK
+    assert run("train", data=data, out=out, **SHARED_RUN, best_only=True) == EXIT_OK
     return {"root": root, "data": data, "run": out}
 
 
@@ -63,18 +75,14 @@ def speaker(workdir):
 
 
 def reader_args(command, valid, folder, **given):
-    """``command`` reading the valid files, or the ``given`` file of a kind, and writing into ``folder``."""
+    """``command``'s flags reading the valid files, or the ``given`` file of a kind, and writing into ``folder``."""
     files = {**valid, **given}
-    args = {
-        "build-vocab": ["--data", files["dataset"], "--out", folder / "vocab.tsv", "--min-count", "1"],
-        "train": [
-            "--data", files["dataset"], "--out", folder / "run", "--split", "1,1,1", "--epochs", "1",
-            "--hidden", "4", "--embed", "4", "--min-count", "1",
-        ],
-        "caption": ["--ckpt", files["checkpoint"], "--data", files["dataset"], "--out", folder / "cap.tsv", "--lang", "en"],
-        "evaluate": ["--data", files["dataset"], "--cands", files["candidates"], "--langs", "en", "--out", folder / "report.json"],
+    return {
+        "build-vocab": {"data": files["dataset"], "out": folder / "vocab.tsv"},
+        "train": {"data": files["dataset"], "out": folder / "run", "split": "1,1,1"},
+        "caption": {"ckpt": files["checkpoint"], "data": files["dataset"], "out": folder / "cap.tsv"},
+        "evaluate": {"data": files["dataset"], "cands": files["candidates"], "out": folder / "report.json"},
     }[command]
-    return [command, *map(str, args)]
 
 
 def check_row(kind, row, command, valid, folder, capsys):
@@ -83,7 +91,7 @@ def check_row(kind, row, command, valid, folder, capsys):
     case = TABLES[kind][row]
     path = forge(case, valid[kind], folder)
     before = sorted(folder.rglob("*"))
-    code = main(reader_args(command, valid, folder, **{kind: path}))
+    code = run(command, **reader_args(command, valid, folder, **{kind: path}))
     err = capsys.readouterr().err
     if command in case.accepted_by:
         assert code == EXIT_OK, err
@@ -116,7 +124,7 @@ def row_checks(kind, command, *rows, ids=None):
 
 @pytest.mark.parametrize("command", READERS["dataset"])
 def test_every_reader_runs_on_the_valid_files(valid, tmp_path, command):
-    assert main(reader_args(command, valid, tmp_path)) == EXIT_OK
+    assert run(command, **reader_args(command, valid, tmp_path)) == EXIT_OK
 
 
 def rewrite_captions(workdir, path, edit):
@@ -165,7 +173,7 @@ def assert_left_as_before(path, before: bytes):
 class TestSynth:
     def test_writes_records_and_manifest(self, tmp_path):
         out = tmp_path / "d.jsonl"
-        assert main(["synth", "--out", str(out), "--n", "7", "--seed", "3"]) == EXIT_OK
+        assert run("synth", out=out, n=7, seed=3) == EXIT_OK
         records = load_dataset(out)
         assert len(records) == 7
         manifest = json.loads((tmp_path / "d.jsonl.manifest.json").read_text())
@@ -177,19 +185,19 @@ class TestSynth:
         out = tmp_path / "d.jsonl"
         written = []
         for _ in range(2):
-            assert main(["synth", "--out", str(out), "--n", "7", "--seed", "3"]) == EXIT_OK
+            assert run("synth", out=out, n=7, seed=3) == EXIT_OK
             written.append(out.read_bytes())
         assert written[0] and written[1] == written[0]
 
     def test_language_override(self, tmp_path):
         out = tmp_path / "d.jsonl"
-        assert main(["synth", "--out", str(out), "--n", "3", "--langs", "de,en,fr"]) == EXIT_OK
+        assert run("synth", out=out, n=3, langs="de,en,fr") == EXIT_OK
         langs = {c.language for r in load_dataset(out) for c in r.captions}
         assert langs == {"de", "en", "fr"}
 
     def test_repeated_language_is_usage_error(self, tmp_path, capsys):
         out = tmp_path / "d.jsonl"
-        assert main(["synth", "--out", str(out), "--n", "3", "--langs", "en,en"]) == EXIT_USAGE
+        assert run("synth", out=out, n=3, langs="en,en") == EXIT_USAGE
         assert "repeats a language code" in capsys.readouterr().err
         assert not out.exists()
 
@@ -197,10 +205,7 @@ class TestSynth:
 class TestBuildVocab:
     def test_writes_token_table(self, workdir, tmp_path):
         out = tmp_path / "vocab.tsv"
-        code = main(
-            ["build-vocab", "--data", str(workdir["data"]), "--out", str(out), "--min-count", "1"]
-        )
-        assert code == EXIT_OK
+        assert run("build-vocab", data=workdir["data"], out=out) == EXIT_OK
         rows = [line.split("\t") for line in out.read_text().splitlines()]
         assert [r[1] for r in rows[:5]] == ["<pad>", "<unk>", "<eos>", "<en>", "<jp>"]
         assert [int(r[0]) for r in rows] == list(range(len(rows)))
@@ -208,16 +213,15 @@ class TestBuildVocab:
     def test_min_count_prunes(self, workdir, tmp_path):
         out_all = tmp_path / "all.tsv"
         out_cut = tmp_path / "cut.tsv"
-        main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out_all), "--min-count", "1"])
-        main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out_cut), "--min-count", "1000"])
+        run("build-vocab", data=workdir["data"], out=out_all)
+        run("build-vocab", data=workdir["data"], out=out_cut, min_count=1000)
         assert len(out_cut.read_text().splitlines()) < len(out_all.read_text().splitlines())
 
     def test_failed_table_write_leaves_the_previous_table(self, workdir, tmp_path, monkeypatch, capsys):
         out = tmp_path / "vocab.tsv"
         out.write_bytes(b"0\tolder\n")
         fail_writes_to(monkeypatch, "vocab.tsv")
-        code = main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out), "--min-count", "1"])
-        assert code == EXIT_DATA
+        assert run("build-vocab", data=workdir["data"], out=out) == EXIT_DATA
         assert "No space left on device" in capsys.readouterr().err
         assert_left_as_before(out, b"0\tolder\n")
 
@@ -226,16 +230,9 @@ class TestBuildVocab:
         manifest = tmp_path / "vocab.tsv.manifest.json"
         manifest.write_bytes(b"{}\n")
         fail_writes_to(monkeypatch, ".manifest.json")
-        code = main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out), "--min-count", "1"])
-        assert code == EXIT_DATA
+        assert run("build-vocab", data=workdir["data"], out=out) == EXIT_DATA
         assert out.read_text().startswith("0\t<pad>\n")
         assert_left_as_before(manifest, b"{}\n")
-
-    def test_bad_min_count_is_usage_error_before_reading_data(self, tmp_path):
-        code = main(
-            ["build-vocab", "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "v"), "--min-count", "0"]
-        )
-        assert code == EXIT_USAGE
 
     # ids these rows ran under before the tables; the table test at the end runs every other row
     test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks("dataset", "build-vocab", "lang-pad")
@@ -243,15 +240,14 @@ class TestBuildVocab:
     def test_lowercase_merges_case_variants(self, tmp_path):
         # "Cat" and "cat" each occur once: only their lowercased form reaches --min-count 2
         data = tmp_path / "cased.jsonl"
-        rows = [
+        write_jsonl(data, [
             {"image_id": "i0", "feature": [0.0], "captions": [{"lang": "en", "tokens": ["a", "Cat"]}]},
             {"image_id": "i1", "feature": [1.0], "captions": [{"lang": "en", "tokens": ["a", "cat"]}]},
-        ]
-        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        ])
         tables = {}
-        for name, extra in (("cased", []), ("lowered", ["--lowercase"])):
+        for name, extra in (("cased", {}), ("lowered", {"lowercase": True})):
             out = tmp_path / f"{name}.tsv"
-            assert main(["build-vocab", "--data", str(data), "--out", str(out), "--min-count", "2", *extra]) == EXIT_OK
+            assert run("build-vocab", data=data, out=out, min_count=2, **extra) == EXIT_OK
             tables[name] = [line.split("\t")[1] for line in out.read_text().splitlines()]
         assert not {"Cat", "cat"} & set(tables["cased"])
         assert "cat" in tables["lowered"]
@@ -260,8 +256,7 @@ class TestBuildVocab:
 
     def test_unmatched_language_filter_fails(self, workdir, tmp_path, capsys):
         out = tmp_path / "v"
-        code = main(["build-vocab", "--data", str(workdir["data"]), "--out", str(out), "--langs", "xx"])
-        assert code == EXIT_DATA
+        assert run("build-vocab", data=workdir["data"], out=out, langs="xx") == EXIT_DATA
         assert capsys.readouterr().err == f"error: {workdir['data']}: no captions found for languages ('xx',)\n"
         assert not out.exists()
 
@@ -282,26 +277,14 @@ class TestTrain:
 
     def test_epoch_checkpoints_unless_best_only(self, workdir, tmp_path):
         out = tmp_path / "run"
-        code = main(
-            [
-                "train", "--data", str(workdir["data"]), "--out", str(out),
-                "--split", "30,5,5", "--epochs", "2", "--batch", "8",
-                "--hidden", "10", "--embed", "8", "--min-count", "1", "--seed", "4",
-            ]
-        )
-        assert code == EXIT_OK
+        assert run("train", data=workdir["data"], out=out, **SHARED_RUN) == EXIT_OK
         assert {p.name for p in out.glob("epoch_*.ckpt")} == {"epoch_000.ckpt", "epoch_001.ckpt"}
 
     def test_reruns_are_byte_identical(self, workdir, tmp_path):
         # every checkpoint, each epoch's as well as the best
-        args = [
-            "train", "--data", str(workdir["data"]), "--split", "30,5,5",
-            "--epochs", "2", "--batch", "8", "--hidden", "10", "--embed", "8",
-            "--min-count", "1", "--seed", "4",
-        ]
         a, b = tmp_path / "a", tmp_path / "b"
-        assert main(args + ["--out", str(a)]) == EXIT_OK
-        assert main(args + ["--out", str(b)]) == EXIT_OK
+        assert run("train", data=workdir["data"], out=a, **SHARED_RUN) == EXIT_OK
+        assert run("train", data=workdir["data"], out=b, **SHARED_RUN) == EXIT_OK
         names = sorted(p.name for p in a.glob("*.ckpt"))
         assert names == ["best.ckpt", "epoch_000.ckpt", "epoch_001.ckpt"]
         assert sorted(p.name for p in b.glob("*.ckpt")) == names
@@ -310,14 +293,7 @@ class TestTrain:
 
     def test_wider_validation_beam_trains_end_to_end(self, workdir, tmp_path):
         out = tmp_path / "run"
-        code = main(
-            [
-                "train", "--data", str(workdir["data"]), "--out", str(out), "--split", "30,5,5",
-                "--epochs", "1", "--batch", "8", "--hidden", "4", "--embed", "4", "--min-count", "1",
-                "--val-beam", "2",
-            ]
-        )
-        assert code == EXIT_OK
+        assert run("train", data=workdir["data"], out=out, val_beam=2) == EXIT_OK
         assert load_checkpoint(out / "best.ckpt").config["val_beam"] == 2
 
     def test_checkpoint_restores_a_working_model(self, workdir):
@@ -330,13 +306,8 @@ class TestTrain:
     def test_divergence_exits_with_its_own_code(self, workdir, tmp_path, monkeypatch, capsys):
         # a step size near the float64 limit overflows the second batch
         monkeypatch.setattr(trainer, "ADAM_ALPHA", 1e308)
-        args = [
-            "train", "--data", str(workdir["data"]), "--out", str(tmp_path / "run"),
-            "--split", "30,5,5", "--epochs", "2", "--batch", "8", "--hidden", "4",
-            "--embed", "4", "--min-count", "1",
-        ]
         with np.errstate(over="ignore", invalid="ignore"):
-            code = main(args)
+            code = run("train", data=workdir["data"], out=tmp_path / "run", epochs=2)
         assert code == EXIT_DIVERGED
         assert "training diverged: non-finite loss or gradient in epoch 0, batch 1" in capsys.readouterr().err
 
@@ -345,77 +316,51 @@ class TestTrain:
         # diverges into the directory of a good one removes that run's
         # best.ckpt and manifest.json before its first epoch
         out = tmp_path / "run"
-        args = [
-            "train", "--data", str(workdir["data"]), "--out", str(out), "--split", "30,5,5",
-            "--batch", "8", "--hidden", "4", "--embed", "4", "--min-count", "1",
-        ]
-        assert main(args + ["--epochs", "3"]) == EXIT_OK
+        assert run("train", data=workdir["data"], out=out, epochs=3) == EXIT_OK
         assert (out / "best.ckpt").exists() and (out / "manifest.json").exists()
         monkeypatch.setattr(trainer, "ADAM_ALPHA", 1e308)
         with np.errstate(over="ignore", invalid="ignore"):
-            assert main(args + ["--epochs", "2"]) == EXIT_DIVERGED
+            assert run("train", data=workdir["data"], out=out, epochs=2) == EXIT_DIVERGED
         assert not (out / "best.ckpt").exists()
         assert not (out / "manifest.json").exists()
         assert (out / "train_log.tsv").read_text() == ""
 
     @pytest.mark.parametrize(
         "second_flags, epoch_files",
-        [([], {"epoch_000.ckpt", "epoch_001.ckpt"}), (["--best-only"], set())],
+        [({}, {"epoch_000.ckpt", "epoch_001.ckpt"}), ({"best_only": True}, set())],
         ids=["with-epochs", "best-only"],
     )
     def test_rerun_leaves_only_its_own_files(self, workdir, tmp_path, second_flags, epoch_files):
         out = tmp_path / "run"
-        args = [
-            "train", "--data", str(workdir["data"]), "--out", str(out), "--split", "30,5,5",
-            "--batch", "8", "--hidden", "4", "--embed", "4", "--min-count", "1",
-        ]
-        assert main(args + ["--epochs", "3"]) == EXIT_OK
+        assert run("train", data=workdir["data"], out=out, epochs=3) == EXIT_OK
         assert (out / "epoch_002.ckpt").exists()
         # only the names save_epoch writes are the run's: these are someone else's
         bystanders = ["epoch_1.ckpt", "epoch_002.ckpt.bak", "epoch_abc.ckpt", "notes.txt"]
         for name in bystanders:
             (out / name).write_bytes(b"kept")
-        assert main(args + ["--epochs", "2"] + second_flags) == EXIT_OK
+        assert run("train", data=workdir["data"], out=out, epochs=2, **second_flags) == EXIT_OK
         own = {"best.ckpt", "train_log.tsv", "manifest.json"} | epoch_files
         assert {p.name for p in out.iterdir()} == own | set(bystanders)
         manifest = json.loads((out / "manifest.json").read_text())
         assert {Path(p).name for p in manifest["outputs"]} == own - {"manifest.json"}
 
     def test_oversubscribed_split_fails(self, workdir, tmp_path):
-        code = main(
-            [
-                "train", "--data", str(workdir["data"]), "--out", str(tmp_path / "r"),
-                "--split", "1000,5,5", "--epochs", "1", "--min-count", "1",
-            ]
-        )
-        assert code == EXIT_DATA
+        assert run("train", data=workdir["data"], out=tmp_path / "r", split="1000,5,5") == EXIT_DATA
 
     def test_no_validation_split_is_data_error_before_training(self, workdir, tmp_path, capsys):
         out = tmp_path / "r"
-        code = main(
-            [
-                "train", "--data", str(workdir["data"]), "--out", str(out), "--split", "30,0,5",
-                "--epochs", "1", "--hidden", "4", "--embed", "4", "--min-count", "1",
-            ]
-        )
-        assert code == EXIT_DATA
+        assert run("train", data=workdir["data"], out=out, split="30,0,5") == EXIT_DATA
         assert "no validation captions" in capsys.readouterr().err
         assert not list(out.glob("*.ckpt"))
 
     # a token spelled like a control token, in every en caption, or None for the shared data as it is
-    REFUSED = [
-        (None, ["--split", "30,0,5"]),
-        (None, ["--split", "30,5,5", "--langs", "xx"]),
-        ("<en>", ["--split", "30,5,5"]),
-        ("<EN>", ["--split", "30,5,5", "--lowercase"]),
-    ]
+    REFUSED = [(None, {"split": "30,0,5"}), (None, {"langs": "xx"}), ("<en>", {}), ("<EN>", {"lowercase": True})]
 
     @pytest.mark.parametrize("token, extra", REFUSED, ids=["extra0", "extra1", "control-token", "lowercased-control-token"])
     def test_refused_run_leaves_no_out_directory(self, workdir, tmp_path, capsys, token, extra):
         data = workdir["data"] if token is None else with_token_in_every_en_caption(workdir, tmp_path / "d.jsonl", token)
         out = tmp_path / "r"
-        code = main(["train", "--data", str(data), "--out", str(out), "--epochs", "1", "--min-count", "1"] + extra)
-        assert code == EXIT_DATA
+        assert run("train", data=data, out=out, **extra) == EXIT_DATA
         assert not out.exists()
         if token is not None:
             assert "surface tokens collide with control tokens: ['<en>']" in capsys.readouterr().err
@@ -423,12 +368,11 @@ class TestTrain:
     @pytest.mark.parametrize("token, extra", REFUSED[2:], ids=["control-token", "lowercased-control-token"])
     def test_refused_run_leaves_the_earlier_run_as_it_was(self, workdir, tmp_path, token, extra):
         out = tmp_path / "run"
-        args = ["train", "--out", str(out), "--epochs", "1", "--hidden", "4", "--embed", "4", "--min-count", "1"]
-        assert main(args + ["--data", str(workdir["data"]), "--split", "30,5,5"]) == EXIT_OK
+        assert run("train", data=workdir["data"], out=out) == EXIT_OK
         before = {p.name: p.read_bytes() for p in out.iterdir()}
         assert {"best.ckpt", "epoch_000.ckpt", "manifest.json"} <= set(before) and before["train_log.tsv"]
         data = with_token_in_every_en_caption(workdir, tmp_path / "d.jsonl", token)
-        assert main(args + ["--data", str(data)] + extra) == EXIT_DATA
+        assert run("train", data=data, out=out, **extra) == EXIT_DATA
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_manifest_records_protocol_defaults(self, workdir, tmp_path, monkeypatch):
@@ -459,13 +403,7 @@ class TestTrain:
 class TestCaption:
     def test_one_line_per_record(self, workdir, speaker, tmp_path):
         out = tmp_path / "cap.tsv"
-        code = main(
-            [
-                "caption", "--ckpt", str(speaker), "--data", str(workdir["data"]), "--out", str(out),
-                "--lang", "en", "--beam", "2", "--max-len", "6",
-            ]
-        )
-        assert code == EXIT_OK
+        assert run("caption", ckpt=speaker, data=workdir["data"], out=out, beam=2, max_len=6) == EXIT_OK
         lines = out.read_text().splitlines()
         assert len(lines) == 40
         ids = [line.split("\t", 1)[0] for line in lines]
@@ -482,13 +420,7 @@ class TestCaption:
             runs.append((str(index), tmp_path / f"{index}.jsonl"))
         written = []
         for name, data in runs:
-            code = main(
-                [
-                    "caption", "--ckpt", str(speaker), "--data", str(data), "--out", str(tmp_path / f"{name}.tsv"),
-                    "--lang", "en", "--beam", beam, "--max-len", "8",
-                ]
-            )
-            assert code == EXIT_OK
+            assert run("caption", ckpt=speaker, data=data, out=tmp_path / f"{name}.tsv", beam=beam, max_len=8) == EXIT_OK
             written.append((tmp_path / f"{name}.tsv").read_text())
         full, again, *alone = written
         captions = [line.split("\t")[1] for line in full.splitlines()]
@@ -499,39 +431,28 @@ class TestCaption:
     def test_checkpoint_feature_l2norm_is_reapplied(self, workdir, speaker, tmp_path):
         # a normalized run records the flag, and caption normalizes the features it is given
         out = tmp_path / "run"
-        args = ["--split", "30,5,5", "--epochs", "1", "--hidden", "4", "--embed", "4", "--min-count", "1", "--feature-l2norm"]
-        assert main(["train", "--data", str(workdir["data"]), "--out", str(out), *args]) == EXIT_OK
+        assert run("train", data=workdir["data"], out=out, feature_l2norm=True) == EXIT_OK
         assert load_checkpoint(out / "best.ckpt").config["feature_l2norm"] is True
-        scaled, normalized = tmp_path / "scaled.jsonl", tmp_path / "normalized.jsonl"
+        scaled, normalized, huge = tmp_path / "scaled.jsonl", tmp_path / "normalized.jsonl", tmp_path / "huge.jsonl"
         records = [ImageRecord(r.image_id, 4.0 * r.feature, r.captions) for r in load_dataset(workdir["data"])]
         save_dataset(records, scaled)
         save_dataset(l2_normalize_records(records), normalized)
+        # squared norms that overflow: normalized all the same, not zeroed
+        save_dataset([ImageRecord(r.image_id, 1e200 * r.feature, r.captions) for r in load_dataset(workdir["data"])], huge)
         flagged = tmp_path / "flagged.ckpt"
         rewrite_checkpoint_header(speaker, flagged, lambda header: header.update(config={"feature_l2norm": True}))
         written = {}
-        for ckpt, data in ((flagged, scaled), (speaker, normalized), (speaker, scaled)):
+        for ckpt, data in ((flagged, scaled), (flagged, huge), (speaker, normalized), (speaker, scaled)):
             target = tmp_path / f"{ckpt.stem}-{data.stem}.tsv"
-            code = main(
-                [
-                    "caption", "--ckpt", str(ckpt), "--data", str(data), "--out", str(target),
-                    "--lang", "en", "--beam", "1", "--max-len", "8",
-                ]
-            )
-            assert code == EXIT_OK
+            assert run("caption", ckpt=ckpt, data=data, out=target, beam=1, max_len=8) == EXIT_OK
             written[ckpt.stem, data.stem] = target.read_bytes()
-        assert written["flagged", "scaled"] == written["speaker", "normalized"] != written["speaker", "scaled"]
+        assert written["flagged", "scaled"] == written["flagged", "huge"] == written["speaker", "normalized"] != written["speaker", "scaled"]
 
     def test_features_is_an_alias_for_data(self, workdir, speaker, tmp_path):
         written = []
         for flag in ("--data", "--features"):
             out = tmp_path / f"cap{flag}.tsv"
-            code = main(
-                [
-                    "caption", "--ckpt", str(speaker), flag, str(workdir["data"]),
-                    "--out", str(out), "--lang", "en", "--beam", "2", "--max-len", "6",
-                ]
-            )
-            assert code == EXIT_OK
+            assert run("caption", ckpt=speaker, **{flag[2:]: workdir["data"]}, out=out, beam=2, max_len=6) == EXIT_OK
             written.append(out.read_bytes())
         assert len(spoken(out)) >= 2 and written[1] == written[0]
 
@@ -544,33 +465,20 @@ class TestCaption:
         params = prefix_free_params([NEG_BIG, NEG_BIG, np.log(0.45), NEG_BIG, np.log(0.55)], feature=features[0].size)
         save_checkpoint(tmp_path / "flat.ckpt", Checkpoint(params, vocab, {}, 0))
         out = tmp_path / "cap.tsv"
-        code = main(
-            [
-                "caption", "--ckpt", str(tmp_path / "flat.ckpt"), "--data", str(workdir["data"]),
-                "--out", str(out), "--lang", "en", "--beam", "2", "--max-len", "2", "--length-norm",
-            ]
-        )
-        assert code == EXIT_OK
+        assert run("caption", ckpt=tmp_path / "flat.ckpt", data=workdir["data"], out=out, beam=2, max_len=2, length_norm=True) == EXIT_OK
         normed = trainer.decode_images(params, vocab, features, "en", 2, 2, length_norm=True)
         assert normed == [["a", "a"]] * 40 and trainer.decode_images(params, vocab, features, "en", 2, 2) == [[]] * 40
         assert out.read_text() == "".join(f"{r.image_id}\t{' '.join(tokens)}\n" for r, tokens in zip(records, normed))
         assert json.loads((tmp_path / "cap.tsv.manifest.json").read_text())["options"]["length_norm"] is True
 
     def test_unknown_language_is_usage_error(self, workdir, tmp_path):
-        code = main(
-            [
-                "caption", "--ckpt", str(workdir["run"] / "best.ckpt"),
-                "--data", str(workdir["data"]), "--out", str(tmp_path / "c"),
-                "--lang", "xx",
-            ]
-        )
-        assert code == EXIT_USAGE
+        assert run("caption", ckpt=workdir["run"] / "best.ckpt", data=workdir["data"], out=tmp_path / "c", lang="xx") == EXIT_USAGE
 
     def test_feature_width_mismatch_is_data_error(self, workdir, tmp_path, capsys):
         records = load_dataset(workdir["data"])
         bad = tmp_path / "bad.jsonl"
         save_dataset([ImageRecord(r.image_id, r.feature[:4], r.captions) for r in records[:2]], bad)
-        assert self.caption_with(workdir, tmp_path, workdir["run"] / "best.ckpt", bad) == EXIT_DATA
+        assert run("caption", ckpt=workdir["run"] / "best.ckpt", data=bad, out=tmp_path / "c") == EXIT_DATA
         err = f"error: {bad}: feature width 4 does not match model width 16 of {workdir['run'] / 'best.ckpt'}\n"
         assert capsys.readouterr().err == err
         assert not (tmp_path / "c").exists()
@@ -593,26 +501,6 @@ class TestCaption:
         "checkpoint", "caption", "cut-half", f"header-length-{2**63 - 1}", "huge-hidden", ids=["truncated", "header_length", "huge_dims"]
     )
 
-    @pytest.mark.parametrize("flag", ["--beam", "--max-len"])
-    def test_bad_decode_flag_is_usage_error_before_reading_files(self, tmp_path, flag):
-        code = main(
-            [
-                "caption", "--ckpt", str(tmp_path / "missing.ckpt"),
-                "--data", str(tmp_path / "missing.jsonl"), "--out", str(tmp_path / "c"),
-                "--lang", "en", flag, "0",
-            ]
-        )
-        assert code == EXIT_USAGE
-        assert not (tmp_path / "c").exists()
-
-    def caption_with(self, workdir, tmp_path, ckpt_path, data=None):
-        return main(
-            [
-                "caption", "--ckpt", str(ckpt_path), "--data", str(data or workdir["data"]),
-                "--out", str(tmp_path / "c"), "--lang", "en",
-            ]
-        )
-
     def test_missing_feature_l2norm_means_false(self, workdir, speaker, tmp_path):
         # normalizing the 4x-scaled features changes the speaker's lines
         scaled, ckpt = tmp_path / "scaled.jsonl", tmp_path / "speaker.ckpt"
@@ -620,7 +508,7 @@ class TestCaption:
         written = []
         for config in ({}, {"feature_l2norm": False}, {"feature_l2norm": True}):
             rewrite_checkpoint_header(speaker, ckpt, lambda header: header.update(config=config))
-            assert self.caption_with(workdir, tmp_path, ckpt, scaled) == EXIT_OK
+            assert run("caption", ckpt=ckpt, data=scaled, out=tmp_path / "c") == EXIT_OK
             written.append((tmp_path / "c").read_bytes())
         assert written[0] == written[1] != written[2]
 
@@ -631,24 +519,18 @@ class TestCaption:
         monkeypatch.setattr(cli, "decode_images", fail)
         fresh = tmp_path / "fresh"
         fresh.mkdir()
-        assert self.caption_with(workdir, fresh, workdir["run"] / "best.ckpt") == EXIT_DATA
+        assert run("caption", ckpt=workdir["run"] / "best.ckpt", data=workdir["data"], out=fresh / "c") == EXIT_DATA
         assert "non-finite log-probabilities" in capsys.readouterr().err
         assert list(fresh.iterdir()) == []
 
         existing = tmp_path / "c"
         existing.write_bytes(b"img-0\tan older caption\n")
-        assert self.caption_with(workdir, tmp_path, workdir["run"] / "best.ckpt") == EXIT_DATA
+        assert run("caption", ckpt=workdir["run"] / "best.ckpt", data=workdir["data"], out=existing) == EXIT_DATA
         assert existing.read_bytes() == b"img-0\tan older caption\n"
         assert sorted(p.name for p in tmp_path.iterdir()) == ["c", "fresh"]
 
     def test_missing_checkpoint_is_data_error(self, workdir, tmp_path):
-        code = main(
-            [
-                "caption", "--ckpt", str(tmp_path / "nope.ckpt"),
-                "--data", str(workdir["data"]), "--out", str(tmp_path / "c"), "--lang", "en",
-            ]
-        )
-        assert code == EXIT_DATA
+        assert run("caption", ckpt=tmp_path / "nope.ckpt", data=workdir["data"], out=tmp_path / "c") == EXIT_DATA
 
 
 class TestEvaluate:
@@ -664,14 +546,7 @@ class TestEvaluate:
         en = self._reference_candidates(workdir, tmp_path, "en")
         jp = self._reference_candidates(workdir, tmp_path, "jp")
         report_path = tmp_path / "report.json"
-        code = main(
-            [
-                "evaluate", "--data", str(workdir["data"]),
-                "--cands", f"{en},{jp}", "--langs", "en,jp",
-                "--out", str(report_path),
-            ]
-        )
-        assert code == EXIT_OK
+        assert run("evaluate", data=workdir["data"], cands=f"{en},{jp}", langs="en,jp", out=report_path) == EXIT_OK
         report = json.loads(report_path.read_text())
         assert json.loads(capsys.readouterr().out) == report
         for lang in ("en", "jp"):
@@ -685,10 +560,7 @@ class TestEvaluate:
         en = self._reference_candidates(workdir, tmp_path, "en")
         written = []
         for name in ("a.json", "b.json"):
-            code = main(
-                ["evaluate", "--data", str(workdir["data"]), "--cands", str(en), "--langs", "en", "--out", str(tmp_path / name)]
-            )
-            assert code == EXIT_OK
+            assert run("evaluate", data=workdir["data"], cands=en, out=tmp_path / name) == EXIT_OK
             written.append((tmp_path / name).read_bytes())
         assert json.loads(written[0])["overall"]["images"] == 40 and written[1] == written[0]
 
@@ -697,29 +569,19 @@ class TestEvaluate:
         report_path = tmp_path / "report.json"
         report_path.write_bytes(b'{"older": true}\n')
         fail_writes_to(monkeypatch, "report.json")
-        code = main(
-            ["evaluate", "--data", str(workdir["data"]), "--cands", str(en), "--langs", "en", "--out", str(report_path)]
-        )
-        assert code == EXIT_DATA
+        assert run("evaluate", data=workdir["data"], cands=en, out=report_path) == EXIT_DATA
         assert_left_as_before(report_path, b'{"older": true}\n')
         assert not (tmp_path / "report.json.manifest.json").exists()
 
     def test_cands_langs_mismatch(self, workdir, tmp_path):
         en = self._reference_candidates(workdir, tmp_path, "en")
-        code = main(["evaluate", "--data", str(workdir["data"]), "--cands", str(en), "--langs", "en,jp"])
-        assert code == EXIT_USAGE
+        assert run("evaluate", data=workdir["data"], cands=en, langs="en,jp") == EXIT_USAGE
 
     def test_repeated_language_is_usage_error(self, workdir, tmp_path, capsys):
         en = self._reference_candidates(workdir, tmp_path, "en")
         jp = self._reference_candidates(workdir, tmp_path, "jp")
         report = tmp_path / "report.json"
-        code = main(
-            [
-                "evaluate", "--data", str(workdir["data"]), "--cands", f"{en},{jp}",
-                "--langs", "en,en", "--out", str(report),
-            ]
-        )
-        assert code == EXIT_USAGE
+        assert run("evaluate", data=workdir["data"], cands=f"{en},{jp}", langs="en,en", out=report) == EXIT_USAGE
         assert "repeats a language code" in capsys.readouterr().err
         assert not report.exists()
 
@@ -729,14 +591,13 @@ class TestEvaluate:
         crlf.write_bytes(en.read_bytes().replace(b"\n", b"\r\n"))
         reports = []
         for cands in (en, crlf):
-            assert main(["evaluate", "--data", str(workdir["data"]), "--cands", str(cands), "--langs", "en"]) == EXIT_OK
+            assert run("evaluate", data=workdir["data"], cands=cands) == EXIT_OK
             reports.append(capsys.readouterr().out)
         assert reports[1] == reports[0]
 
     def test_language_without_references_is_data_error(self, valid, tmp_path, capsys):
         report = tmp_path / "report.json"
-        code = main(["evaluate", "--data", str(valid["dataset"]), "--cands", str(valid["candidates"]), "--langs", "de", "--out", str(report)])
-        assert code == EXIT_DATA
+        assert run("evaluate", data=valid["dataset"], cands=valid["candidates"], langs="de", out=report) == EXIT_DATA
         assert f"{valid['candidates']}:1: image 'synth-000000' has no 'de' references" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
@@ -752,16 +613,15 @@ class TestEvaluate:
     def test_lowercase_applies_to_candidates_too(self, tmp_path, capsys):
         # exact candidates score the same with and without the flag
         data = tmp_path / "refs.jsonl"
-        rows = [
+        write_jsonl(data, [
             {"image_id": "i0", "feature": [0.0], "captions": [{"lang": "en", "tokens": ["A", "Red", "Circle"]}]},
             {"image_id": "i1", "feature": [1.0], "captions": [{"lang": "en", "tokens": ["Blue", "Star"]}]},
-        ]
-        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        ])
         cands = tmp_path / "cands.tsv"
         cands.write_text("i0\tA Red Circle\ni1\tBlue Star\n")
         reports = []
-        for extra in ([], ["--lowercase"]):
-            assert main(["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en", *extra]) == EXIT_OK
+        for extra in ({}, {"lowercase": True}):
+            assert run("evaluate", data=data, cands=cands, **extra) == EXIT_OK
             reports.append(json.loads(capsys.readouterr().out))
         assert reports[1] == reports[0]
         assert reports[1]["per_language"]["en"]["bleu1"] == 1.0
@@ -771,14 +631,13 @@ class TestEvaluate:
         # two images with disjoint four-token captions: every n-gram order
         # has a nonzero tf-idf vector, so exact candidates are perfect
         data = tmp_path / "refs.jsonl"
-        rows = [
+        write_jsonl(data, [
             {"image_id": "i0", "feature": [0.0], "captions": [{"lang": "en", "tokens": ["a", "b", "c", "d"]}]},
             {"image_id": "i1", "feature": [1.0], "captions": [{"lang": "en", "tokens": ["e", "f", "g", "h"]}]},
-        ]
-        data.write_text("".join(json.dumps(r) + "\n" for r in rows))
+        ])
         cands = tmp_path / "cands.tsv"
         cands.write_text("i0\ta b c d\ni1\te f g h\n")
-        assert main(["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en"]) == EXIT_OK
+        assert run("evaluate", data=data, cands=cands) == EXIT_OK
         report = json.loads(capsys.readouterr().out)
         scores = report["per_language"]["en"]
         for key in ("bleu1", "bleu2", "bleu3", "bleu4"):
@@ -788,77 +647,60 @@ class TestEvaluate:
 
 class TestGradcheck:
     def test_passes_at_default_tolerance(self, capsys):
-        assert main(["gradcheck"]) == EXIT_OK
+        assert run("gradcheck") == EXIT_OK
         out = capsys.readouterr().out
         assert out.count("  ok") == 2
         assert "lstm_sequence" in out and "sequence_loss" in out
 
     def test_fails_at_impossible_tolerance(self, capsys):
-        assert main(["gradcheck", "--tolerance", "1e-15"]) == EXIT_GRADCHECK
+        assert run("gradcheck", tolerance=1e-15) == EXIT_GRADCHECK
 
     def test_seed_only_varies_op_inputs(self, capsys):
-        assert main(["gradcheck", "--seed", "99"]) == EXIT_OK
-
-    @pytest.mark.parametrize("tolerance", ["nan", "inf", "0"])
-    def test_tolerance_must_be_finite_and_positive(self, capsys, tolerance):
-        assert main(["gradcheck", "--tolerance", tolerance]) == EXIT_USAGE
-        out, err = capsys.readouterr()
-        assert out == "" and "argument --tolerance: must be finite and positive" in err
+        assert run("gradcheck", seed=99) == EXIT_OK
 
 
 class TestChain:
     def test_leaves_no_partial_file(self, tmp_path):
         # every atomic write renames or removes its <path>.partial
-        data, run, cands = tmp_path / "d.jsonl", tmp_path / "run", tmp_path / "cap.tsv"
+        data, out, cands = tmp_path / "d.jsonl", tmp_path / "run", tmp_path / "cap.tsv"
         commands = [
-            ["synth", "--out", str(data), "--n", "12", "--seed", "2"],
-            ["build-vocab", "--data", str(data), "--out", str(tmp_path / "vocab.tsv"), "--min-count", "1"],
-            [
-                "train", "--data", str(data), "--out", str(run), "--split", "8,2,2", "--epochs", "2",
-                "--hidden", "4", "--embed", "4", "--min-count", "1",
-            ],
-            ["caption", "--ckpt", str(run / "best.ckpt"), "--data", str(data), "--out", str(cands), "--lang", "en"],
-            ["evaluate", "--data", str(data), "--cands", str(cands), "--langs", "en", "--out", str(tmp_path / "r.json")],
+            ("synth", {"out": data, "n": 12, "seed": 2}),
+            ("build-vocab", {"data": data, "out": tmp_path / "vocab.tsv"}),
+            ("train", {"data": data, "out": out, "split": "8,2,2", "epochs": 2}),
+            ("caption", {"ckpt": out / "best.ckpt", "data": data, "out": cands}),
+            ("evaluate", {"data": data, "cands": cands, "out": tmp_path / "r.json"}),
         ]
-        for args in commands:
-            assert main(args) == EXIT_OK, args[0]
+        for command, flags in commands:
+            assert run(command, **flags) == EXIT_OK, command
         names = {p.relative_to(tmp_path).as_posix() for p in tmp_path.rglob("*")}
         assert {"vocab.tsv", "run/epoch_001.ckpt", "cap.tsv", "r.json.manifest.json"} <= names
         assert not [name for name in names if name.endswith(".partial")]
 
 
 class TestParsing:
-    @pytest.mark.parametrize(
-        "args",
-        [
-            ["build-vocab", "--data", "d", "--out", "o"],
-            ["caption", "--ckpt", "c", "--data", "d", "--out", "o", "--lang", "en"],
-            ["evaluate", "--data", "d", "--cands", "c"],
-        ],
-        ids=["build-vocab", "caption", "evaluate"],
-    )
-    def test_seed_only_on_commands_that_draw_randomness(self, args, capsys):
+    @pytest.mark.parametrize("command", ["build-vocab", "caption", "evaluate"])
+    def test_seed_only_on_commands_that_draw_randomness(self, command, capsys):
         # these commands draw no randomness, so they take no --seed
-        assert main(args + ["--seed", "1"]) == EXIT_USAGE
+        assert run(command, **self.COMMANDS[command], seed=1) == EXIT_USAGE
         assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
     def test_unknown_command(self, capsys):
-        assert main(["no-such-command"]) == EXIT_USAGE
+        assert run("no-such-command") == EXIT_USAGE
 
     def test_missing_required_flag(self, capsys):
-        assert main(["synth"]) == EXIT_USAGE
+        assert run("synth") == EXIT_USAGE
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == EXIT_OK
 
     # every command's files are missing, so a handler that ran would exit 3, not 2
     COMMANDS = {
-        "synth": ["--out", "out.jsonl"],
-        "build-vocab": ["--data", "missing.jsonl", "--out", "vocab.tsv"],
-        "train": ["--data", "missing.jsonl", "--out", "run"],
-        "caption": ["--ckpt", "missing.ckpt", "--data", "missing.jsonl", "--out", "cap.tsv", "--lang", "en"],
-        "evaluate": ["--data", "missing.jsonl", "--cands", "en.tsv,jp.tsv", "--out", "report.json"],
-        "gradcheck": [],
+        "synth": {"out": "out.jsonl"},
+        "build-vocab": {"data": "missing.jsonl", "out": "vocab.tsv"},
+        "train": {"data": "missing.jsonl", "out": "run"},
+        "caption": {"ckpt": "missing.ckpt", "data": "missing.jsonl", "out": "cap.tsv"},
+        "evaluate": {"data": "missing.jsonl", "cands": "en.tsv", "out": "report.json"},
+        "gradcheck": {},
     }
     BAD_FLAGS = [
         ("synth", "--n", "0", "must be >= 1"),
@@ -896,7 +738,7 @@ class TestParsing:
         self, tmp_path, monkeypatch, capsys, command, flag, value, rule
     ):
         monkeypatch.chdir(tmp_path)
-        assert main([command, *self.COMMANDS[command], flag, value]) == EXIT_USAGE
+        assert run(command, **{**self.COMMANDS[command], flag[2:]: value}) == EXIT_USAGE
         out, err = capsys.readouterr()
         assert out == ""
         assert f"mlcap {command}: error: argument {flag}: " in err and rule in err

@@ -1,6 +1,5 @@
 """Dataset parsing/validation, splits, checkpoint round trips, synth data."""
 
-import json
 import tempfile
 from pathlib import Path
 from types import SimpleNamespace
@@ -8,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import numpy.testing as npt
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -29,15 +28,13 @@ from mlcap.data import (
     split_dataset,
     synth_generate,
 )
-from malformed import CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, valid
+from malformed import CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, valid, write_jsonl
 from oracles import forward_sequence
 from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import build_vocab
 from tinymodels import random_params
 
-
-def write_jsonl(path, rows):
-    path.write_text("\n".join(json.dumps(r) for r in rows) + "\n")
+EPS = np.finfo(float).eps  # one ulp of 1.0
 
 
 def assert_refused(error, load, path, case):
@@ -195,6 +192,38 @@ class TestHelpers:
         out = l2_normalize_records(records)
         npt.assert_allclose(np.linalg.norm(out[0].feature), 1.0)
         npt.assert_array_equal(out[1].feature, [0.0, 0.0])
+
+    # squared norms that overflow (1e400, 2e616) or underflow (2e-400, 2.5e-647)
+    @pytest.mark.parametrize(
+        "feature, unit",
+        [
+            ([1e200, 1e200, 0.0], [np.sqrt(0.5), np.sqrt(0.5), 0.0]),
+            ([1e-200, 1e-200, 0.0], [np.sqrt(0.5), np.sqrt(0.5), 0.0]),
+            ([5e-324, 0.0], [1.0, 0.0]),
+            ([1e308, -1e308], [np.sqrt(0.5), -np.sqrt(0.5)]),
+        ],
+        ids=["overflow", "underflow", "subnormal", "largest"],
+    )
+    def test_l2_normalize_squared_norm_out_of_range(self, feature, unit):
+        (out,) = l2_normalize_records([ImageRecord("a", np.array(feature), ())])
+        npt.assert_allclose(out.feature, unit, rtol=4 * EPS, atol=0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 8), elements=st.floats(-1e308, 1e308)))
+    def test_l2_normalize_any_nonzero_feature_is_unit_and_parallel(self, feature):
+        assume(np.any(feature))
+        (out,) = l2_normalize_records([ImageRecord("a", feature, ())])
+        assert abs(np.linalg.norm(out.feature) - 1.0) <= 4 * EPS
+        k = int(np.argmax(np.abs(feature)))
+        assert np.sign(out.feature[k]) == np.sign(feature[k])
+        npt.assert_allclose(out.feature, out.feature[k] * (feature / feature[k]), rtol=0, atol=4 * EPS)
+
+    @settings(max_examples=100, deadline=None)
+    @given(arrays(np.float64, st.integers(1, 8), elements=st.just(0.0) | st.floats(1e-150, 1e150) | st.floats(-1e150, -1e-150)))
+    def test_l2_normalize_keeps_the_bits_of_a_normal_squared_norm(self, feature):
+        assume(np.any(feature))
+        (out,) = l2_normalize_records([ImageRecord("a", feature, ())])
+        assert out.feature.tobytes() == (feature / np.linalg.norm(feature)).tobytes()
 
 
 class TestSplit:
