@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, advance_state, project_features, step_distribution, step_rows, zero_state
+from .model import ModelParams, advance_state, check_counts, project_features, step_distribution, step_rows, zero_state
 from .vocab import EOS_ID, PAD_ID
 
 
@@ -47,10 +47,7 @@ class BeamConfig:
     length_norm: bool = False
 
     def __post_init__(self):
-        if self.width < 1:
-            raise ValueError(f"beam width must be >= 1, got {self.width}")
-        if self.max_len < 1:
-            raise ValueError(f"max_len must be >= 1, got {self.max_len}")
+        check_counts("beam", self, ("width", "max_len"))
         if EOS_ID in self.exclude_ids:
             raise ValueError("the eos id cannot be excluded from emission")
 
@@ -124,17 +121,6 @@ def _top(candidates: np.ndarray, image: np.ndarray, width: int, emittable: int) 
     return np.divmod(kept[chosen], k)
 
 
-def _select(live: list[Hypothesis], barred: np.ndarray, width: int, step: int):
-    """The top ``width`` (logprob, parent, token) extensions of ``live``; ``barred`` ids are never emitted.
-
-    ``live`` is in lexical order of its ids, and so are the extensions.
-    """
-    scores = np.array([h.logprob for h in live])
-    candidates = _candidates(scores, np.stack([h.next_logp for h in live]), barred, step)
-    parent, column = _top(candidates, np.zeros(len(live), dtype=np.int64), width, candidates.shape[1] - barred.size)
-    return [(float(candidates[p, c]), live[p], int(c)) for p, c in zip(parent, column)]
-
-
 def _ranked(finished: list[tuple[tuple[int, ...], float]], config: BeamConfig) -> list[tuple[list[int], float]]:
     """The best ``config.width`` of one image's finished decodes, as (ids, logprob)."""
 
@@ -149,19 +135,23 @@ def _ranked(finished: list[tuple[tuple[int, ...], float]], config: BeamConfig) -
 def beam_search(feature, start_id: int, params: ModelParams, config: BeamConfig) -> list[tuple[list[int], float]]:
     """``beam_block`` on one image, one hypothesis per ``step_distribution`` call.
 
-    Kept, with ``_root``, ``_select`` and ``Hypothesis``, only because
+    Kept, with ``_root`` and ``Hypothesis``, only because
     ``perfbench/`` calls it; they go with ROADMAP item 1a. No decode runs
     it: ``beam_block`` is the decoder, and its yardstick in the tests is
     ``tests/oracles.reference_beam_search``. Raises ``ValueError`` when a
     live hypothesis has non-finite log-probabilities.
     """
     barred = _barred_ids(params.dims.vocab, config.exclude_ids)
+    emittable = params.dims.vocab - barred.size
     live = [_root(feature, start_id, params)]
     finished: list[tuple[tuple[int, ...], float]] = []
     step = 0
     while live:
         step += 1
-        survivors = _select(live, barred, config.width, step)
+        # ``live`` is in lexical order of its ids, and so are its top extensions
+        candidates = _candidates(np.array([h.logprob for h in live]), np.stack([h.next_logp for h in live]), barred, step)
+        parents, tokens = _top(candidates, np.zeros(len(live), dtype=np.int64), config.width, emittable)
+        survivors = [(float(candidates[p, c]), live[p], int(c)) for p, c in zip(parents, tokens)]
         live = []
         for logprob, hyp, tok in survivors:
             ids = hyp.ids + (tok,)

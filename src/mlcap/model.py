@@ -41,10 +41,15 @@ class Dims:
     feature: int
 
     def __post_init__(self):
-        for name in ("vocab", "embed", "hidden", "feature"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int) or value < 1:
-                raise ValueError(f"dims.{name} must be a positive int, got {value!r}")
+        check_counts("dims", self, ("vocab", "embed", "hidden", "feature"))
+
+
+def check_counts(owner: str, obj, names) -> None:
+    """Refuse each field ``names`` of ``obj`` that is not an int >= 1; a bool is not one."""
+    for name in names:
+        value = getattr(obj, name)
+        if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+            raise ValueError(f"{owner}.{name} must be a positive int, got {value!r}")
 
 
 @dataclass

@@ -37,7 +37,7 @@ from .autodiff import DimensionError
 from .beam import BeamConfig, beam_block
 from .data import DatasetSplit, ImageRecord, corpus_from_records, l2_normalize_records, lowercase_records
 from .metrics import CorpusEval, cider
-from .model import Dims, ModelParams, init_params
+from .model import Dims, ModelParams, check_counts, init_params
 from .rng import substream
 from .vocab import PAD_ID, Vocabulary, build_vocab, check_collisions
 
@@ -87,10 +87,7 @@ class TrainConfig:
     feature_l2norm: bool = False
 
     def __post_init__(self):
-        positive = ("epochs", "batch_size", "hidden", "embed", "beam", "val_beam", "max_len", "min_count")
-        for name in positive:
-            if getattr(self, name) < 1:
-                raise ValueError(f"config.{name} must be >= 1, got {getattr(self, name)}")
+        check_counts("config", self, ("epochs", "batch_size", "hidden", "embed", "beam", "val_beam", "max_len", "min_count"))
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"config.loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         if self.languages is not None and len(set(self.languages)) != len(self.languages):

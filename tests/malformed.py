@@ -11,6 +11,12 @@ readers that load the file all the same. A reader is a command, or
 ``test_data.py`` runs each row through the loader and ``test_cli.py``
 through every command that reads its kind. ``write_jsonl`` writes a
 dataset file from JSON rows given in the test.
+
+One registry, ``NAMED``, keyed by (kind, row, layer), says which rows run
+under a test name of their own at a layer: the loader, or a command.
+``row_checks`` makes such a named test, and ``unnamed`` lists every other
+(kind, row, layer), which the layer's table test runs; so each row runs
+once at each layer.
 """
 
 import json
@@ -48,6 +54,35 @@ def valid(tmp_path_factory):
     save_checkpoint(paths["checkpoint"], Checkpoint(PARAMS, VOCAB, {"feature_l2norm": False}, 1))
     paths["candidates"].write_text("".join(f"{r.image_id}\t{' '.join(r.captions[0].tokens)}\n" for r in RECORDS))
     return paths
+
+
+NAMED = set()  # (kind, row, layer) of each row that a named test runs; the table tests run every other one
+
+
+def row_checks(check, layer, kind, *rows, ids=None):
+    """A test of ``layer`` on rows of ``kind``'s table, which runs ``check(kind, row, layer, valid, folder, capsys)``:
+    a case per row, named by ``ids``, or one case for all."""
+    keys = {(kind, row, layer) for row in rows}
+    assert NAMED.isdisjoint(keys), "a row runs under one name"
+    NAMED.update(keys)
+    if ids:
+
+        @pytest.mark.parametrize("row", rows, ids=ids)
+        def test(self, valid, tmp_path, capsys, row):
+            check(kind, row, layer, valid, tmp_path, capsys)
+
+    else:
+
+        def test(self, valid, tmp_path, capsys):
+            for row in rows:
+                check(kind, row, layer, valid, tmp_path, capsys)
+
+    return test
+
+
+def unnamed(layers):
+    """(kind, row, layer) for each row of each kind in ``layers``, at each of the kind's layers, that no named test runs."""
+    return [(kind, row, layer) for kind, names in layers.items() for row in TABLES[kind] for layer in names if (kind, row, layer) not in NAMED]
 
 
 def write_jsonl(path, rows):
@@ -266,3 +301,5 @@ CANDIDATES = table(
     Case("blank-lines", lambda blob: b"\n\n", ": no candidates found"),
     Case("unknown-image", lambda blob: blob.replace(b"synth-000000", b"no-such-image"), ":1: candidate 'no-such-image' is not in the reference data"),
 )
+
+TABLES = {"dataset": DATASETS, "checkpoint": CHECKPOINTS, "candidates": CANDIDATES}

@@ -18,7 +18,7 @@ from mlcap.model import step_rows, zero_state
 from mlcap.trainer import Batch, Example, make_batch, sequence_loss
 from mlcap.vocab import EOS_ID, PAD_ID
 from oracles import full_partial_head, gates_list_lstm_sequence, log_softmax, step_products_lstm_sequence, where_sigmoid
-from tinymodels import prefix_free_params, tiny_examples, wide_params
+from tinymodels import array_bytes, prefix_free_params, tiny_examples, wide_params
 
 
 def softmax(z):
@@ -147,9 +147,8 @@ class TestBlockedHead:
         _, grads = sequence_loss(batch, params, mode="sum")
         dw_embed = np.zeros_like(params.w_embed)
         np.add.at(dw_embed, ids, dx_tokens)
-        assert grads["w_out"].tobytes() == (hs.T @ g).tobytes()
-        assert grads["b_out"].tobytes() == g.sum(axis=0).tobytes()
-        assert grads["w_embed"].tobytes() == dw_embed.tobytes()
+        want = {"w_out": hs.T @ g, "b_out": g.sum(axis=0), "w_embed": dw_embed}
+        assert array_bytes({name: grads[name] for name in want}) == array_bytes(want)
 
 
 class TestStableSigmoid:
@@ -204,9 +203,7 @@ class TestEarlierForms:
             hs, pullback = ad.lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
             got = dict(zip(("hidden", "dx", "dw_x", "dw_h", "db_gates"), (hs, *pullback(g))))
         want_hs, want_pullback = gates_list_lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
-        want = dict(zip(got, (want_hs, *want_pullback(g))))
-        for name in got:
-            assert got[name].tobytes() == want[name].tobytes(), name
+        assert array_bytes(got) == array_bytes(dict(zip(got, (want_hs, *want_pullback(g)))))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -251,8 +248,7 @@ class TestEarlierForms:
         with mock.patch.object(trainer, "BLOCK_CELLS", block_rows * vocab):
             got = dict(zip(("nll", "dhidden", "dw_out", "db_out"), trainer._output_head(h, targets, weights, p)))
             want = dict(zip(got, full_partial_head(h, targets, weights, p)))
-        for name in got:
-            assert got[name].tobytes() == want[name].tobytes(), name
+        assert array_bytes(got) == array_bytes(want)
 
     def test_the_example_cuts_blocks_and_ragged_chunks(self):
         with mock.patch.object(trainer, "BLOCK_CELLS", 3 * 6):
@@ -367,7 +363,7 @@ class TestBackward:
         def run():
             params = wide_params(vocab=8, embed=4, hidden=5, feature=3, seed=42)
             loss, grads = sequence_loss(ragged_batch(params, np.random.default_rng(42), count=4), params)
-            return [np.float64(loss).tobytes()] + [g.tobytes() for g in grads.values()]
+            return np.float64(loss).tobytes(), array_bytes(grads)
 
         assert run() == run()
 

@@ -1,7 +1,8 @@
 """Beam search against hand-enumerated cases, greedy, and full enumeration."""
 
 import math
-import tracemalloc
+import re
+from typing import NamedTuple
 from unittest import mock
 
 import numpy as np
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 
 from mlcap import beam, trainer
 from mlcap.beam import BeamConfig, _barred_ids, _top, beam_block, beam_search
+from mlcap.model import ModelParams
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
 from oracles import (
     decode_start,
@@ -22,7 +24,7 @@ from oracles import (
     per_image_top,
     reference_beam_search,
 )
-from tinymodels import NEG_BIG, prefix_free_params, random_params, toy_distribution, wide_params
+from tinymodels import NEG_BIG, prefix_free_params, random_params, toy_distribution, traced_peak, wide_params
 
 A, B = 3, 4  # surface ids in the toy five-token table (pad, unk, eos, a, b)
 
@@ -134,6 +136,12 @@ class TestToyModel(ToyCases):
             BeamConfig(max_len=0)
 
 
+@pytest.mark.parametrize("field, value", [("width", 2.5), ("max_len", 4.0), ("width", True), ("max_len", 0)])
+def test_beam_config_counts_must_be_positive_ints(field, value):
+    with pytest.raises(ValueError, match=re.escape(f"beam.{field} must be a positive int, got {value!r}")):
+        BeamConfig(**{field: value})
+
+
 class TestToyModelBlock(ToyCases):
     """The hand cases on a one-image ``beam_block``."""
 
@@ -157,6 +165,40 @@ class TestEmittableIds:
 
     def test_minus_one_does_not_exclude_the_last_id(self):
         assert _barred_ids(4, (-1, 0, 4, 2**70)).tolist() == [0]
+
+
+def draw_model(draw, vocab):
+    """A random, flat (every candidate tied) or prefix-free model of ``vocab`` ids."""
+    kind = draw(st.sampled_from(["random", "flat", "prefix-free"]))
+    if kind == "prefix-free":
+        # few distinct scores: exact ties between extensions of
+        # different parents, e.g. [a, b] and [b, a], are common
+        return prefix_free_params(draw(st.lists(st.sampled_from([0.0, -1.0, -2.0]), min_size=vocab, max_size=vocab)))
+    params = wide_params(vocab=vocab, seed=draw(st.integers(0, 2**16)), scale=2.0)
+    # shifting eos makes the rows or images of one block end on different steps or run to max_len
+    params.b_out[EOS_ID] += draw(st.sampled_from([-1.0, 0.0, 1.0]))
+    if kind == "flat":
+        params.w_out = np.zeros_like(params.w_out)
+        params.b_out = np.zeros_like(params.b_out)
+    return params
+
+
+class BlockCase(NamedTuple):
+    params: ModelParams
+    exclude: tuple[int, ...]  # ids barred from emission, eos never among them
+    start: int
+    features: np.ndarray  # [images, D]
+
+
+@st.composite
+def block_cases(draw, vocab=st.integers(3, 8), images=st.integers(1, 8)):
+    """A ``draw_model`` model, its exclusions and start id, and a block of features to decode."""
+    size = draw(vocab)
+    params = draw_model(draw, size)
+    exclude = draw(st.sets(st.sampled_from([t for t in range(size) if t != EOS_ID])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    features = rng.normal(scale=2.0, size=(draw(images), params.dims.feature))
+    return BlockCase(params, tuple(sorted(exclude)), draw(st.integers(0, size - 1)), features)
 
 
 class ReferenceCases:
@@ -195,32 +237,13 @@ class ReferenceCases:
         for ids, logprob in self.decode(feature, 3, params, BeamConfig(width=3, max_len=5)):
             npt.assert_allclose(replay_logprob(feature, 3, params, ids), logprob, atol=1e-12)
 
-    def matches_tuple_sort_reference(self, data):
-        vocab = data.draw(st.integers(3, 8), label="vocab")
-        kind = data.draw(st.sampled_from(["random", "flat", "prefix-free"]), label="model")
-        if kind == "prefix-free":
-            # few distinct scores: exact ties between extensions of
-            # different parents, e.g. [a, b] and [b, a], are common
-            scores = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.0]), min_size=vocab, max_size=vocab))
-            params = prefix_free_params(scores)
-        else:
-            params = wide_params(vocab=vocab, seed=data.draw(st.integers(0, 2**16), label="seed"), scale=2.0)
-        if kind == "flat":
-            params.w_out = np.zeros_like(params.w_out)
-            params.b_out = np.zeros_like(params.b_out)
-        exclude = data.draw(
-            st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
-        )
-        config = BeamConfig(
-            width=data.draw(st.integers(1, 6), label="width"),
-            max_len=data.draw(st.integers(1, 4), label="max_len"),
-            exclude_ids=tuple(sorted(exclude)),
-        )
-        feature = np.linspace(-1.0, 1.0, params.dims.feature)
-        start = data.draw(st.integers(0, vocab - 1), label="start")
-        assert self.decode(feature, start, params, config) == reference_beam_search(
-            feature, start, params, config
-        )
+    # one image, from a model with its exclusions and start id, at a width and max_len
+    ONE_IMAGE = dict(case=block_cases(images=st.just(1)), width=st.integers(1, 6), max_len=st.integers(1, 4))
+
+    def matches_tuple_sort_reference(self, case, width, max_len):
+        config = BeamConfig(width=width, max_len=max_len, exclude_ids=case.exclude)
+        [feature] = case.features
+        assert self.decode(feature, case.start, case.params, config) == reference_beam_search(feature, case.start, case.params, config)
 
     def test_decode_is_deterministic(self):
         params = random_params(seed=77)
@@ -236,9 +259,9 @@ class TestAgainstReferenceDecoders(ReferenceCases):
     decode = staticmethod(beam_search)
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_tuple_sort_reference(self, data):
-        self.matches_tuple_sort_reference(data)
+    @given(**ReferenceCases.ONE_IMAGE)
+    def test_matches_tuple_sort_reference(self, case, width, max_len):
+        self.matches_tuple_sort_reference(case, width, max_len)
 
 
 class TestAgainstReferenceDecodersBlock(ReferenceCases):
@@ -247,24 +270,9 @@ class TestAgainstReferenceDecodersBlock(ReferenceCases):
     decode = staticmethod(one_image_block)
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_matches_tuple_sort_reference(self, data):
-        self.matches_tuple_sort_reference(data)
-
-
-def draw_model(data, vocab):
-    """A random, flat (every candidate tied) or prefix-free model of ``vocab`` ids."""
-    kind = data.draw(st.sampled_from(["random", "flat", "prefix-free"]), label="model")
-    if kind == "prefix-free":
-        scores = data.draw(st.lists(st.sampled_from([0.0, -1.0, -2.0]), min_size=vocab, max_size=vocab))
-        return prefix_free_params(scores)
-    params = wide_params(vocab=vocab, seed=data.draw(st.integers(0, 2**16), label="seed"), scale=2.0)
-    # shifting eos makes the rows or images of one block end on different steps or run to max_len
-    params.b_out[EOS_ID] += data.draw(st.sampled_from([-1.0, 0.0, 1.0]), label="eos shift")
-    if kind == "flat":
-        params.w_out = np.zeros_like(params.w_out)
-        params.b_out = np.zeros_like(params.b_out)
-    return params
+    @given(**ReferenceCases.ONE_IMAGE)
+    def test_matches_tuple_sort_reference(self, case, width, max_len):
+        self.matches_tuple_sort_reference(case, width, max_len)
 
 
 class TestTop:
@@ -318,20 +326,10 @@ class TestGreedyBlock:
         return block
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_rows_match_width_one_beam_and_greedy(self, data):
-        vocab = data.draw(st.integers(3, 8), label="vocab")
-        params = draw_model(data, vocab)
-        exclude = data.draw(
-            st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
-        )
-        max_len = data.draw(st.integers(1, 6), label="max_len")
-        config = BeamConfig(width=1, max_len=max_len, exclude_ids=tuple(sorted(exclude)))
-        height = data.draw(st.integers(1, 8), label="height")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="feature seed"))
-        features = rng.normal(scale=2.0, size=(height, params.dims.feature))
-        start = data.draw(st.integers(0, vocab - 1), label="start")
-        self.assert_rows_match(features, start, params, config)
+    @given(case=block_cases(), max_len=st.integers(1, 6))
+    def test_rows_match_width_one_beam_and_greedy(self, case, max_len):
+        config = BeamConfig(width=1, max_len=max_len, exclude_ids=case.exclude)
+        self.assert_rows_match(case.features, case.start, case.params, config)
 
     def test_rows_end_on_different_steps(self):
         params = wide_params(vocab=6, embed=4, hidden=5, feature=3, seed=10, scale=2.0)
@@ -369,60 +367,34 @@ class TestBeamBlock:
     """``beam_block`` decodes a block of images as the reference beam decodes each alone."""
 
     @settings(max_examples=150, deadline=None)
-    @given(data=st.data())
-    def test_images_match_scalar_and_reference_beams(self, data):
-        vocab = data.draw(st.integers(3, 8), label="vocab")
-        params = draw_model(data, vocab)
-        exclude = data.draw(
-            st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
-        )
-        config = BeamConfig(
-            width=data.draw(st.integers(1, 6), label="width"),
-            max_len=data.draw(st.integers(1, 4), label="max_len"),
-            exclude_ids=tuple(sorted(exclude)),
-            length_norm=data.draw(st.booleans(), label="length_norm"),
-        )
-        images = data.draw(st.integers(1, 8), label="images")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="feature seed"))
-        features = rng.normal(scale=2.0, size=(images, params.dims.feature))
-        start = data.draw(st.integers(0, vocab - 1), label="start")
-        block = beam_block(features, start, params, config)
-        assert len(block) == images
-        for feature, ranked in zip(features, block):
-            assert ranked == reference_beam_search(feature, start, params, config)
+    @given(case=block_cases(), width=st.integers(1, 6), max_len=st.integers(1, 4), length_norm=st.booleans())
+    def test_images_match_scalar_and_reference_beams(self, case, width, max_len, length_norm):
+        config = BeamConfig(width, max_len, case.exclude, length_norm)
+        block = beam_block(case.features, case.start, case.params, config)
+        assert len(block) == len(case.features)
+        for feature, ranked in zip(case.features, block):
+            assert ranked == reference_beam_search(feature, case.start, case.params, config)
 
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_saturated_width_equals_exhaustive(self, data):
-        vocab = data.draw(st.integers(3, 5), label="vocab")
-        params = draw_model(data, vocab)
-        exclude = data.draw(
-            st.sets(st.sampled_from([t for t in range(vocab) if t != EOS_ID])), label="exclude"
-        )
-        max_len = data.draw(st.integers(1, 4), label="max_len")
-        config = BeamConfig(width=vocab**max_len, max_len=max_len, exclude_ids=tuple(sorted(exclude)))
-        images = data.draw(st.integers(1, 8), label="images")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="feature seed"))
-        features = rng.normal(scale=2.0, size=(images, params.dims.feature))
-        start = data.draw(st.integers(0, vocab - 1), label="start")
-        for feature, ranked in zip(features, beam_block(features, start, params, config)):
-            ids, logprob = exhaustive_decode(feature, start, params, max_len, config.exclude_ids)
+    @given(case=block_cases(vocab=st.integers(3, 5)), max_len=st.integers(1, 4))
+    def test_saturated_width_equals_exhaustive(self, case, max_len):
+        config = BeamConfig(width=case.params.dims.vocab**max_len, max_len=max_len, exclude_ids=case.exclude)
+        for feature, ranked in zip(case.features, beam_block(case.features, case.start, case.params, config)):
+            ids, logprob = exhaustive_decode(feature, case.start, case.params, max_len, config.exclude_ids)
             assert ranked[0] == (ids, logprob)
 
+    VOCAB = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y", "z"))], min_count=1)
+
     @settings(max_examples=40, deadline=None)
-    @given(data=st.data())
-    def test_a_set_decodes_each_image_as_alone(self, data):
-        vocab = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y", "z"))], min_count=1)
-        params = draw_model(data, len(vocab))
-        width = data.draw(st.integers(1, 6), label="width")
-        max_len = data.draw(st.integers(1, 4), label="max_len")
-        images = data.draw(st.integers(1, 8), label="images")
-        rows_per_block = data.draw(st.integers(2, 8), label="rows per block")
-        rng = np.random.default_rng(data.draw(st.integers(0, 2**16), label="feature seed"))
-        features = rng.normal(scale=2.0, size=(images, params.dims.feature))
+    @given(
+        case=block_cases(vocab=st.just(len(VOCAB))), width=st.integers(1, 6), max_len=st.integers(1, 4), rows_per_block=st.integers(2, 8)
+    )
+    def test_a_set_decodes_each_image_as_alone(self, case, width, max_len, rows_per_block):
+        # decode_images bars the start ids and starts at <jp>: the case's exclusions and start go unused
+        params, vocab = case.params, self.VOCAB
         with mock.patch.object(trainer, "BLOCK_CELLS", rows_per_block * len(vocab) * width):
-            together = trainer.decode_images(params, vocab, features, "jp", width, max_len)
-        alone = [trainer.decode_images(params, vocab, [feature], "jp", width, max_len)[0] for feature in features]
+            together = trainer.decode_images(params, vocab, case.features, "jp", width, max_len)
+        alone = [trainer.decode_images(params, vocab, [feature], "jp", width, max_len)[0] for feature in case.features]
         assert together == alone
 
     @pytest.mark.parametrize(
@@ -503,12 +475,7 @@ class TestWorkingSet:
         images, width, vocab = 4, 5, 4000
         params = wide_params(vocab=vocab, embed=4, hidden=4, feature=3, seed=0)
         features = np.random.default_rng(0).normal(size=(images, 3))
-        tracemalloc.start()
-        try:
-            beam_block(features, 3, params, BeamConfig(width=width, max_len=4))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: beam_block(features, 3, params, BeamConfig(width=width, max_len=4)))
         assert peak < 2.5 * images * width * vocab * 8 + 2**17
 
 

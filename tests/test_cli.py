@@ -3,6 +3,7 @@
 import contextlib
 import errno
 import json
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -22,11 +23,11 @@ from mlcap.data import (
     save_dataset,
 )
 from mlcap.vocab import EOS_ID, build_vocab
-from malformed import CANDIDATES, CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, valid, write_jsonl
+import malformed
+from malformed import TABLES, forge, rewrite_checkpoint_header, unnamed, valid, write_jsonl
 from oracles import forward_sequence
 from tinymodels import NEG_BIG, prefix_free_params, wide_params
 
-TABLES = {"dataset": DATASETS, "checkpoint": CHECKPOINTS, "candidates": CANDIDATES}
 READERS = {"dataset": ["build-vocab", "train", "caption", "evaluate"], "checkpoint": ["caption"], "candidates": ["evaluate"]}
 # the tiny run most tests make; a test passes only the flags it is about
 TINY = {
@@ -100,26 +101,7 @@ def check_row(kind, row, command, valid, folder, capsys):
         assert sorted(folder.rglob("*")) == before
 
 
-NAMED = set()  # (kind, row, command) triples that a test named below runs; the table test runs every other one
-
-
-def row_checks(kind, command, *rows, ids=None):
-    """A test of ``command`` on rows of ``kind``'s table: a case per row, named by ``ids``, or one case for all."""
-    assert NAMED.isdisjoint((kind, row, command) for row in rows), "a row runs under one name"
-    NAMED.update((kind, row, command) for row in rows)
-    if ids:
-
-        @pytest.mark.parametrize("row", rows, ids=ids)
-        def test(self, valid, tmp_path, capsys, row):
-            check_row(kind, row, command, valid, tmp_path, capsys)
-
-    else:
-
-        def test(self, valid, tmp_path, capsys):
-            for row in rows:
-                check_row(kind, row, command, valid, tmp_path, capsys)
-
-    return test
+row_checks = partial(malformed.row_checks, check_row)
 
 
 @pytest.mark.parametrize("command", READERS["dataset"])
@@ -195,12 +177,6 @@ class TestSynth:
         langs = {c.language for r in load_dataset(out) for c in r.captions}
         assert langs == {"de", "en", "fr"}
 
-    def test_repeated_language_is_usage_error(self, tmp_path, capsys):
-        out = tmp_path / "d.jsonl"
-        assert run("synth", out=out, n=3, langs="en,en") == EXIT_USAGE
-        assert "repeats a language code" in capsys.readouterr().err
-        assert not out.exists()
-
 
 class TestBuildVocab:
     def test_writes_token_table(self, workdir, tmp_path):
@@ -235,7 +211,7 @@ class TestBuildVocab:
         assert_left_as_before(manifest, b"{}\n")
 
     # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks("dataset", "build-vocab", "lang-pad")
+    test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks("build-vocab", "dataset", "lang-pad")
 
     def test_lowercase_merges_case_variants(self, tmp_path):
         # "Cat" and "cat" each occur once: only their lowercased form reaches --min-count 2
@@ -393,11 +369,11 @@ class TestTrain:
         assert "beam" not in options and options["languages"] is None
 
     # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_caption_language_that_langs_cannot_name_is_data_error = row_checks("dataset", "train", "lang-comma")
+    test_caption_language_that_langs_cannot_name_is_data_error = row_checks("train", "dataset", "lang-comma")
     test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks(
-        "dataset", "train", "lang-pad", "lang-unk", "lang-eos", ids=["pad", "unk", "eos"]
+        "train", "dataset", "lang-pad", "lang-unk", "lang-eos", ids=["pad", "unk", "eos"]
     )
-    test_lone_surrogate_in_a_token_names_file_and_line = row_checks("dataset", "train", "surrogate-token")
+    test_lone_surrogate_in_a_token_names_file_and_line = row_checks("train", "dataset", "surrogate-token")
 
 
 class TestCaption:
@@ -484,21 +460,21 @@ class TestCaption:
         assert not (tmp_path / "c").exists()
 
     # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_image_id_holding_a_tab_is_data_error = row_checks("dataset", "caption", "id-tab")
-    test_non_number_feature_is_data_error = row_checks("dataset", "caption", "feature-string")
-    test_non_finite_checkpoint_is_data_error = row_checks("checkpoint", "caption", "non-finite-array")
-    test_manifest_entry_without_name_is_data_error = row_checks("checkpoint", "caption", "manifest-entry-without-name")
-    test_vocabulary_shorter_than_dims_is_data_error = row_checks("checkpoint", "caption", "vocab-short")
-    test_non_int_dims_is_data_error = row_checks("checkpoint", "caption", "dims-float")
-    test_non_string_vocabulary_token_is_data_error = row_checks("checkpoint", "caption", "token-not-a-string")
-    test_vocabulary_token_holding_a_line_break_is_data_error = row_checks("checkpoint", "caption", "token-line-break")
-    test_non_object_config_is_data_error = row_checks("checkpoint", "caption", "config-not-an-object")
+    test_image_id_holding_a_tab_is_data_error = row_checks("caption", "dataset", "id-tab")
+    test_non_number_feature_is_data_error = row_checks("caption", "dataset", "feature-string")
+    test_non_finite_checkpoint_is_data_error = row_checks("caption", "checkpoint", "non-finite-array")
+    test_manifest_entry_without_name_is_data_error = row_checks("caption", "checkpoint", "manifest-entry-without-name")
+    test_vocabulary_shorter_than_dims_is_data_error = row_checks("caption", "checkpoint", "vocab-short")
+    test_non_int_dims_is_data_error = row_checks("caption", "checkpoint", "dims-float")
+    test_non_string_vocabulary_token_is_data_error = row_checks("caption", "checkpoint", "token-not-a-string")
+    test_vocabulary_token_holding_a_line_break_is_data_error = row_checks("caption", "checkpoint", "token-line-break")
+    test_non_object_config_is_data_error = row_checks("caption", "checkpoint", "config-not-an-object")
     test_non_bool_feature_l2norm_is_data_error = row_checks(
-        "checkpoint", "caption", "l2norm-string", "l2norm-int", "l2norm-null", ids=["no", "1", "None"]
+        "caption", "checkpoint", "l2norm-string", "l2norm-int", "l2norm-null", ids=["no", "1", "None"]
     )
-    test_array_shape_disagreeing_with_dims_is_data_error = row_checks("checkpoint", "caption", "array-shape")
+    test_array_shape_disagreeing_with_dims_is_data_error = row_checks("caption", "checkpoint", "array-shape")
     test_forged_lengths_are_data_errors = row_checks(
-        "checkpoint", "caption", "cut-half", f"header-length-{2**63 - 1}", "huge-hidden", ids=["truncated", "header_length", "huge_dims"]
+        "caption", "checkpoint", "cut-half", f"header-length-{2**63 - 1}", "huge-hidden", ids=["truncated", "header_length", "huge_dims"]
     )
 
     def test_missing_feature_l2norm_means_false(self, workdir, speaker, tmp_path):
@@ -577,14 +553,6 @@ class TestEvaluate:
         en = self._reference_candidates(workdir, tmp_path, "en")
         assert run("evaluate", data=workdir["data"], cands=en, langs="en,jp") == EXIT_USAGE
 
-    def test_repeated_language_is_usage_error(self, workdir, tmp_path, capsys):
-        en = self._reference_candidates(workdir, tmp_path, "en")
-        jp = self._reference_candidates(workdir, tmp_path, "jp")
-        report = tmp_path / "report.json"
-        assert run("evaluate", data=workdir["data"], cands=f"{en},{jp}", langs="en,en", out=report) == EXIT_USAGE
-        assert "repeats a language code" in capsys.readouterr().err
-        assert not report.exists()
-
     def test_crlf_candidates_score_as_lf_candidates(self, workdir, tmp_path, capsys):
         en = self._reference_candidates(workdir, tmp_path, "en")
         crlf = tmp_path / "crlf.tsv"
@@ -603,12 +571,12 @@ class TestEvaluate:
 
     # ids these rows ran under before the tables; the table test at the end runs every other row
     test_candidates_that_are_not_utf8_name_file_and_line = row_checks(
-        "candidates", "evaluate", "utf16-bom", "latin1-crlf", ids=["1", "2"]
+        "evaluate", "candidates", "utf16-bom", "latin1-crlf", ids=["1", "2"]
     )
-    test_unknown_image_id_fails = row_checks("candidates", "evaluate", "unknown-image")
+    test_unknown_image_id_fails = row_checks("evaluate", "candidates", "unknown-image")
     # "New York" as one token cannot match a caption read back split on
     # whitespace, so the exact caption would score BLEU-2..4 of zero
-    test_reference_token_holding_whitespace_is_data_error = row_checks("dataset", "evaluate", "token-space")
+    test_reference_token_holding_whitespace_is_data_error = row_checks("evaluate", "dataset", "token-space")
 
     def test_lowercase_applies_to_candidates_too(self, tmp_path, capsys):
         # exact candidates score the same with and without the flag
@@ -746,9 +714,6 @@ class TestParsing:
 
 
 # the table test: every row, through every command that reads its kind, that no test named above runs
-@pytest.mark.parametrize(
-    "kind, row, command",
-    [(kind, row, command) for kind, table in TABLES.items() for row in table for command in READERS[kind] if (kind, row, command) not in NAMED],
-)
+@pytest.mark.parametrize("kind, row, command", unnamed(READERS))
 def test_every_reader_refuses_each_malformed_file(valid, tmp_path, capsys, kind, row, command):
     check_row(kind, row, command, valid, tmp_path, capsys)

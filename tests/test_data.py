@@ -1,6 +1,7 @@
 """Dataset parsing/validation, splits, checkpoint round trips, synth data."""
 
 import tempfile
+from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -28,11 +29,12 @@ from mlcap.data import (
     split_dataset,
     synth_generate,
 )
-from malformed import CHECKPOINTS, DATASETS, forge, rewrite_checkpoint_header, valid, write_jsonl
+import malformed
+from malformed import TABLES, forge, rewrite_checkpoint_header, unnamed, valid, write_jsonl
 from oracles import forward_sequence
 from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import build_vocab
-from tinymodels import random_params
+from tinymodels import array_bytes, random_params
 
 EPS = np.finfo(float).eps  # one ulp of 1.0
 
@@ -43,11 +45,17 @@ def assert_refused(error, load, path, case):
     assert f"{path}{case.message}" in str(refused.value)
 
 
-def check_dataset_row(row, valid, folder):
-    """``load_dataset`` refuses the row's file with its message; with
-    ``require_captions`` off, as ``caption`` reads, it loads a row ``caption`` accepts."""
-    case = DATASETS[row]
-    path = forge(case, valid["dataset"], folder)
+def check_row(kind, row, layer, valid, folder, capsys=None):
+    """``kind``'s loader refuses the row's file with its message, or loads a row it accepts; a
+    dataset also with ``require_captions`` off, as ``caption`` reads, where it loads a row ``caption`` accepts."""
+    case = TABLES[kind][row]
+    path = forge(case, valid[kind], folder)
+    if kind == "checkpoint":
+        if "load_checkpoint" in case.accepted_by:
+            load_checkpoint(path)
+        else:
+            assert_refused(CheckpointError, load_checkpoint, path, case)
+        return
     assert_refused(DatasetError, load_dataset, path, case)
     if "caption" in case.accepted_by:
         assert load_dataset(path, require_captions=False)[1].captions == ()
@@ -55,38 +63,7 @@ def check_dataset_row(row, valid, folder):
         assert_refused(DatasetError, lambda p: load_dataset(p, require_captions=False), path, case)
 
 
-def check_checkpoint_row(row, valid, folder):
-    """``load_checkpoint`` refuses the row's file with its message, or loads a row it accepts."""
-    case = CHECKPOINTS[row]
-    path = forge(case, valid["checkpoint"], folder)
-    if "load_checkpoint" in case.accepted_by:
-        load_checkpoint(path)
-    else:
-        assert_refused(CheckpointError, load_checkpoint, path, case)
-
-
-CHECKS = {"dataset": check_dataset_row, "checkpoint": check_checkpoint_row}
-NAMED = set()  # (kind, row) pairs that a test named below runs; the table test runs every other row
-
-
-def row_checks(kind, *rows, ids=None):
-    """A loader test of rows of ``kind``'s table: a case per row, named by ``ids``, or one case for all."""
-    assert NAMED.isdisjoint((kind, row) for row in rows), "a row runs under one name"
-    NAMED.update((kind, row) for row in rows)
-    check = CHECKS[kind]
-    if ids:
-
-        @pytest.mark.parametrize("row", rows, ids=ids)
-        def test(self, valid, tmp_path, row):
-            check(row, valid, tmp_path)
-
-    else:
-
-        def test(self, valid, tmp_path):
-            for row in rows:
-                check(row, valid, tmp_path)
-
-    return test
+row_checks = partial(malformed.row_checks, check_row, "loader")
 
 
 def test_the_valid_files_load(valid):
@@ -290,8 +267,7 @@ class TestCheckpoint:
         assert (loaded.vocab.id_to_token, loaded.vocab.languages) == (vocab.id_to_token, vocab.languages)
         assert loaded.params.dims == params.dims
         rebuilt = loaded.params
-        for (name, array), (_, back) in zip(params.named_parameters(), rebuilt.named_parameters()):
-            assert back.dtype == np.float64 and back.tobytes() == array.tobytes(), name
+        assert array_bytes(rebuilt) == array_bytes(params) and all(a.dtype == np.float64 for _, a in params.named_parameters())
         feature = np.ones(params.dims.feature)
         a = forward_sequence(feature, (3, 2), 3, params).distributions
         b = forward_sequence(feature, (3, 2), 3, rebuilt).distributions
@@ -315,8 +291,7 @@ class TestCheckpoint:
             loaded = load_checkpoint(path)
         assert (loaded.params.dims, loaded.config, loaded.epoch) == (params.dims, {"seed": 1}, epoch)
         assert (loaded.vocab.id_to_token, loaded.vocab.languages) == (vocab.id_to_token, vocab.languages)
-        for name, array in loaded.params.named_parameters():
-            assert array.tobytes() == drawn[name].tobytes(), name
+        assert array_bytes(loaded.params) == array_bytes(drawn)
 
     def test_checkpoint_holds_the_given_arrays(self):
         vocab = build_vocab([("en", ("a", "cat"))], min_count=1)
@@ -355,8 +330,7 @@ class TestCheckpoint:
         params, _, _, path = self.roundtrip(tmp_path)
         odd = tmp_path / "float_shape.ckpt"
         rewrite_checkpoint_header(path, odd, lambda header: header["arrays"][4].update(shape=[4.0, 16.0]))
-        for (name, array), (_, back) in zip(params.named_parameters(), load_checkpoint(odd).params.named_parameters()):
-            assert back.shape == array.shape and back.tobytes() == array.tobytes(), name
+        assert array_bytes(load_checkpoint(odd).params) == array_bytes(params)
 
     def test_file_that_shrinks_after_the_size_check_is_refused(self, valid, tmp_path, monkeypatch):
         # every length passes against the size fstat gave, then the reads come up 8 bytes
@@ -438,8 +412,6 @@ class TestSynth:
 
 
 # the table test: every row that no test named above runs
-@pytest.mark.parametrize(
-    "kind, row", [(kind, row) for kind, table in [("dataset", DATASETS), ("checkpoint", CHECKPOINTS)] for row in table if (kind, row) not in NAMED]
-)
+@pytest.mark.parametrize("kind, row", [(kind, row) for kind, row, _ in unnamed({"dataset": ["loader"], "checkpoint": ["loader"]})])
 def test_loaders_refuse_each_malformed_file(valid, tmp_path, kind, row):
-    CHECKS[kind](row, valid, tmp_path)
+    check_row(kind, row, "loader", valid, tmp_path)

@@ -1,7 +1,6 @@
 """Metric tests: hand-counted cases and brute-force oracle equivalence."""
 
 import math
-import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -13,6 +12,7 @@ from hypothesis import strategies as st
 from mlcap import metrics
 from mlcap.metrics import NGRAM_ORDERS, CorpusEval, EvalItem, _dense, _group_sums, cider, evaluate_corpus
 from oracles import group_fsums, naive_bleu, naive_cider, random_corpus, reference_score
+from tinymodels import traced_peak
 
 
 def corpus_of(pairs):
@@ -273,12 +273,7 @@ def test_evaluate_holds_a_compact_working_set():
     corpus = corpus_of(zipf_corpus(np.random.default_rng(9), 300))
     tokens = sum(len(item.candidate) + sum(map(len, item.references)) for item in corpus.items)
     evaluate_corpus(corpus)
-    tracemalloc.start()
-    try:
-        evaluate_corpus(corpus)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(lambda: evaluate_corpus(corpus))
     assert peak < 90 * tokens, peak / tokens
 
 

@@ -19,7 +19,7 @@ from mlcap.model import (
     zero_state,
 )
 from oracles import forward_sequence, log_softmax, lstm_step
-from tinymodels import prefix_free_params, random_params, wide_params
+from tinymodels import array_bytes, prefix_free_params, random_params, wide_params
 
 
 class TestDims:
@@ -181,9 +181,9 @@ class TestForwardSequence:
 
     def test_leaves_parameters_untouched(self):
         p = random_params()
-        before = {name: t.tobytes() for name, t in p.named_parameters()}
+        before = array_bytes(p)
         forward_sequence(np.ones(p.dims.feature), (4, 2), 3, p)
-        assert {name: t.tobytes() for name, t in p.named_parameters()} == before
+        assert array_bytes(p) == before
 
 
 class TestStepDistribution:

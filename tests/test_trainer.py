@@ -3,7 +3,7 @@
 import dataclasses
 import json
 import math
-import tracemalloc
+import re
 import warnings
 from unittest import mock
 
@@ -45,7 +45,7 @@ from mlcap.trainer import (
     validation_score,
 )
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from tinymodels import prefix_free_params, random_params, tiny_examples, wide_params
+from tinymodels import array_bytes, prefix_free_params, random_params, tiny_examples, traced_peak, wide_params
 
 
 class TestBatching:
@@ -80,10 +80,7 @@ class TestBatching:
             Example(rng.standard_normal(3), int(rng.integers(3, 9)), tuple(int(t) for t in rng.integers(0, 50, n)))
             for n in lengths
         ]
-        got, want = make_batch(examples), row_loop_batch(examples)
-        for field in ("features", "start_ids", "targets"):
-            a, b = getattr(got, field), getattr(want, field)
-            assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+        assert array_bytes(vars(make_batch(examples))) == array_bytes(vars(row_loop_batch(examples)))
 
 
 class TestSequenceLoss:
@@ -196,13 +193,7 @@ class TestSequenceLoss:
         batch = make_batch(examples)
         monkeypatch.setattr(trainer, "BLOCK_CELLS", 2**16)
         logits_bytes = steps * batch_size * vocab * 8
-        tracemalloc.start()
-        try:
-            sequence_loss(batch, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < logits_bytes / 2
+        assert traced_peak(lambda: sequence_loss(batch, params)) < logits_bytes / 2
 
     @pytest.mark.parametrize("earlier", [None, "gates list", "whole partial", "separate coefficients"])
     def test_step_holds_the_bptt_working_set(self, earlier, monkeypatch):
@@ -235,12 +226,7 @@ class TestSequenceLoss:
             + 2 * trainer.BLOCK_CELLS  # a logits block and a dw_out chunk
             + 4 * batch_size * 4 * hidden  # step scratch
         )
-        tracemalloc.start()
-        try:
-            sequence_loss(batch, params)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        peak = traced_peak(lambda: sequence_loss(batch, params))
         assert (peak < 8 * cells) == (earlier is None), (peak, 8 * cells)
 
 
@@ -298,10 +284,8 @@ class TestAdam:
             grads = {name: rng.normal(scale=10.0 ** rng.integers(-6, 2), size=p.shape) for name, p in arrays.items()}
             adam_step(params, grads, state)
             textbook_adam_step(arrays, grads, m, v, t)
-            for name, p in params.named_parameters():
-                assert p.tobytes() == arrays[name].tobytes(), name
-                assert state.m[name].tobytes() == m[name].tobytes(), name
-                assert state.v[name].tobytes() == v[name].tobytes(), name
+            assert array_bytes(params) == array_bytes(arrays)
+            assert (array_bytes(state.m), array_bytes(state.v)) == (array_bytes(m), array_bytes(v))
 
     def test_shape_mismatch_rejected(self):
         params = prefix_free_params(np.zeros(3))
@@ -346,14 +330,13 @@ class TestSelection:
         snapshots = []
 
         def save_epoch(params, vocab, epoch):
-            snapshots.append({name: p.copy() for name, p in params.named_parameters()})
+            snapshots.append(array_bytes(params))
 
         split = TestRunTraining().small_split()
         result = run_training(split, TestRunTraining().small_config(epochs=4), save_epoch=save_epoch)
         assert result.best_epoch == 1 and len(snapshots) == 4
-        for name, array in result.params.named_parameters():
-            assert array.tobytes() == snapshots[1][name].tobytes(), name
-        assert snapshots[1]["w_out"].tobytes() != snapshots[3]["w_out"].tobytes()
+        assert array_bytes(result.params) == snapshots[1]
+        assert snapshots[1]["w_out"] != snapshots[3]["w_out"]
 
 
 class TestTrainEpoch:
@@ -412,7 +395,7 @@ class TestTrainEpoch:
 
         def spy(params, grads, state):
             adam_step(params, grads, state)
-            updated.append([p.copy() for _, p in params.named_parameters()])
+            updated.append(array_bytes(params))
 
         monkeypatch.setattr(trainer, "adam_step", spy)
         adam = AdamState.for_params(params)
@@ -422,8 +405,7 @@ class TestTrainEpoch:
         assert isinstance(caught.value.__cause__, ad.NonFiniteError)
         assert "non-finite loss or gradient in batch 1" in str(caught.value)
         assert caught.value.batch == 1 and len(updated) == 1
-        for (name, p), kept in zip(params.named_parameters(), updated[0]):
-            assert p.tobytes() == kept.tobytes(), name
+        assert array_bytes(params) == updated[0]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -463,20 +445,15 @@ class TestTrainEpoch:
             runs.append((losses, params, adam))
         (losses, params, adam), (want_losses, want_params, want_adam) = runs
         assert losses == want_losses and adam.t == want_adam.t
-        for name, p in params.named_parameters():
-            assert p.tobytes() == getattr(want_params, name).tobytes(), name
-            assert adam.m[name].tobytes() == want_adam.m[name].tobytes(), name
-            assert adam.v[name].tobytes() == want_adam.v[name].tobytes(), name
+        assert array_bytes(params) == array_bytes(want_params)
+        assert (array_bytes(adam.m), array_bytes(adam.v)) == (array_bytes(want_adam.m), array_bytes(want_adam.v))
         # each batch of the first epoch is the row loop's batch of its examples
         order = np.random.default_rng(seed).permutation(len(examples))
         shuffled = [examples[i] for i in order]
         starts = range(0, len(shuffled), batch_size)
         assert len(batches) == 4 * len(starts)  # two epochs of each loop
         for lo, got in zip(starts, batches):
-            want = row_loop_batch(shuffled[lo : lo + batch_size])
-            for field in ("features", "start_ids", "targets"):
-                a, b = getattr(got, field), getattr(want, field)
-                assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), field
+            assert array_bytes(vars(got)) == array_bytes(vars(row_loop_batch(shuffled[lo : lo + batch_size])))
 
     def test_requires_examples(self):
         params = random_params()
@@ -499,6 +476,12 @@ class TestConfig:
             TrainConfig(loss_mode="avg")
         with pytest.raises(ValueError):
             TrainConfig(languages=("en", "en"))
+
+    @pytest.mark.parametrize("field, value", [("epochs", 2.5), ("batch_size", 8.0), ("max_len", 8.5), ("min_count", 1.5), ("epochs", True)])
+    def test_counts_must_be_positive_ints(self, field, value):
+        # a float count passed, then run_training failed after building the vocabulary; 1.5 and True trained into checkpoints
+        with pytest.raises(ValueError, match=re.escape(f"config.{field} must be a positive int, got {value!r}")):
+            TrainConfig(**{field: value})
 
     def test_as_dict_roundtrips_json(self):
         d = TrainConfig(languages=("en", "jp")).as_dict()
@@ -535,8 +518,7 @@ class TestRunTraining:
         a = run_training(self.small_split(), self.small_config())
         b = run_training(self.small_split(), self.small_config())
         assert [s.val_score for s in a.history] == [s.val_score for s in b.history]
-        for (name, pa), (_, pb) in zip(a.params.named_parameters(), b.params.named_parameters()):
-            assert pa.tobytes() == pb.tobytes(), name
+        assert array_bytes(a.params) == array_bytes(b.params)
 
     def test_language_filter_restricts_vocab(self):
         result = run_training(self.small_split(), self.small_config(languages=("en",)))
@@ -591,8 +573,7 @@ class TestRunTraining:
         flagged = run_training(split, self.small_config(epochs=1, feature_l2norm=True))
         by_hand = run_training(normalized, self.small_config(epochs=1))
         raw = run_training(split, self.small_config(epochs=1))
-        bits = lambda result: [p.tobytes() for _, p in result.params.named_parameters()]
-        assert bits(flagged) == bits(by_hand) != bits(raw)
+        assert array_bytes(flagged.params) == array_bytes(by_hand.params) != array_bytes(raw.params)
 
     def test_lowercase_is_applied_by_run_training(self):
         # the synthetic captions are lowercase, so shouting them and training
@@ -609,8 +590,7 @@ class TestRunTraining:
         assert "blue" in flagged.vocab.token_to_id and "BLUE" not in flagged.vocab.token_to_id
         assert flagged.vocab.id_to_token == plain.vocab.id_to_token
         assert [s.val_score for s in flagged.history] == [s.val_score for s in plain.history]
-        for (name, a), (_, b) in zip(flagged.params.named_parameters(), plain.params.named_parameters()):
-            assert a.tobytes() == b.tobytes(), name
+        assert array_bytes(flagged.params) == array_bytes(plain.params)
 
 
 class TestDecodeHelpers:
@@ -641,8 +621,8 @@ class TestDecodeHelpers:
         expected = math.fsum(per_language) / 2
         assert validation_score(result.params, result.vocab, records, ["en", "jp"], width, 8) == expected
 
-    @pytest.mark.parametrize("n", range(1, 10))
-    def test_greedy_decode_images_matches_per_image_beams(self, n, monkeypatch):
+    @staticmethod
+    def assert_blocks_match_per_image_beams(n, width, monkeypatch):
         vocab = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y"))], min_count=1)
         params = wide_params(vocab=len(vocab), embed=8, hidden=8, feature=3, seed=n, scale=2.0)
         blocks, beam_block = [], trainer.beam_block
@@ -651,37 +631,24 @@ class TestDecodeHelpers:
             blocks.append(beam_block(features, *args))
             return blocks[-1]
 
-        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * len(vocab))  # 2-row blocks, one of 3 for odd n
+        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * len(vocab) * width)  # 2-image blocks, one of 3 for odd n
         monkeypatch.setattr(trainer, "beam_block", spy)
         features = np.random.default_rng(n).normal(scale=2.0, size=(n, params.dims.feature))
-        decoded = trainer.decode_images(params, vocab, features, "jp", 1, 6)
-        config = BeamConfig(width=1, max_len=6, exclude_ids=(PAD_ID,) + vocab.start_ids)
+        decoded = trainer.decode_images(params, vocab, features, "jp", width, 6)
+        config = BeamConfig(width=width, max_len=6, exclude_ids=(PAD_ID,) + vocab.start_ids)
         expected = [reference_beam_search(f, vocab.start_id("jp"), params, config) for f in features]
         assert [ranked for block in blocks for ranked in block] == expected
         assert decoded == [vocab.decode(ranked[0][0]) for ranked in expected]
         heights = sorted(len(block) for block in blocks)
         assert heights == ([1] if n == 1 else [2] * (n // 2 - n % 2) + [3] * (n % 2))
+
+    @pytest.mark.parametrize("n", range(1, 10))
+    def test_greedy_decode_images_matches_per_image_beams(self, n, monkeypatch):
+        self.assert_blocks_match_per_image_beams(n, 1, monkeypatch)
 
     @pytest.mark.parametrize("n", range(1, 10))
     def test_beam_decode_images_matches_per_image_beams(self, n, monkeypatch):
-        vocab = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y"))], min_count=1)
-        params = wide_params(vocab=len(vocab), embed=8, hidden=8, feature=3, seed=n, scale=2.0)
-        blocks, beam_block = [], trainer.beam_block
-
-        def spy(features, *args):
-            blocks.append(beam_block(features, *args))
-            return blocks[-1]
-
-        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * len(vocab) * 3)  # 2-image blocks, one of 3 for odd n
-        monkeypatch.setattr(trainer, "beam_block", spy)
-        features = np.random.default_rng(n).normal(scale=2.0, size=(n, params.dims.feature))
-        decoded = trainer.decode_images(params, vocab, features, "jp", 3, 6)
-        config = BeamConfig(width=3, max_len=6, exclude_ids=(PAD_ID,) + vocab.start_ids)
-        expected = [reference_beam_search(f, vocab.start_id("jp"), params, config) for f in features]
-        assert [ranked for block in blocks for ranked in block] == expected
-        assert decoded == [vocab.decode(ranked[0][0]) for ranked in expected]
-        heights = sorted(len(block) for block in blocks)
-        assert heights == ([1] if n == 1 else [2] * (n // 2 - n % 2) + [3] * (n % 2))
+        self.assert_blocks_match_per_image_beams(n, 3, monkeypatch)
 
     @pytest.mark.parametrize("width", [1, 2])
     def test_no_images_decode_to_no_captions(self, width):

@@ -1,8 +1,18 @@
-"""Small model builders shared across test modules."""
+"""Small models, and the two checks on them that tests share.
+
+The builders: ``random_params`` (the training init), ``wide_params``
+(every coordinate drawn at a finite-difference-friendly scale),
+``prefix_free_params`` (a fixed next-token distribution, as from
+``toy_distribution``) and ``tiny_examples`` (training examples that pad).
+``array_bytes`` is the one bit-for-bit comparison of parameter sets, or
+of any arrays by name, and ``traced_peak`` the one working-set probe.
+"""
+
+import tracemalloc
 
 import numpy as np
 
-from mlcap.model import Dims, ModelParams, init_params
+from mlcap.model import Dims, ModelParams, init_params, param_shapes
 from mlcap.trainer import Example
 from mlcap.vocab import EOS_ID
 
@@ -23,20 +33,27 @@ def wide_params(vocab=6, embed=3, hidden=4, feature=2, seed=0, scale=0.5):
     """
     dims = Dims(vocab, embed, hidden, feature)
     rng = np.random.default_rng(seed)
-    u = lambda *shape: rng.uniform(-scale, scale, shape)
+    # b_gates first, then the rest in param_shapes order: gradcheck.reference_sequence_check's draw
     b_gates = rng.uniform(-scale, scale, 4 * hidden)
     b_gates[hidden : 2 * hidden] += 1.0
-    return ModelParams(
-        dims,
-        w_embed=u(vocab, embed),
-        w_image=u(feature, embed),
-        b_image=u(embed),
-        w_x=u(embed, 4 * hidden),
-        w_h=u(hidden, 4 * hidden),
-        b_gates=b_gates,
-        w_out=u(hidden, vocab),
-        b_out=u(vocab),
-    )
+    shapes = param_shapes(dims).items()
+    return ModelParams(dims, **{name: b_gates if name == "b_gates" else rng.uniform(-scale, scale, shape) for name, shape in shapes})
+
+
+def array_bytes(arrays):
+    """Each array of ``arrays``, a ``ModelParams`` or a dict by name, as name: (dtype, shape, bytes)."""
+    items = arrays.named_parameters() if isinstance(arrays, ModelParams) else arrays.items()
+    return {name: (a.dtype, a.shape, a.tobytes()) for name, a in items}
+
+
+def traced_peak(call):
+    """The peak bytes that ``tracemalloc`` traces while ``call()`` runs; numpy reports its buffers to it."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def tiny_examples(params, rng, count=4, max_tokens=3):
