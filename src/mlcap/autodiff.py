@@ -3,9 +3,9 @@
 The one trained graph, the caption loss, is written out forward and then
 backward in ``trainer.sequence_loss``; the recurrence it runs is
 ``lstm_sequence``, which returns its hidden rows together with a pullback
-that backpropagates through time by hand. The run keeps its activations in
-buffers it needs anyway, and dropping the pullback frees them, which
-``sequence_loss`` does before it builds the embedding gradient. The pieces:
+that backpropagates through time by hand. The run keeps only its gates and
+hidden rows, the pullback recomputes the cells and is handed the inputs back,
+and each is freed after its last read. The pieces:
 
 - ``lstm_cell``, the gate arithmetic of one step, shared by ``lstm_sequence``
   and the decoder;
@@ -99,17 +99,18 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
     ``x`` [(T+1)*B,E] holds the inputs of ``batch`` sequences, time-major:
     rows s*B..(s+1)*B are step s. ``hidden_rows`` are the hidden rows of
     steps 1..T, [T*B,H], in the same order. The input projection of every
-    step is one matmul. ``pullback(g)`` takes the gradient of the loss with
-    respect to ``hidden_rows`` and returns ``(dx, dw_x, dw_h, db_gates)``,
-    ``dx`` shaped like ``x``: backpropagation through time written out by
-    hand, with one matmul over all steps per weight gradient.
+    step is one matmul. ``pullback(g, x)``, which runs once, takes the
+    gradient of the loss with respect to ``hidden_rows`` and the inputs
+    again, and returns ``(dx, dw_x, dw_h, db_gates)``, ``dx`` shaped like
+    ``x``: backpropagation through time by hand, one matmul per weight.
 
-    One [(T+1)*B,4H] buffer holds the input projections, then each step's
-    gates over its rows. The pullback turns the gates and the cell rows
-    into ``_coefficients`` in passes of ``PASS_CELLS // H`` rows (whole
-    steps, at least one), last rows first; each step of a pass is then a
-    few multiplies that write its gate gradients over its coefficients,
-    and one matmul for the previous step's hidden gradient.
+    The run keeps only the hidden rows and one [(T+1)*B,4H] buffer: the
+    input projections, then each step's gates. The pullback recomputes the
+    cell rows from the gates in ``lstm_cell``'s arithmetic, bit for bit, and
+    turns both into ``_coefficients`` in passes of ``PASS_CELLS // H`` rows
+    (whole steps, at least one), last first; a step back is then a few
+    multiplies over its coefficients and one matmul. It drops the cells,
+    the hidden rows and the inputs after their last reads.
     """
     hidden = w_h.shape[0]
     if (
@@ -127,7 +128,6 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
     steps = x.shape[0] // batch
     zx = x @ w_x
     hs = np.empty((steps * batch, hidden))  # hidden rows, time-major
-    cs = np.empty((steps * batch, hidden))
     h = c = np.zeros((batch, hidden))
     for s in range(steps):
         rows = slice(s * batch, (s + 1) * batch)
@@ -136,13 +136,17 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
             z += h @ w_h
         z += b_gates
         h, c = lstm_cell(z, c)
-        hs[rows], cs[rows] = h, c
+        hs[rows] = h
 
-    def pullback(g: np.ndarray):
+    def pullback(g: np.ndarray, x: np.ndarray):
+        nonlocal hs
+        cs, c = np.empty_like(hs), np.zeros((batch, hidden))
+        for r in range(0, len(cs), batch):  # the cell rows again, in lstm_cell's arithmetic
+            i, f, _, cand = _gate_blocks(zx[r : r + batch], hidden)
+            c = cs[r : r + batch] = f * c + i * cand
         span = batch * min(steps, max(1, PASS_CELLS // (batch * hidden)))
         forget, k_o = np.empty((span, hidden)), np.empty((span, hidden))
-        dh = np.zeros((batch, hidden))
-        dc = np.zeros((batch, hidden))
+        dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))
         carry = np.empty((batch, hidden))
         for top in range(len(cs), 0, -span):
             lo = max(0, top - span)
@@ -161,6 +165,9 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
                 if r:
                     np.matmul(d, w_h.T, out=dh)
                     dc *= forget[local]
-        return zx @ w_x.T, x.T @ zx, hs[:-batch].T @ zx[batch:], zx.sum(axis=0)
+        del cs
+        dw_h, hs = hs[:-batch].T @ zx[batch:], None  # each the last read of its rows
+        dw_x, x = x.T @ zx, None
+        return zx @ w_x.T, dw_x, dw_h, zx.sum(axis=0)
 
     return hs[batch:], pullback

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, advance_state, check_counts, project_features, step_distribution, step_rows, zero_state
+from .model import ModelParams, advance_state, check_fields, project_features, step_distribution, step_rows, zero_state
 from .vocab import EOS_ID, PAD_ID
 
 
@@ -47,7 +47,7 @@ class BeamConfig:
     length_norm: bool = False
 
     def __post_init__(self):
-        check_counts("beam", self, ("width", "max_len"))
+        check_fields("beam", self, ("width", "max_len"), ("length_norm",))
         if EOS_ID in self.exclude_ids:
             raise ValueError("the eos id cannot be excluded from emission")
 

@@ -3,8 +3,8 @@
 ``gradient_check`` compares any ``(loss, grads)`` function with central
 finite differences of the fixed step ``FD_STEP``. ``battery`` names the
 checks that ``mlcap gradcheck`` runs: the fused ``lstm_sequence`` with its
-pullback, and the full caption loss on a pinned reference model
-(``reference_sequence_check``).
+pullback, handed the inputs back, and the full caption loss on a pinned
+reference model (``reference_sequence_check``).
 """
 
 from __future__ import annotations
@@ -100,7 +100,7 @@ def battery(seed: int):
 
     def lstm_check():
         hs, pullback = ad.lstm_sequence(cell["x"], batch, cell["w_x"], cell["w_h"], cell["b_gates"])
-        # the pullback returns the gradients in ``shapes``'s order
-        return float((hs * readout).sum()), dict(zip(cell, pullback(readout)))
+        # the pullback takes the inputs back and returns the gradients in ``shapes``'s order
+        return float((hs * readout).sum()), dict(zip(cell, pullback(readout, cell["x"])))
 
     return [("lstm_sequence", lstm_check, cell), ("sequence_loss", *reference_sequence_check())]

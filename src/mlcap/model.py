@@ -41,15 +41,18 @@ class Dims:
     feature: int
 
     def __post_init__(self):
-        check_counts("dims", self, ("vocab", "embed", "hidden", "feature"))
+        check_fields("dims", self, ("vocab", "embed", "hidden", "feature"))
 
 
-def check_counts(owner: str, obj, names) -> None:
-    """Refuse each field ``names`` of ``obj`` that is not an int >= 1; a bool is not one."""
-    for name in names:
+def check_fields(owner: str, obj, counts, flags=()) -> None:
+    """Refuse each ``counts`` field of ``obj`` but an int >= 1 (a bool is not one), and each ``flags`` field but a bool."""
+    for name in counts:
         value = getattr(obj, name)
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{owner}.{name} must be a positive int, got {value!r}")
+    for name in flags:
+        if not isinstance(value := getattr(obj, name), bool):
+            raise ValueError(f"{owner}.{name} must be true or false, got {value!r}")
 
 
 @dataclass

@@ -17,9 +17,9 @@ working ``[rows,V]`` array, in training and in decoding alike: the output
 head and its cross-entropy run over ``row_blocks`` of the hidden rows, so
 no ``[T*B,V]`` logits array exists, and the ``w_out`` gradient adds each
 block in ``row_blocks`` chunks of its rows; a decode step holds two at
-most. ``sequence_loss`` drops the recurrence's activations before it builds
-the dense embedding gradient, and ``adam_step`` updates each parameter in
-cache-sized slices of about ``ADAM_SLICE`` elements.
+most. While the head runs, the recurrence holds only its gates and hidden
+rows; its pullback is handed the inputs again and recomputes the cells.
+``adam_step`` updates each parameter in slices of about ``ADAM_SLICE``.
 """
 
 from __future__ import annotations
@@ -37,9 +37,9 @@ from .autodiff import DimensionError
 from .beam import BeamConfig, beam_block
 from .data import DatasetSplit, ImageRecord, corpus_from_records, l2_normalize_records, lowercase_records
 from .metrics import CorpusEval, cider
-from .model import Dims, ModelParams, check_counts, init_params
-from .rng import substream
-from .vocab import PAD_ID, Vocabulary, build_vocab, check_collisions
+from .model import Dims, ModelParams, check_fields, init_params
+from .rng import check_seed, substream
+from .vocab import PAD_ID, Vocabulary, build_vocab, check_collisions, check_language
 
 CLIP_NORM = 5.0
 ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8  # Kingma & Ba; read at each adam_step
@@ -87,11 +87,16 @@ class TrainConfig:
     feature_l2norm: bool = False
 
     def __post_init__(self):
-        check_counts("config", self, ("epochs", "batch_size", "hidden", "embed", "beam", "val_beam", "max_len", "min_count"))
+        counts = ("epochs", "batch_size", "hidden", "embed", "beam", "val_beam", "max_len", "min_count")
+        check_fields("config", self, counts, ("clip", "lowercase", "feature_l2norm"))
+        check_seed(self.seed)
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"config.loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
-        if self.languages is not None and len(set(self.languages)) != len(self.languages):
-            raise ValueError(f"config.languages has duplicates: {self.languages}")
+        if (langs := self.languages) is not None:
+            if not (isinstance(langs, tuple) and all(isinstance(code, str) for code in langs) and len(set(langs)) == len(langs)):
+                raise ValueError(f"config.languages must be None or a tuple of distinct language codes, got {langs!r}")
+            for code in langs:
+                check_language(code)
 
     def as_dict(self) -> dict:
         """The fields as a JSON-ready dict, ``languages`` as a list."""
@@ -234,21 +239,21 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
     # the token inputs are every start id, then each target column but the last
     batch_size = batch.start_ids.size
     ids = np.concatenate((batch.start_ids, batch.targets[:, :-1].T.ravel()))
-    hidden, lstm_pullback = ad.lstm_sequence(
-        np.concatenate((batch.features @ params.w_image + params.b_image, params.w_embed[ids])),
-        batch_size, params.w_x, params.w_h, params.b_gates,
-    )
+    inputs = lambda: np.concatenate((batch.features @ params.w_image + params.b_image, params.w_embed[ids]))
+    hidden, lstm_pullback = ad.lstm_sequence(inputs(), batch_size, params.w_x, params.w_h, params.b_gates)
     weights = batch.targets.T.ravel() != PAD_ID
     scale = 1.0 / token_count if mode == "mean" else 1.0
     nll, dhidden, dw_out, db_out = _output_head(hidden, batch.targets.T.ravel(), weights * scale, params)
+    del hidden  # the pullback frees the hidden rows after its last read of them
     loss = (nll * weights).sum() * scale
-    dx, dw_x, dw_h, db_gates = lstm_pullback(dhidden)
-    del hidden, lstm_pullback, dhidden  # free the activations before the dense w_embed gradient
+    dx, dw_x, dw_h, db_gates = lstm_pullback(dhidden, inputs())  # built again: nothing held them during the head
+    del lstm_pullback, dhidden  # free the gates buffer before the dense w_embed gradient
     dimage = dx[:batch_size]
     # each id's rows summed in order from zero, as np.add.at would, through one flat bincount
     embed = params.dims.embed
     cells = (ids[:, None] * embed + np.arange(embed)).ravel()
     dw_embed = np.bincount(cells, dx[batch_size:].ravel(), vocab * embed).reshape(vocab, embed)
+    del cells
     grads = {
         "w_embed": dw_embed,
         "w_image": batch.features.T @ dimage,

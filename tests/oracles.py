@@ -13,8 +13,9 @@ form of the metric table, with the same rounding, so it checks exactness;
 ``per_image_top`` and ``log_softmax`` (the decoder's normalisation, which
 ``step_rows`` does in place) are the earlier forms of library code that
 must keep their bits. ``step_products_lstm_sequence`` is the recurrence's
-earlier arithmetic, which the library's gradients must stay close to, and
-``separate_coefficients_lstm_sequence`` a layout its memory bound rules out.
+earlier arithmetic, which the library's gradients must stay close to;
+``separate_coefficients_lstm_sequence`` and ``stored_cells_lstm_sequence``
+are layouts its memory bounds rule out.
 If the library and these disagree, trust neither and recount by hand.
 """
 
@@ -24,7 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mlcap import trainer
+from mlcap import autodiff as ad, trainer
 from mlcap.autodiff import NonFiniteError
 from mlcap.metrics import MetricReport
 from mlcap.model import advance_state, project_features, step_rows, zero_state
@@ -341,7 +342,7 @@ def gates_list_lstm_sequence(x, batch, w_x, w_h, b_gates):
     steps = x.shape[0] // batch
     zx, hs, cs, acts = _gates_forward(x, batch, w_x, w_h, b_gates)
 
-    def pullback(g):
+    def pullback(g, x):
         dz = zx
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
@@ -376,7 +377,7 @@ def step_products_lstm_sequence(x, batch, w_x, w_h, b_gates):
     for s, (gates, _) in enumerate(acts):
         zx[s * batch : (s + 1) * batch] = gates
 
-    def pullback(g):
+    def pullback(g, x):
         dh = np.zeros((batch, hidden))
         dc = np.zeros((batch, hidden))
         d = np.empty((batch, 4 * hidden))
@@ -411,7 +412,7 @@ def separate_coefficients_lstm_sequence(x, batch, w_x, w_h, b_gates):
     gates = np.concatenate([gates for gates, _ in acts])
     del acts
 
-    def pullback(g):
+    def pullback(g, x):
         i, f, o, cand = (gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
         c_prev = np.concatenate((np.zeros((batch, hidden)), cs[:-batch]))
         tanh_c = np.tanh(cs)
@@ -435,6 +436,54 @@ def separate_coefficients_lstm_sequence(x, batch, w_x, w_h, b_gates):
                 dh = d @ w_h.T
                 dc = dc * forget[rows]
         return dz @ w_x.T, x.T @ dz, hs[:-batch].T @ dz[batch:], dz.sum(axis=0)
+
+    return hs[batch:], pullback
+
+
+def stored_cells_lstm_sequence(x, batch, w_x, w_h, b_gates):
+    """``lstm_sequence`` storing its cell rows beside the hidden rows, with
+    a pullback that reads the inputs its closure holds, not the ones it is
+    handed, and keeps every array until it returns."""
+    hidden = w_h.shape[0]
+    steps = x.shape[0] // batch
+    inputs = x
+    zx = x @ w_x
+    hs = np.empty((steps * batch, hidden))
+    cs = np.empty((steps * batch, hidden))
+    h = c = np.zeros((batch, hidden))
+    for s in range(steps):
+        rows = slice(s * batch, (s + 1) * batch)
+        z = zx[rows]
+        if s:
+            z += h @ w_h
+        z += b_gates
+        h, c = ad.lstm_cell(z, c)
+        hs[rows], cs[rows] = h, c
+
+    def pullback(g, x):
+        span = batch * min(steps, max(1, ad.PASS_CELLS // (batch * hidden)))
+        forget, k_o = np.empty((span, hidden)), np.empty((span, hidden))
+        dh = np.zeros((batch, hidden))
+        dc = np.zeros((batch, hidden))
+        carry = np.empty((batch, hidden))
+        for top in range(len(cs), 0, -span):
+            lo = max(0, top - span)
+            ad._coefficients(
+                zx[lo:top], cs[lo:top], hs[lo:top], cs[max(0, lo - batch) : top - batch], forget[: top - lo], k_o[: top - lo]
+            )
+            for r in range(top - batch, lo - 1, -batch):
+                rows, local = slice(r, r + batch), slice(r - lo, r - lo + batch)
+                if r:
+                    dh += g[r - batch : r]
+                dc += np.multiply(dh, cs[rows], out=carry)
+                d = zx[rows]
+                blocks = d.reshape(batch, 4, hidden)
+                np.multiply(blocks, dc[:, None, :], out=blocks)
+                np.multiply(dh, k_o[local], out=d[:, 2 * hidden : 3 * hidden])
+                if r:
+                    np.matmul(d, w_h.T, out=dh)
+                    dc *= forget[local]
+        return zx @ w_x.T, inputs.T @ zx, hs[:-batch].T @ zx[batch:], zx.sum(axis=0)
 
     return hs[batch:], pullback
 

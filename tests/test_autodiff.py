@@ -45,7 +45,7 @@ def restated_head(batch, params):
     targets = batch.targets.T.ravel()
     g[np.arange(targets.size), targets] -= 1.0
     g *= (targets != PAD_ID)[:, None]
-    dx = pullback(g @ params.w_out.T)[0]
+    dx = pullback(g @ params.w_out.T, x)[0]
     return hs, g, ids, dx[b:]
 
 
@@ -201,9 +201,9 @@ class TestEarlierForms:
         g = rng.normal(size=(steps * batch, hidden))
         with mock.patch.object(ad, "PASS_CELLS", pass_steps * batch * hidden):
             hs, pullback = ad.lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
-            got = dict(zip(("hidden", "dx", "dw_x", "dw_h", "db_gates"), (hs, *pullback(g))))
+            got = dict(zip(("hidden", "dx", "dw_x", "dw_h", "db_gates"), (hs, *pullback(g, x))))
         want_hs, want_pullback = gates_list_lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
-        assert array_bytes(got) == array_bytes(dict(zip(got, (want_hs, *want_pullback(g)))))
+        assert array_bytes(got) == array_bytes(dict(zip(got, (want_hs, *want_pullback(g, x)))))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -224,7 +224,7 @@ class TestEarlierForms:
         hs, pullback = ad.lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
         want_hs, want_pullback = step_products_lstm_sequence(x, batch, p.w_x, p.w_h, p.b_gates)
         assert hs.tobytes() == want_hs.tobytes()
-        for name, got, want in zip(("dx", "dw_x", "dw_h", "db_gates"), pullback(g), want_pullback(g)):
+        for name, got, want in zip(("dx", "dw_x", "dw_h", "db_gates"), pullback(g, x), want_pullback(g, x)):
             npt.assert_allclose(got, want, rtol=0, atol=1e-12 * np.abs(want).max(), err_msg=name)
 
     @settings(max_examples=80, deadline=None)

@@ -142,6 +142,13 @@ def test_beam_config_counts_must_be_positive_ints(field, value):
         BeamConfig(**{field: value})
 
 
+@pytest.mark.parametrize("value", ["no", 1, None])
+def test_beam_config_length_norm_must_be_a_bool(value):
+    # "no" is truthy, so it ranked by the length-normalised score
+    with pytest.raises(ValueError, match=re.escape(f"beam.length_norm must be true or false, got {value!r}")):
+        BeamConfig(length_norm=value)
+
+
 class TestToyModelBlock(ToyCases):
     """The hand cases on a one-image ``beam_block``."""
 

@@ -462,12 +462,6 @@ class TestCaption:
     # ids these rows ran under before the tables; the table test at the end runs every other row
     test_image_id_holding_a_tab_is_data_error = row_checks("caption", "dataset", "id-tab")
     test_non_number_feature_is_data_error = row_checks("caption", "dataset", "feature-string")
-    test_non_finite_checkpoint_is_data_error = row_checks("caption", "checkpoint", "non-finite-array")
-    test_manifest_entry_without_name_is_data_error = row_checks("caption", "checkpoint", "manifest-entry-without-name")
-    test_vocabulary_shorter_than_dims_is_data_error = row_checks("caption", "checkpoint", "vocab-short")
-    test_non_int_dims_is_data_error = row_checks("caption", "checkpoint", "dims-float")
-    test_non_string_vocabulary_token_is_data_error = row_checks("caption", "checkpoint", "token-not-a-string")
-    test_vocabulary_token_holding_a_line_break_is_data_error = row_checks("caption", "checkpoint", "token-line-break")
     test_non_object_config_is_data_error = row_checks("caption", "checkpoint", "config-not-an-object")
     test_non_bool_feature_l2norm_is_data_error = row_checks(
         "caption", "checkpoint", "l2norm-string", "l2norm-int", "l2norm-null", ids=["no", "1", "None"]

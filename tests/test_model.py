@@ -108,7 +108,7 @@ class TestLstmStep:
 
         def loss():
             hs, pullback = ad.lstm_sequence(inputs["x"], batch, p.w_x, p.w_h, p.b_gates)
-            return float((hs * readout).sum()), dict(zip(inputs, pullback(readout)))
+            return float((hs * readout).sum()), dict(zip(inputs, pullback(readout, inputs["x"])))
 
         assert gradient_check(loss, inputs) < 1e-5
 

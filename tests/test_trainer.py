@@ -27,6 +27,7 @@ from oracles import (
     reference_beam_search,
     row_loop_batch,
     separate_coefficients_lstm_sequence,
+    stored_cells_lstm_sequence,
     textbook_adam_step,
 )
 from mlcap.trainer import (
@@ -45,7 +46,7 @@ from mlcap.trainer import (
     validation_score,
 )
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from tinymodels import array_bytes, prefix_free_params, random_params, tiny_examples, traced_peak, wide_params
+from tinymodels import array_bytes, phase_peaks, prefix_free_params, random_params, tiny_examples, traced_peak, wide_params
 
 
 class TestBatching:
@@ -228,6 +229,36 @@ class TestSequenceLoss:
         )
         peak = traced_peak(lambda: sequence_loss(batch, params))
         assert (peak < 8 * cells) == (earlier is None), (peak, 8 * cells)
+
+    @pytest.mark.parametrize("earlier", [None, "stored cells"])
+    def test_head_runs_beside_only_the_gates_and_hidden_rows(self, earlier, monkeypatch):
+        # while a train step's output head runs, the recurrence holds its
+        # gates buffer and its hidden rows and nothing else: its pullback
+        # recomputes the cell rows and is handed the inputs back. The head
+        # phase stays under those, the head's own arrays and one [rows,H]
+        # array of slack; the earlier layout, which stored the cell rows and
+        # held the inputs in its pullback, goes over.
+        vocab, embed, hidden, batch_size, steps = 500, 64, 64, 32, 16
+        params = wide_params(vocab=vocab, embed=embed, hidden=hidden, feature=4, seed=3)
+        rng = np.random.default_rng(3)
+        examples = [
+            Example(rng.normal(size=4), 3, tuple(int(t) for t in rng.integers(3, vocab, steps - 1)) + (EOS_ID,))
+            for _ in range(batch_size)
+        ]
+        adam = AdamState.for_params(params)
+        config = TrainConfig(epochs=1, batch_size=batch_size, hidden=hidden, embed=embed, min_count=1)
+        monkeypatch.setattr(trainer, "BLOCK_CELLS", 8 * vocab)
+        if earlier == "stored cells":
+            monkeypatch.setattr(ad, "lstm_sequence", stored_cells_lstm_sequence)
+        rows = (steps + 1) * batch_size
+        cells = (
+            rows * (4 * hidden + hidden)  # gates, hidden rows
+            + steps * batch_size * hidden + hidden * vocab  # dhidden, dw_out
+            + 2 * trainer.BLOCK_CELLS  # a logits block and a dw_out chunk
+            + rows * hidden  # slack, less than the inputs and the cell rows together
+        )
+        peaks = phase_peaks(lambda: train_epoch(examples, params, adam, config, rng))
+        assert (peaks["head"] < 8 * cells) == (earlier is None), (peaks, 8 * cells)
 
 
 class TestAdam:
@@ -482,6 +513,33 @@ class TestConfig:
         # a float count passed, then run_training failed after building the vocabulary; 1.5 and True trained into checkpoints
         with pytest.raises(ValueError, match=re.escape(f"config.{field} must be a positive int, got {value!r}")):
             TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("field, value", [("clip", "no"), ("lowercase", 0), ("feature_l2norm", "no")])
+    def test_flags_must_be_bools(self, field, value):
+        # each trained on its truthiness and was written into the checkpoint as given; "no" normalised the features
+        with pytest.raises(ValueError, match=re.escape(f"config.{field} must be true or false, got {value!r}")):
+            TrainConfig(**{field: value})
+
+    @pytest.mark.parametrize("seed", [True, -3, 2.5])
+    def test_seed_is_refused_at_construction(self, seed):
+        # each failed only inside run_training, after the vocabulary was built
+        with pytest.raises(ValueError, match=re.escape(f"seed must be an int >= 0, got {seed!r}")):
+            TrainConfig(seed=seed)
+
+    @pytest.mark.parametrize(
+        "languages, message",
+        [
+            ("en", "config.languages must be None or a tuple of distinct language codes, got 'en'"),
+            (["en", "jp"], "config.languages must be None or a tuple of distinct language codes, got ['en', 'jp']"),
+            (("en", 3), "config.languages must be None or a tuple of distinct language codes, got ('en', 3)"),
+            (("e n",), "lang 'e n' must be non-empty, without comma or whitespace"),
+            (("pad",), "lang 'pad' is reserved: its start token <pad> is a control token"),
+        ],
+    )
+    def test_languages_must_be_a_tuple_of_codes(self, languages, message):
+        # "en" was read as the languages ['e', 'n']
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TrainConfig(languages=languages)
 
     def test_as_dict_roundtrips_json(self):
         d = TrainConfig(languages=("en", "jp")).as_dict()

@@ -1,13 +1,15 @@
-"""Small models, and the two checks on them that tests share.
+"""Small models, and the checks on them that tests share.
 
 The builders: ``random_params`` (the training init), ``wide_params``
 (every coordinate drawn at a finite-difference-friendly scale),
 ``prefix_free_params`` (a fixed next-token distribution, as from
 ``toy_distribution``) and ``tiny_examples`` (training examples that pad).
 ``array_bytes`` is the one bit-for-bit comparison of parameter sets, or
-of any arrays by name, and ``traced_peak`` the one working-set probe.
+of any arrays by name. ``traced_peak`` is the working-set probe of a whole
+call, and ``phase_peaks`` that of each phase of a train step.
 """
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -54,6 +56,47 @@ def traced_peak(call):
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+STEP_PHASES = {
+    ("return", "_output_head"): "head",
+    ("return", "pullback"): "pullback",
+    ("call", "adam_step"): "before adam",
+    ("return", "adam_step"): "adam",
+}
+
+
+def phase_peaks(call):
+    """The traced peak bytes of each phase of the training steps that ``call()`` runs.
+
+    The phases run from mark to mark: "head" ends as ``_output_head``
+    returns, "pullback" as the recurrence's pullback returns, "before adam"
+    as ``adam_step`` starts and "adam" as it returns; each is the largest
+    over the steps. The marks are profiler events of those functions by
+    name, so nothing wraps a call and holds its arguments. A returning
+    frame still holds its locals, so the next phase starts at the next
+    event, once they are freed.
+    """
+    peaks = dict.fromkeys(STEP_PHASES.values(), 0)
+    ended = False
+
+    def mark(frame, event, arg):
+        nonlocal ended
+        if ended:
+            ended = False
+            tracemalloc.reset_peak()
+        phase = STEP_PHASES.get((event, frame.f_code.co_name))
+        if phase is not None:
+            peaks[phase] = max(peaks[phase], tracemalloc.get_traced_memory()[1])
+            ended = True
+
+    previous = sys.getprofile()
+    sys.setprofile(mark)
+    try:
+        traced_peak(call)
+    finally:
+        sys.setprofile(previous)
+    return peaks
 
 
 def tiny_examples(params, rng, count=4, max_tokens=3):
