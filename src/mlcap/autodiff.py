@@ -1,14 +1,14 @@
-"""Hand-written gradients for the caption decoder, on plain float64 arrays.
+"""The caption decoder's recurrence, with hand-written gradients, on plain float64 arrays.
 
-The one trained graph, the caption loss, is written out forward and then
-backward in ``trainer.sequence_loss``; the recurrence it runs is
-``lstm_sequence``, which returns its hidden rows together with a pullback
-that backpropagates through time by hand. The run keeps only its gates and
-hidden rows, the pullback recomputes the cells and is handed the inputs back,
-and each is freed after its last read. The pieces:
+The caption loss is written out forward and then backward in
+``trainer.sequence_loss``; the recurrence it runs is ``lstm_sequence``,
+which returns its hidden rows together with a pullback that backpropagates
+through time by hand. The run keeps only its gates and hidden rows, the
+pullback recomputes the cells and is handed the inputs back, and each is
+freed after its last read. The pieces:
 
 - ``lstm_cell``, the gate arithmetic of one step, shared by ``lstm_sequence``
-  and the decoder;
+  and the decoder; its cell update ``_cell`` is the pullback's recompute too;
 - ``lstm_sequence``, a whole teacher-forced LSTM run from the zero state.
 """
 
@@ -19,14 +19,6 @@ import numpy as np
 # cells of each [rows,H] array in one coefficient pass of the pullback: every
 # step at once at H=64, B=32, one step at a time (in cache) at H=512, B=128
 PASS_CELLS = 2**15
-
-
-class DimensionError(ValueError):
-    """Operand shapes do not fit the requested operation."""
-
-
-class NonFiniteError(ValueError):
-    """A computation met NaN or infinite values where it needs finite ones."""
 
 
 def _stable_sigmoid(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -46,6 +38,12 @@ def _gate_blocks(gates: np.ndarray, hidden: int):
     return tuple(gates[:, k * hidden : (k + 1) * hidden] for k in range(4))
 
 
+def _cell(gates: np.ndarray, c_prev: np.ndarray) -> np.ndarray:
+    """The new cell ``f·c_prev + i·g`` from the activated gates [B,4H] and the previous cell [B,H]."""
+    i, f, _, g = _gate_blocks(gates, c_prev.shape[1])
+    return f * c_prev + i * g
+
+
 def lstm_cell(z: np.ndarray, c_prev: np.ndarray):
     """One LSTM step on plain arrays: the new ``(h, c)``.
 
@@ -57,9 +55,8 @@ def lstm_cell(z: np.ndarray, c_prev: np.ndarray):
     hidden = c_prev.shape[1]
     _stable_sigmoid(z[:, : 3 * hidden], out=z[:, : 3 * hidden])
     np.tanh(z[:, 3 * hidden :], out=z[:, 3 * hidden :])
-    i, f, o, g = _gate_blocks(z, hidden)
-    c = f * c_prev + i * g
-    return o * np.tanh(c), c
+    c = _cell(z, c_prev)
+    return z[:, 2 * hidden : 3 * hidden] * np.tanh(c), c
 
 
 def _coefficients(gates, cells, hidden, prev_cells, forget, k_o) -> None:
@@ -106,11 +103,11 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
 
     The run keeps only the hidden rows and one [(T+1)*B,4H] buffer: the
     input projections, then each step's gates. The pullback recomputes the
-    cell rows from the gates in ``lstm_cell``'s arithmetic, bit for bit, and
-    turns both into ``_coefficients`` in passes of ``PASS_CELLS // H`` rows
-    (whole steps, at least one), last first; a step back is then a few
-    multiplies over its coefficients and one matmul. It drops the cells,
-    the hidden rows and the inputs after their last reads.
+    cell rows from the gates by ``_cell``, ``lstm_cell``'s own update, so
+    bit for bit, and turns both into ``_coefficients`` in passes of
+    ``PASS_CELLS // H`` rows (whole steps, at least one), last first; a step
+    back is then a few multiplies over its coefficients and one matmul. It
+    drops the cells, the hidden rows and the inputs after their last reads.
     """
     hidden = w_h.shape[0]
     if (
@@ -121,7 +118,7 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
         or w_h.shape != (hidden, 4 * hidden)
         or b_gates.shape != (4 * hidden,)
     ):
-        raise DimensionError(
+        raise ValueError(
             f"lstm_sequence: shapes x {x.shape} in batches of {batch}, w_x {w_x.shape}, "
             f"w_h {w_h.shape}, b_gates {b_gates.shape} do not fit"
         )
@@ -141,9 +138,8 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
     def pullback(g: np.ndarray, x: np.ndarray):
         nonlocal hs
         cs, c = np.empty_like(hs), np.zeros((batch, hidden))
-        for r in range(0, len(cs), batch):  # the cell rows again, in lstm_cell's arithmetic
-            i, f, _, cand = _gate_blocks(zx[r : r + batch], hidden)
-            c = cs[r : r + batch] = f * c + i * cand
+        for r in range(0, len(cs), batch):  # the cell rows again, by lstm_cell's own update
+            c = cs[r : r + batch] = _cell(zx[r : r + batch], c)
         span = batch * min(steps, max(1, PASS_CELLS // (batch * hidden)))
         forget, k_o = np.empty((span, hidden)), np.empty((span, hidden))
         dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))

@@ -143,9 +143,7 @@ def load_dataset(path, *, require_captions: bool = True) -> list[ImageRecord]:
         if feature_dim is None:
             feature_dim = feature.size
         elif feature.size != feature_dim:
-            raise DatasetError(
-                f"{where}: image_id {image_id!r} feature width {feature.size} != {feature_dim}"
-            )
+            raise DatasetError(f"{where}: image_id {image_id!r} feature width {feature.size} != {feature_dim}")
         captions = _parse_captions(obj.get("captions", []), where)
         if require_captions and not captions:
             raise DatasetError(f"{where}: image_id {image_id!r} has no captions")
@@ -404,10 +402,14 @@ def synth_generate(n_images: int, seed, languages: Sequence[str]) -> list[ImageR
     """
     if n_images < 1:
         raise ValueError(f"n_images must be >= 1, got {n_images}")
+    if isinstance(languages, str) or not all(isinstance(code, str) for code in languages):
+        raise ValueError(f"languages must be a sequence of language codes, got {languages!r}")
     if not languages:
         raise ValueError("at least one language is required")
     if len(set(languages)) != len(languages):
         raise ValueError(f"duplicate language codes: {list(languages)}")
+    for lang in languages:
+        check_language(lang)
     tables = {lang: _synth_table(i, lang) for i, lang in enumerate(languages)}
     rng = np.random.default_rng(seed)
     records = []

@@ -17,7 +17,8 @@ and ``step_rows`` advances them and scores the next id: a decode step holds
 at most two [rows,V] arrays. Its one-row form ``step_distribution`` is kept
 only because ``perfbench/`` calls it; it goes with ROADMAP item 1a. A 1-row
 matmul rounds differently from a row inside a block, so these functions run
-a lone row as a 2-row block: a row decodes to the same bits in any block.
+a lone row as a 2-row block, and ``row_blocks`` cuts [rows,V] work with no
+lone row beside others: a row gets the same bits in any block.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ import numpy as np
 from . import autodiff as ad
 
 INIT_SCALE = 0.08
+BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a head or decode block: 16 MB; a decode step holds two
 
 
 @dataclass(frozen=True)
@@ -111,10 +113,23 @@ def _block(rows: np.ndarray) -> np.ndarray:
     return np.concatenate([rows, rows]) if len(rows) == 1 else rows
 
 
+def row_blocks(n: int, vocab: int) -> list[slice]:
+    """Slices that cut ``n`` rows into near-equal blocks for ``[rows,V]`` work.
+
+    Each block holds at most ``max(2, BLOCK_CELLS // vocab)`` rows where ``n``
+    allows, and one row only when ``n`` is 1: a 1-row matmul rounds
+    differently from a block row. The taller blocks come first.
+    """
+    rows = max(2, BLOCK_CELLS // vocab)
+    count = max(1, min(-(-n // rows), n // 2))  # ceil(n / rows), but never a lone row beside others
+    edges = [k * (n // count) + min(k, n % count) for k in range(count + 1)]
+    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
+
+
 def advance_state(x: np.ndarray, state, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """One recurrence step on row inputs: x [B,E], state ``(h, c)`` [B,H] -> [B,H]. A lone row runs as a 2-row block."""
     if x.ndim != 2 or x.shape[1] != params.dims.embed:
-        raise ad.DimensionError(f"advance_state: input rows {x.shape} do not have width {params.dims.embed}")
+        raise ValueError(f"advance_state: input rows {x.shape} do not have width {params.dims.embed}")
     h, c = state
     z = _block(x) @ params.w_x + _block(h) @ params.w_h
     z += params.b_gates
@@ -154,7 +169,7 @@ def step_distribution(state, token_or_feature, params: ModelParams) -> tuple[tup
     else:
         feature = np.asarray(token_or_feature)
         if feature.ndim != 1:
-            raise ad.DimensionError(f"step_distribution: feature must be 1-D, got shape {feature.shape}")
+            raise ValueError(f"step_distribution: feature must be 1-D, got shape {feature.shape}")
         x = project_features(feature[None, :], params)
     new, logp = step_rows(x, state, params)
     return new, logp[0]

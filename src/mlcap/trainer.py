@@ -12,13 +12,13 @@ mean across languages is highest, earliest on ties. Adam's constants
 (``ADAM_*``, Kingma & Ba) and the clipping norm ``CLIP_NORM`` are fixed;
 a finite gradient whose squared norm overflows is clipped, not zeroed.
 
-A training step keeps a bounded working set. ``BLOCK_CELLS`` caps every
-working ``[rows,V]`` array, in training and in decoding alike: the output
-head and its cross-entropy run over ``row_blocks`` of the hidden rows, so
-no ``[T*B,V]`` logits array exists, and the ``w_out`` gradient adds each
-block in ``row_blocks`` chunks of its rows; a decode step holds two at
-most. While the head runs, the recurrence holds only its gates and hidden
-rows; its pullback is handed the inputs again and recomputes the cells.
+A training step keeps a bounded working set. ``model.BLOCK_CELLS`` caps
+every working ``[rows,V]`` array, in training and in decoding alike: the
+output head runs over ``model.row_blocks`` of the hidden rows, so no
+``[T*B,V]`` logits array exists, and the ``w_out`` gradient adds each block
+in ``row_blocks`` chunks of its rows. While the head runs, the recurrence
+holds only its gates and hidden rows; its pullback is handed the inputs
+again and recomputes the cells.
 ``adam_step`` updates each parameter in slices of about ``ADAM_SLICE``.
 """
 
@@ -33,19 +33,21 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import DimensionError
 from .beam import BeamConfig, beam_block
 from .data import DatasetSplit, ImageRecord, corpus_from_records, l2_normalize_records, lowercase_records
 from .metrics import CorpusEval, cider
-from .model import Dims, ModelParams, check_fields, init_params
+from .model import Dims, ModelParams, check_fields, init_params, row_blocks
 from .rng import check_seed, substream
 from .vocab import PAD_ID, Vocabulary, build_vocab, check_collisions, check_language
 
 CLIP_NORM = 5.0
 ADAM_ALPHA, ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 1e-3, 0.9, 0.999, 1e-8  # Kingma & Ba; read at each adam_step
 LOSS_MODES = ("mean", "sum")
-BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a head or decode block: 16 MB; a decode step holds two
 ADAM_SLICE = 2**15  # elements per Adam slice; at paper scale 2**15 beat 2**18, 2**21 and whole arrays
+
+
+class NonFiniteError(ValueError):
+    """The output head met NaN or infinite logits, which its cross-entropy needs finite."""
 
 
 class DivergenceError(RuntimeError):
@@ -99,8 +101,8 @@ class TrainConfig:
                 check_language(code)
 
     def as_dict(self) -> dict:
-        """The fields as a JSON-ready dict, ``languages`` as a list."""
-        d = asdict(self)
+        """The fields as a JSON-ready dict, ``languages`` as a list and ``seed`` as an int."""
+        d = asdict(self) | {"seed": int(self.seed)}
         if self.languages is not None:
             d["languages"] = list(self.languages)
         return d
@@ -153,19 +155,6 @@ def make_batch(examples: Sequence[Example]) -> Batch:
     return Batch(features, start_ids, targets)
 
 
-def row_blocks(n: int, vocab: int) -> list[slice]:
-    """Slices that cut ``n`` rows into near-equal blocks for ``[rows,V]`` work.
-
-    Each block holds at most ``max(2, BLOCK_CELLS // vocab)`` rows where ``n``
-    allows, and one row only when ``n`` is 1: a 1-row matmul rounds
-    differently from a block row. The taller blocks come first.
-    """
-    rows = max(2, BLOCK_CELLS // vocab)
-    count = max(1, min(-(-n // rows), n // 2))  # ceil(n / rows), but never a lone row beside others
-    edges = [k * (n // count) + min(k, n % count) for k in range(count + 1)]
-    return [slice(lo, hi) for lo, hi in zip(edges, edges[1:])]
-
-
 def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, params: ModelParams):
     """The output head and its cross-entropy, forward and backward, over ``row_blocks`` of ``hidden``.
 
@@ -193,7 +182,7 @@ def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, p
         top = logits.max(axis=1, keepdims=True)
         # a NaN or +inf makes its row's max non-finite, and a -inf the block's min
         if not (np.isfinite(top).all() and math.isfinite(logits.min())):
-            raise ad.NonFiniteError("sequence_loss: logits must be finite")
+            raise NonFiniteError("sequence_loss: logits must be finite")
         logits -= top
         picked = logits[rows, t]
         exp = np.exp(logits, out=logits)
@@ -222,7 +211,7 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
     scored), the start token the second; thereafter each target token is
     also the next input. Padding advances the state but is not scored. The
     forward pass runs first, then the backward pass in reverse, by hand; the
-    output head runs over row blocks of at most ``BLOCK_CELLS`` logits.
+    output head runs over row blocks of at most ``model.BLOCK_CELLS`` logits.
     Raises ``NonFiniteError`` on non-finite logits and ``IndexError`` on an
     id outside the vocabulary.
     """
@@ -301,9 +290,7 @@ def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamStat
         if name not in grads:
             raise ValueError(f"adam_step: missing gradient for {name!r}")
         if grads[name].shape != p.shape:
-            raise DimensionError(
-                f"adam_step: gradient shape {grads[name].shape} != parameter shape {p.shape} for {name!r}"
-            )
+            raise ValueError(f"adam_step: gradient shape {grads[name].shape} != parameter shape {p.shape} for {name!r}")
     state.t += 1
     correction1 = 1.0 - ADAM_BETA1**state.t
     correction2 = 1.0 - ADAM_BETA2**state.t
@@ -365,7 +352,7 @@ def train_epoch(
         batch = make_batch(shuffled[lo : lo + config.batch_size])
         try:
             loss, grads = sequence_loss(batch, params, config.loss_mode)
-        except ad.NonFiniteError as exc:
+        except NonFiniteError as exc:
             raise DivergenceError(index) from exc
         if not (math.isfinite(loss) and all(np.isfinite(g).all() for g in grads.values())):
             raise DivergenceError(index)
@@ -385,7 +372,7 @@ def decode_images(
 
     Padding and every start id are barred from emission. The images decode
     as ``beam_block`` beams in ``row_blocks`` slices of at most ``max(2,
-    BLOCK_CELLS // (V * width))`` images, one block call each, so every live
+    model.BLOCK_CELLS // (V * width))`` images, one block call each, so every live
     hypothesis of a block steps in one ``step_rows`` call. Width 1 is
     greedy decoding. A block decodes each image as it would alone.
     """

@@ -187,8 +187,15 @@ _SHAPES = list(param_shapes(PARAMS.dims).items())
 
 DATASETS = table(
     Case("invalid-json", line(1, b"{not json"), ":2: invalid JSON (Expecting property name enclosed in double quotes)"),
+    Case("not-an-object", line(1, b"[1.0, 2.0]"), ":2: each line must be a JSON object"),
+    Case("id-missing", row(1, lambda obj: obj.pop("image_id")), ":2: missing or empty 'image_id'"),
+    Case("id-empty", row(1, setting("image_id", value="")), ":2: missing or empty 'image_id'"),
     Case("duplicate-id", row(1, setting("image_id", value="synth-000000")), ":2: duplicate image_id 'synth-000000'"),
     Case("feature-width", row(1, setting("feature", value=[1.0])), ":2: image_id 'synth-000001' feature width 1 != 16"),
+    *[
+        Case(f"feature-{kind}", row(1, setting("feature", value=feature)), ":2: image_id 'synth-000001' needs a non-empty 'feature' list")
+        for kind, feature in [("empty", []), ("not-a-list", 1.0)]
+    ],
     Case("feature-1e999", row(1, setting("feature", 1, value=RAW), "1e999"), ":2: image_id 'synth-000001' feature must be finite"),
     # an integer past the float range
     Case("feature-10e400", row(1, setting("feature", 0, value=10**400)), ":2: image_id 'synth-000001' feature must be finite"),
@@ -225,6 +232,8 @@ DATASETS = table(
     ],
     Case("no-captions", row(1, lambda obj: obj.pop("captions")), ":2: image_id 'synth-000001' has no captions", ("caption",)),
     Case("tokens-not-a-list", row(1, setting("captions", 0, "tokens", value="a cat")), ":2: captions[0] needs 'tokens' as a list of strings"),
+    Case("captions-not-a-list", row(1, setting("captions", value="a cat")), ":2: captions must be a list"),
+    Case("lang-not-a-string", row(1, setting("captions", 1, "lang", value=5)), ":2: captions[1] needs a string 'lang'"),
     Case("empty-file", lambda blob: b"", ": dataset is empty"),
     Case("utf16-bom", lambda blob: b"\xff\xfe" + blob, ":1: not UTF-8 text (byte 0xff)"),
     Case("latin1-crlf", lambda blob: blob.replace(b"synth-000001", b"caf\xe9").replace(b"\n", b"\r\n"), ":2: not UTF-8 text (byte 0xe9)"),

@@ -25,8 +25,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from mlcap import autodiff as ad, trainer
-from mlcap.autodiff import NonFiniteError
+from mlcap import autodiff as ad, model, trainer
 from mlcap.metrics import MetricReport
 from mlcap.model import advance_state, project_features, step_rows, zero_state
 from mlcap.trainer import Batch
@@ -491,7 +490,7 @@ def stored_cells_lstm_sequence(x, batch, w_x, w_h, b_gates):
 def full_partial_head(hidden, targets, weights, params):
     """``trainer._output_head`` adding each later block's ``dw_out`` through a whole [H,V] buffer."""
     w_out = params.w_out
-    blocks = trainer.row_blocks(len(hidden), w_out.shape[1])
+    blocks = model.row_blocks(len(hidden), w_out.shape[1])
     logits_buffer = np.empty((blocks[0].stop, w_out.shape[1]))
     nll = np.empty(len(hidden))
     dhidden = np.empty_like(hidden)
@@ -503,7 +502,7 @@ def full_partial_head(hidden, targets, weights, params):
         logits = np.matmul(h, w_out, out=logits_buffer[: t.size])
         logits += params.b_out
         if not np.isfinite(logits).all():
-            raise NonFiniteError("sequence_loss: logits must be finite")
+            raise trainer.NonFiniteError("sequence_loss: logits must be finite")
         logits -= logits.max(axis=1, keepdims=True)
         picked = logits[rows, t]
         exp = np.exp(logits, out=logits)

@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
-from mlcap import trainer
+from mlcap import model, trainer
 from mlcap.gradcheck import gradient_check
 from mlcap.model import step_rows, zero_state
 from mlcap.trainer import Batch, Example, make_batch, sequence_loss
@@ -117,8 +117,8 @@ class TestBlockedHead:
         return make_batch([Example(f, 3, (5, 4, EOS_ID)), Example(-f, 4, (6, EOS_ID)), Example(f, 3, (EOS_ID,))])
 
     def blocked(self, monkeypatch, params):
-        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * params.dims.vocab)
-        heights = [s.stop - s.start for s in trainer.row_blocks(9, params.dims.vocab)]
+        monkeypatch.setattr(model, "BLOCK_CELLS", 2 * params.dims.vocab)
+        heights = [s.stop - s.start for s in model.row_blocks(9, params.dims.vocab)]
         assert heights == [3, 2, 2, 2]
 
     @pytest.mark.parametrize("mode", ["mean", "sum"])
@@ -142,7 +142,7 @@ class TestBlockedHead:
     def test_one_block_is_bit_identical_to_the_restated_head(self):
         params = wide_params(vocab=7, embed=3, hidden=4, feature=2, seed=10)
         batch = ragged_batch(params, np.random.default_rng(10), count=4)
-        assert len(trainer.row_blocks(batch.targets.size, params.dims.vocab)) == 1
+        assert len(model.row_blocks(batch.targets.size, params.dims.vocab)) == 1
         hs, g, ids, dx_tokens = restated_head(batch, params)
         _, grads = sequence_loss(batch, params, mode="sum")
         dw_embed = np.zeros_like(params.w_embed)
@@ -245,15 +245,15 @@ class TestEarlierForms:
         h = rng.normal(scale=2.0, size=(n, hidden))
         targets = rng.integers(0, vocab, n)
         weights = rng.integers(0, 2, n) / 3.0
-        with mock.patch.object(trainer, "BLOCK_CELLS", block_rows * vocab):
+        with mock.patch.object(model, "BLOCK_CELLS", block_rows * vocab):
             got = dict(zip(("nll", "dhidden", "dw_out", "db_out"), trainer._output_head(h, targets, weights, p)))
             want = dict(zip(got, full_partial_head(h, targets, weights, p)))
         assert array_bytes(got) == array_bytes(want)
 
     def test_the_example_cuts_blocks_and_ragged_chunks(self):
-        with mock.patch.object(trainer, "BLOCK_CELLS", 3 * 6):
-            assert [s.stop - s.start for s in trainer.row_blocks(10, 6)] == [3, 3, 2, 2]
-            assert [s.stop - s.start for s in trainer.row_blocks(7, 6)] == [3, 2, 2]
+        with mock.patch.object(model, "BLOCK_CELLS", 3 * 6):
+            assert [s.stop - s.start for s in model.row_blocks(10, 6)] == [3, 3, 2, 2]
+            assert [s.stop - s.start for s in model.row_blocks(7, 6)] == [3, 2, 2]
 
 
 def decode_head(scores):
@@ -300,14 +300,14 @@ class TestSoftmaxOps:
 
     def test_cross_entropy_rejects_nonfinite(self):
         params = prefix_free_params(np.array([0.0, 0.0, 0.0, np.inf]))
-        with pytest.raises(ad.NonFiniteError, match="finite"):
+        with pytest.raises(trainer.NonFiniteError, match="finite"):
             sequence_loss(make_batch([Example(np.ones(2), 3, (EOS_ID,))]), params)
 
     @pytest.mark.parametrize("bad", [-np.inf, np.nan])
     def test_cross_entropy_rejects_minus_inf_and_nan(self, bad):
         # one bad logit makes its row's max or min non-finite
         params = prefix_free_params(np.array([0.0, 0.0, 0.0, bad]))
-        with pytest.raises(ad.NonFiniteError, match="finite"):
+        with pytest.raises(trainer.NonFiniteError, match="finite"):
             sequence_loss(make_batch([Example(np.ones(2), 3, (EOS_ID,))]), params)
 
     def test_cross_entropy_rows_matches_scalar_op(self):

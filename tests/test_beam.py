@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mlcap import beam, trainer
+from mlcap import beam, model, trainer
 from mlcap.beam import BeamConfig, _barred_ids, _top, beam_block, beam_search
 from mlcap.model import ModelParams
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
@@ -399,7 +399,7 @@ class TestBeamBlock:
     def test_a_set_decodes_each_image_as_alone(self, case, width, max_len, rows_per_block):
         # decode_images bars the start ids and starts at <jp>: the case's exclusions and start go unused
         params, vocab = case.params, self.VOCAB
-        with mock.patch.object(trainer, "BLOCK_CELLS", rows_per_block * len(vocab) * width):
+        with mock.patch.object(model, "BLOCK_CELLS", rows_per_block * len(vocab) * width):
             together = trainer.decode_images(params, vocab, case.features, "jp", width, max_len)
         alone = [trainer.decode_images(params, vocab, [feature], "jp", width, max_len)[0] for feature in case.features]
         assert together == alone

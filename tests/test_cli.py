@@ -210,9 +210,6 @@ class TestBuildVocab:
         assert out.read_text().startswith("0\t<pad>\n")
         assert_left_as_before(manifest, b"{}\n")
 
-    # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks("build-vocab", "dataset", "lang-pad")
-
     def test_lowercase_merges_case_variants(self, tmp_path):
         # "Cat" and "cat" each occur once: only their lowercased form reaches --min-count 2
         data = tmp_path / "cased.jsonl"
@@ -271,6 +268,13 @@ class TestTrain:
         out = tmp_path / "run"
         assert run("train", data=workdir["data"], out=out, val_beam=2) == EXIT_OK
         assert load_checkpoint(out / "best.ckpt").config["val_beam"] == 2
+
+    @pytest.mark.parametrize("flag, field, value", [("loss_sum", "loss_mode", "sum"), ("clip", "clip", True)])
+    def test_loss_sum_and_clip_reach_the_checkpoint_and_manifest(self, workdir, tmp_path, flag, field, value):
+        out = tmp_path / "run"
+        assert run("train", data=workdir["data"], out=out, best_only=True, **{flag: True}) == EXIT_OK
+        assert load_checkpoint(out / "best.ckpt").config[field] == value
+        assert json.loads((out / "manifest.json").read_text())["options"][field] == value
 
     def test_checkpoint_restores_a_working_model(self, workdir):
         ckpt = load_checkpoint(workdir["run"] / "best.ckpt")
@@ -367,13 +371,6 @@ class TestTrain:
         assert (options["epochs"], options["batch_size"], options["seed"]) == (2, 8, 4)
         assert options["split"] == [30, 5, 5] and options["loss_mode"] == "mean"
         assert "beam" not in options and options["languages"] is None
-
-    # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_caption_language_that_langs_cannot_name_is_data_error = row_checks("train", "dataset", "lang-comma")
-    test_lang_whose_start_token_is_a_control_token_is_data_error = row_checks(
-        "train", "dataset", "lang-pad", "lang-unk", "lang-eos", ids=["pad", "unk", "eos"]
-    )
-    test_lone_surrogate_in_a_token_names_file_and_line = row_checks("train", "dataset", "surrogate-token")
 
 
 class TestCaption:

@@ -1,5 +1,6 @@
 """Dataset parsing/validation, splits, checkpoint round trips, synth data."""
 
+import re
 import tempfile
 from functools import partial
 from pathlib import Path
@@ -121,6 +122,19 @@ class TestLoadDataset:
         assert [(r.image_id, r.feature.tobytes(), r.captions) for r in a] == [
             (r.image_id, r.feature.tobytes(), r.captions) for r in b
         ]
+
+    def test_blank_lines_between_records_are_skipped(self, valid, tmp_path):
+        # the line numbers in a refusal still count the blank lines
+        lines = valid["dataset"].read_bytes().splitlines(keepends=True)
+        spaced = tmp_path / "spaced.jsonl"
+        spaced.write_bytes(b"\n" + lines[0] + b"  \n\r\n" + b"".join(lines[1:]) + b"\t\n")
+        a, b = load_dataset(valid["dataset"]), load_dataset(spaced)
+        assert [(r.image_id, r.feature.tobytes(), r.captions) for r in a] == [
+            (r.image_id, r.feature.tobytes(), r.captions) for r in b
+        ]
+        spaced.write_bytes(spaced.read_bytes().replace(b'"synth-000002"', b'"synth-000000"'))
+        with pytest.raises(DatasetError, match=re.escape(f"{spaced}:6: duplicate image_id 'synth-000000'")):
+            load_dataset(spaced)
 
     # ids these rows ran under before the tables; the table test at the end runs every other row
     test_error_names_line_number = row_checks("dataset", "invalid-json")
@@ -409,6 +423,24 @@ class TestSynth:
             synth_generate(0, seed=0, languages=["en"])
         with pytest.raises(ValueError, match="duplicate"):
             synth_generate(3, seed=0, languages=["en", "en"])
+        with pytest.raises(ValueError, match=re.escape("at least one language is required")):
+            synth_generate(3, seed=0, languages=[])
+
+    @pytest.mark.parametrize(
+        "languages, message",
+        [
+            ("en", "languages must be a sequence of language codes, got 'en'"),
+            (["en", 3], "languages must be a sequence of language codes, got ['en', 3]"),
+            (["pad"], "lang 'pad' is reserved: its start token <pad> is a control token"),
+            (["e n"], "lang 'e n' must be non-empty, without comma or whitespace"),
+            (["en,x"], "lang 'en,x' must be non-empty, without comma or whitespace"),
+        ],
+        ids=["bare-string", "non-string-code", "pad", "space", "comma"],
+    )
+    def test_languages_are_refused_at_the_call(self, languages, message):
+        # each returned records that save_dataset wrote and load_dataset refused; "en" named the languages 'e' and 'n'
+        with pytest.raises(ValueError, match=re.escape(message)):
+            synth_generate(3, seed=0, languages=languages)
 
 
 # the table test: every row that no test named above runs

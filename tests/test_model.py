@@ -1,5 +1,7 @@
 """Decoder tests: initialization, recurrence math, fused-run/step agreement."""
 
+import re
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -89,7 +91,7 @@ class TestLstmStep:
 
     def test_embedding_dimension_mismatch(self):
         p = random_params()
-        with pytest.raises(ad.DimensionError):
+        with pytest.raises(ValueError, match=re.escape("advance_state: input rows (2, 4) do not have width 3")):
             advance_state(np.zeros((2, p.dims.embed + 1)), zero_state(p, batch=2), p)
 
     def test_full_step_gradient_check(self):
@@ -138,7 +140,8 @@ class TestLstmStep:
 
     def test_fused_run_rejects_ragged_steps(self):
         p = random_params()
-        with pytest.raises(ad.DimensionError):
+        message = "lstm_sequence: shapes x (5, 3) in batches of 2, w_x (3, 16), w_h (4, 16), b_gates (16,) do not fit"
+        with pytest.raises(ValueError, match=re.escape(message)):
             ad.lstm_sequence(np.zeros((5, p.dims.embed)), 2, p.w_x, p.w_h, p.b_gates)
 
 
@@ -211,7 +214,7 @@ class TestStepDistribution:
 
     def test_rejects_bad_feature_shape(self):
         p = random_params()
-        with pytest.raises(ad.DimensionError):
+        with pytest.raises(ValueError, match=re.escape("step_distribution: feature must be 1-D, got shape (2, 2)")):
             step_distribution(zero_state(p), np.ones((2, p.dims.feature)), p)
 
 

@@ -14,9 +14,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mlcap import autodiff as ad
-from mlcap import trainer
+from mlcap import model, trainer
 from mlcap.beam import BeamConfig
-from mlcap.data import Caption, l2_normalize_records, split_dataset, synth_generate
+from mlcap.data import (
+    Caption,
+    Checkpoint,
+    l2_normalize_records,
+    load_checkpoint,
+    save_checkpoint,
+    split_dataset,
+    synth_generate,
+)
 from mlcap.gradcheck import gradient_check
 from mlcap.metrics import CorpusEval, cider
 from oracles import (
@@ -192,7 +200,7 @@ class TestSequenceLoss:
             for _ in range(batch_size)
         ]
         batch = make_batch(examples)
-        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2**16)
+        monkeypatch.setattr(model, "BLOCK_CELLS", 2**16)
         logits_bytes = steps * batch_size * vocab * 8
         assert traced_peak(lambda: sequence_loss(batch, params)) < logits_bytes / 2
 
@@ -212,7 +220,7 @@ class TestSequenceLoss:
             for _ in range(batch_size)
         ]
         batch = make_batch(examples)
-        monkeypatch.setattr(trainer, "BLOCK_CELLS", 8 * vocab)  # 32 head blocks, 8 dw_out chunks
+        monkeypatch.setattr(model, "BLOCK_CELLS", 8 * vocab)  # 32 head blocks, 8 dw_out chunks
         if earlier == "gates list":
             monkeypatch.setattr(ad, "lstm_sequence", gates_list_lstm_sequence)
         elif earlier == "whole partial":
@@ -224,7 +232,7 @@ class TestSequenceLoss:
             rows * (embed + 4 * hidden + 2 * hidden)  # inputs, gates, hidden and cell rows
             + steps * batch_size * hidden + rows * embed  # dhidden, dx
             + sum(p.size for _, p in params.named_parameters())  # every gradient
-            + 2 * trainer.BLOCK_CELLS  # a logits block and a dw_out chunk
+            + 2 * model.BLOCK_CELLS  # a logits block and a dw_out chunk
             + 4 * batch_size * 4 * hidden  # step scratch
         )
         peak = traced_peak(lambda: sequence_loss(batch, params))
@@ -247,14 +255,14 @@ class TestSequenceLoss:
         ]
         adam = AdamState.for_params(params)
         config = TrainConfig(epochs=1, batch_size=batch_size, hidden=hidden, embed=embed, min_count=1)
-        monkeypatch.setattr(trainer, "BLOCK_CELLS", 8 * vocab)
+        monkeypatch.setattr(model, "BLOCK_CELLS", 8 * vocab)
         if earlier == "stored cells":
             monkeypatch.setattr(ad, "lstm_sequence", stored_cells_lstm_sequence)
         rows = (steps + 1) * batch_size
         cells = (
             rows * (4 * hidden + hidden)  # gates, hidden rows
             + steps * batch_size * hidden + hidden * vocab  # dhidden, dw_out
-            + 2 * trainer.BLOCK_CELLS  # a logits block and a dw_out chunk
+            + 2 * model.BLOCK_CELLS  # a logits block and a dw_out chunk
             + rows * hidden  # slack, less than the inputs and the cell rows together
         )
         peaks = phase_peaks(lambda: train_epoch(examples, params, adam, config, rng))
@@ -322,7 +330,7 @@ class TestAdam:
         params = prefix_free_params(np.zeros(3))
         grads = {name: np.zeros_like(p) for name, p in params.named_parameters()}
         grads["b_out"] = np.zeros(4)
-        with pytest.raises(ad.DimensionError):
+        with pytest.raises(ValueError, match=re.escape("adam_step: gradient shape (4,) != parameter shape (3,) for 'b_out'")):
             adam_step(params, grads, AdamState.for_params(params))
 
     def test_missing_gradient_rejected(self):
@@ -414,13 +422,13 @@ class TestTrainEpoch:
         examples = [None] * 4
         for position, index in enumerate(order):
             examples[index] = intended[position]  # train_epoch's shuffle restores the intended order
-        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * params.dims.vocab)
+        monkeypatch.setattr(model, "BLOCK_CELLS", 2 * params.dims.vocab)
         bad = make_batch(intended[2:])
         hidden, _ = ad.lstm_sequence(
             np.concatenate((bad.features @ params.w_image + params.b_image, params.w_embed[[3, 4, 5, 6, 7, 7]])),
             2, params.w_x, params.w_h, params.b_gates,
         )
-        blocks = trainer.row_blocks(6, params.dims.vocab)
+        blocks = model.row_blocks(6, params.dims.vocab)
         assert [np.isfinite(hidden[b]).all() for b in blocks] == [True, True, False]
         updated = []
 
@@ -433,10 +441,42 @@ class TestTrainEpoch:
         config = TrainConfig(epochs=1, batch_size=2, hidden=4, embed=3, min_count=1)
         with np.errstate(invalid="ignore"), pytest.raises(DivergenceError) as caught:
             train_epoch(examples, params, adam, config, np.random.default_rng(0))
-        assert isinstance(caught.value.__cause__, ad.NonFiniteError)
+        assert isinstance(caught.value.__cause__, trainer.NonFiniteError)
         assert "non-finite loss or gradient in batch 1" in str(caught.value)
         assert caught.value.batch == 1 and len(updated) == 1
         assert array_bytes(params) == updated[0]
+
+    @pytest.mark.parametrize("poisoned", ["gradient", "loss"])
+    def test_non_finite_gradient_or_loss_from_finite_logits_stops_the_batch(self, monkeypatch, poisoned):
+        # the head raises nothing here, so only the check on the loss and every gradient stops the second batch
+        params = random_params(vocab=8, embed=3, hidden=4, feature=2, seed=3)
+        examples = tiny_examples(params, np.random.default_rng(5), count=4)
+        losses = []
+
+        def stub(batch, params, mode):
+            loss, grads = sequence_loss(batch, params, mode)
+            losses.append(loss)
+            if len(losses) == 2 and poisoned == "gradient":
+                grads["w_h"][1, 2] = np.inf
+            elif len(losses) == 2:
+                loss = math.nan
+            return loss, grads
+
+        updated = []
+
+        def spy(params, grads, state):
+            adam_step(params, grads, state)
+            updated.append((array_bytes(params), array_bytes(state.m), array_bytes(state.v), state.t))
+
+        monkeypatch.setattr(trainer, "sequence_loss", stub)
+        monkeypatch.setattr(trainer, "adam_step", spy)
+        adam = AdamState.for_params(params)
+        config = TrainConfig(epochs=1, batch_size=2, hidden=4, embed=3, min_count=1)
+        with pytest.raises(DivergenceError) as caught:
+            train_epoch(examples, params, adam, config, np.random.default_rng(0))
+        assert str(caught.value) == "training diverged: non-finite loss or gradient in batch 1"
+        assert caught.value.__cause__ is None and len(losses) == 2 and len(updated) == 1
+        assert (array_bytes(params), array_bytes(adam.m), array_bytes(adam.v), adam.t) == updated[0]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -545,6 +585,15 @@ class TestConfig:
         d = TrainConfig(languages=("en", "jp")).as_dict()
         assert json.loads(json.dumps(d)) == d
         assert list(TrainConfig().as_dict()) == [f.name for f in dataclasses.fields(TrainConfig)]
+
+    def test_numpy_integer_seed_saves_as_an_int(self, tmp_path):
+        # as_dict() held the np.int64, so json.dumps and a checkpoint save raised TypeError
+        d = TrainConfig(seed=np.int64(3)).as_dict()
+        assert json.loads(json.dumps(d)) == d == TrainConfig(seed=3).as_dict()
+        assert type(d["seed"]) is int
+        vocab = build_vocab([("en", ("a", "cat"))], min_count=1)
+        save_checkpoint(tmp_path / "seed.ckpt", Checkpoint(random_params(vocab=len(vocab)), vocab, d, 0))
+        assert load_checkpoint(tmp_path / "seed.ckpt").config == TrainConfig(seed=3).as_dict()
 
 
 class TestRunTraining:
@@ -689,7 +738,7 @@ class TestDecodeHelpers:
             blocks.append(beam_block(features, *args))
             return blocks[-1]
 
-        monkeypatch.setattr(trainer, "BLOCK_CELLS", 2 * len(vocab) * width)  # 2-image blocks, one of 3 for odd n
+        monkeypatch.setattr(model, "BLOCK_CELLS", 2 * len(vocab) * width)  # 2-image blocks, one of 3 for odd n
         monkeypatch.setattr(trainer, "beam_block", spy)
         features = np.random.default_rng(n).normal(scale=2.0, size=(n, params.dims.feature))
         decoded = trainer.decode_images(params, vocab, features, "jp", width, 6)
