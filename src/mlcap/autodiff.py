@@ -1,4 +1,4 @@
-"""The caption decoder's recurrence, with hand-written gradients, on plain float64 arrays.
+"""The caption decoder's recurrence, with hand-written gradients, on plain arrays in the parameters' dtype.
 
 The caption loss is written out forward and then backward in
 ``trainer.sequence_loss``; the recurrence it runs is ``lstm_sequence``,
@@ -124,8 +124,8 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
         )
     steps = x.shape[0] // batch
     zx = x @ w_x
-    hs = np.empty((steps * batch, hidden))  # hidden rows, time-major
-    h = c = np.zeros((batch, hidden))
+    hs = np.empty((steps * batch, hidden), zx.dtype)  # hidden rows, time-major; every buffer takes the dtype of x @ w_x
+    h = c = np.zeros((batch, hidden), hs.dtype)
     for s in range(steps):
         rows = slice(s * batch, (s + 1) * batch)
         z = zx[rows]  # the pre-activation forms in the row, and the gates replace it
@@ -137,13 +137,13 @@ def lstm_sequence(x: np.ndarray, batch: int, w_x: np.ndarray, w_h: np.ndarray, b
 
     def pullback(g: np.ndarray, x: np.ndarray):
         nonlocal hs
-        cs, c = np.empty_like(hs), np.zeros((batch, hidden))
+        cs, c = np.empty_like(hs), np.zeros((batch, hidden), hs.dtype)
         for r in range(0, len(cs), batch):  # the cell rows again, by lstm_cell's own update
             c = cs[r : r + batch] = _cell(zx[r : r + batch], c)
         span = batch * min(steps, max(1, PASS_CELLS // (batch * hidden)))
-        forget, k_o = np.empty((span, hidden)), np.empty((span, hidden))
-        dh, dc = np.zeros((batch, hidden)), np.zeros((batch, hidden))
-        carry = np.empty((batch, hidden))
+        forget, k_o = np.empty((span, hidden), hs.dtype), np.empty((span, hidden), hs.dtype)
+        dh, dc = np.zeros((batch, hidden), hs.dtype), np.zeros((batch, hidden), hs.dtype)
+        carry = np.empty((batch, hidden), hs.dtype)
         for top in range(len(cs), 0, -span):
             lo = max(0, top - span)
             _coefficients(

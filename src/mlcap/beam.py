@@ -9,11 +9,11 @@ then lexicographically smaller id tuple, which also puts a finished prefix
 ahead of its extensions. Scores are never length-normalized unless the
 optional ranking flag asks for it. Width 1 is greedy decoding.
 
-Selection is vectorized but exact. Each step adds each live hypothesis's
-score to its next-token log-probabilities, in place, so every candidate
-score is the same float64 sum a scalar loop would form, and ``_top`` applies
-the tie rule to every image's candidates at once. A step frees them before
-the next ``step_rows``, so it holds at most two [rows,V] arrays.
+Selection is vectorized but exact. Each step adds each live hypothesis's score
+to its next-token log-probabilities, in place, so every candidate score is the
+sum a scalar loop would form, in the parameters' dtype, and ``_top`` applies
+the tie rule to every image's candidates at once. A step frees them before the
+next ``step_rows``, so it holds at most two [rows,V] arrays.
 
 ``beam_block`` decodes a block of images at once, as in the batched decoder
 of Show and Tell (Vinyals et al., arXiv 1411.4555): one ``step_rows`` call
@@ -47,7 +47,7 @@ class BeamConfig:
     length_norm: bool = False
 
     def __post_init__(self):
-        check_fields("beam", self, ("width", "max_len"), ("length_norm",))
+        check_fields("beam", vars(self), ("width", "max_len"), ("length_norm",))
         if EOS_ID in self.exclude_ids:
             raise ValueError("the eos id cannot be excluded from emission")
 
@@ -174,7 +174,7 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
     for every live row, then one ``_top`` call; a non-finite row raises
     ``ValueError``.
     """
-    features = np.asarray(features, dtype=np.float64)
+    features = np.asarray(features)
     if not 0 <= start_id < params.dims.vocab:
         raise IndexError(f"beam_block: start id {start_id} out of range")
     barred = _barred_ids(params.dims.vocab, config.exclude_ids)
@@ -186,7 +186,7 @@ def beam_block(features, start_id: int, params: ModelParams, config: BeamConfig)
     state, logp = step_rows(params.w_embed[np.full(n, start_id)], state, params)
     image = np.arange(n)
     ids = np.zeros((n, 0), dtype=np.int64)
-    scores = np.zeros(n)
+    scores = np.zeros(n, logp.dtype)
     finished: list[list[tuple[tuple[int, ...], float]]] = [[] for _ in range(n)]
     for step in range(1, config.max_len + 1):
         candidates = _candidates(scores, logp, barred, step)

@@ -29,7 +29,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .model import Dims, ModelParams, param_shapes
+from .model import Dims, ModelParams, check_fields, param_shapes
+from .rng import generator
 from .vocab import Vocabulary, check_language, check_tokens
 
 MAGIC = b"MLCAP1"
@@ -230,7 +231,7 @@ def split_dataset(records: Sequence[ImageRecord], parts, seed) -> DatasetSplit:
     if sum(counts) > total:
         raise ValueError(f"split {counts} asks for more than the {total} records available")
     n_train, n_val, n_test = counts
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     order = rng.permutation(total)
     shuffled = [records[i] for i in order]
     return DatasetSplit(
@@ -400,8 +401,7 @@ def synth_generate(n_images: int, seed, languages: Sequence[str]) -> list[ImageR
     in the order given and are disjoint across languages, so each caption
     set determines the attribute pair and vice versa.
     """
-    if n_images < 1:
-        raise ValueError(f"n_images must be >= 1, got {n_images}")
+    check_fields("synth_generate", {"n_images": n_images}, ("n_images",))
     if isinstance(languages, str) or not all(isinstance(code, str) for code in languages):
         raise ValueError(f"languages must be a sequence of language codes, got {languages!r}")
     if not languages:
@@ -411,7 +411,7 @@ def synth_generate(n_images: int, seed, languages: Sequence[str]) -> list[ImageR
     for lang in languages:
         check_language(lang)
     tables = {lang: _synth_table(i, lang) for i, lang in enumerate(languages)}
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     records = []
     for i in range(n_images):
         color = int(rng.integers(0, 4))

@@ -8,16 +8,16 @@ caption of N ids (terminal eos included) yields exactly N scored steps.
 Gate order inside the packed pre-activation block is input, forget, output,
 candidate, with the forget-gate bias slice initialized to one.
 
-Parameters are plain float64 arrays. Training runs the whole
+The parameters set every buffer's dtype. Training runs the whole
 teacher-forced recurrence as ``autodiff.lstm_sequence``; decoding steps the
-same cell (``lstm_cell``) here, on a decode state that is the ``(h, c)``
-pair of [rows,H] arrays: ``project_features`` gives each image's first
-input row, ``advance_state`` advances a block of rows, one per sequence,
-and ``step_rows`` advances them and scores the next id: a decode step holds
-at most two [rows,V] arrays. Its one-row form ``step_distribution`` is kept
-only because ``perfbench/`` calls it; it goes with ROADMAP item 1a. A 1-row
-matmul rounds differently from a row inside a block, so these functions run
-a lone row as a 2-row block, and ``row_blocks`` cuts [rows,V] work with no
+same cell (``lstm_cell``) here, on a decode state that is the ``(h, c)`` pair
+of [rows,H] arrays: ``project_features`` gives each image's first input row,
+cast to that dtype, ``advance_state`` advances a block of rows, one per
+sequence, and ``step_rows`` advances them and scores the next id: a decode
+step holds at most two [rows,V] arrays. Its one-row form ``step_distribution``
+is kept only because ``perfbench/`` calls it; it goes with ROADMAP item 1a. A
+1-row matmul rounds differently from a row inside a block, so these functions
+run a lone row as a 2-row block, and ``row_blocks`` cuts [rows,V] work with no
 lone row beside others: a row gets the same bits in any block.
 """
 
@@ -28,9 +28,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
+from .rng import generator
 
 INIT_SCALE = 0.08
-BLOCK_CELLS = 2**21  # float64 cells in each [rows,V] array of a head or decode block: 16 MB; a decode step holds two
+BLOCK_CELLS = 2**21  # cells of each [rows,V] head or decode block array: 16 MB in float64, 8 MB in float32; a step holds two
 
 
 @dataclass(frozen=True)
@@ -43,17 +44,17 @@ class Dims:
     feature: int
 
     def __post_init__(self):
-        check_fields("dims", self, ("vocab", "embed", "hidden", "feature"))
+        check_fields("dims", vars(self), ("vocab", "embed", "hidden", "feature"))
 
 
-def check_fields(owner: str, obj, counts, flags=()) -> None:
-    """Refuse each ``counts`` field of ``obj`` but an int >= 1 (a bool is not one), and each ``flags`` field but a bool."""
+def check_fields(owner: str, fields: dict, counts, flags=()) -> None:
+    """Refuse each ``counts`` entry of ``fields`` but an int >= 1 (a bool is not one), and each ``flags`` entry but a bool."""
     for name in counts:
-        value = getattr(obj, name)
+        value = fields[name]
         if isinstance(value, bool) or not isinstance(value, int) or value < 1:
             raise ValueError(f"{owner}.{name} must be a positive int, got {value!r}")
     for name in flags:
-        if not isinstance(value := getattr(obj, name), bool):
+        if not isinstance(value := fields[name], bool):
             raise ValueError(f"{owner}.{name} must be true or false, got {value!r}")
 
 
@@ -93,7 +94,7 @@ def param_shapes(dims: Dims) -> dict[str, tuple[int, ...]]:
 def init_params(dims: Dims, seed) -> ModelParams:
     """Fresh parameters: uniform(-0.08, 0.08) weights drawn in declared
     order, zero biases except the forget-gate block, which starts at one."""
-    rng = np.random.default_rng(seed)
+    rng = generator(seed)
     arrays = {
         name: rng.uniform(-INIT_SCALE, INIT_SCALE, shape) if name.startswith("w_") else np.zeros(shape)
         for name, shape in param_shapes(dims).items()
@@ -105,7 +106,7 @@ def init_params(dims: Dims, seed) -> ModelParams:
 def zero_state(params: ModelParams, batch: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """All-zero [batch,H] start state ``(h, c)``."""
     shape = (batch, params.dims.hidden)
-    return np.zeros(shape), np.zeros(shape)
+    return np.zeros(shape, params.w_h.dtype), np.zeros(shape, params.w_h.dtype)
 
 
 def _block(rows: np.ndarray) -> np.ndarray:
@@ -139,7 +140,7 @@ def advance_state(x: np.ndarray, state, params: ModelParams) -> tuple[np.ndarray
 
 def project_features(features: np.ndarray, params: ModelParams) -> np.ndarray:
     """Image features [N,D] projected into embedding space: each decode's first input row [N,E]."""
-    return (_block(features) @ params.w_image + params.b_image)[: len(features)]
+    return (_block(features.astype(params.w_image.dtype, copy=False)) @ params.w_image + params.b_image)[: len(features)]
 
 
 def step_rows(x_rows: np.ndarray, state, params: ModelParams) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray]:

@@ -90,7 +90,7 @@ class TrainConfig:
 
     def __post_init__(self):
         counts = ("epochs", "batch_size", "hidden", "embed", "beam", "val_beam", "max_len", "min_count")
-        check_fields("config", self, counts, ("clip", "lowercase", "feature_l2norm"))
+        check_fields("config", vars(self), counts, ("clip", "lowercase", "feature_l2norm"))
         check_seed(self.seed)
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"config.loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
@@ -169,9 +169,9 @@ def _output_head(hidden: np.ndarray, targets: np.ndarray, weights: np.ndarray, p
     vocab = w_out.shape[1]
     blocks = row_blocks(len(hidden), vocab)
     chunks = row_blocks(w_out.shape[0], vocab)
-    logits_buffer = np.empty((blocks[0].stop, vocab))  # the first block and chunk are the tallest
-    partial = np.empty((chunks[0].stop, vocab)) if len(blocks) > 1 else None
-    nll = np.empty(len(hidden))
+    logits_buffer = np.empty((blocks[0].stop, vocab), w_out.dtype)  # the first block and chunk are the tallest
+    partial = np.empty((chunks[0].stop, vocab), w_out.dtype) if len(blocks) > 1 else None
+    nll = np.empty(len(hidden), w_out.dtype)
     dhidden = np.empty_like(hidden)
     dw_out = np.empty_like(w_out)
     for block in blocks:
@@ -227,8 +227,9 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
     # every [T*B, .] array is time-major: row t*B+b is step t of example b;
     # the token inputs are every start id, then each target column but the last
     batch_size = batch.start_ids.size
+    features = batch.features.astype(params.w_image.dtype, copy=False)  # the parameters set the compute dtype
     ids = np.concatenate((batch.start_ids, batch.targets[:, :-1].T.ravel()))
-    inputs = lambda: np.concatenate((batch.features @ params.w_image + params.b_image, params.w_embed[ids]))
+    inputs = lambda: np.concatenate((features @ params.w_image + params.b_image, params.w_embed[ids]))
     hidden, lstm_pullback = ad.lstm_sequence(inputs(), batch_size, params.w_x, params.w_h, params.b_gates)
     weights = batch.targets.T.ravel() != PAD_ID
     scale = 1.0 / token_count if mode == "mean" else 1.0
@@ -238,14 +239,14 @@ def sequence_loss(batch: Batch, params: ModelParams, mode: str = "mean") -> tupl
     dx, dw_x, dw_h, db_gates = lstm_pullback(dhidden, inputs())  # built again: nothing held them during the head
     del lstm_pullback, dhidden  # free the gates buffer before the dense w_embed gradient
     dimage = dx[:batch_size]
-    # each id's rows summed in order from zero, as np.add.at would, through one flat bincount
+    # each id's rows summed in order from zero, as np.add.at would, through one flat bincount, which is float64
     embed = params.dims.embed
     cells = (ids[:, None] * embed + np.arange(embed)).ravel()
-    dw_embed = np.bincount(cells, dx[batch_size:].ravel(), vocab * embed).reshape(vocab, embed)
+    dw_embed = np.bincount(cells, dx[batch_size:].ravel(), vocab * embed).reshape(vocab, embed).astype(dx.dtype, copy=False)
     del cells
     grads = {
         "w_embed": dw_embed,
-        "w_image": batch.features.T @ dimage,
+        "w_image": features.T @ dimage,
         "b_image": dimage.sum(axis=0),
         "w_x": dw_x,
         "w_h": dw_h,
@@ -271,7 +272,7 @@ class AdamState:
         zeros = lambda: {name: np.zeros_like(p) for name, p in named}
         # a slice holds whole rows, so one row wider than ADAM_SLICE is a slice of its own
         width = max(ADAM_SLICE, max(p.size // len(p) for _, p in named))
-        return cls(m=zeros(), v=zeros(), scratch=(np.empty(width), np.empty(width)))
+        return cls(m=zeros(), v=zeros(), scratch=(np.empty(width, params.w_out.dtype), np.empty(width, params.w_out.dtype)))
 
 
 def adam_step(params: ModelParams, grads: dict[str, np.ndarray], state: AdamState) -> None:
@@ -376,7 +377,6 @@ def decode_images(
     hypothesis of a block steps in one ``step_rows`` call. Width 1 is
     greedy decoding. A block decodes each image as it would alone.
     """
-    features = np.asarray(features, dtype=np.float64)
     config = BeamConfig(width=width, max_len=max_len, exclude_ids=(PAD_ID,) + vocab.start_ids, length_norm=length_norm)
     start_id = vocab.start_id(language)
     blocks = row_blocks(len(features), params.dims.vocab * width)

@@ -18,7 +18,7 @@ from mlcap.model import step_rows, zero_state
 from mlcap.trainer import Batch, Example, make_batch, sequence_loss
 from mlcap.vocab import EOS_ID, PAD_ID
 from oracles import full_partial_head, gates_list_lstm_sequence, log_softmax, step_products_lstm_sequence, where_sigmoid
-from tinymodels import array_bytes, prefix_free_params, tiny_examples, wide_params
+from tinymodels import array_bytes, cast_params, prefix_free_params, random_params, tiny_examples, wide_params
 
 
 def softmax(z):
@@ -406,3 +406,23 @@ class TestGradientCheck:
         f = lambda: sequence_loss(batch, params, mode="sum")
         inputs = {"w_out": params.w_out, "b_out": params.b_out}
         assert gradient_check(f, inputs) < 1e-7
+
+
+class TestFloat32:
+    @pytest.mark.parametrize("pass_steps", [1, 8], ids=["a-pass-per-step", "one-pass"])
+    def test_lstm_sequence_follows_its_operands_dtype(self, pass_steps):
+        # float32 operands give float32 hidden rows and gradients, each within 1e-5 of
+        # float64 relative in L2, whether the pullback's coefficients run in one pass or several
+        batch, steps, hidden = 4, 5, 8
+        p = random_params(vocab=4, embed=6, hidden=hidden, feature=2, seed=14)
+        rng = np.random.default_rng(14)
+        x = rng.normal(size=((steps + 1) * batch, p.dims.embed))
+        g = rng.normal(size=(steps * batch, hidden))
+        runs = []
+        for dtype, q in ((np.float64, p), (np.float32, cast_params(p, np.float32))):
+            with mock.patch.object(ad, "PASS_CELLS", pass_steps * batch * hidden):
+                hs, pullback = ad.lstm_sequence(x.astype(dtype), batch, q.w_x, q.w_h, q.b_gates)
+                runs.append((hs, *pullback(g.astype(dtype), x.astype(dtype))))
+        for name, want, got in zip(("hidden", "dx", "dw_x", "dw_h", "db_gates"), *runs):
+            assert got.dtype == np.float32, name
+            assert np.linalg.norm(got - want) <= 1e-5 * np.linalg.norm(want), name

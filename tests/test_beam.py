@@ -24,7 +24,7 @@ from oracles import (
     per_image_top,
     reference_beam_search,
 )
-from tinymodels import NEG_BIG, prefix_free_params, random_params, toy_distribution, traced_peak, wide_params
+from tinymodels import NEG_BIG, cast_params, prefix_free_params, random_params, toy_distribution, traced_peak, wide_params
 
 A, B = 3, 4  # surface ids in the toy five-token table (pad, unk, eos, a, b)
 
@@ -390,6 +390,19 @@ class TestBeamBlock:
             ids, logprob = exhaustive_decode(feature, case.start, case.params, max_len, config.exclude_ids)
             assert ranked[0] == (ids, logprob)
 
+    def test_float32_parameters_score_in_float32(self):
+        # every score is a float32 sum of float32 log-probabilities, and the
+        # decodes are float64's, each score within 1e-5 of float64's
+        params = wide_params(vocab=12, embed=6, hidden=6, feature=5, seed=17, scale=1.0)
+        features = np.random.default_rng(17).normal(size=(6, params.dims.feature))
+        config = BeamConfig(width=3, max_len=5)
+        single = beam_block(features, 3, cast_params(params, np.float32), config)
+        double = beam_block(features, 3, params, config)
+        assert [[ids for ids, _ in ranked] for ranked in single] == [[ids for ids, _ in ranked] for ranked in double]
+        scores = np.array([[logprob for _, logprob in ranked] for ranked in single])
+        assert np.array_equal(scores.astype(np.float32), scores)
+        npt.assert_allclose(scores, [[logprob for _, logprob in ranked] for ranked in double], rtol=0, atol=1e-5)
+
     VOCAB = build_vocab([("en", tuple("abcdef")), ("jp", ("x", "y", "z"))], min_count=1)
 
     @settings(max_examples=40, deadline=None)
@@ -484,6 +497,15 @@ class TestWorkingSet:
         features = np.random.default_rng(0).normal(size=(images, 3))
         peak = traced_peak(lambda: beam_block(features, 3, params, BeamConfig(width=width, max_len=4)))
         assert peak < 2.5 * images * width * vocab * 8 + 2**17
+
+    def test_float32_parameters_peak_at_most_six_tenths_of_float64(self):
+        # the [rows,V] arrays set the peak, and each halves in float32
+        params = random_params(vocab=2000, embed=32, hidden=32, feature=64, seed=1)
+        single = cast_params(params, np.float32)
+        features = np.random.default_rng(1).normal(size=(8, params.dims.feature))
+        config = BeamConfig(width=5, max_len=4)
+        peaks = [traced_peak(lambda: beam_block(features, 3, p, config)) for p in (single, params)]
+        assert peaks[0] <= 0.6 * peaks[1], peaks
 
 
 class TestExhaustive:

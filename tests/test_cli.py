@@ -3,7 +3,6 @@
 import contextlib
 import errno
 import json
-from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -23,7 +22,6 @@ from mlcap.data import (
     save_dataset,
 )
 from mlcap.vocab import EOS_ID, build_vocab
-import malformed
 from malformed import TABLES, forge, rewrite_checkpoint_header, unnamed, valid, write_jsonl
 from oracles import forward_sequence
 from tinymodels import NEG_BIG, prefix_free_params, wide_params
@@ -99,9 +97,6 @@ def check_row(kind, row, command, valid, folder, capsys):
     else:
         assert code == EXIT_DATA and f"{path}{case.message}" in err, err
         assert sorted(folder.rglob("*")) == before
-
-
-row_checks = partial(malformed.row_checks, check_row)
 
 
 @pytest.mark.parametrize("command", READERS["dataset"])
@@ -456,18 +451,6 @@ class TestCaption:
         assert capsys.readouterr().err == err
         assert not (tmp_path / "c").exists()
 
-    # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_image_id_holding_a_tab_is_data_error = row_checks("caption", "dataset", "id-tab")
-    test_non_number_feature_is_data_error = row_checks("caption", "dataset", "feature-string")
-    test_non_object_config_is_data_error = row_checks("caption", "checkpoint", "config-not-an-object")
-    test_non_bool_feature_l2norm_is_data_error = row_checks(
-        "caption", "checkpoint", "l2norm-string", "l2norm-int", "l2norm-null", ids=["no", "1", "None"]
-    )
-    test_array_shape_disagreeing_with_dims_is_data_error = row_checks("caption", "checkpoint", "array-shape")
-    test_forged_lengths_are_data_errors = row_checks(
-        "caption", "checkpoint", "cut-half", f"header-length-{2**63 - 1}", "huge-hidden", ids=["truncated", "header_length", "huge_dims"]
-    )
-
     def test_missing_feature_l2norm_means_false(self, workdir, speaker, tmp_path):
         # normalizing the 4x-scaled features changes the speaker's lines
         scaled, ckpt = tmp_path / "scaled.jsonl", tmp_path / "speaker.ckpt"
@@ -559,15 +542,6 @@ class TestEvaluate:
         assert run("evaluate", data=valid["dataset"], cands=valid["candidates"], langs="de", out=report) == EXIT_DATA
         assert f"{valid['candidates']}:1: image 'synth-000000' has no 'de' references" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
-
-    # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_candidates_that_are_not_utf8_name_file_and_line = row_checks(
-        "evaluate", "candidates", "utf16-bom", "latin1-crlf", ids=["1", "2"]
-    )
-    test_unknown_image_id_fails = row_checks("evaluate", "candidates", "unknown-image")
-    # "New York" as one token cannot match a caption read back split on
-    # whitespace, so the exact caption would score BLEU-2..4 of zero
-    test_reference_token_holding_whitespace_is_data_error = row_checks("evaluate", "dataset", "token-space")
 
     def test_lowercase_applies_to_candidates_too(self, tmp_path, capsys):
         # exact candidates score the same with and without the flag
@@ -704,7 +678,7 @@ class TestParsing:
         assert list(tmp_path.iterdir()) == []
 
 
-# the table test: every row, through every command that reads its kind, that no test named above runs
+# the table test: every row, through every command that reads its kind
 @pytest.mark.parametrize("kind, row, command", unnamed(READERS))
 def test_every_reader_refuses_each_malformed_file(valid, tmp_path, capsys, kind, row, command):
     check_row(kind, row, command, valid, tmp_path, capsys)

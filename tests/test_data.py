@@ -35,7 +35,7 @@ from malformed import TABLES, forge, rewrite_checkpoint_header, unnamed, valid, 
 from oracles import forward_sequence
 from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import build_vocab
-from tinymodels import array_bytes, random_params
+from tinymodels import array_bytes, cast_params, random_params
 
 EPS = np.finfo(float).eps  # one ulp of 1.0
 
@@ -313,6 +313,17 @@ class TestCheckpoint:
         ckpt = checkpoint_from_model(params, vocab, {}, 0)
         assert ckpt.params is params and model_from_checkpoint(ckpt) is params
 
+    def test_float32_parameters_save_as_their_float64_upcast(self, tmp_path):
+        # the file format is float64 whatever the compute dtype: float32 parameters
+        # write the bytes of their exact float64 upcast and load back as float64
+        params, vocab, config, path = self.roundtrip(tmp_path)
+        single = cast_params(params, np.float32)
+        upcast = cast_params(single, np.float64)
+        save_checkpoint(tmp_path / "single.ckpt", Checkpoint(single, vocab, config, epoch=1))
+        save_checkpoint(tmp_path / "upcast.ckpt", Checkpoint(upcast, vocab, config, epoch=1))
+        assert (tmp_path / "single.ckpt").read_bytes() == (tmp_path / "upcast.ckpt").read_bytes()
+        assert array_bytes(load_checkpoint(tmp_path / "single.ckpt").params) == array_bytes(upcast)
+
     def test_rewrite_is_byte_identical(self, tmp_path):
         params, vocab, config, path = self.roundtrip(tmp_path)
         again = tmp_path / "again.ckpt"
@@ -425,6 +436,12 @@ class TestSynth:
             synth_generate(3, seed=0, languages=["en", "en"])
         with pytest.raises(ValueError, match=re.escape("at least one language is required")):
             synth_generate(3, seed=0, languages=[])
+
+    @pytest.mark.parametrize("n_images", [0, True, 2.5, "3"])
+    def test_image_count_follows_the_count_rule(self, n_images):
+        # True made one record, 2.5 and "3" raised TypeError, and 0 was refused in other words
+        with pytest.raises(ValueError, match=re.escape(f"synth_generate.n_images must be a positive int, got {n_images!r}")):
+            synth_generate(n_images, seed=0, languages=["en"])
 
     @pytest.mark.parametrize(
         "languages, message",

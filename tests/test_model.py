@@ -21,7 +21,7 @@ from mlcap.model import (
     zero_state,
 )
 from oracles import forward_sequence, log_softmax, lstm_step
-from tinymodels import array_bytes, prefix_free_params, random_params, wide_params
+from tinymodels import array_bytes, cast_params, prefix_free_params, random_params, wide_params
 
 
 class TestDims:
@@ -279,3 +279,22 @@ class TestStepRows:
         state, rows = step_rows(p.w_embed[[3, 4, 5]], zero_state(p, 3), p)
         assert rows.shape == (3, p.dims.vocab) and state[0].shape == (3, p.dims.hidden)
         npt.assert_allclose(np.exp(rows).sum(axis=1), 1.0, atol=1e-12)
+
+
+class TestFloat32Parameters:
+    def test_decode_steps_run_in_the_parameters_dtype(self):
+        # float32 parameters give a float32 start state, image rows, state and
+        # log-probabilities from float64 features, the log-probabilities within 1e-5 of float64's
+        p = init_params(Dims(300, 32, 32, 64), 8)
+        features = np.random.default_rng(8).normal(size=(5, p.dims.feature))
+
+        def first_steps(params):
+            start = zero_state(params, len(features))
+            image = project_features(features, params)
+            state = advance_state(image, start, params)
+            new, logp = step_rows(params.w_embed[[3, 4, 5, 6, 7]], state, params)
+            return (*start, image, *state, *new, logp)
+
+        single = first_steps(cast_params(p, np.float32))
+        assert [a.dtype for a in single] == [np.dtype(np.float32)] * len(single)
+        assert np.abs(single[-1] - first_steps(p)[-1]).max() <= 1e-5

@@ -54,7 +54,16 @@ from mlcap.trainer import (
     validation_score,
 )
 from mlcap.vocab import EOS_ID, PAD_ID, build_vocab
-from tinymodels import array_bytes, phase_peaks, prefix_free_params, random_params, tiny_examples, traced_peak, wide_params
+from tinymodels import (
+    array_bytes,
+    cast_params,
+    phase_peaks,
+    prefix_free_params,
+    random_params,
+    tiny_examples,
+    traced_peak,
+    wide_params,
+)
 
 
 class TestBatching:
@@ -531,6 +540,46 @@ class TestTrainEpoch:
         config = TrainConfig(epochs=1)
         with pytest.raises(ValueError):
             train_epoch([], params, AdamState.for_params(params), config, np.random.default_rng(0))
+
+
+class TestFloat32Parameters:
+    """Float32 parameters set the compute dtype of a training step: nothing falls back to float64."""
+
+    @pytest.mark.parametrize("mode", trainer.LOSS_MODES)
+    def test_sequence_loss_runs_in_the_parameters_dtype(self, mode):
+        # every gradient is float32 (seven of the eight were float64), the loss within
+        # 1e-6 of float64's and each gradient within 1e-5, relative in L2
+        params = random_params(vocab=40, embed=16, hidden=16, feature=8, seed=21)
+        batch = make_batch(tiny_examples(params, np.random.default_rng(21), count=8, max_tokens=6))
+        loss, grads = sequence_loss(batch, params, mode)
+        single_loss, single = sequence_loss(batch, cast_params(params, np.float32), mode)
+        assert {name: g.dtype for name, g in single.items()} == dict.fromkeys(grads, np.dtype(np.float32))
+        assert abs(single_loss - loss) <= 1e-6 * abs(loss)
+        for name, g in grads.items():
+            assert np.linalg.norm(single[name] - g) <= 1e-5 * np.linalg.norm(g), name
+
+    def test_an_epoch_keeps_every_parameter_and_adam_buffer_float32(self):
+        params = cast_params(random_params(vocab=20, embed=8, hidden=8, feature=4, seed=22), np.float32)
+        adam = AdamState.for_params(params)
+        examples = tiny_examples(params, np.random.default_rng(22), count=10)
+        config = TrainConfig(epochs=1, batch_size=4, hidden=8, embed=8, min_count=1, clip=True)
+        train_epoch(examples, params, adam, config, np.random.default_rng(22))
+        arrays = [p for _, p in params.named_parameters()] + [*adam.m.values(), *adam.v.values(), *adam.scratch]
+        assert adam.t == 3 and {a.dtype for a in arrays} == {np.dtype(np.float32)}
+
+    def test_float32_step_peaks_at_most_six_tenths_of_float64(self):
+        # the logits block, the gradients and the recurrence's buffers set the peak, and
+        # each halves in float32; a float64 buffer of [rows,V] or [rows,H] size would not
+        vocab, width, feature, batch_size, steps = 2000, 32, 64, 32, 8
+        params = random_params(vocab=vocab, embed=width, hidden=width, feature=feature, seed=23)
+        single = cast_params(params, np.float32)
+        rng = np.random.default_rng(23)
+        batch = make_batch([
+            Example(rng.normal(size=feature), 3, tuple(int(t) for t in rng.integers(3, vocab, steps - 1)) + (EOS_ID,))
+            for _ in range(batch_size)
+        ])
+        ratio = traced_peak(lambda: sequence_loss(batch, single)) / traced_peak(lambda: sequence_loss(batch, params))
+        assert ratio <= 0.6, ratio
 
 
 class TestConfig:

@@ -3,7 +3,8 @@
 The builders: ``random_params`` (the training init), ``wide_params``
 (every coordinate drawn at a finite-difference-friendly scale),
 ``prefix_free_params`` (a fixed next-token distribution, as from
-``toy_distribution``) and ``tiny_examples`` (training examples that pad).
+``toy_distribution``), ``cast_params`` (a copy in another dtype) and
+``tiny_examples`` (training examples that pad).
 ``array_bytes`` is the one bit-for-bit comparison of parameter sets, or
 of any arrays by name. ``traced_peak`` is the working-set probe of a whole
 call, and ``phase_peaks`` that of each phase of a train step.
@@ -40,6 +41,11 @@ def wide_params(vocab=6, embed=3, hidden=4, feature=2, seed=0, scale=0.5):
     b_gates[hidden : 2 * hidden] += 1.0
     shapes = param_shapes(dims).items()
     return ModelParams(dims, **{name: b_gates if name == "b_gates" else rng.uniform(-scale, scale, shape) for name, shape in shapes})
+
+
+def cast_params(params, dtype):
+    """A copy of ``params`` with every array cast to ``dtype``: the parameters set the compute dtype."""
+    return ModelParams(params.dims, **{name: p.astype(dtype) for name, p in params.named_parameters()})
 
 
 def array_bytes(arrays):
