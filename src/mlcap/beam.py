@@ -48,6 +48,8 @@ class BeamConfig:
 
     def __post_init__(self):
         check_fields("beam", vars(self), ("width", "max_len"), ("length_norm",))
+        if not all(isinstance(i, (int, np.integer)) and not isinstance(i, bool) for i in self.exclude_ids):
+            raise ValueError(f"beam.exclude_ids must hold int ids, got {self.exclude_ids!r}")
         if EOS_ID in self.exclude_ids:
             raise ValueError("the eos id cannot be excluded from emission")
 
@@ -70,7 +72,7 @@ class Hypothesis:
 def _barred_ids(vocab_size: int, exclude_ids) -> np.ndarray:
     """The ids of ``range(vocab_size)`` in ``exclude_ids``, ascending; exclusions outside it are moot."""
     allowed = np.ones(vocab_size, dtype=bool)
-    allowed[[i for i in map(int, exclude_ids) if 0 <= i < vocab_size]] = False
+    allowed[[i for i in exclude_ids if 0 <= i < vocab_size]] = False
     if not allowed.any():
         raise ValueError("every token id is excluded from emission")
     return np.flatnonzero(~allowed)

@@ -208,6 +208,8 @@ def check_split(parts) -> tuple:
     parts = tuple(parts)
     if len(parts) != 3:
         raise ValueError("split needs exactly three parts (train, val, test)")
+    if any(isinstance(p, (bool, np.bool_)) for p in parts):
+        raise ValueError(f"split parts must be counts or fractions, not bools, got {parts}")
     if all(isinstance(p, int) for p in parts):
         if any(c < 0 for c in parts):
             raise ValueError(f"split counts must be non-negative, got {parts}")

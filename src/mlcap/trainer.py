@@ -95,8 +95,8 @@ class TrainConfig:
         if self.loss_mode not in LOSS_MODES:
             raise ValueError(f"config.loss_mode must be one of {LOSS_MODES}, got {self.loss_mode!r}")
         if (langs := self.languages) is not None:
-            if not (isinstance(langs, tuple) and all(isinstance(code, str) for code in langs) and len(set(langs)) == len(langs)):
-                raise ValueError(f"config.languages must be None or a tuple of distinct language codes, got {langs!r}")
+            if not (isinstance(langs, tuple) and langs and all(isinstance(code, str) for code in langs) and len(set(langs)) == len(langs)):
+                raise ValueError(f"config.languages must be None or a non-empty tuple of distinct language codes, got {langs!r}")
             for code in langs:
                 check_language(code)
 

@@ -8,15 +8,9 @@ refusal prints right after the file's path, and ``accepted_by``, the
 readers that load the file all the same. A reader is a command, or
 ``load_checkpoint`` for a checkpoint whose check lives in ``caption``;
 ``caption`` reads datasets with ``load_dataset(require_captions=False)``.
-``test_data.py`` runs each row through the loader and ``test_cli.py``
-through every command that reads its kind. ``write_jsonl`` writes a
-dataset file from JSON rows given in the test.
-
-One registry, ``NAMED``, keyed by (kind, row, layer), says which rows run
-under a test name of their own at a layer: the loader, or a command.
-``row_checks`` makes such a named test, and ``unnamed`` lists every other
-(kind, row, layer), which the layer's table test runs; so each row runs
-once at each layer.
+``test_data.py``'s table test runs each row once through its loader, and
+``test_cli.py``'s once through each command that reads its kind.
+``write_jsonl`` writes a dataset file from JSON rows given in the test.
 """
 
 import json
@@ -54,35 +48,6 @@ def valid(tmp_path_factory):
     save_checkpoint(paths["checkpoint"], Checkpoint(PARAMS, VOCAB, {"feature_l2norm": False}, 1))
     paths["candidates"].write_text("".join(f"{r.image_id}\t{' '.join(r.captions[0].tokens)}\n" for r in RECORDS))
     return paths
-
-
-NAMED = set()  # (kind, row, layer) of each row that a named test runs; the table tests run every other one
-
-
-def row_checks(check, layer, kind, *rows, ids=None):
-    """A test of ``layer`` on rows of ``kind``'s table, which runs ``check(kind, row, layer, valid, folder, capsys)``:
-    a case per row, named by ``ids``, or one case for all."""
-    keys = {(kind, row, layer) for row in rows}
-    assert NAMED.isdisjoint(keys), "a row runs under one name"
-    NAMED.update(keys)
-    if ids:
-
-        @pytest.mark.parametrize("row", rows, ids=ids)
-        def test(self, valid, tmp_path, capsys, row):
-            check(kind, row, layer, valid, tmp_path, capsys)
-
-    else:
-
-        def test(self, valid, tmp_path, capsys):
-            for row in rows:
-                check(kind, row, layer, valid, tmp_path, capsys)
-
-    return test
-
-
-def unnamed(layers):
-    """(kind, row, layer) for each row of each kind in ``layers``, at each of the kind's layers, that no named test runs."""
-    return [(kind, row, layer) for kind, names in layers.items() for row in TABLES[kind] for layer in names if (kind, row, layer) not in NAMED]
 
 
 def write_jsonl(path, rows):

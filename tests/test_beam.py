@@ -149,6 +149,17 @@ def test_beam_config_length_norm_must_be_a_bool(value):
         BeamConfig(length_norm=value)
 
 
+@pytest.mark.parametrize("entry", [2.5, "2", True, np.float64(2.0), None])
+def test_beam_config_exclude_ids_must_be_ints(entry):
+    # 2.5 and "2" barred eos through int(), True barred unk, and None raised TypeError only in the decode
+    with pytest.raises(ValueError, match=re.escape(f"beam.exclude_ids must hold int ids, got {(PAD_ID, entry)!r}")):
+        BeamConfig(exclude_ids=(PAD_ID, entry))
+
+
+def test_beam_config_takes_numpy_integer_ids():
+    assert _barred_ids(5, BeamConfig(exclude_ids=(np.int64(PAD_ID), np.int32(A))).exclude_ids).tolist() == [PAD_ID, A]
+
+
 class TestToyModelBlock(ToyCases):
     """The hand cases on a one-image ``beam_block``."""
 

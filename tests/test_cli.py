@@ -22,7 +22,7 @@ from mlcap.data import (
     save_dataset,
 )
 from mlcap.vocab import EOS_ID, build_vocab
-from malformed import TABLES, forge, rewrite_checkpoint_header, unnamed, valid, write_jsonl
+from malformed import TABLES, forge, rewrite_checkpoint_header, valid, write_jsonl
 from oracles import forward_sequence
 from tinymodels import NEG_BIG, prefix_free_params, wide_params
 
@@ -679,6 +679,6 @@ class TestParsing:
 
 
 # the table test: every row, through every command that reads its kind
-@pytest.mark.parametrize("kind, row, command", unnamed(READERS))
+@pytest.mark.parametrize("kind, row, command", [(kind, row, command) for kind in READERS for row in TABLES[kind] for command in READERS[kind]])
 def test_every_reader_refuses_each_malformed_file(valid, tmp_path, capsys, kind, row, command):
     check_row(kind, row, command, valid, tmp_path, capsys)

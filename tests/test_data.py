@@ -2,7 +2,6 @@
 
 import re
 import tempfile
-from functools import partial
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -30,8 +29,7 @@ from mlcap.data import (
     split_dataset,
     synth_generate,
 )
-import malformed
-from malformed import TABLES, forge, rewrite_checkpoint_header, unnamed, valid, write_jsonl
+from malformed import TABLES, forge, rewrite_checkpoint_header, valid, write_jsonl
 from oracles import forward_sequence
 from mlcap.model import Dims, ModelParams, param_shapes
 from mlcap.vocab import build_vocab
@@ -46,7 +44,7 @@ def assert_refused(error, load, path, case):
     assert f"{path}{case.message}" in str(refused.value)
 
 
-def check_row(kind, row, layer, valid, folder, capsys=None):
+def check_row(kind, row, valid, folder):
     """``kind``'s loader refuses the row's file with its message, or loads a row it accepts; a
     dataset also with ``require_captions`` off, as ``caption`` reads, where it loads a row ``caption`` accepts."""
     case = TABLES[kind][row]
@@ -62,9 +60,6 @@ def check_row(kind, row, layer, valid, folder, capsys=None):
         assert load_dataset(path, require_captions=False)[1].captions == ()
     else:
         assert_refused(DatasetError, lambda p: load_dataset(p, require_captions=False), path, case)
-
-
-row_checks = partial(malformed.row_checks, check_row, "loader")
 
 
 def test_the_valid_files_load(valid):
@@ -135,36 +130,6 @@ class TestLoadDataset:
         spaced.write_bytes(spaced.read_bytes().replace(b'"synth-000002"', b'"synth-000000"'))
         with pytest.raises(DatasetError, match=re.escape(f"{spaced}:6: duplicate image_id 'synth-000000'")):
             load_dataset(spaced)
-
-    # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_error_names_line_number = row_checks("dataset", "invalid-json")
-    test_duplicate_image_id = row_checks("dataset", "duplicate-id")
-    test_feature_width_mismatch_names_image = row_checks("dataset", "feature-width")
-    test_nonfinite_feature_rejected = row_checks("dataset", "feature-1e999")
-    test_non_number_feature_entry_rejected = row_checks(
-        "dataset", "feature-string", "feature-bool", "feature-null", "feature-list", "feature-object",
-        ids=['"1.5"', "true", "null", "[1.0]", "{}"],
-    )
-    test_integer_beyond_float_range_rejected = row_checks("dataset", "feature-10e400")
-    test_token_that_does_not_survive_a_whitespace_split_rejected = row_checks(
-        "dataset", "token-space", "token-empty", "token-line-feed", "token-ideographic-space", ids=["New York", "", "cab\n", "\u3000"]
-    )
-    test_image_id_holding_a_tab_or_line_break_rejected = row_checks(
-        "dataset", "id-tab", "id-line-feed", "id-carriage-return", ids=["img-1\tx", "img-1\nx", "img-1\r"]
-    )
-    test_lang_that_a_langs_flag_cannot_name_rejected = row_checks(
-        "dataset", "lang-empty", "lang-comma", "lang-space", "lang-line-feed", ids=["", "jp,x", "j p", "en\n"]
-    )
-    test_lang_whose_start_token_is_a_control_token_rejected = row_checks(
-        "dataset", "lang-pad", "lang-unk", "lang-eos", ids=["pad", "unk", "eos"]
-    )
-    test_lone_surrogate_escape_rejected_with_file_and_line = row_checks(
-        "dataset", "surrogate-token", "surrogate-id", "surrogate-lang", ids=["token", "image_id", "lang"]
-    )
-    test_missing_captions_rejected_unless_allowed = row_checks("dataset", "no-captions")
-    test_bad_caption_shape = row_checks("dataset", "tokens-not-a-list")
-    test_empty_file_rejected = row_checks("dataset", "empty-file")
-    test_bytes_that_are_not_utf8_name_file_and_line = row_checks("dataset", "utf16-bom", "latin1-crlf", ids=["bom", "latin1-crlf"])
 
 
 class TestHelpers:
@@ -240,6 +205,13 @@ class TestSplit:
     def test_fractions_must_be_finite_and_non_negative(self, parts):
         records = synth_generate(5, seed=3, languages=["en"])
         with pytest.raises(ValueError, match="must be finite, non-negative"):
+            split_dataset(records, parts, seed=0)
+
+    @pytest.mark.parametrize("parts", [(True, False, 1), (True, 0.0, 0.0), (np.True_, 0.5, 0.0)], ids=["counts", "fractions", "numpy"])
+    def test_bool_parts_are_refused(self, parts):
+        # (True, False, 1) split 1/0/1 and (True, 0.0, 0.0) passed as the fraction 1.0
+        records = synth_generate(5, seed=3, languages=["en"])
+        with pytest.raises(ValueError, match=re.escape(f"split parts must be counts or fractions, not bools, got {parts}")):
             split_dataset(records, parts, seed=0)
 
     # floating point loses a record at only 178 of the 303101 (k, total) pairs up to 3000
@@ -368,25 +340,6 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(refused.value) == f"{path}: truncated inside array 'b_out'"
 
-    # ids these rows ran under before the tables; the table test at the end runs every other row
-    test_truncation_detected = row_checks("checkpoint", "cut-4", "cut-10", "cut-half", "cut-3-short")
-    test_forged_header_length_refused = row_checks(
-        "checkpoint", f"header-length-{2**63 - 1}", f"header-length-{2**64 - 1}", ids=[str(2**63 - 1), str(2**64 - 1)]
-    )
-    test_consistent_dims_claiming_huge_arrays_refused = row_checks(
-        "checkpoint", "huge-dims-terabytes", "huge-dims-past-int64", "huge-dims-past-float", ids=["terabytes", "past-int64", "past-float"]
-    )
-    test_vocabulary_length_must_follow_dims = row_checks("checkpoint", "vocab-short", "vocab-long", ids=["short", "long"])
-    test_vocabulary_must_follow_the_dataset_text_rules = row_checks(
-        "checkpoint", "token-line-break", "token-empty", "token-space", "lang-space", "lang-comma", "token-lone-surrogate",
-        ids=["line-break", "empty", "space", "lang-space", "lang-comma", "lone-surrogate"],
-    )
-    test_epoch_must_be_a_non_negative_int = row_checks(
-        "checkpoint", "epoch-float", "epoch-true", "epoch-negative", "epoch-string", ids=["2.7", "True", "-1", "3"]
-    )
-    test_array_shape_must_follow_dims = row_checks("checkpoint", "array-shape")
-    test_non_finite_array_refused = row_checks("checkpoint", "non-finite-array")
-
 
 class TestSynth:
     def test_feature_encodes_attribute_pair(self):
@@ -460,7 +413,7 @@ class TestSynth:
             synth_generate(3, seed=0, languages=languages)
 
 
-# the table test: every row that no test named above runs
-@pytest.mark.parametrize("kind, row", [(kind, row) for kind, row, _ in unnamed({"dataset": ["loader"], "checkpoint": ["loader"]})])
+# the table test: every dataset and checkpoint row, through its loader
+@pytest.mark.parametrize("kind, row", [(kind, row) for kind in ("dataset", "checkpoint") for row in TABLES[kind]])
 def test_loaders_refuse_each_malformed_file(valid, tmp_path, kind, row):
-    check_row(kind, row, "loader", valid, tmp_path)
+    check_row(kind, row, valid, tmp_path)

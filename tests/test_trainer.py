@@ -618,15 +618,16 @@ class TestConfig:
     @pytest.mark.parametrize(
         "languages, message",
         [
-            ("en", "config.languages must be None or a tuple of distinct language codes, got 'en'"),
-            (["en", "jp"], "config.languages must be None or a tuple of distinct language codes, got ['en', 'jp']"),
-            (("en", 3), "config.languages must be None or a tuple of distinct language codes, got ('en', 3)"),
+            ("en", "config.languages must be None or a non-empty tuple of distinct language codes, got 'en'"),
+            (["en", "jp"], "config.languages must be None or a non-empty tuple of distinct language codes, got ['en', 'jp']"),
+            (("en", 3), "config.languages must be None or a non-empty tuple of distinct language codes, got ('en', 3)"),
             (("e n",), "lang 'e n' must be non-empty, without comma or whitespace"),
             (("pad",), "lang 'pad' is reserved: its start token <pad> is a control token"),
+            ((), "config.languages must be None or a non-empty tuple of distinct language codes, got ()"),
         ],
     )
     def test_languages_must_be_a_tuple_of_codes(self, languages, message):
-        # "en" was read as the languages ['e', 'n']
+        # "en" was read as the languages ['e', 'n'], and () was refused only by run_training, as if the data held no languages
         with pytest.raises(ValueError, match=re.escape(message)):
             TrainConfig(languages=languages)
 
